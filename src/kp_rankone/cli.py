@@ -537,6 +537,15 @@ def _cmd_verify_h3(scenario: Scenario, args, out_dir: Path) -> int:
     return 0 if doc["all_pass"] else 1
 
 
+def _spectral_gap_draw(rng: np.random.Generator, lam: np.ndarray) -> complex:
+    """A point of the square |Re|, |Im| <= 2 at least 0.4 from every eigenvalue in lam."""
+    for _ in range(100):
+        cand = complex(4.0 * (rng.random() - 0.5), 4.0 * (rng.random() - 0.5))
+        if not (lam.size and np.min(np.abs(lam - cand)) < 0.4):
+            return cand
+    raise ScenarioError("could not draw a spectral parameter away from the spectrum of Z")
+
+
 def _cmd_bethe(scenario: Scenario, args, out_dir: Path) -> int:
     if scenario.kind != "calogero_moser":
         raise ScenarioError("bethe needs a calogero_moser scenario")
@@ -553,22 +562,8 @@ def _cmd_bethe(scenario: Scenario, args, out_dir: Path) -> int:
 
     lam = np.linalg.eigvals(data.Z)
     eta = opt_complex("eta", complex(0.7 + 0.6 * rng.random(), 0.3 * rng.random()))
-    lambda1 = opt_complex("lambda1", None) if "lambda1" in opts else None
-    lambda2 = opt_complex("lambda2", None) if "lambda2" in opts else None
-    for _ in range(100):
-        if lambda1 is None:
-            cand = complex(4.0 * (rng.random() - 0.5), 4.0 * (rng.random() - 0.5))
-            if lam.size and np.min(np.abs(lam - cand)) < 0.4:
-                continue
-            lambda1 = cand
-        break
-    for _ in range(100):
-        if lambda2 is None:
-            cand = complex(4.0 * (rng.random() - 0.5), 4.0 * (rng.random() - 0.5))
-            if lam.size and np.min(np.abs(lam - cand)) < 0.4:
-                continue
-            lambda2 = cand
-        break
+    lambda1 = opt_complex("lambda1", 0j) if "lambda1" in opts else _spectral_gap_draw(rng, lam)
+    lambda2 = opt_complex("lambda2", 0j) if "lambda2" in opts else _spectral_gap_draw(rng, lam)
     m = int(opts.get("m", 1))  # type: ignore[arg-type]
     rep = verify.bethe_check(data, eta, lambda1, lambda2, m=m, tol=tol)
     doc = {

@@ -15,7 +15,6 @@ for determinants, and SVD for ranks and kernels.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
@@ -107,7 +106,8 @@ class ScaledComplex:
             raise ValueError("cannot represent a non-finite complex value")
         if w == 0:
             return cls(-math.inf, 0.0)
-        return cls(math.log(abs(w)), wrap_phase(cmath.phase(w)))
+        # atan2, not cmath.phase: the latter raises on a subnormal part
+        return cls(math.log(abs(w)), wrap_phase(math.atan2(w.imag, w.real)))
 
     @classmethod
     def one(cls) -> "ScaledComplex":

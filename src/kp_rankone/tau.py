@@ -10,19 +10,22 @@ The discrete variant :func:`tau_discrete` uses factors (c I - B)^k
 instead, which differs from the shift form only by the scalar gauge
 (c1^l c2^m c3^n)^n.
 
-First derivatives of log tau are exact:
+Derivatives of log tau are exact. With M = A E C.T, E = exp(g(B)),
+every time derivative of M stays in closed form,
 
-    d/dt_k log tau = tr[(A E C.T)^-1 A B^k E C.T],   E = exp(g(B)),
+    d^a M / dt_1^a1 dt_2^a2 dt_3^a3 = A B^w E C.T,   w = a1 + 2 a2 + 3 a3,
 
-and higher derivatives are central finite differences of that exact
-first derivative, Richardson-extrapolated from steps h and h/2.
+so M(t + s) = M (I + Y(s)) with Y(s) = sum_{a != 0} X_w(a) s^a / a! and
+X_j = M^-1 A B^j E C.T. Mixed derivatives of log tau are then read off
+the truncated series log det(I + Y) = sum_k (-1)^(k+1) tr(Y^k) / k;
+one exponential and one linear solve serve every requested order (see
+:meth:`TauEvaluator.log_derivatives`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _iter_product
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -247,6 +250,48 @@ class TauEvaluator:
             right = np.linalg.matrix_power(base, k) @ right
         return self._det(self._left @ right)
 
+    def log_derivatives(self, orders_list: Iterable[Sequence[int]]) -> List[complex]:
+        """Partial derivatives of log tau at the base time, one per multi-index.
+
+        Each entry of ``orders_list`` is (a1, a2, a3) over (t_1, t_2, t_3)
+        with total order at least one. One linear solve gives the blocks
+        X_1 .. X_w of the module docstring; the derivatives are the
+        coefficients of the truncated series log det(I + Y(s)), with Y
+        restricted to the multi-indices below a requested one. Raises
+        PoleError where M is singular.
+        """
+        wanted = [_multi_index(o) for o in orders_list]
+        keep = {
+            (i, j, k)
+            for a1, a2, a3 in wanted
+            for i in range(a1 + 1)
+            for j in range(a2 + 1)
+            for k in range(a3 + 1)
+        }
+        keep.discard((0, 0, 0))
+        n = self.triple.n
+        blocks = [self.triple.C.T]
+        for _ in range(max(_weight(a) for a in keep)):
+            blocks.append(self.triple.B @ blocks[-1])
+        W = self._left @ np.hstack(blocks)  # [M, A B E0 C.T, A B^2 E0 C.T, ...]
+        try:
+            X = np.linalg.solve(W[:, :n], W[:, n:])
+        except np.linalg.LinAlgError as exc:
+            raise PoleError(f"tau vanishes at the evaluation point: {exc}") from exc
+
+        Y = {a: X[:, (_weight(a) - 1) * n : _weight(a) * n] / _factorial(a) for a in keep}
+        series = dict.fromkeys(keep, 0j)
+        power = Y
+        for k in range(1, max(sum(a) for a in keep) + 1):
+            if k > 1:
+                power = _jet_product(power, Y, keep)
+            for a, block in power.items():
+                series[a] += (-1) ** (k + 1) / k * complex(np.trace(block))
+        out = [_factorial(a) * series[a] for a in wanted]
+        if not np.all(np.isfinite(out)):
+            raise PoleError("tau is numerically zero at the evaluation point")
+        return out
+
 
 def tau(tr: RankOneTriple, t: TimesLike) -> ScaledComplex:
     """det(A exp(g(B)) C.T) as a ScaledComplex."""
@@ -284,68 +329,35 @@ def tau_discrete(
 # log derivatives
 # ---------------------------------------------------------------------------
 
-# steps for the finite-difference stage, by derivative order of the
-# stencil; the third-order stencil uses a larger step because its
-# rounding error grows like eps / h^3
-_FD_STEP = {1: 1e-3, 2: 1e-3, 3: 1e-2}
 
-# central stencils with O(h^2) truncation: (offset, weight) pairs, to be
-# divided by h^order
-_CENTRAL_STENCIL = {
-    1: ((-1, -0.5), (1, 0.5)),
-    2: ((-1, 1.0), (0, -2.0), (1, 1.0)),
-    3: ((-2, -0.5), (-1, 1.0), (1, -1.0), (2, 0.5)),
-}
+def _multi_index(orders: Sequence[int]) -> Tuple[int, int, int]:
+    """Validate a derivative multi-index (a1, a2, a3) of total order >= 1."""
+    o = tuple(int(x) for x in orders)
+    if len(o) != 3 or any(x < 0 for x in o):
+        raise ValueError("orders must be three non-negative integers")
+    if sum(o) < 1:
+        raise ValueError("total derivative order must be at least 1")
+    return o
 
 
-def _dlog_tau_exact(tr: RankOneTriple, t: TimeVector, k: int) -> complex:
-    """Exact d/dt_k log tau via the resolvent trace."""
-    G = t.g_matrix(tr.B)
-    E0, _ = expm_centered(G)  # the scalar e^mu cancels in the ratio
-    M = tr.A @ E0 @ tr.C.T
-    Bk = np.linalg.matrix_power(tr.B, k)
-    Mk = tr.A @ (Bk @ E0) @ tr.C.T
-    try:
-        sol = np.linalg.solve(M, Mk)
-    except np.linalg.LinAlgError as exc:
-        raise PoleError(f"tau vanishes at the evaluation point: {exc}") from exc
-    val = complex(np.trace(sol))
-    if not (math.isfinite(val.real) and math.isfinite(val.imag)):
-        raise PoleError("tau is numerically zero at the evaluation point")
-    return val
+def _weight(a: Tuple[int, int, int]) -> int:
+    """Power of B in the a-th derivative of A exp(g(B)) C.T."""
+    return a[0] + 2 * a[1] + 3 * a[2]
 
 
-def _fd_of_exact(
-    tr: RankOneTriple,
-    t: TimeVector,
-    pivot: int,
-    rest: Tuple[int, int, int],
-) -> complex:
-    """Tensor-product central differences of the exact d/dt_pivot log tau,
-    Richardson-extrapolated from steps h and h/2."""
-    axes = [i for i in range(3) if rest[i] > 0]
-    stencils = [_CENTRAL_STENCIL[rest[i]] for i in axes]
-    base_steps = [_FD_STEP[rest[i]] for i in axes]
+def _factorial(a: Tuple[int, int, int]) -> int:
+    return math.factorial(a[0]) * math.factorial(a[1]) * math.factorial(a[2])
 
-    def apply(scale: float) -> complex:
-        steps = [h * scale for h in base_steps]
-        total = 0j
-        for combo in _iter_product(*stencils):
-            tv = t
-            weight = 1.0
-            for (offset, w), axis, h in zip(combo, axes, steps):
-                weight *= w
-                if offset != 0:
-                    tv = tv.with_entry(axis + 1, tv.entry(axis + 1) + offset * h)
-            total += weight * _dlog_tau_exact(tr, tv, pivot)
-        denom = 1.0
-        for axis, h in zip(axes, steps):
-            denom *= h ** rest[axis]
-        return total / denom
 
-    d_h = apply(1.0)
-    d_half = apply(0.5)
-    return (4.0 * d_half - d_h) / 3.0
+def _jet_product(left: dict, right: dict, keep: set) -> dict:
+    """Product of two matrix jets {multi-index: block}, truncated to ``keep``."""
+    out: dict = {}
+    for a, P in left.items():
+        for b, Q in right.items():
+            c = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+            if c in keep:
+                out[c] = out[c] + P @ Q if c in out else P @ Q
+    return out
 
 
 def log_tau_derivative(
@@ -354,24 +366,15 @@ def log_tau_derivative(
     """Partial derivative of log tau at t.
 
     ``orders`` is a multi-index (d1, d2, d3) over (t_1, t_2, t_3) with
-    1 <= d1 + d2 + d3 <= 4. Total order one is exact (trace identity);
-    the remaining orders are applied as central finite differences of
-    the exact first derivative in the variable of highest order.
+    1 <= d1 + d2 + d3 <= 4. The value is exact up to rounding: it is a
+    trace polynomial in X_j = M^-1 A B^j E C.T (see
+    :meth:`TauEvaluator.log_derivatives`). Raises PoleError at a zero of
+    tau.
     """
-    o = tuple(int(x) for x in orders)
-    if len(o) != 3 or any(x < 0 for x in o):
-        raise ValueError("orders must be three non-negative integers")
-    total = sum(o)
-    if not (1 <= total <= 4):
-        raise ValueError(f"total derivative order must lie in 1..4, got {total}")
-    t = TimeVector.coerce(t).padded(3)
-    pivot_axis = max(range(3), key=lambda i: o[i])  # ties pick the lowest index
-    rest = list(o)
-    rest[pivot_axis] -= 1
-    rest = tuple(rest)
-    if sum(rest) == 0:
-        return _dlog_tau_exact(tr, t, pivot_axis + 1)
-    return _fd_of_exact(tr, t, pivot_axis + 1, rest)
+    o = _multi_index(orders)
+    if sum(o) > 4:
+        raise ValueError(f"total derivative order must lie in 1..4, got {sum(o)}")
+    return TauEvaluator(tr, t).log_derivatives([o])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +415,7 @@ def u_field(
     t2s = [float(v) for v in t2_values] if t2_values is not None else [None]
     t3s = [float(v) for v in t3_values] if t3_values is not None else [None]
 
-    points = []
+    evaluated = []
     for v3 in t3s:
         for v2 in t2s:
             for v1 in t1s:
@@ -421,21 +424,17 @@ def u_field(
                     tv = tv.with_entry(2, v2)
                 if v3 is not None:
                     tv = tv.with_entry(3, v3)
-                points.append((v1, v2, v3, tv))
+                ev = TauEvaluator(tr, tv)
+                try:
+                    u = 2.0 * ev.log_derivatives([(2, 0, 0)])[0]
+                except PoleError:
+                    u = None
+                evaluated.append((v1, v2, v3, ev.tau().log_magnitude, u))
 
-    log_mags = [TauEvaluator(tr, tv).tau().log_magnitude for (_, _, _, tv) in points]
-    peak = max(log_mags)
-    threshold = peak + math.log(pole_rel_threshold)
-
+    threshold = max(e[3] for e in evaluated) + math.log(pole_rel_threshold)
+    nan = complex(math.nan, math.nan)
     out: List[GridSample] = []
-    for (v1, v2, v3, tv), lm in zip(points, log_mags):
-        if lm < threshold:
-            out.append(GridSample(v1, v2, v3, complex(math.nan, math.nan), True))
-            continue
-        try:
-            val = 2.0 * log_tau_derivative(tr, tv, (2, 0, 0))
-        except PoleError:
-            out.append(GridSample(v1, v2, v3, complex(math.nan, math.nan), True))
-            continue
-        out.append(GridSample(v1, v2, v3, val, False))
+    for v1, v2, v3, log_mag, u in evaluated:
+        pole = u is None or log_mag < threshold
+        out.append(GridSample(v1, v2, v3, nan if pole else u, pole))
     return out

@@ -36,7 +36,7 @@ from .matkernel import (
     residual_of_sum,
     ScaledComplex,
 )
-from .tau import TauEvaluator, TimeVector, TimesLike, log_tau_derivative, tau
+from .tau import TauEvaluator, TimeVector, TimesLike, tau
 from .triple import RankOneTriple
 
 __all__ = [
@@ -56,7 +56,7 @@ __all__ = [
 ]
 
 DEFAULT_HBDE_TOL = 1e-8
-DEFAULT_KP_TOL = 1e-4          # limited by the finite-difference stage
+DEFAULT_KP_TOL = 1e-8
 DEFAULT_H3_TOL = 1e-10
 DEFAULT_BETHE_TOL = 1e-8
 DEFAULT_WILSON_TOL = 1e-10
@@ -142,35 +142,31 @@ def kp_residual(tr: RankOneTriple, t: TimesLike, tol: float = DEFAULT_KP_TOL) ->
     """Bilinear residual of the first continuous equation of the hierarchy.
 
     Checks 2(T1111 T - 4 T111 T1 + 3 T11^2) - 8(T13 T - T1 T3)
-    + 6(T22 T - T2^2) = 0, with subscripts denoting tau derivatives. The
-    derivative ratios T_a / T come from :func:`log_tau_derivative`, so the
-    residual is automatically normalized by tau^2; the scale is the
-    largest of the seven contributing products.
+    + 6(T22 T - T2^2) = 0, with subscripts denoting tau derivatives.
+    Divided by tau^2 and written in the log derivatives L_a of tau, which
+    :meth:`TauEvaluator.log_derivatives` returns exactly from one
+    exponential and one solve, the left side collapses to
+    2 L1111 + 12 L11^2 - 8 L13 + 6 L22. The scale is the largest monomial
+    of the seven products expanded in the L_a, which stays positive when
+    the products themselves vanish, as they do for tau linear in t_1.
     """
-    d = lambda o: log_tau_derivative(tr, t, o)
-    L1, L2, L3 = d((1, 0, 0)), d((0, 1, 0)), d((0, 0, 1))
-    L11, L22, L13 = d((2, 0, 0)), d((0, 2, 0)), d((1, 0, 1))
-    L111 = d((3, 0, 0))
-    L1111 = d((4, 0, 0))
-
-    r1, r2, r3 = L1, L2, L3
-    r11 = L11 + L1 * L1
-    r22 = L22 + L2 * L2
-    r13 = L13 + L1 * L3
-    r111 = L111 + 3 * L1 * L11 + L1 ** 3
-    r1111 = L1111 + 4 * L1 * L111 + 3 * L11 ** 2 + 6 * L1 ** 2 * L11 + L1 ** 4
-
-    terms = [
-        2 * r1111,
-        -8 * r111 * r1,
-        6 * r11 ** 2,
-        -8 * r13,
-        8 * r1 * r3,
-        6 * r22,
-        -6 * r2 ** 2,
+    L1, L2, L3, L11, L22, L13, L111, L1111 = TauEvaluator(tr, t).log_derivatives(
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0), (1, 0, 1), (3, 0, 0), (4, 0, 0))
+    )
+    monomials = [
+        2 * L1111,
+        8 * L1 * L111,
+        6 * L11 ** 2,
+        24 * L1 ** 2 * L11,
+        8 * L1 ** 4,
+        8 * L13,
+        8 * L1 * L3,
+        6 * L22,
+        6 * L2 ** 2,
     ]
-    scale = max(abs(x) for x in terms)
-    residual = abs(sum(terms)) / scale if scale > 0.0 else 0.0
+    scale = max(abs(x) for x in monomials)
+    defect = 2 * L1111 + 12 * L11 ** 2 - 8 * L13 + 6 * L22
+    residual = abs(defect) / scale if scale > 0.0 else 0.0
     return VerificationReport.make(
         "kp", residual, tol, scale=scale, log_derivatives={"L1": L1, "L11": L11}
     )

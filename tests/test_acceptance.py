@@ -159,13 +159,13 @@ def test_criterion_04_differential_identity():
         t = TimeVector(np.concatenate([rng.uniform(-1, 1, 3), [0.0]]))  # K = 4
         rep = kp_residual(tr, t)
         worst = max(worst, rep.residual)
-    ok = worst < 1e-4
+    ok = worst < 1e-8
     record_criterion(
         "04 differential-identity",
         ok,
-        f"max_residual={worst:.3e} over 25 triples (tol 1e-4, derivative-limited)",
+        f"max_residual={worst:.3e} over 25 triples (tol 1e-8, exact jet derivatives)",
     )
-    assert worst < 1e-4
+    assert worst < 1e-8
 
 
 def test_criterion_05_pole_collision_closed_form():

@@ -248,6 +248,27 @@ def test_bethe_requires_pole_collision_kind(tmp_path):
     assert rc == 0
 
 
+def test_bethe_draw_near_spectrum_exits_2(tmp_path, monkeypatch):
+    # every draw lands on the spectrum {0} of the Wilson point's Z
+    class StuckGenerator:
+        def random(self):
+            return 0.5
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: StuckGenerator())
+    rc = main(["bethe", str(SCENARIOS / "wilson_point.json"), "--out", str(tmp_path)])
+    assert rc == 2
+
+
+def test_verify_kp_wilson_point_trials(tmp_path):
+    # tau = t1 + 3: the seven tau products of the identity all vanish
+    rc = main(
+        ["verify-kp", str(SCENARIOS / "wilson_point.json"), "--trials", "3", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    doc = json.loads((tmp_path / "verify-kp.json").read_text())
+    assert len(doc["reports"]) == 3 and doc["all_pass"]
+
+
 def test_spectral_output(tmp_path):
     rc = main(["spectral", str(SCENARIOS / "two_soliton.json"), "--out", str(tmp_path)])
     assert rc == 0

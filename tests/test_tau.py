@@ -10,7 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from kp_rankone.cases import CalogeroMoserData, KdVPairData, from_calogero_moser, from_kdv_pair
+from kp_rankone.cases import (
+    CalogeroMoserData,
+    KdVPairData,
+    from_calogero_moser,
+    from_kdv_pair,
+    random_calogero_moser,
+)
 from kp_rankone.errors import DimensionError, PoleError, SingularShiftError
 from kp_rankone.matkernel import ScaledComplex, rel_difference, wrap_phase
 from kp_rankone.tau import (
@@ -327,6 +333,72 @@ def test_derivative_at_pole_raises():
     tr = from_calogero_moser(d)
     with pytest.raises(PoleError):
         log_tau_derivative(tr, TimeVector([-3.0]), (1, 0, 0))
+
+
+def _mpmath_log_tau_derivatives(tr, t, orders_list, terms=64):
+    """30-digit oracle: mpmath.diff of log det M(t + s) / det M(t) at s = 0.
+
+    M(t + s) = A E exp(s1 B + s2 B^2 + s3 B^3) C.T is summed as
+    sum_j c_j(s) A B^j E C.T, where c_j(s) are the power-series
+    coefficients of exp(s1 x + s2 x^2 + s3 x^3) (j c_j = sum_i i s_i c_(j-i)),
+    carried until they drop below the working precision of mpmath.diff.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        A = mpmath.matrix(tr.A.tolist())
+        B = mpmath.matrix(tr.B.tolist())
+        G = mpmath.zeros(B.rows)
+        for v in t.values[::-1]:
+            G = B * (mpmath.mpc(complex(v)) * mpmath.eye(B.rows) + G)
+        right = mpmath.expm(G) * mpmath.matrix(tr.C.T.tolist())
+        Q = [A * right]
+        for _ in range(terms):
+            right = B * right
+            Q.append(A * right)
+        det0 = mpmath.det(Q[0])
+        growth = 1 + mpmath.mnorm(B, 1)
+        n = tr.n
+
+        def log_ratio(*s):
+            c = [mpmath.mpf(1)]
+            for j in range(1, terms + 1):
+                c.append(sum(i * s[i - 1] * c[j - i] for i in (1, 2, 3) if i <= j) / j)
+                if j >= 3 and max(abs(x) for x in c[-3:]) * growth ** j < mpmath.mp.eps:
+                    break
+            else:
+                raise AssertionError("series for exp(s1 B + s2 B^2 + s3 B^3) not converged")
+            M = mpmath.matrix(n, n)
+            for a in range(n):
+                for b in range(n):
+                    M[a, b] = mpmath.fsum(cj * Qj[a, b] for cj, Qj in zip(c, Q))
+            return mpmath.log(mpmath.det(M) / det0)
+
+        return [complex(mpmath.diff(log_ratio, (0, 0, 0), o)) for o in orders_list]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_admissible(2, 6, seed=7),
+        # B = [[Z, 0], [I, Z]] is defective
+        lambda: from_calogero_moser(random_calogero_moser(3, seed=5)),
+    ],
+    ids=["admissible-2x6", "calogero-moser-defective"],
+)
+def test_log_derivatives_match_mpmath_oracle(make):
+    tr = make()
+    t = TimeVector([0.3, -0.2 + 0.1j, 0.1 - 0.05j])
+    # every multi-index of total order 1..4, (0, 0, 4) needing B^12
+    orders = [
+        (i, j, k) for i in range(5) for j in range(5) for k in range(5) if 1 <= i + j + k <= 4
+    ]
+    assert len(orders) == 34 and (0, 0, 4) in orders and (2, 1, 1) in orders
+    want = _mpmath_log_tau_derivatives(tr, t, orders)
+    batch = TauEvaluator(tr, t).log_derivatives(orders)
+    for o, ref, got in zip(orders, want, batch):
+        single = log_tau_derivative(tr, t, o)
+        for value in (got, single):
+            assert abs(value - ref) <= 1e-11 * max(1.0, abs(ref)), (o, value, ref)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from kp_rankone.cases import (
     CalogeroMoserData,
     IntertwiningData,
     from_calogero_moser,
+    from_kdv_pair,
     random_calogero_moser,
     random_intertwining,
     random_kdv_pair,
@@ -17,6 +18,7 @@ from kp_rankone.errors import DegenerateSpectrumError, InadmissibleTripleError
 from kp_rankone.tau import TimeVector
 from kp_rankone.triple import RankOneTriple, make_triple, random_admissible
 from kp_rankone.verify import (
+    DEFAULT_KP_TOL,
     VerificationReport,
     bethe_check,
     crosscheck_intertwining,
@@ -115,6 +117,30 @@ def test_kp_residual_random(seed):
     t = TimeVector([0.25, -0.15, 0.1])
     rep = kp_residual(tr, t)
     assert rep.passed, (seed, rep.residual)
+
+
+@pytest.mark.parametrize("t1", [0.7, -1.3, 2.1])
+def test_kp_residual_wilson_off_origin(t1):
+    # tau = t1 + 3 is linear in t1, so every product in the identity
+    # vanishes; the residual must still be scaled by the log derivatives
+    tr = from_calogero_moser(CalogeroMoserData(np.array([[3.0]]), np.array([[0.0]])))
+    rep = kp_residual(tr, TimeVector([t1, 0.2, -0.1]))
+    assert rep.context["scale"] > 0.0
+    assert rep.passed, rep.residual
+
+
+@pytest.mark.parametrize(
+    "make, t",
+    [
+        (lambda: from_kdv_pair(random_kdv_pair(3, seed=368)), [0.044, -0.105 + 0.057j, 0.059 + 0.015j]),
+        (lambda: random_admissible(2, 6, seed=242), [0.203, -0.248 + 0.223j, -0.049 - 0.225j]),
+    ],
+)
+def test_kp_residual_near_complex_zero(make, t):
+    # both points lie within 0.1 of a zero of tau in complex t1
+    rep = kp_residual(make(), TimeVector(t))
+    assert rep.tolerance == DEFAULT_KP_TOL
+    assert rep.passed, rep.residual
 
 
 def test_kp_residual_negative_control():
