@@ -68,6 +68,7 @@ from .tau import (
     log_tau_derivative,
     tau,
     tau_discrete,
+    tau_grid,
     tau_miwa,
     u_field,
 )
@@ -147,6 +148,7 @@ __all__ = [
     "residual_of_sum",
     "tau",
     "tau_discrete",
+    "tau_grid",
     "tau_miwa",
     "u_field",
     "validate_triple",

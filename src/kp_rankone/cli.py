@@ -45,7 +45,7 @@ from .errors import (
     SingularShiftError,
 )
 from .matkernel import ScaledComplex
-from .tau import TimeVector, tau as tau_value, u_field
+from .tau import TimeVector, tau_grid, u_field
 
 __all__ = ["Scenario", "load_scenario", "save_scenario", "run_command", "main"]
 
@@ -366,54 +366,32 @@ def _grid_times(scenario: Scenario, args):
 def _cmd_tau_grid(scenario: Scenario, args, out_dir: Path) -> int:
     tr = scenario.build_triple()
     axis1, axis2, axis3 = _grid_times(scenario, args)
-    base = scenario.times.padded(3)
+    header = _grid_header(axis2, axis3)
+    rows = [
+        [_fmt(v) for v in coords if v is not None] + _scaled_fields(val) + ["0"]
+        for coords, val in tau_grid(tr, axis1, axis2, axis3, base=scenario.times)
+    ]
+    _write_csv(out_dir, "tau-grid", header, rows)
+    return 0
+
+
+def _grid_header(axis2, axis3) -> List[str]:
     header = ["t1"]
     if axis2 is not None:
         header.append("t2")
     if axis3 is not None:
         header.append("t3")
-    header += ["re", "im", "log_magnitude", "pole"]
-    rows = []
-    for v3 in axis3 if axis3 is not None else [None]:
-        for v2 in axis2 if axis2 is not None else [None]:
-            for v1 in axis1:
-                tv = base.with_entry(1, complex(v1))
-                coords = [_fmt(v1)]
-                if v2 is not None:
-                    tv = tv.with_entry(2, complex(v2))
-                    coords.append(_fmt(v2))
-                if v3 is not None:
-                    tv = tv.with_entry(3, complex(v3))
-                    coords.append(_fmt(v3))
-                val = tau_value(tr, tv)
-                rows.append(coords + _scaled_fields(val) + ["0"])
-    _write_csv(out_dir, "tau-grid", header, rows)
-    return 0
+    return header + ["re", "im", "log_magnitude", "pole"]
 
 
 def _cmd_u_grid(scenario: Scenario, args, out_dir: Path) -> int:
     tr = scenario.build_triple()
     axis1, axis2, axis3 = _grid_times(scenario, args)
-    samples = u_field(
-        tr,
-        axis1,
-        axis2,
-        axis3,
-        base=scenario.times,
-    )
-    header = ["t1"]
-    if axis2 is not None:
-        header.append("t2")
-    if axis3 is not None:
-        header.append("t3")
-    header += ["re", "im", "log_magnitude", "pole"]
+    samples = u_field(tr, axis1, axis2, axis3, base=scenario.times)
+    header = _grid_header(axis2, axis3)
     rows = []
     for s in samples:
-        coords = [_fmt(s.t1)]
-        if axis2 is not None:
-            coords.append(_fmt(s.t2))
-        if axis3 is not None:
-            coords.append(_fmt(s.t3))
+        coords = [_fmt(v) for v in (s.t1, s.t2, s.t3) if v is not None]
         if s.is_pole:
             rows.append(coords + [_fmt(math.nan), _fmt(math.nan), _fmt(math.nan), "1"])
         else:

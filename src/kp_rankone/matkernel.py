@@ -1,8 +1,9 @@
 """Dense complex linear algebra kernel.
 
 Everything in this package works on plain ``numpy`` arrays of
-``complex128``; :func:`as_cmatrix` is the single validation point that
-coerces, copies and finiteness-checks input at API boundaries.
+``complex128``; :func:`as_cmatrix` (with a stack form for
+:func:`expm_centered`) is the single validation point that coerces,
+copies and finiteness-checks input at API boundaries.
 Determinants (and anything else that can outgrow doubles) are carried as
 :class:`ScaledComplex` values, which keep the natural log of the
 magnitude separate from the phase so products spanning thousands of
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List, Tuple, Union
 
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
@@ -40,6 +41,7 @@ __all__ = [
     "matexp",
     "expm_centered",
     "det_scaled",
+    "scaled_from_slogdet",
     "numerical_rank",
     "nullspace_rows",
     "spectral_norm",
@@ -66,6 +68,18 @@ def as_cmatrix(M, name: str = "matrix") -> np.ndarray:
     arr = np.array(M, dtype=np.complex128, order="C")
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-D, got shape {arr.shape}")
+    return _finite_nonempty(arr, name)
+
+
+def _as_square_stack(M, name: str) -> np.ndarray:
+    """Coerce to a finite, nonempty stack (..., k, k) of square complex128 matrices."""
+    arr = np.array(M, dtype=np.complex128, order="C")
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise DimensionError(f"{name} must be square, got shape {arr.shape}")
+    return _finite_nonempty(arr, name)
+
+
+def _finite_nonempty(arr: np.ndarray, name: str) -> np.ndarray:
     if arr.size == 0:
         raise DimensionError(f"{name} must be nonempty")
     if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
@@ -244,28 +258,37 @@ def matexp(M) -> np.ndarray:
     return np.asarray(E, dtype=np.complex128)
 
 
-def expm_centered(M) -> Tuple[np.ndarray, complex]:
+def expm_centered(M) -> Tuple[np.ndarray, Union[complex, np.ndarray]]:
     """Return (E0, mu) with exp(M) = e^mu * E0 and mu the mean eigenvalue.
 
     Splitting off mu = tr(M)/dim centers the spectrum of the exponent at
     zero, which keeps E0 inside double range in many cases where exp(M)
     itself overflows. Callers fold ``e^mu`` back in on the log scale.
+    A stack (..., dim, dim) gives a stack E0 and an array mu of shape
+    (...), one per slice, from one ``expm`` call.
     """
-    M = as_cmatrix(M, "exponent")
-    _require_square(M, "exponent")
-    dim = M.shape[0]
-    mu = complex(np.trace(M)) / dim
-    E0 = _scipy_expm(M - mu * np.eye(dim))
+    M = _as_square_stack(M, "exponent")
+    dim = M.shape[-1]
+    trace = np.asarray(np.trace(M, axis1=-2, axis2=-1))
+    # parts divided separately, as Python's complex / int does (numpy
+    # would multiply by the reciprocal)
+    mu = np.empty_like(trace)
+    mu.real, mu.imag = trace.real / dim, trace.imag / dim
+    E0 = _scipy_expm(M - mu[..., None, None] * np.eye(dim))
     if not np.all(np.isfinite(E0)):
         raise RangeError("exp(M - mu I) still overflows double precision")
-    return np.asarray(E0, dtype=np.complex128), mu
+    return np.asarray(E0, dtype=np.complex128), (complex(mu) if mu.ndim == 0 else mu)
 
 
 def det_scaled(M) -> ScaledComplex:
     """Determinant as a ScaledComplex (LU based, safe for huge/tiny values)."""
     M = as_cmatrix(M, "determinant input")
     _require_square(M, "determinant input")
-    sign, logdet = np.linalg.slogdet(M)
+    return scaled_from_slogdet(*np.linalg.slogdet(M))
+
+
+def scaled_from_slogdet(sign, logdet) -> ScaledComplex:
+    """The ScaledComplex of one ``numpy.linalg.slogdet`` result."""
     if sign == 0:
         return ScaledComplex(-math.inf, 0.0)
     return ScaledComplex(float(logdet), wrap_phase(float(np.angle(sign))))

@@ -20,6 +20,12 @@ X_j = M^-1 A B^j E C.T. Mixed derivatives of log tau are then read off
 the truncated series log det(I + Y) = sum_k (-1)^(k+1) tr(Y^k) / k;
 one exponential and one linear solve serve every requested order (see
 :meth:`TauEvaluator.log_derivatives`).
+
+Grids (:func:`tau_grid`, :func:`u_field`) are evaluated as stacks: the
+points of one t1 line differ only in the scalars t_i multiplying fixed
+powers of B, so g(B) is formed by Horner on a (P, N, N) stack and each
+line takes one ``expm``, one ``slogdet`` and, for u, one ``solve``. The
+same jet series serves a stack of P points and a single evaluator.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from .matkernel import (
     as_cmatrix,
     det_scaled,
     expm_centered,
+    scaled_from_slogdet,
 )
 from .triple import RankOneTriple
 
@@ -48,6 +55,7 @@ __all__ = [
     "tau_miwa",
     "tau_discrete",
     "log_tau_derivative",
+    "tau_grid",
     "u_field",
     "GridSample",
 ]
@@ -57,6 +65,8 @@ DEFAULT_TRUNCATION = 6
 
 TimesLike = Union["TimeVector", Sequence[complex]]
 ShiftsLike = Union["MiwaShiftList", Iterable[Tuple[complex, int]]]
+#: grid coordinates (t1, t2, t3); t2, t3 are None where the grid has no such axis
+GridCoords = Tuple[float, Optional[float], Optional[float]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,39 +265,17 @@ class TauEvaluator:
 
         Each entry of ``orders_list`` is (a1, a2, a3) over (t_1, t_2, t_3)
         with total order at least one. One linear solve gives the blocks
-        X_1 .. X_w of the module docstring; the derivatives are the
-        coefficients of the truncated series log det(I + Y(s)), with Y
-        restricted to the multi-indices below a requested one. Raises
-        PoleError where M is singular.
+        X_1 .. X_w of the module docstring and :func:`_jet_series` reads
+        the derivatives off them. Raises PoleError where M is singular.
         """
         wanted = [_multi_index(o) for o in orders_list]
-        keep = {
-            (i, j, k)
-            for a1, a2, a3 in wanted
-            for i in range(a1 + 1)
-            for j in range(a2 + 1)
-            for k in range(a3 + 1)
-        }
-        keep.discard((0, 0, 0))
         n = self.triple.n
-        blocks = [self.triple.C.T]
-        for _ in range(max(_weight(a) for a in keep)):
-            blocks.append(self.triple.B @ blocks[-1])
-        W = self._left @ np.hstack(blocks)  # [M, A B E0 C.T, A B^2 E0 C.T, ...]
+        W = self._left @ _right_blocks(self.triple, max(_weight(a) for a in wanted))
         try:
             X = np.linalg.solve(W[:, :n], W[:, n:])
         except np.linalg.LinAlgError as exc:
             raise PoleError(f"tau vanishes at the evaluation point: {exc}") from exc
-
-        Y = {a: X[:, (_weight(a) - 1) * n : _weight(a) * n] / _factorial(a) for a in keep}
-        series = dict.fromkeys(keep, 0j)
-        power = Y
-        for k in range(1, max(sum(a) for a in keep) + 1):
-            if k > 1:
-                power = _jet_product(power, Y, keep)
-            for a, block in power.items():
-                series[a] += (-1) ** (k + 1) / k * complex(np.trace(block))
-        out = [_factorial(a) * series[a] for a in wanted]
+        out = [complex(v) for v in _jet_series(X, wanted)]
         if not np.all(np.isfinite(out)):
             raise PoleError("tau is numerically zero at the evaluation point")
         return out
@@ -349,6 +337,42 @@ def _factorial(a: Tuple[int, int, int]) -> int:
     return math.factorial(a[0]) * math.factorial(a[1]) * math.factorial(a[2])
 
 
+def _right_blocks(tr: RankOneTriple, weight: int) -> np.ndarray:
+    """[C.T, B C.T, ..., B^weight C.T] side by side, shape (N, (weight + 1) n)."""
+    blocks = [tr.C.T]
+    for _ in range(weight):
+        blocks.append(tr.B @ blocks[-1])
+    return np.hstack(blocks)
+
+
+def _jet_series(X: np.ndarray, wanted: List[Tuple[int, int, int]]) -> np.ndarray:
+    """Derivatives of log det(I + Y(s)) at s = 0, one per multi-index in ``wanted``.
+
+    X holds the blocks X_1 .. X_w side by side, shape (..., n, w n), with
+    any leading stack axes. The series sum_k (-1)^(k+1) tr(Y^k) / k is
+    truncated to the multi-indices below a wanted one. Returns shape
+    (..., len(wanted)).
+    """
+    keep = {
+        (i, j, k)
+        for a1, a2, a3 in wanted
+        for i in range(a1 + 1)
+        for j in range(a2 + 1)
+        for k in range(a3 + 1)
+    }
+    keep.discard((0, 0, 0))
+    n = X.shape[-2]
+    Y = {a: X[..., (_weight(a) - 1) * n : _weight(a) * n] / _factorial(a) for a in keep}
+    series = dict.fromkeys(keep, 0j)
+    power = Y
+    for k in range(1, max(sum(a) for a in keep) + 1):
+        if k > 1:
+            power = _jet_product(power, Y, keep)
+        for a, block in power.items():
+            series[a] = series[a] + (-1) ** (k + 1) / k * np.trace(block, axis1=-2, axis2=-1)
+    return np.stack([_factorial(a) * series[a] for a in wanted], axis=-1)
+
+
 def _jet_product(left: dict, right: dict, keep: set) -> dict:
     """Product of two matrix jets {multi-index: block}, truncated to ``keep``."""
     out: dict = {}
@@ -393,6 +417,68 @@ class GridSample:
     is_pole: bool
 
 
+def _grid_times(
+    t1_values: Sequence[float],
+    t2_values: Optional[Sequence[float]],
+    t3_values: Optional[Sequence[float]],
+    base: Optional[TimesLike],
+) -> Tuple[List[GridCoords], np.ndarray, int]:
+    """Grid coordinates (t3 outer, t2, t1 inner), their times, shape (P, K),
+    and the t1 line length.
+
+    Grid coordinates overwrite t_1 (and t_2, t_3 when given) of ``base``;
+    the remaining base entries are kept.
+    """
+    base_t = TimeVector.coerce(base).padded(3) if base is not None else TimeVector.zeros(3)
+    t1s = [float(v) for v in t1_values]
+    t2s = [float(v) for v in t2_values] if t2_values is not None else [None]
+    t3s = [float(v) for v in t3_values] if t3_values is not None else [None]
+    coords = [(v1, v2, v3) for v3 in t3s for v2 in t2s for v1 in t1s]
+    times = np.tile(base_t.values, (len(coords), 1))
+    for col in range(3):
+        if coords and coords[0][col] is not None:
+            times[:, col] = [c[col] for c in coords]
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    return coords, times, len(t1s)
+
+
+def _grid_lines(tr: RankOneTriple, times: np.ndarray, line: int):
+    """Per t1 line of ``times``: the stacks A exp(g(B) - mu I) and mu.
+
+    g(B) = sum_i t_i B^i is formed by Horner on the (line, N, N) stack and
+    exponentiated by one ``expm_centered`` call per line.
+    """
+    I = np.eye(tr.N, dtype=np.complex128)
+    for start in range(0, len(times), max(line, 1)):
+        chunk = times[start : start + line]
+        G = np.zeros((len(chunk), tr.N, tr.N), dtype=np.complex128)
+        for t_i in chunk.T[::-1]:
+            G = tr.B @ (t_i[:, None, None] * I + G)
+        E0, mu = expm_centered(G)
+        yield tr.A @ E0, mu
+
+
+def tau_grid(
+    tr: RankOneTriple,
+    t1_values: Sequence[float],
+    t2_values: Optional[Sequence[float]] = None,
+    t3_values: Optional[Sequence[float]] = None,
+    base: Optional[TimesLike] = None,
+) -> List[Tuple[GridCoords, ScaledComplex]]:
+    """tau over a grid, as ((t1, t2, t3), value) pairs in :func:`u_field` order.
+
+    Each t1 line is one stack: one ``expm`` and one ``slogdet`` call.
+    """
+    coords, times, line = _grid_times(t1_values, t2_values, t3_values, base)
+    values = []
+    for left, mu in _grid_lines(tr, times, line):
+        sign, logdet = np.linalg.slogdet(left @ tr.C.T)
+        for s, ld, m in zip(sign, logdet, mu):
+            values.append(scaled_from_slogdet(s, ld) * ScaledComplex.exp_of(tr.n * m))
+    return list(zip(coords, values))
+
+
 def u_field(
     tr: RankOneTriple,
     t1_values: Sequence[float],
@@ -405,36 +491,39 @@ def u_field(
     """Sample u = 2 d^2/dt_1^2 log tau over a grid.
 
     Grid coordinates overwrite t_1 (and t_2, t_3 when given) of ``base``;
-    the remaining base entries are kept. Samples where |tau| falls below
-    ``pole_rel_threshold`` times the grid maximum are marked as poles and
-    carry value nan; so are samples whose derivative hits an exact zero
-    of tau.
+    the remaining base entries are kept. Each t1 line is evaluated as one
+    stack: one ``expm`` call for exp(g(B)), one ``slogdet`` of
+    M = A exp(g(B)) C.T for |tau| and one ``solve`` for X_1, X_2, from
+    which :func:`_jet_series` gives u = 2 (tr X_2 - tr X_1^2). Samples
+    where |tau| falls below ``pole_rel_threshold`` times the grid
+    maximum are marked as poles and carry value nan; so are samples
+    where M is exactly singular or u is not finite. An empty grid gives
+    an empty list.
     """
-    base_t = TimeVector.coerce(base).padded(3) if base is not None else TimeVector.zeros(3)
-    t1s = [float(v) for v in t1_values]
-    t2s = [float(v) for v in t2_values] if t2_values is not None else [None]
-    t3s = [float(v) for v in t3_values] if t3_values is not None else [None]
-
-    evaluated = []
-    for v3 in t3s:
-        for v2 in t2s:
-            for v1 in t1s:
-                tv = base_t.with_entry(1, v1)
-                if v2 is not None:
-                    tv = tv.with_entry(2, v2)
-                if v3 is not None:
-                    tv = tv.with_entry(3, v3)
-                ev = TauEvaluator(tr, tv)
-                try:
-                    u = 2.0 * ev.log_derivatives([(2, 0, 0)])[0]
-                except PoleError:
-                    u = None
-                evaluated.append((v1, v2, v3, ev.tau().log_magnitude, u))
-
-    threshold = max(e[3] for e in evaluated) + math.log(pole_rel_threshold)
+    coords, times, line = _grid_times(t1_values, t2_values, t3_values, base)
+    if not coords:
+        return []
+    n = tr.n
     nan = complex(math.nan, math.nan)
-    out: List[GridSample] = []
-    for v1, v2, v3, log_mag, u in evaluated:
-        pole = u is None or log_mag < threshold
-        out.append(GridSample(v1, v2, v3, nan if pole else u, pole))
-    return out
+    right = _right_blocks(tr, 2)
+    log_mags, us = [], []
+    for left, mu in _grid_lines(tr, times, line):
+        W = left @ right
+        sign, logdet = np.linalg.slogdet(W[..., :n])
+        regular = (sign != 0) & np.isfinite(logdet)
+        # only the slices whose LU has no zero pivot go to the solve
+        Wr = W[regular]
+        X = np.linalg.solve(Wr[..., :n], Wr[..., n:])
+        u = np.full(len(W), nan)
+        u[regular] = 2.0 * _jet_series(X, [(2, 0, 0)])[..., 0]
+        log_mags.append(np.where(regular, logdet + n * mu.real, -math.inf))
+        us.append(u)
+    log_mag, u = np.concatenate(log_mags), np.concatenate(us)
+
+    threshold = log_mag.max() + math.log(pole_rel_threshold)
+    pole = ~np.isfinite(u) | (log_mag < threshold)
+    u[pole] = nan
+    return [
+        GridSample(v1, v2, v3, complex(value), bool(p))
+        for (v1, v2, v3), value, p in zip(coords, u, pole)
+    ]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from kp_rankone.errors import (
     DegenerateInputError,
+    DimensionError,
     IndeterminateScaleError,
     RangeError,
 )
@@ -250,6 +251,23 @@ def test_expm_centered_survives_large_trace():
     E0, mu = expm_centered(M)
     assert np.all(np.isfinite(E0))
     assert mu.real > 700
+
+
+def test_expm_centered_stack_matches_slices():
+    rng = np.random.default_rng(10)
+    M = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    M[1, 2] += 600.0 * np.eye(4)
+    E0, mu = expm_centered(M)
+    assert E0.shape == (2, 3, 4, 4) and mu.shape == (2, 3)
+    for idx in np.ndindex(2, 3):
+        E0_i, mu_i = expm_centered(M[idx])
+        assert mu[idx] == mu_i
+        assert np.allclose(E0[idx], E0_i, rtol=1e-14, atol=0.0)
+
+
+def test_expm_centered_rejects_nonsquare_stack():
+    with pytest.raises(DimensionError):
+        expm_centered(np.zeros((2, 3, 4)))
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")

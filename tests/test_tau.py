@@ -16,6 +16,7 @@ from kp_rankone.cases import (
     from_calogero_moser,
     from_kdv_pair,
     random_calogero_moser,
+    random_kdv_pair,
 )
 from kp_rankone.errors import DimensionError, PoleError, SingularShiftError
 from kp_rankone.matkernel import ScaledComplex, rel_difference, wrap_phase
@@ -26,6 +27,7 @@ from kp_rankone.tau import (
     log_tau_derivative,
     tau,
     tau_discrete,
+    tau_grid,
     tau_miwa,
     u_field,
 )
@@ -447,3 +449,82 @@ def test_u_field_base_replacement_semantics():
     # log tau = t2 + log(2 cosh(t1 + t3)) so u depends on t1 + t3 only
     want = 2.0 / math.cosh(0.5 + 0.1) ** 2
     assert samples[0].value == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_admissible(1, 4, seed=11),
+        lambda: random_admissible(2, 6, seed=12),
+        lambda: random_admissible(4, 12, seed=13),
+        lambda: random_admissible(8, 24, seed=14),
+        # B = [[Z, 0], [I, Z]] is defective
+        lambda: from_calogero_moser(random_calogero_moser(3, seed=5)),
+        lambda: from_kdv_pair(random_kdv_pair(3, seed=2)),
+    ],
+    ids=["1x4", "2x6", "4x12", "8x24", "calogero-moser-defective", "kdv-pair"],
+)
+def test_u_field_stack_matches_pointwise_derivative(make):
+    tr = make()
+    base = TimeVector([0.0, 0.15 - 0.1j, -0.05 + 0.2j])
+    samples = u_field(tr, np.linspace(-1.0, 1.0, 9), base=base)
+    assert len(samples) == 9
+    for s in samples:
+        assert not s.is_pole
+        want = 2.0 * log_tau_derivative(tr, base.with_entry(1, s.t1), (2, 0, 0))
+        assert abs(s.value - want) <= 1e-12 * abs(want), (s.t1, s.value, want)
+
+
+def test_u_field_3d_grid_order_and_coordinates():
+    tr = random_admissible(2, 6, seed=21)
+    t1s, t2s, t3s = [-0.5, 0.0, 0.5], [0.1, -0.2], [0.3, -0.1]
+    base = TimeVector([9.0, 9.0, 9.0, 0.05j])
+    samples = u_field(tr, t1s, t2s, t3s, base=base)
+    # t3 outer, then t2, t1 inner
+    want_coords = [(v1, v2, v3) for v3 in t3s for v2 in t2s for v1 in t1s]
+    assert [(s.t1, s.t2, s.t3) for s in samples] == want_coords
+    for s in samples:
+        t = TimeVector([s.t1, s.t2, s.t3, 0.05j])
+        want = 2.0 * log_tau_derivative(tr, t, (2, 0, 0))
+        assert abs(s.value - want) <= 1e-12 * abs(want)
+
+
+def test_u_field_wilson_zero_mid_stack():
+    # tau = t1 + 3: the exact zero at t1 = -3 sits in the middle of the line
+    tr = from_calogero_moser(CalogeroMoserData(np.array([[3.0]]), np.array([[0.0]])))
+    grid = np.linspace(-5.0, -1.0, 9)
+    samples = u_field(tr, grid)
+    assert [s.is_pole for s in samples] == [i == 4 for i in range(9)]
+    assert samples[4].t1 == -3.0 and math.isnan(samples[4].value.real)
+    for s in samples[:4] + samples[5:]:
+        want = -2.0 / (s.t1 + 3.0) ** 2
+        assert abs(s.value - want) <= 1e-12 * abs(want), (s.t1, s.value)
+
+
+def test_u_field_empty_grid():
+    tr = random_admissible(1, 4, seed=3)
+    assert u_field(tr, []) == []
+    assert u_field(tr, [0.0, 1.0], []) == []
+    assert tau_grid(tr, []) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_grid_rejects_nonfinite_axis_value(bad):
+    tr = random_admissible(1, 4, seed=3)
+    with pytest.raises(ValueError):
+        u_field(tr, [0.0, bad, 1.0])
+    with pytest.raises(ValueError):
+        u_field(tr, [0.0], t3_values=[bad])
+    with pytest.raises(ValueError):
+        tau_grid(tr, [0.0], [bad])
+
+
+def test_tau_grid_matches_pointwise_tau():
+    tr = random_admissible(4, 12, seed=8)
+    base = TimeVector([0.0, 0.0, 0.0, 0.1 + 0.1j])
+    grid = tau_grid(tr, np.linspace(-1.0, 1.0, 5), [0.2, -0.3], base=base)
+    assert len(grid) == 10
+    for (v1, v2, v3), value in grid:
+        assert v3 is None
+        want = tau(tr, TimeVector([v1, v2, 0.0, 0.1 + 0.1j]))
+        assert rel_difference(value, want) <= 1e-13
