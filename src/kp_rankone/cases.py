@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_sylvester
 
 from .errors import (
     DegenerateInputError,
@@ -79,8 +78,8 @@ class IntertwiningData:
 
 
 @dataclass(frozen=True, eq=False)
-class CalogeroMoserData:
-    """Square X, Z of equal size with rank([X, Z] + I) <= 1 intended."""
+class _SquarePairData:
+    """Square X, Z of equal size (the body shared by the two pair cases)."""
 
     X: np.ndarray
     Z: np.ndarray
@@ -102,26 +101,13 @@ class CalogeroMoserData:
 
 
 @dataclass(frozen=True, eq=False)
-class KdVPairData:
+class CalogeroMoserData(_SquarePairData):
+    """Square X, Z of equal size with rank([X, Z] + I) <= 1 intended."""
+
+
+@dataclass(frozen=True, eq=False)
+class KdVPairData(_SquarePairData):
     """Square X, Z of equal size with rank(X Z + Z X) <= 1 intended."""
-
-    X: np.ndarray
-    Z: np.ndarray
-
-    def __post_init__(self):
-        X = _frozen(as_cmatrix(self.X, "X"))
-        Z = _frozen(as_cmatrix(self.Z, "Z"))
-        n = X.shape[0]
-        if X.shape != (n, n):
-            raise DimensionError(f"X must be square, got {X.shape}")
-        if Z.shape != (n, n):
-            raise DimensionError(f"Z must match X's shape, got {Z.shape}")
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "Z", Z)
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
 
 
 def from_intertwining(
@@ -296,9 +282,10 @@ def random_calogero_moser(
 def random_kdv_pair(n: int, seed: int, *, max_resamples: int = 100) -> KdVPairData:
     """Random (X, Z) with X Z + Z X of exact rank one.
 
-    Z is built with spectrum in the right half plane (so the Sylvester
-    equation X Z + Z X = a b.T is uniquely solvable) and X is the
-    solution of that equation.
+    Z = Q diag(ev) Q^-1 is built with spectrum in the right half plane, so
+    the Sylvester equation X Z + Z X = a b.T is uniquely solvable; in the
+    eigenbasis of Z it is diagonal, and X = Q [C_ij / (ev_i + ev_j)] Q^-1
+    with C = Q^-1 a b.T Q.
     """
     rng = np.random.default_rng(int(seed))
     for _ in range(max_resamples):
@@ -308,10 +295,11 @@ def random_kdv_pair(n: int, seed: int, *, max_resamples: int = 100) -> KdVPairDa
         s = np.linalg.svd(Q, compute_uv=False)
         if s[-1] < 1e-2 * s[0]:
             continue
-        Z = Q @ np.diag(ev) @ np.linalg.inv(Q)
+        Q_inv = np.linalg.inv(Q)
+        Z = Q @ np.diag(ev) @ Q_inv
         a = rng.random((n, 1)) + 1j * rng.random((n, 1))
         b = rng.random((n, 1)) + 1j * rng.random((n, 1))
-        X = solve_sylvester(Z, Z, a @ b.T)
+        X = Q @ ((Q_inv @ a @ b.T @ Q) / (ev[:, None] + ev[None, :])) @ Q_inv
         d = KdVPairData(X, Z)
         try:
             from_kdv_pair(d)

@@ -367,8 +367,11 @@ def _cmd_tau_grid(scenario: Scenario, args, out_dir: Path) -> int:
     tr = scenario.build_triple()
     axis1, axis2, axis3 = _grid_times(scenario, args)
     header = _grid_header(axis2, axis3)
+    # an exact zero of tau is a pole of u, flagged as u-grid flags it
     rows = [
-        [_fmt(v) for v in coords if v is not None] + _scaled_fields(val) + ["0"]
+        [_fmt(v) for v in coords if v is not None]
+        + _scaled_fields(val)
+        + ["1" if val.is_zero else "0"]
         for coords, val in tau_grid(tr, axis1, axis2, axis3, base=scenario.times)
     ]
     _write_csv(out_dir, "tau-grid", header, rows)

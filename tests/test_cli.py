@@ -165,6 +165,31 @@ def test_tau_grid_csv(tmp_path):
     assert float(row[1]) == pytest.approx(2.0, rel=1e-12)
 
 
+def test_tau_grid_flags_exact_zero_as_pole(tmp_path):
+    # the Wilson point has tau = t1 + 3 exactly; u-grid flags t1 = -3 too
+    rc = main(
+        [
+            "tau-grid",
+            str(SCENARIOS / "wilson_point.json"),
+            "--out",
+            str(tmp_path),
+            "--t1=-4:2:61",
+        ]
+    )
+    assert rc == 0
+    lines = (tmp_path / "tau-grid.csv").read_text().strip().splitlines()
+    poles = []
+    for line in lines[1:]:
+        t1, re, im, lm, pole = line.split(",")
+        if pole == "1":
+            poles.append(float(t1))
+            assert float(re) == 0.0 and lm == "-inf"
+        else:
+            assert float(re) == pytest.approx(float(t1) + 3.0, rel=1e-14)
+            assert abs(float(im)) < 1e-15
+    assert poles == [-3.0]
+
+
 def test_u_grid_matches_rational_form(tmp_path):
     rc = main(
         [

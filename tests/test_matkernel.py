@@ -6,10 +6,15 @@ checked against independent arithmetic.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kp_rankone.errors import (
@@ -50,6 +55,17 @@ def det_cofactor(M):
         minor = np.delete(np.delete(M, 0, axis=0), j, axis=1)
         total += (-1) ** j * M[0, j] * det_cofactor(minor)
     return total
+
+
+def expm_mpmath(M, dps=30):
+    """exp(M) by mpmath at ``dps`` digits, rounded to complex128."""
+    with mp.workdps(dps):
+        E = mp.expm(mp.matrix([[mp.mpc(complex(v)) for v in row] for row in M]))
+        return np.array([[complex(E[i, j]) for j in range(E.cols)] for i in range(E.rows)])
+
+
+def rel_error_1norm(got, want):
+    return np.abs(got - want).sum(axis=0).max() / np.abs(want).sum(axis=0).max()
 
 
 def expm_taylor(M, terms=60):
@@ -274,6 +290,85 @@ def test_expm_centered_rejects_nonsquare_stack():
 def test_matexp_overflow_raises():
     with pytest.raises(RangeError):
         matexp(np.array([[1000.0]]))
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 12])
+@pytest.mark.parametrize("norm", [1e-3, 0.1, 1.0, 5.0, 30.0])
+def test_matexp_matches_mpmath_oracle(n, norm):
+    # 1-norms from 1e-3 to 30 reach every Pade degree and up to 3 squarings
+    rng = np.random.default_rng(int(1000 * norm) + n)
+    M = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    M *= norm / np.abs(M).sum(axis=0).max()
+    assert rel_error_1norm(matexp(M), expm_mpmath(M)) < 1e-14
+
+
+@pytest.mark.parametrize("lam, size", [(-2.0 + 1.0j, 4), (3.0 - 0.5j, 6)])
+def test_matexp_defective_jordan_block_matches_mpmath(lam, size):
+    J = lam * np.eye(size) + 2.0 * np.eye(size, k=1)
+    assert rel_error_1norm(matexp(J), expm_mpmath(J)) < 1e-14
+
+
+@given(st.floats(min_value=-1e8, max_value=1e8, allow_nan=False))
+def test_matexp_square_zero_exact(t):
+    # exp(N) = I + N to the last bit when N^2 = 0, in both triangles
+    for N in (np.array([[0.0, t], [0.0, 0.0]]), np.array([[0.0, 0.0], [t, 0.0]])):
+        assert np.array_equal(matexp(N), np.eye(2) + N)
+        E0, mu = expm_centered(np.stack([N, 2 * N]))
+        assert mu.tolist() == [0, 0]
+        assert np.array_equal(E0[1], np.eye(2) + 2 * N)
+
+
+@given(
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from([1, 2, 3, 5, 12]),
+    st.lists(st.floats(min_value=-4.0, max_value=2.5), min_size=2, max_size=9),
+)
+@settings(max_examples=60, deadline=None)
+@example(7, 24, [-1.0, 0.5, 1.5] * 20)  # 60 slices of 24 x 24
+def test_expm_centered_stack_slices_bitwise(seed, n, log_norms):
+    # slices of norm 1e-4..300 take different degrees and squarings; each
+    # must come out exactly as when exponentiated alone
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((len(log_norms), n, n)) + 1j * rng.standard_normal(
+        (len(log_norms), n, n)
+    )
+    M *= (10.0 ** np.array(log_norms) / np.abs(M).sum(axis=-2).max(axis=-1))[:, None, None]
+    E0, mu = expm_centered(M)
+    for i in range(len(M)):
+        E0_i, mu_i = expm_centered(M[i])
+        assert mu[i] == mu_i
+        assert np.array_equal(E0[i], E0_i)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_expm_overflow_raises_for_stacks_and_huge_norms():
+    spread = np.diag([800.0, -800.0])
+    with pytest.raises(RangeError):
+        expm_centered(np.stack([np.zeros((2, 2)), spread]))
+    with pytest.raises(RangeError):
+        matexp(np.array([[0.0, 1e200], [1e200, 0.0]]))
+
+
+def test_expm_centered_stack_scales_past_folding_range():
+    # a rotation by 1e19 needs s = 62 squarings, past the 2^-60 that the
+    # Pade coefficients absorb, so A itself is scaled; its neighbours in
+    # the stack are not
+    R = np.array([[0.0, 1e19], [-1e19, 0.0]])
+    M = np.stack([0.3 * np.ones((2, 2)), R, np.diag([2.0, -2.0])])
+    E0, mu = expm_centered(M)
+    assert np.all(np.isfinite(E0))
+    for i in range(len(M)):
+        assert np.array_equal(E0[i], expm_centered(M[i])[0])
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import kp_rankone.cli, sys; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
