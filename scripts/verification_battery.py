@@ -16,6 +16,7 @@ from kp_rankone import (
     crosscheck_intertwining,
     crosscheck_wilson,
     bethe_check,
+    draw_lattice_parameters,
     h3_residual,
     hbde_residual,
     kp_residual,
@@ -26,19 +27,6 @@ from kp_rankone import (
 )
 
 DIMS = [(1, 4), (2, 6), (2, 8), (3, 9), (4, 12), (2, 5), (3, 7), (3, 10)]
-
-
-def annulus(rng, B):
-    lam = np.linalg.eigvals(B)
-    out = []
-    while len(out) < 3:
-        c = (1.0 + 2.0 * rng.random()) * np.exp(2j * np.pi * rng.random())
-        if np.min(np.abs(lam - c)) < 0.3:
-            continue
-        if out and min(abs(c - p) for p in out) < 0.2:
-            continue
-        out.append(complex(c))
-    return out
 
 
 def main(argv=None):
@@ -63,7 +51,7 @@ def main(argv=None):
         tr = random_admissible(n, N, seed=args.seed * 1000 + i)
         rng = np.random.default_rng(args.seed * 2000 + i)
         t = TimeVector(0.6 * (rng.random(3) - 0.5) + 0.3j * (rng.random(3) - 0.5))
-        c1, c2, c3 = annulus(rng, tr.B)
+        c1, c2, c3 = draw_lattice_parameters(rng, tr.B)
         return hbde_residual(tr, t, c1, c2, c3, l=1, m=1, n_index=0).residual
 
     def differential(i):
@@ -86,7 +74,7 @@ def main(argv=None):
         P = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a = rng.standard_normal((n, 1))
         b = rng.standard_normal((1, n))
-        c1, c2, c3 = annulus(rng, P)
+        c1, c2, c3 = draw_lattice_parameters(rng, P)
         return h3_residual(P, a @ b, c1, c2, c3).residual
 
     def bethe(i):

@@ -85,6 +85,7 @@ from .verify import (
     bethe_check,
     crosscheck_intertwining,
     crosscheck_wilson,
+    draw_lattice_parameters,
     h3_residual,
     hbde_residual,
     kp_residual,
@@ -123,6 +124,7 @@ __all__ = [
     "crosscheck_intertwining",
     "crosscheck_wilson",
     "det_scaled",
+    "draw_lattice_parameters",
     "expm_centered",
     "from_calogero_moser",
     "from_intertwining",

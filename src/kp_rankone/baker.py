@@ -2,15 +2,17 @@
 structure of its spectral data.
 
 The wave function is psi(t, z) = tau(t - [1/z]) / tau(t) exp(g(z)) with
-g(z) = sum_i t_i z^i; its stationary (first-time-only) form has the
-explicit determinant representation
+g(z) = sum_i t_i z^i; its stationary (first-time-only) form t = (x,) is
+the determinant ratio
 
     psi(x, z) = det(A e^{xB} (z I - B) C.T) / (z^n det(A e^{xB} C.T)) e^{xz},
 
 normalized by z^n where n is the row count of A, so psi e^{-xz} -> 1 as
 |z| -> infinity. The adjoint wave function flips the shift and the
-exponential. Values are carried as ScaledComplex because e^{xz} alone
-overflows doubles on moderate grids.
+exponential. All three functions share one body: a Miwa-shifted tau
+over the plain tau from one :class:`TauEvaluator`, times exp(+-g(z)).
+Values are carried as ScaledComplex because e^{xz} alone overflows
+doubles on moderate grids.
 
 The spectral support of the whole family is the eigenvalue multiset of
 B: multiplying the adjoint shift by det(z I - B) clears every pole, and
@@ -27,7 +29,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import GeometryError, PoleError, SingularShiftError
-from .matkernel import ScaledComplex, det_scaled, eig, expm_centered
+from .matkernel import ScaledComplex, eig
 from .tau import TauEvaluator, TimeVector, TimesLike
 from .triple import RankOneTriple
 from .verify import VerificationReport
@@ -72,26 +74,8 @@ class BASample:
         return self.value.to_complex()
 
 
-def psi_stationary(tr: RankOneTriple, x: complex, z: complex) -> BASample:
-    """Stationary wave function at position x and spectral parameter z."""
-    z = complex(z)
-    x = complex(x)
-    if z == 0:
-        raise ValueError("spectral parameter z must be nonzero")
-    E0, _ = expm_centered(x * tr.B)  # centering scalar cancels in the ratio
-    left = tr.A @ E0
-    den = det_scaled(left @ tr.C.T)
-    if den.is_zero:
-        raise PoleError(f"tau vanishes at x = {x}")
-    zIB = z * np.eye(tr.N, dtype=np.complex128) - tr.B
-    num = det_scaled(left @ zIB @ tr.C.T)
-    val = num / den / (ScaledComplex.from_complex(z) ** tr.n)
-    val = val * ScaledComplex.exp_of(x * z)
-    return BASample(x, z, val)
-
-
-def psi_time(tr: RankOneTriple, t: TimesLike, z: complex) -> BASample:
-    """tau(t - [1/z]) / tau(t) exp(g(z)), for a full time vector t."""
+def _psi(tr: RankOneTriple, t: TimesLike, z: complex, k: int) -> BASample:
+    """tau(t - k [1/z]) / tau(t) exp(k g(z)); k = 1 gives psi, k = -1 its adjoint."""
     z = complex(z)
     if z == 0:
         raise ValueError("spectral parameter z must be nonzero")
@@ -100,9 +84,20 @@ def psi_time(tr: RankOneTriple, t: TimesLike, z: complex) -> BASample:
     base = ev.tau()
     if base.is_zero:
         raise PoleError("tau vanishes at the base time")
-    shifted = ev.tau_miwa(((z, 1),))
-    val = shifted / base * ScaledComplex.exp_of(t.g_scalar(z))
+    shifted = ev.tau_miwa(((z, k),))
+    val = shifted / base * ScaledComplex.exp_of(k * t.g_scalar(z))
     return BASample(t.entry(1), z, val)
+
+
+def psi_stationary(tr: RankOneTriple, x: complex, z: complex) -> BASample:
+    """Stationary wave function at position x and spectral parameter z:
+    :func:`psi_time` at t = (x,)."""
+    return _psi(tr, (complex(x),), z, 1)
+
+
+def psi_time(tr: RankOneTriple, t: TimesLike, z: complex) -> BASample:
+    """tau(t - [1/z]) / tau(t) exp(g(z)), for a full time vector t."""
+    return _psi(tr, t, z, 1)
 
 
 def psi_dual(tr: RankOneTriple, t: TimesLike, z: complex) -> BASample:
@@ -110,17 +105,7 @@ def psi_dual(tr: RankOneTriple, t: TimesLike, z: complex) -> BASample:
 
     The inverse shift factor requires z outside the spectrum of B.
     """
-    z = complex(z)
-    if z == 0:
-        raise ValueError("spectral parameter z must be nonzero")
-    t = TimeVector.coerce(t)
-    ev = TauEvaluator(tr, t)
-    base = ev.tau()
-    if base.is_zero:
-        raise PoleError("tau vanishes at the base time")
-    shifted = ev.tau_miwa(((z, -1),))
-    val = shifted / base * ScaledComplex.exp_of(-t.g_scalar(z))
-    return BASample(t.entry(1), z, val)
+    return _psi(tr, t, z, -1)
 
 
 def grassmann_support(tr: RankOneTriple) -> SpectralSupport:

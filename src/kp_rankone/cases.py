@@ -109,6 +109,10 @@ class CalogeroMoserData(_SquarePairData):
 class KdVPairData(_SquarePairData):
     """Square X, Z of equal size with rank(X Z + Z X) <= 1 intended."""
 
+    def as_intertwining(self) -> IntertwiningData:
+        """The embedding (X, Y, Z) = (X, -Z, Z): X Z - Y X = X Z + Z X."""
+        return IntertwiningData(self.X, -self.Z, self.Z)
+
 
 def from_intertwining(
     d: IntertwiningData,
@@ -182,7 +186,7 @@ def from_kdv_pair(d: KdVPairData, tol: float = DEFAULT_RANK_TOL) -> RankOneTripl
         raise InadmissibleTripleError(
             f"anti-commutator condition fails: rank(X Z + Z X) = {r} > 1"
         )
-    return from_intertwining(IntertwiningData(d.X, -d.Z, d.Z), tol=tol)
+    return from_intertwining(d.as_intertwining(), tol=tol)
 
 
 def wilson_tau_closed_form(d: CalogeroMoserData, t):

@@ -37,6 +37,7 @@ import numpy as np
 
 from . import baker, cases, triple as triple_mod, verify
 from .errors import (
+    GeometryError,
     InadmissibleTripleError,
     KPRankOneError,
     PoleError,
@@ -260,6 +261,17 @@ def _report_doc(rep: verify.VerificationReport) -> dict:
     }
 
 
+def _write_reports(out_dir: Path, command: str, reports) -> int:
+    """Write <command>.json with every report; exit code 0 when all pass, else 1."""
+    doc = {
+        "command": command,
+        "reports": [_report_doc(r) for r in reports],
+        "all_pass": all(r.passed for r in reports),
+    }
+    _write_json(out_dir, command, doc)
+    return 0 if doc["all_pass"] else 1
+
+
 def _write_json(out_dir: Path, command: str, payload: dict) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / f"{command}.json"
@@ -427,22 +439,6 @@ def _cmd_psi_grid(scenario: Scenario, args, out_dir: Path) -> int:
     return 0
 
 
-def _annulus_draw(rng: np.random.Generator, B: np.ndarray, count: int = 3):
-    """Distinct parameters with 1 <= |c| <= 3, away from the spectrum of B."""
-    lam = np.linalg.eigvals(B)
-    out: List[complex] = []
-    for _ in range(1000):
-        c = complex((1.0 + 2.0 * rng.random()) * np.exp(2j * np.pi * rng.random()))
-        if lam.size and np.min(np.abs(lam - c)) < 0.3:
-            continue
-        if any(abs(c - p) < 0.2 for p in out):
-            continue
-        out.append(c)
-        if len(out) == count:
-            return out
-    raise ScenarioError("could not draw lattice parameters away from the spectrum")
-
-
 def _cmd_verify_hbde(scenario: Scenario, args, out_dir: Path) -> int:
     tr = scenario.build_triple()
     tol = _default_tol(args, scenario, verify.DEFAULT_HBDE_TOL)
@@ -451,7 +447,10 @@ def _cmd_verify_hbde(scenario: Scenario, args, out_dir: Path) -> int:
     reports = []
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
-        c1, c2, c3 = _annulus_draw(rng, tr.B)
+        try:
+            c1, c2, c3 = verify.draw_lattice_parameters(rng, tr.B)
+        except GeometryError as exc:
+            raise ScenarioError(str(exc)) from exc
         site = rng.integers(0, 2, size=3)
         rep = verify.hbde_residual(
             tr,
@@ -465,13 +464,7 @@ def _cmd_verify_hbde(scenario: Scenario, args, out_dir: Path) -> int:
             tol=tol,
         )
         reports.append(rep)
-    doc = {
-        "command": "verify-hbde",
-        "reports": [_report_doc(r) for r in reports],
-        "all_pass": all(r.passed for r in reports),
-    }
-    _write_json(out_dir, "verify-hbde", doc)
-    return 0 if doc["all_pass"] else 1
+    return _write_reports(out_dir, "verify-hbde", reports)
 
 
 def _cmd_verify_kp(scenario: Scenario, args, out_dir: Path) -> int:
@@ -484,13 +477,7 @@ def _cmd_verify_kp(scenario: Scenario, args, out_dir: Path) -> int:
         rng = np.random.default_rng(seed + trial)
         tvals = 0.6 * (rng.random(3) - 0.5) + 0.6j * (rng.random(3) - 0.5)
         reports.append(verify.kp_residual(tr, TimeVector(tvals), tol=tol))
-    doc = {
-        "command": "verify-kp",
-        "reports": [_report_doc(r) for r in reports],
-        "all_pass": all(r.passed for r in reports),
-    }
-    _write_json(out_dir, "verify-kp", doc)
-    return 0 if doc["all_pass"] else 1
+    return _write_reports(out_dir, "verify-kp", reports)
 
 
 def _cmd_verify_h3(scenario: Scenario, args, out_dir: Path) -> int:
@@ -509,13 +496,7 @@ def _cmd_verify_h3(scenario: Scenario, args, out_dir: Path) -> int:
         if len({complex(c) for c in cs}) < 3:
             continue
         reports.append(verify.h3_residual(P, a @ b.T, *map(complex, cs), tol=tol))
-    doc = {
-        "command": "verify-h3",
-        "reports": [_report_doc(r) for r in reports],
-        "all_pass": all(r.passed for r in reports),
-    }
-    _write_json(out_dir, "verify-h3", doc)
-    return 0 if doc["all_pass"] else 1
+    return _write_reports(out_dir, "verify-h3", reports)
 
 
 def _spectral_gap_draw(rng: np.random.Generator, lam: np.ndarray) -> complex:
@@ -547,13 +528,7 @@ def _cmd_bethe(scenario: Scenario, args, out_dir: Path) -> int:
     lambda2 = opt_complex("lambda2", 0j) if "lambda2" in opts else _spectral_gap_draw(rng, lam)
     m = int(opts.get("m", 1))  # type: ignore[arg-type]
     rep = verify.bethe_check(data, eta, lambda1, lambda2, m=m, tol=tol)
-    doc = {
-        "command": "bethe",
-        "reports": [_report_doc(rep)],
-        "all_pass": rep.passed,
-    }
-    _write_json(out_dir, "bethe", doc)
-    return 0 if rep.passed else 1
+    return _write_reports(out_dir, "bethe", [rep])
 
 
 def _cmd_spectral(scenario: Scenario, args, out_dir: Path) -> int:
@@ -581,20 +556,12 @@ def _cmd_crosscheck(scenario: Scenario, args, out_dir: Path) -> int:
         rep = verify.crosscheck_intertwining(scenario.case_data(), t, tol=tol)
     elif scenario.kind == "kdv_pair":
         tol = _default_tol(args, scenario, verify.DEFAULT_INTERTWINING_TOL)
-        data = scenario.case_data()
-        d = cases.IntertwiningData(data.X, -data.Z, data.Z)
-        rep = verify.crosscheck_intertwining(d, t, tol=tol)
+        rep = verify.crosscheck_intertwining(scenario.case_data().as_intertwining(), t, tol=tol)
     else:
         raise ScenarioError(
             "crosscheck needs a calogero_moser, intertwining or kdv_pair scenario"
         )
-    doc = {
-        "command": "crosscheck",
-        "reports": [_report_doc(rep)],
-        "all_pass": rep.passed,
-    }
-    _write_json(out_dir, "crosscheck", doc)
-    return 0 if rep.passed else 1
+    return _write_reports(out_dir, "crosscheck", [rep])
 
 
 _DISPATCH = {

@@ -73,7 +73,8 @@ class DegenerateSpectrumError(KPRankOneError, ValueError):
 
 
 class GeometryError(KPRankOneError, RuntimeError):
-    """Interpolation nodes could not be placed away from the spectrum."""
+    """Interpolation nodes or lattice parameters could not be placed away
+    from the spectrum."""
 
 
 class ScenarioError(KPRankOneError, ValueError):

@@ -6,9 +6,13 @@ g(x) = sum_{i=1..K} t_i x^i. Shifting the times by -k [1/c], meaning
 t_i -> t_i - k c^(-i) / i for all i, acts exactly as the matrix factor
 (I - B/c)^k inside the determinant; :class:`MiwaShiftList` carries such
 shifts and :func:`tau_miwa` applies them without any series truncation.
-The discrete variant :func:`tau_discrete` uses factors (c I - B)^k
-instead, which differs from the shift form only by the scalar gauge
-(c1^l c2^m c3^n)^n.
+The discrete variant :func:`tau_discrete` uses factors (c I - B)^k =
+c^k (I - B/c)^k, so it is the Miwa tau times the scalar gauge
+(c1^l c2^m c3^n)^n. Plain, Miwa and discrete taus share one shifted
+determinant: the factors (c I - B)^k act on C.T, positive powers as k
+products and negative powers as |k| linear solves after one check that
+c I - B is safely invertible, and a Miwa tau divides the gauge out on
+the log scale. c I - B keeps exact input exact, which I - B/c does not.
 
 Derivatives of log tau are exact. With M = A E C.T, E = exp(g(B)),
 every time derivative of M stays in closed form,
@@ -30,6 +34,7 @@ same jet series serves a stack of P points and a single evaluator.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
@@ -191,74 +196,68 @@ class MiwaShiftList:
         return MiwaShiftList(tuple((c, acc[c]) for c in order if acc[c] != 0))
 
 
-def _shift_factor(B: np.ndarray, c: complex, k: int) -> np.ndarray:
-    """(I - B/c)^k, with a singularity guard when k < 0."""
-    dim = B.shape[0]
-    base = np.eye(dim, dtype=np.complex128) - B / c
-    if k == 0:
-        return np.eye(dim, dtype=np.complex128)
-    if k < 0:
-        s = np.linalg.svd(base, compute_uv=False)
-        if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
-            raise SingularShiftError(
-                f"shift parameter c = {c} lies in (or too close to) the "
-                "spectrum of B; the inverse factor does not exist"
-            )
-    return np.linalg.matrix_power(base, k)
+def _shifted_right(
+    B: np.ndarray, right: np.ndarray, shifts: Iterable[Tuple[complex, int]]
+) -> np.ndarray:
+    """prod_j (c_j I - B)^k_j applied to ``right`` (N x n).
+
+    Positive k takes k products. Negative k first checks that c I - B is
+    safely invertible, then takes |k| solves; no inverse is formed.
+    """
+    for c, k in shifts:
+        if k == 0:
+            continue
+        base = c * np.eye(B.shape[0], dtype=np.complex128) - B
+        if k < 0:
+            s = np.linalg.svd(base, compute_uv=False)
+            if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
+                raise SingularShiftError(
+                    f"shift parameter c = {c} lies in (or too close to) the "
+                    "spectrum of B; the inverse factor does not exist"
+                )
+        for _ in range(abs(k)):
+            right = base @ right if k > 0 else np.linalg.solve(base, right)
+    return right
 
 
 class TauEvaluator:
     """Tau values for one triple at one base time, with exp(g(B)) cached.
 
-    The exponential is stored as exp(g(B)) = e^mu E0 with mu the mean
-    eigenvalue of g(B) split off (see ``expm_centered``), so repeated
-    shifted evaluations cost one small determinant each and huge tau
-    magnitudes never leave the log scale.
+    The exponential is stored as A exp(g(B)) = e^mu A E0 with mu the mean
+    eigenvalue of g(B) split off (see ``expm_centered``), computed by the
+    grid path as a stack of one point, so repeated shifted evaluations
+    cost one small determinant each and huge tau magnitudes never leave
+    the log scale.
     """
 
     def __init__(self, tr: RankOneTriple, t: TimesLike):
         self.triple = tr
         self.times = TimeVector.coerce(t)
-        G = self.times.g_matrix(tr.B)
-        self.E0, self.mu = expm_centered(G)
-        self._left = tr.A @ self.E0
+        # a stack of one point through the grid path
+        left, mu = next(_grid_lines(tr, self.times.values[None, :], 1))
+        self._left, self.mu = left[0], complex(mu[0])
         self._gauge = ScaledComplex.exp_of(tr.n * self.mu)
 
-    def _det(self, inner: np.ndarray) -> ScaledComplex:
-        return det_scaled(inner) * self._gauge
+    def _discrete(self, shifts: Iterable[Tuple[complex, int]]) -> ScaledComplex:
+        """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T), the one shifted determinant."""
+        right = _shifted_right(self.triple.B, self.triple.C.T, shifts)
+        return det_scaled(self._left @ right) * self._gauge
 
     def tau(self) -> ScaledComplex:
-        return self._det(self._left @ self.triple.C.T)
+        return self._discrete(())
 
     def tau_miwa(self, shifts: ShiftsLike) -> ScaledComplex:
-        shifts = MiwaShiftList.coerce(shifts)
-        right = self.triple.C.T
-        for c, k in shifts.shifts:
-            if k == 0:
-                continue
-            right = _shift_factor(self.triple.B, c, k) @ right
-        return self._det(self._left @ right)
+        """The discrete determinant over its gauge prod_j c_j^(k_j n)."""
+        shifts = MiwaShiftList.coerce(shifts).shifts
+        log_gauge = self.triple.n * sum(k * cmath.log(c) for c, k in shifts if k)
+        return self._discrete(shifts) / ScaledComplex.exp_of(log_gauge)
 
     def tau_discrete(
         self, l: int, m: int, n_index: int, c1: complex, c2: complex, c3: complex
     ) -> ScaledComplex:
-        B = self.triple.B
-        dim = B.shape[0]
-        I = np.eye(dim, dtype=np.complex128)
-        right = self.triple.C.T
-        for c, k in ((c1, int(l)), (c2, int(m)), (c3, int(n_index))):
-            if k == 0:
-                continue
-            base = complex(c) * I - B
-            if k < 0:
-                s = np.linalg.svd(base, compute_uv=False)
-                if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
-                    raise SingularShiftError(
-                        f"lattice parameter c = {c} lies in (or too close to) "
-                        "the spectrum of B"
-                    )
-            right = np.linalg.matrix_power(base, k) @ right
-        return self._det(self._left @ right)
+        return self._discrete(
+            ((complex(c1), int(l)), (complex(c2), int(m)), (complex(c3), int(n_index)))
+        )
 
     def log_derivatives(self, orders_list: Iterable[Sequence[int]]) -> List[complex]:
         """Partial derivatives of log tau at the base time, one per multi-index.

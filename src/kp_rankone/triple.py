@@ -25,6 +25,7 @@ from .errors import DimensionError, GenerationError, InadmissibleTripleError
 from .matkernel import (
     DEFAULT_RANK_TOL,
     as_cmatrix,
+    nullspace_rows,
     numerical_rank,
     spectral_norm,
 )
@@ -198,8 +199,7 @@ def random_admissible(
 
         if numerical_rank(A, tol) < n or numerical_rank(C, tol) < n:
             continue
-        _, _, vh = np.linalg.svd(A)
-        U = vh[n:].conj()
+        U = nullspace_rows(A, tol)
         M1 = np.linalg.pinv(A)  # A @ M1 = I_n
         M2 = U.conj()           # M2 @ U.T = I_(N-n), rows of U are orthonormal
         R = A @ B0 @ U.T

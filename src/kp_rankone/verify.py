@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .cases import (
 from .errors import (
     DegenerateSpectrumError,
     DimensionError,
+    GeometryError,
     InadmissibleTripleError,
 )
 from .matkernel import (
@@ -47,6 +48,7 @@ __all__ = [
     "DEFAULT_WILSON_TOL",
     "DEFAULT_INTERTWINING_TOL",
     "VerificationReport",
+    "draw_lattice_parameters",
     "hbde_residual",
     "kp_residual",
     "h3_residual",
@@ -85,6 +87,28 @@ class VerificationReport:
             passed=bool(residual <= tolerance),
             context=dict(context),
         )
+
+
+def draw_lattice_parameters(rng: np.random.Generator, B) -> List[complex]:
+    """Three distinct lattice parameters for :func:`hbde_residual`, reproducibly.
+
+    Candidates c = (1 + 2 u) e^{2 pi i v}, with u, v two successive
+    ``rng.random()`` draws, so 1 <= |c| <= 3; a candidate is kept when it
+    lies at least 0.3 from every eigenvalue of B and 0.2 from every kept
+    one. Raises GeometryError after 1000 candidates.
+    """
+    lam = np.linalg.eigvals(B)
+    out: List[complex] = []
+    for _ in range(1000):
+        c = complex((1.0 + 2.0 * rng.random()) * np.exp(2j * np.pi * rng.random()))
+        if np.min(np.abs(lam - c)) < 0.3:
+            continue
+        if any(abs(c - p) < 0.2 for p in out):
+            continue
+        out.append(c)
+        if len(out) == 3:
+            return out
+    raise GeometryError("could not draw lattice parameters away from the spectrum")
 
 
 def hbde_residual(

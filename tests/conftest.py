@@ -1,6 +1,39 @@
-"""Shared fixtures and the acceptance summary printer."""
+"""Shared fixtures, eigenbasis oracles and the acceptance summary printer."""
+
+import numpy as np
 
 ACCEPTANCE_LINES = []
+
+
+def _eigen_blocks(tr):
+    """(A V, V^-1 C.T, eig(B)) for a diagonalizable B = V diag(eig) V^-1."""
+    lam, V = np.linalg.eig(tr.B)
+    return tr.A @ V, np.linalg.solve(V, tr.C.T), lam
+
+
+def discrete_tau_by_eigenbasis(tr, t, shifts) -> complex:
+    """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T) for ``shifts`` ((c, k), ...),
+    with every factor a diagonal in the eigenbasis of B.
+
+    An oracle for the shifted-determinant path that shares no code with
+    it or with the library's exponential. Accurate while B is
+    diagonalizable with a modest eigenvector condition number.
+    """
+    L, R, lam = _eigen_blocks(tr)
+    d = np.exp(sum(t_i * lam ** (i + 1) for i, t_i in enumerate(t.values)))
+    for c, k in shifts:
+        d = d * (c - lam) ** k
+    return complex(np.linalg.det(L * d @ R))
+
+
+def psi_stationary_by_eigenbasis(tr, x: complex, z: complex) -> complex:
+    """The stationary formula det(A e^{xB} (z I - B) C.T) / (z^n det(A e^{xB} C.T)) e^{xz},
+    written directly in the eigenbasis of B (same accuracy caveat as above)."""
+    L, R, lam = _eigen_blocks(tr)
+    e = np.exp(x * lam)
+    num = np.linalg.det(L * (e * (z - lam)) @ R)
+    den = np.linalg.det(L * e @ R)
+    return complex(num / (z ** tr.n * den) * np.exp(x * z))
 
 
 def record_criterion(tag: str, passed: bool, detail: str) -> None:

@@ -12,7 +12,11 @@ import time
 import numpy as np
 import pytest
 
-from conftest import record_criterion
+from conftest import (
+    discrete_tau_by_eigenbasis,
+    psi_stationary_by_eigenbasis,
+    record_criterion,
+)
 
 from kp_rankone.baker import polynomiality_check, psi_stationary, psi_time
 from kp_rankone.cases import (
@@ -31,6 +35,7 @@ from kp_rankone.verify import (
     bethe_check,
     crosscheck_intertwining,
     crosscheck_wilson,
+    draw_lattice_parameters,
     h3_residual,
     hbde_residual,
     kp_residual,
@@ -39,24 +44,6 @@ from kp_rankone.verify import (
 DIMS = [(1, 4), (2, 6), (2, 8), (3, 9), (4, 12), (1, 3), (2, 5), (3, 7), (2, 12), (3, 10)]
 
 LATTICE_SITES = [(l, m, n) for l in (0, 1) for m in (0, 1) for n in (0, 1)]
-
-
-def draw_parameters(rng, B, count=3):
-    """c's in the annulus 1 <= |c| <= 3, at least 0.3 from the spectrum
-    of B and pairwise at least 0.2 apart."""
-    lam = np.linalg.eigvals(B)
-    out = []
-    guard = 0
-    while len(out) < count:
-        guard += 1
-        assert guard < 10_000
-        c = (1.0 + 2.0 * rng.random()) * np.exp(2j * np.pi * rng.random())
-        if np.min(np.abs(lam - c)) < 0.3:
-            continue
-        if out and min(abs(c - p) for p in out) < 0.2:
-            continue
-        out.append(complex(c))
-    return out
 
 
 @pytest.fixture(scope="session")
@@ -68,7 +55,7 @@ def population():
         tr = random_admissible(n, N, seed=5000 + idx)
         rng = np.random.default_rng(9000 + idx)
         t = TimeVector(0.6 * (rng.random(3) - 0.5) + 0.3j * (rng.random(3) - 0.5))
-        cs = draw_parameters(rng, tr.B)
+        cs = draw_lattice_parameters(rng, tr.B)
         items.append((tr, t, cs))
     return items
 
@@ -118,7 +105,7 @@ def test_criterion_02_rank_two_perturbation_detected():
         bad = RankOneTriple(tr.A, tr.B + bump, tr.C)
         best = 0.0
         for _ in range(5):
-            c1, c2, c3 = draw_parameters(rng, tr.B)
+            c1, c2, c3 = draw_lattice_parameters(rng, tr.B)
             for l, m, nn in LATTICE_SITES:
                 rep = hbde_residual(bad, t, c1, c2, c3, l=l, m=m, n_index=nn)
                 best = max(best, rep.residual)
@@ -135,17 +122,23 @@ def test_criterion_02_rank_two_perturbation_detected():
 
 
 def test_criterion_03_discrete_gauge_link(population):
+    # both taus against det(A e^{g(B)} prod (c I - B)^k C^T) formed in the
+    # eigenbasis of B, which shares no code with the shifted-determinant path
     worst = 0.0
     for tr, t, (c1, c2, c3) in population:
         ev = TauEvaluator(tr, t)
         for l, m, nn in [(1, 0, 0), (0, 1, 1), (1, 1, 1)]:
+            shifts = ((c1, l), (c2, m), (c3, nn))
+            want = ScaledComplex.from_complex(discrete_tau_by_eigenbasis(tr, t, shifts))
             td = ev.tau_discrete(l, m, nn, c1, c2, c3)
-            tm = ev.tau_miwa(MiwaShiftList(((c1, l), (c2, m), (c3, nn))))
+            tm = ev.tau_miwa(MiwaShiftList(shifts))
             gauge = ScaledComplex.from_complex(c1**l * c2**m * c3**nn) ** tr.n
-            worst = max(worst, rel_difference(td, gauge * tm))
+            worst = max(worst, rel_difference(td, want), rel_difference(gauge * tm, want))
     ok = worst < 1e-10
     record_criterion(
-        "03 lattice-gauge-link", ok, f"max_rel_difference={worst:.3e} (tol 1e-10)"
+        "03 lattice-gauge-link",
+        ok,
+        f"max_rel_difference={worst:.3e} against the eigenbasis determinant (tol 1e-10)",
     )
     assert worst < 1e-10
 
@@ -236,7 +229,7 @@ def test_criterion_08_weighted_determinant_identity():
         P = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         a = rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
         b = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
-        c1, c2, c3 = draw_parameters(rng, P)
+        c1, c2, c3 = draw_lattice_parameters(rng, P)
         rep = h3_residual(P, a @ b, c1, c2, c3)
         worst = max(worst, rep.residual)
     pinned = h3_residual(np.array([[0.0]]), np.array([[1.0]]), 1.0, 2.0, 3.0)
@@ -292,9 +285,13 @@ def test_criterion_10_wave_function_consistency(population):
         zs = zr * np.exp(2j * np.pi * (np.arange(10) + 0.13) / 10)
         for x in xs:
             for z in zs:
+                # both routes against the stationary formula in the eigenbasis of B
+                want = ScaledComplex.from_complex(
+                    psi_stationary_by_eigenbasis(tr, complex(x), complex(z))
+                )
                 a = psi_time(tr, TimeVector([complex(x)]), complex(z))
                 b = psi_stationary(tr, complex(x), complex(z))
-                worst = max(worst, rel_difference(a.value, b.value))
+                worst = max(worst, rel_difference(a.value, want), rel_difference(b.value, want))
     # large-|z| normalization on the first triple
     tr0 = sub[0][0]
     norm_worst = 0.0
@@ -306,7 +303,8 @@ def test_criterion_10_wave_function_consistency(population):
     record_criterion(
         "10 wave-function-consistency",
         ok,
-        f"max_rel_difference={worst:.3e} on {len(sub)}x100 grid points (tol 1e-12); "
+        f"max_rel_difference={worst:.3e} against the stationary formula on "
+        f"{len(sub)}x100 grid points (tol 1e-12); "
         f"normalization err={norm_worst:.2e} at |z|=1e6 (tol 1e-5)",
     )
     assert worst < 1e-12

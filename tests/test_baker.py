@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import psi_stationary_by_eigenbasis
 from kp_rankone.baker import (
     BASample,
     grassmann_support,
@@ -85,14 +86,18 @@ def test_psi_dual_frozen_rational_point():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_time_route_matches_stationary_route(seed):
+    # both routes against the stationary determinant formula, written in
+    # the eigenbasis of B (no shared code with the library's psi path)
     tr = random_admissible(2 + seed % 2, 5 + seed % 4, seed=seed)
     rng = np.random.default_rng(1000 + seed)
     for _ in range(5):
         x = complex(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3))
         z = complex(rng.uniform(1.5, 3.0), rng.uniform(-1.0, 1.0))
+        want = ScaledComplex.from_complex(psi_stationary_by_eigenbasis(tr, x, z))
         a = psi_time(tr, TimeVector([x]), z)
         b = psi_stationary(tr, x, z)
-        assert rel_difference(a.value, b.value) < 1e-12, (seed, x, z)
+        assert rel_difference(a.value, want) < 1e-12, (seed, x, z)
+        assert rel_difference(b.value, want) < 1e-12, (seed, x, z)
 
 
 def test_psi_large_z_normalization(scalar_triple):

@@ -284,6 +284,18 @@ def test_bethe_draw_near_spectrum_exits_2(tmp_path, monkeypatch):
     assert rc == 2
 
 
+def test_verify_hbde_failed_parameter_draw_exits_2(tmp_path, monkeypatch):
+    # every candidate repeats the first one, so no three distinct parameters exist
+    class StuckGenerator:
+        def random(self):
+            return 0.5
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed=None: StuckGenerator())
+    rc = main(["verify-hbde", str(SCENARIOS / "one_soliton.json"), "--out", str(tmp_path)])
+    assert rc == 2
+    assert not (tmp_path / "verify-hbde.json").exists()
+
+
 def test_verify_kp_wilson_point_trials(tmp_path):
     # tau = t1 + 3: the seven tau products of the identity all vanish
     rc = main(

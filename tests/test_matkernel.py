@@ -308,6 +308,34 @@ def test_matexp_defective_jordan_block_matches_mpmath(lam, size):
     assert rel_error_1norm(matexp(J), expm_mpmath(J)) < 1e-14
 
 
+def _similar_to_small_diagonal(seed, k, log_cond, scale):
+    """V diag(lam) V^-1 with cond(V) = 10^log_cond and |lam| ~ scale: a
+    1-norm in the hundreds or thousands over a spectrum near zero."""
+    rng = np.random.default_rng(seed)
+
+    def unitary():
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        return q
+
+    V = unitary() @ np.diag(np.logspace(0, -log_cond, k)) @ unitary()
+    lam = scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+    return V @ np.diag(lam) @ np.linalg.inv(V)
+
+
+@pytest.mark.parametrize(
+    "seed, k, log_cond, scale, bound",
+    [(4, 4, 4, 0.05, 7e-12), (4, 6, 5, 0.05, 8e-11)],
+)
+def test_matexp_nonnormal_needs_ell_correction(seed, k, log_cond, scale, bound):
+    # the powers' norms (eta) allow degree 7 with no scaling; only the
+    # ell(A, m) backward-error test sees the non-normality: it rejects
+    # degrees 3..9, and at degree 13 it raises s from 0 to 7 and 8.
+    # Errors: 1.3e-12 and 9.7e-12 with it; 4.2e-11 and 6.6e-10 with the
+    # test dropped for degrees 3..9 alone, or for degree 13 alone
+    M = _similar_to_small_diagonal(seed, k, log_cond, scale)
+    assert rel_error_1norm(matexp(M), expm_mpmath(M)) < bound
+
+
 @given(st.floats(min_value=-1e8, max_value=1e8, allow_nan=False))
 def test_matexp_square_zero_exact(t):
     # exp(N) = I + N to the last bit when N^2 = 0, in both triangles

@@ -145,16 +145,22 @@ def test_tau_discrete_frozen(scalar_triple):
 
 
 def test_discrete_gauge_link(scalar_triple):
-    # discrete and shifted forms differ by the exact factor (c1^l c2^m c3^n)^n
+    # discrete and shifted forms differ by the exact factor (c1^l c2^m c3^n)^n;
+    # with B = diag(1, 0) the discrete tau is the closed form
+    # e^{g(1)} prod (c_j - 1)^k_j + prod c_j^k_j
     t = TimeVector([0.3, -0.1])
     ev = TauEvaluator(scalar_triple, t)
     c = (2.0, 3.0 + 1.0j, -1.5)
-    for site in [(1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 1, 0)]:
+    for site in [(1, 0, 0), (0, 1, 0), (1, 1, 1), (2, 1, 0), (-1, 2, -1)]:
         l, m, nn = site
+        shifted = math.prod((cj - 1) ** k for cj, k in zip(c, site))
+        plain = math.prod(cj**k for cj, k in zip(c, site))
+        want = ScaledComplex.from_complex(np.exp(0.3 - 0.1) * shifted + plain)
         td = ev.tau_discrete(l, m, nn, *c)
         tm = ev.tau_miwa(MiwaShiftList(((c[0], l), (c[1], m), (c[2], nn))))
-        gauge = ScaledComplex.from_complex(c[0] ** l * c[1] ** m * c[2] ** nn)
-        assert rel_difference(td, gauge**scalar_triple.n * tm) < 1e-13
+        gauge = ScaledComplex.from_complex(plain)
+        assert rel_difference(td, want) < 1e-13
+        assert rel_difference(gauge**scalar_triple.n * tm, want) < 1e-13
 
 
 def test_evaluator_matches_module_functions(scalar_triple):
