@@ -9,10 +9,11 @@ the determinant ratio
 
 normalized by z^n where n is the row count of A, so psi e^{-xz} -> 1 as
 |z| -> infinity. The adjoint wave function flips the shift and the
-exponential. All three functions share one body: a Miwa-shifted tau
-over the plain tau from one :class:`TauEvaluator`, times exp(+-g(z)).
-Values are carried as ScaledComplex because e^{xz} alone overflows
-doubles on moderate grids.
+exponential. The three point functions and :func:`psi_grid` share one
+body: Miwa-shifted taus over plain taus from one :class:`TauEvaluator`
+stack of base times, times exp(+-g(z)), so a grid of x takes one
+exponential. Values are carried as ScaledComplex because e^{xz} alone
+overflows doubles on moderate grids.
 
 The spectral support of the whole family is the eigenvalue multiset of
 B: multiplying the adjoint shift by det(z I - B) clears every pole, and
@@ -24,13 +25,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import GeometryError, PoleError, SingularShiftError
 from .matkernel import ScaledComplex, eig
-from .tau import TauEvaluator, TimeVector, TimesLike
+from .tau import TauEvaluator, TimeVector, TimesLike, _miwa_gauge
 from .triple import RankOneTriple
 from .verify import VerificationReport
 
@@ -41,6 +42,7 @@ __all__ = [
     "psi_stationary",
     "psi_time",
     "psi_dual",
+    "psi_grid",
     "grassmann_support",
     "polynomiality_check",
 ]
@@ -74,30 +76,44 @@ class BASample:
         return self.value.to_complex()
 
 
-def _psi(tr: RankOneTriple, t: TimesLike, z: complex, k: int) -> BASample:
-    """tau(t - k [1/z]) / tau(t) exp(k g(z)); k = 1 gives psi, k = -1 its adjoint."""
-    z = complex(z)
-    if z == 0:
+def _psi(tr: RankOneTriple, ts: List[TimeVector], zs, k: int) -> List[BASample]:
+    """tau(t - k [1/z]) / tau(t) exp(k g(z)), z outer and t inner (ts nonempty,
+    of one length); k = 1 gives psi, k = -1 its adjoint. One
+    :class:`TauEvaluator` holds every t; where tau(t) vanishes the sample
+    is a pole."""
+    zs = [complex(z) for z in zs]
+    if 0 in zs:
         raise ValueError("spectral parameter z must be nonzero")
-    t = TimeVector.coerce(t)
-    ev = TauEvaluator(tr, t)
-    base = ev.tau()
-    if base.is_zero:
+    ev = TauEvaluator(tr, np.array([t.values for t in ts]))
+    bases = ev.shifted_dets(())
+    out = []
+    for z in zs:
+        gauge = _miwa_gauge(tr.n, ((z, k),))
+        for t, base, shifted in zip(ts, bases, ev.shifted_dets(((z, k),))):
+            if base.is_zero:
+                out.append(BASample.pole(t.entry(1), z))
+            else:
+                val = shifted / gauge / base * ScaledComplex.exp_of(k * t.g_scalar(z))
+                out.append(BASample(t.entry(1), z, val))
+    return out
+
+
+def _psi_point(tr: RankOneTriple, t: TimesLike, z: complex, k: int) -> BASample:
+    sample = _psi(tr, [TimeVector.coerce(t)], [z], k)[0]
+    if sample.is_pole:
         raise PoleError("tau vanishes at the base time")
-    shifted = ev.tau_miwa(((z, k),))
-    val = shifted / base * ScaledComplex.exp_of(k * t.g_scalar(z))
-    return BASample(t.entry(1), z, val)
+    return sample
 
 
 def psi_stationary(tr: RankOneTriple, x: complex, z: complex) -> BASample:
     """Stationary wave function at position x and spectral parameter z:
     :func:`psi_time` at t = (x,)."""
-    return _psi(tr, (complex(x),), z, 1)
+    return _psi_point(tr, (complex(x),), z, 1)
 
 
 def psi_time(tr: RankOneTriple, t: TimesLike, z: complex) -> BASample:
     """tau(t - [1/z]) / tau(t) exp(g(z)), for a full time vector t."""
-    return _psi(tr, t, z, 1)
+    return _psi_point(tr, t, z, 1)
 
 
 def psi_dual(tr: RankOneTriple, t: TimesLike, z: complex) -> BASample:
@@ -105,7 +121,13 @@ def psi_dual(tr: RankOneTriple, t: TimesLike, z: complex) -> BASample:
 
     The inverse shift factor requires z outside the spectrum of B.
     """
-    return _psi(tr, t, z, -1)
+    return _psi_point(tr, t, z, -1)
+
+
+def psi_grid(tr: RankOneTriple, x_values: Sequence[float], z_values) -> List[BASample]:
+    """:func:`psi_stationary` over a grid, z outer and x inner, from one
+    exponential; where tau(x) vanishes the sample is a pole, not a PoleError."""
+    return _psi(tr, [TimeVector.coerce((complex(x),)) for x in x_values], z_values, 1)
 
 
 def grassmann_support(tr: RankOneTriple) -> SpectralSupport:

@@ -40,7 +40,6 @@ from .errors import (
     GeometryError,
     InadmissibleTripleError,
     KPRankOneError,
-    PoleError,
     RangeError,
     ScenarioError,
     SingularShiftError,
@@ -113,15 +112,12 @@ class Scenario:
 
 
 def _parse_complex(obj, where: str) -> complex:
-    if isinstance(obj, (int, float)):
-        return complex(float(obj), 0.0)
-    if (
-        isinstance(obj, list)
-        and len(obj) == 2
-        and all(isinstance(x, (int, float)) for x in obj)
-    ):
-        return complex(float(obj[0]), float(obj[1]))
-    raise ScenarioError(f"{where}: expected a complex number as [re, im], got {obj!r}")
+    parts = obj if isinstance(obj, list) and len(obj) == 2 else [obj, 0.0]
+    if not all(isinstance(x, (int, float)) for x in parts):
+        raise ScenarioError(f"{where}: expected a complex number as [re, im], got {obj!r}")
+    if not all(math.isfinite(x) for x in parts):
+        raise ScenarioError(f"{where}: must be finite, got {obj!r}")
+    return complex(float(parts[0]), float(parts[1]))
 
 
 def _parse_matrix(obj, where: str) -> np.ndarray:
@@ -313,16 +309,18 @@ def _parse_axis(spec: str, where: str) -> np.ndarray:
         raise ScenarioError(f"{where}: {exc}") from exc
     if count < 1:
         raise ScenarioError(f"{where}: count must be >= 1")
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ScenarioError(f"{where}: start and end must be finite, got {spec!r}")
     return np.linspace(start, end, count)
 
 
 def _axis_from(args, scenario: Scenario, name: str, default: Optional[str]) -> Optional[np.ndarray]:
-    spec = getattr(args, name.replace("-", "_"), None)
+    spec, where = getattr(args, name.replace("-", "_"), None), f"--{name}"
     if spec is None:
-        spec = scenario.options.get("grids", {}).get(name, default)
+        spec, where = scenario.options.get("grids", {}).get(name, default), f"options.grids.{name}"
     if spec is None:
         return None
-    return _parse_axis(spec, f"--{name}")
+    return _parse_axis(spec, where)
 
 
 def _default_tol(args, scenario: Scenario, fallback: float) -> float:
@@ -421,20 +419,14 @@ def _cmd_psi_grid(scenario: Scenario, args, out_dir: Path) -> int:
     tr = scenario.build_triple()
     axis_x = _axis_from(args, scenario, "t1", "-1:1:11")
     axis_z = _axis_from(args, scenario, "z", "2:4:5")
+    if np.any(axis_z == 0.0):
+        raise ScenarioError("--z: the grid must not contain z = 0")
     header = ["t1", "z", "re", "im", "log_magnitude", "pole"]
-    rows = []
-    for z in axis_z:
-        if z == 0.0:
-            raise ScenarioError("--z: the grid must not contain z = 0")
-        for x in axis_x:
-            try:
-                sample = baker.psi_stationary(tr, complex(x), complex(z))
-            except PoleError:
-                rows.append(
-                    [_fmt(x), _fmt(z), _fmt(math.nan), _fmt(math.nan), _fmt(math.nan), "1"]
-                )
-                continue
-            rows.append([_fmt(x), _fmt(z)] + _scaled_fields(sample.value) + ["0"])
+    rows = [
+        [_fmt(s.x.real), _fmt(s.z.real)]
+        + ([_fmt(math.nan)] * 3 + ["1"] if s.is_pole else _scaled_fields(s.value) + ["0"])
+        for s in baker.psi_grid(tr, axis_x, axis_z)
+    ]
     _write_csv(out_dir, "psi-grid", header, rows)
     return 0
 

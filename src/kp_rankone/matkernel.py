@@ -2,8 +2,9 @@
 
 Everything in this package works on plain ``numpy`` arrays of
 ``complex128``; :func:`as_cmatrix` (with a stack form for
-:func:`expm_centered`) is the single validation point that coerces,
-copies and finiteness-checks input at API boundaries.
+:func:`expm_centered` and :func:`det_scaled`, which take stacks
+(..., k, k)) is the single validation point that coerces, copies and
+finiteness-checks input at API boundaries.
 Determinants (and anything else that can outgrow doubles) are carried as
 :class:`ScaledComplex` values, which keep the natural log of the
 magnitude separate from the phase so products spanning thousands of
@@ -42,7 +43,6 @@ __all__ = [
     "matexp",
     "expm_centered",
     "det_scaled",
-    "scaled_from_slogdet",
     "numerical_rank",
     "nullspace_rows",
     "spectral_norm",
@@ -528,18 +528,17 @@ def expm_centered(M) -> Tuple[np.ndarray, Union[complex, np.ndarray]]:
     return np.asarray(E0, dtype=np.complex128), (complex(mu) if mu.ndim == 0 else mu)
 
 
-def det_scaled(M) -> ScaledComplex:
-    """Determinant as a ScaledComplex (LU based, safe for huge/tiny values)."""
-    M = as_cmatrix(M, "determinant input")
-    _require_square(M, "determinant input")
-    return scaled_from_slogdet(*np.linalg.slogdet(M))
-
-
-def scaled_from_slogdet(sign, logdet) -> ScaledComplex:
-    """The ScaledComplex of one ``numpy.linalg.slogdet`` result."""
-    if sign == 0:
-        return ScaledComplex(-math.inf, 0.0)
-    return ScaledComplex(float(logdet), wrap_phase(float(np.angle(sign))))
+def det_scaled(M) -> Union[ScaledComplex, List[ScaledComplex]]:
+    """Determinant as a ScaledComplex (LU based, safe for huge/tiny values);
+    a stack (..., k, k) gives a list, one per slice in C order, from one ``slogdet``."""
+    M = _as_square_stack(M, "determinant input")
+    sign, logdet = np.linalg.slogdet(M)
+    out = [
+        ScaledComplex(-math.inf, 0.0) if s == 0
+        else ScaledComplex(float(ld), wrap_phase(float(np.angle(s))))
+        for s, ld in zip(np.ravel(sign), np.ravel(logdet))
+    ]
+    return out[0] if M.ndim == 2 else out
 
 
 def numerical_rank(M, tol: float = DEFAULT_RANK_TOL) -> int:

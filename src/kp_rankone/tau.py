@@ -23,13 +23,14 @@ so M(t + s) = M (I + Y(s)) with Y(s) = sum_{a != 0} X_w(a) s^a / a! and
 X_j = M^-1 A B^j E C.T. Mixed derivatives of log tau are then read off
 the truncated series log det(I + Y) = sum_k (-1)^(k+1) tr(Y^k) / k;
 one exponential and one linear solve serve every requested order (see
-:meth:`TauEvaluator.log_derivatives`).
+:meth:`TauEvaluator.jets`).
 
-Grids (:func:`tau_grid`, :func:`u_field`) are evaluated as stacks: the
-points of one t1 line differ only in the scalars t_i multiplying fixed
-powers of B, so g(B) is formed by Horner on a (P, N, N) stack and each
-line takes one ``expm``, one ``slogdet`` and, for u, one ``solve``. The
-same jet series serves a stack of P points and a single evaluator.
+One :class:`TauEvaluator` holds a stack of P base times, with g(B) formed
+by Horner on a (P, N, N) stack and one ``expm`` call; its two methods, the
+shifted determinant and the jets, serve the whole stack. A single point is
+a stack of one; :func:`tau_grid` and :func:`u_field` take one stack per t1
+line, whose points differ only in the scalars t_i multiplying fixed powers
+of B, so a line costs one ``expm``, one ``slogdet`` and, for u, one ``solve``.
 """
 
 from __future__ import annotations
@@ -42,13 +43,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import PoleError, SingularShiftError
-from .matkernel import (
-    ScaledComplex,
-    as_cmatrix,
-    det_scaled,
-    expm_centered,
-    scaled_from_slogdet,
-)
+from .matkernel import ScaledComplex, as_cmatrix, det_scaled, expm_centered
 from .triple import RankOneTriple
 
 __all__ = [
@@ -67,6 +62,10 @@ __all__ = [
 
 #: default number of retained times when a scenario or caller does not say
 DEFAULT_TRUNCATION = 6
+
+#: u_field flags a point as a pole where |tau| is below this fraction of
+#: the largest |tau| on the grid
+POLE_REL_THRESHOLD = 1e-10
 
 TimesLike = Union["TimeVector", Sequence[complex]]
 ShiftsLike = Union["MiwaShiftList", Iterable[Tuple[complex, int]]]
@@ -220,63 +219,82 @@ def _shifted_right(
     return right
 
 
-class TauEvaluator:
-    """Tau values for one triple at one base time, with exp(g(B)) cached.
+def _miwa_gauge(n: int, shifts: Iterable[Tuple[complex, int]]) -> ScaledComplex:
+    """prod_j c_j^(k_j n), the scalar between a discrete and a Miwa tau."""
+    return ScaledComplex.exp_of(n * sum(k * cmath.log(c) for c, k in shifts if k))
 
-    The exponential is stored as A exp(g(B)) = e^mu A E0 with mu the mean
-    eigenvalue of g(B) split off (see ``expm_centered``), computed by the
-    grid path as a stack of one point, so repeated shifted evaluations
-    cost one small determinant each and huge tau magnitudes never leave
-    the log scale.
+
+class TauEvaluator:
+    """Tau values for one triple at P >= 1 base times: ``t`` is one time
+    vector or an array (P, K).
+
+    g(B) is formed by Horner on a (P, N, N) stack and exponentiated by one
+    ``expm_centered`` call, kept as A exp(g(B) - mu I) (``_left``, shape
+    (P, n, N)) and ``mu`` (P,), so huge tau magnitudes never leave the log
+    scale. :meth:`shifted_dets` and :meth:`jets` serve the whole stack;
+    the single-point methods read slice 0.
     """
 
-    def __init__(self, tr: RankOneTriple, t: TimesLike):
+    def __init__(self, tr: RankOneTriple, t: Union[TimesLike, np.ndarray]):
         self.triple = tr
-        self.times = TimeVector.coerce(t)
-        # a stack of one point through the grid path
-        left, mu = next(_grid_lines(tr, self.times.values[None, :], 1))
-        self._left, self.mu = left[0], complex(mu[0])
-        self._gauge = ScaledComplex.exp_of(tr.n * self.mu)
+        stack = isinstance(t, np.ndarray) and t.ndim == 2
+        times = t if stack else TimeVector.coerce(t).values[None, :]
+        I = np.eye(tr.N, dtype=np.complex128)
+        G = np.zeros((len(times), tr.N, tr.N), dtype=np.complex128)
+        for t_i in times.T[::-1]:
+            G = tr.B @ (t_i[:, None, None] * I + G)
+        E0, self.mu = expm_centered(G)
+        self._left = tr.A @ E0
 
-    def _discrete(self, shifts: Iterable[Tuple[complex, int]]) -> ScaledComplex:
-        """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T), the one shifted determinant."""
+    def shifted_dets(self, shifts: Iterable[Tuple[complex, int]]) -> List[ScaledComplex]:
+        """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T) at every base time."""
         right = _shifted_right(self.triple.B, self.triple.C.T, shifts)
-        return det_scaled(self._left @ right) * self._gauge
+        n = self.triple.n
+        return [
+            d * ScaledComplex.exp_of(n * mu)
+            for d, mu in zip(det_scaled(self._left @ right), self.mu)
+        ]
+
+    def jets(self, wanted: List[Tuple[int, int, int]]) -> Tuple[np.ndarray, np.ndarray]:
+        """log|tau| (P,) and derivatives of log tau (P, len(wanted)), one per
+        multi-index (a1, a2, a3), read by :func:`_jet_series` off the blocks
+        X_1 .. X_w of one ``solve``; -inf and nan where M = A exp(g(B)) C.T
+        is exactly singular, as one ``slogdet`` tells.
+        """
+        n = self.triple.n
+        W = self._left @ _right_blocks(self.triple, max(_weight(a) for a in wanted))
+        sign, logdet = np.linalg.slogdet(W[..., :n])
+        regular = (sign != 0) & np.isfinite(logdet)
+        Wr = W[regular]
+        derivs = np.full((len(W), len(wanted)), complex(math.nan, math.nan))
+        derivs[regular] = _jet_series(np.linalg.solve(Wr[..., :n], Wr[..., n:]), wanted)
+        return np.where(regular, logdet + n * self.mu.real, -math.inf), derivs
 
     def tau(self) -> ScaledComplex:
-        return self._discrete(())
+        return self.shifted_dets(())[0]
 
     def tau_miwa(self, shifts: ShiftsLike) -> ScaledComplex:
         """The discrete determinant over its gauge prod_j c_j^(k_j n)."""
         shifts = MiwaShiftList.coerce(shifts).shifts
-        log_gauge = self.triple.n * sum(k * cmath.log(c) for c, k in shifts if k)
-        return self._discrete(shifts) / ScaledComplex.exp_of(log_gauge)
+        return self.shifted_dets(shifts)[0] / _miwa_gauge(self.triple.n, shifts)
 
     def tau_discrete(
         self, l: int, m: int, n_index: int, c1: complex, c2: complex, c3: complex
     ) -> ScaledComplex:
-        return self._discrete(
+        return self.shifted_dets(
             ((complex(c1), int(l)), (complex(c2), int(m)), (complex(c3), int(n_index)))
-        )
+        )[0]
 
     def log_derivatives(self, orders_list: Iterable[Sequence[int]]) -> List[complex]:
         """Partial derivatives of log tau at the base time, one per multi-index.
 
         Each entry of ``orders_list`` is (a1, a2, a3) over (t_1, t_2, t_3)
-        with total order at least one. One linear solve gives the blocks
-        X_1 .. X_w of the module docstring and :func:`_jet_series` reads
-        the derivatives off them. Raises PoleError where M is singular.
+        with total order at least one (see :meth:`jets`). Raises PoleError
+        where M is singular or a derivative is not finite.
         """
-        wanted = [_multi_index(o) for o in orders_list]
-        n = self.triple.n
-        W = self._left @ _right_blocks(self.triple, max(_weight(a) for a in wanted))
-        try:
-            X = np.linalg.solve(W[:, :n], W[:, n:])
-        except np.linalg.LinAlgError as exc:
-            raise PoleError(f"tau vanishes at the evaluation point: {exc}") from exc
-        out = [complex(v) for v in _jet_series(X, wanted)]
+        out = [complex(v) for v in self.jets([_multi_index(o) for o in orders_list])[1][0]]
         if not np.all(np.isfinite(out)):
-            raise PoleError("tau is numerically zero at the evaluation point")
+            raise PoleError("tau is zero or numerically zero at the evaluation point")
         return out
 
 
@@ -421,9 +439,9 @@ def _grid_times(
     t2_values: Optional[Sequence[float]],
     t3_values: Optional[Sequence[float]],
     base: Optional[TimesLike],
-) -> Tuple[List[GridCoords], np.ndarray, int]:
-    """Grid coordinates (t3 outer, t2, t1 inner), their times, shape (P, K),
-    and the t1 line length.
+) -> Tuple[List[GridCoords], List[np.ndarray]]:
+    """Grid coordinates (t3 outer, t2, t1 inner) and their times, one
+    array (len(t1_values), K) per t1 line.
 
     Grid coordinates overwrite t_1 (and t_2, t_3 when given) of ``base``;
     the remaining base entries are kept.
@@ -439,23 +457,8 @@ def _grid_times(
             times[:, col] = [c[col] for c in coords]
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    return coords, times, len(t1s)
-
-
-def _grid_lines(tr: RankOneTriple, times: np.ndarray, line: int):
-    """Per t1 line of ``times``: the stacks A exp(g(B) - mu I) and mu.
-
-    g(B) = sum_i t_i B^i is formed by Horner on the (line, N, N) stack and
-    exponentiated by one ``expm_centered`` call per line.
-    """
-    I = np.eye(tr.N, dtype=np.complex128)
-    for start in range(0, len(times), max(line, 1)):
-        chunk = times[start : start + line]
-        G = np.zeros((len(chunk), tr.N, tr.N), dtype=np.complex128)
-        for t_i in chunk.T[::-1]:
-            G = tr.B @ (t_i[:, None, None] * I + G)
-        E0, mu = expm_centered(G)
-        yield tr.A @ E0, mu
+    line = max(len(t1s), 1)
+    return coords, [times[start : start + line] for start in range(0, len(times), line)]
 
 
 def tau_grid(
@@ -467,14 +470,11 @@ def tau_grid(
 ) -> List[Tuple[GridCoords, ScaledComplex]]:
     """tau over a grid, as ((t1, t2, t3), value) pairs in :func:`u_field` order.
 
-    Each t1 line is one stack: one ``expm`` and one ``slogdet`` call.
+    Each t1 line is one :class:`TauEvaluator` stack: one ``expm`` and one
+    ``slogdet`` call.
     """
-    coords, times, line = _grid_times(t1_values, t2_values, t3_values, base)
-    values = []
-    for left, mu in _grid_lines(tr, times, line):
-        sign, logdet = np.linalg.slogdet(left @ tr.C.T)
-        for s, ld, m in zip(sign, logdet, mu):
-            values.append(scaled_from_slogdet(s, ld) * ScaledComplex.exp_of(tr.n * m))
+    coords, lines = _grid_times(t1_values, t2_values, t3_values, base)
+    values = [v for times in lines for v in TauEvaluator(tr, times).shifted_dets(())]
     return list(zip(coords, values))
 
 
@@ -484,44 +484,25 @@ def u_field(
     t2_values: Optional[Sequence[float]] = None,
     t3_values: Optional[Sequence[float]] = None,
     base: Optional[TimesLike] = None,
-    *,
-    pole_rel_threshold: float = 1e-10,
 ) -> List[GridSample]:
     """Sample u = 2 d^2/dt_1^2 log tau over a grid.
 
-    Grid coordinates overwrite t_1 (and t_2, t_3 when given) of ``base``;
-    the remaining base entries are kept. Each t1 line is evaluated as one
-    stack: one ``expm`` call for exp(g(B)), one ``slogdet`` of
-    M = A exp(g(B)) C.T for |tau| and one ``solve`` for X_1, X_2, from
-    which :func:`_jet_series` gives u = 2 (tr X_2 - tr X_1^2). Samples
-    where |tau| falls below ``pole_rel_threshold`` times the grid
-    maximum are marked as poles and carry value nan; so are samples
-    where M is exactly singular or u is not finite. An empty grid gives
-    an empty list.
+    Grid coordinates overwrite t_1 (and t_2, t_3 when given) of ``base``.
+    Each t1 line is one :class:`TauEvaluator` stack whose
+    :meth:`~TauEvaluator.jets` give |tau| and u = 2 (tr X_2 - tr X_1^2).
+    Samples where |tau| falls below ``POLE_REL_THRESHOLD`` times the grid
+    maximum, M is exactly singular or u is not finite are poles with value
+    nan. An empty grid gives an empty list.
     """
-    coords, times, line = _grid_times(t1_values, t2_values, t3_values, base)
+    coords, lines = _grid_times(t1_values, t2_values, t3_values, base)
     if not coords:
         return []
-    n = tr.n
-    nan = complex(math.nan, math.nan)
-    right = _right_blocks(tr, 2)
-    log_mags, us = [], []
-    for left, mu in _grid_lines(tr, times, line):
-        W = left @ right
-        sign, logdet = np.linalg.slogdet(W[..., :n])
-        regular = (sign != 0) & np.isfinite(logdet)
-        # only the slices whose LU has no zero pivot go to the solve
-        Wr = W[regular]
-        X = np.linalg.solve(Wr[..., :n], Wr[..., n:])
-        u = np.full(len(W), nan)
-        u[regular] = 2.0 * _jet_series(X, [(2, 0, 0)])[..., 0]
-        log_mags.append(np.where(regular, logdet + n * mu.real, -math.inf))
-        us.append(u)
-    log_mag, u = np.concatenate(log_mags), np.concatenate(us)
-
-    threshold = log_mag.max() + math.log(pole_rel_threshold)
+    jets = [TauEvaluator(tr, times).jets([(2, 0, 0)]) for times in lines]
+    log_mag = np.concatenate([m for m, _ in jets])
+    u = 2.0 * np.concatenate([d[:, 0] for _, d in jets])
+    threshold = log_mag.max() + math.log(POLE_REL_THRESHOLD)
     pole = ~np.isfinite(u) | (log_mag < threshold)
-    u[pole] = nan
+    u[pole] = complex(math.nan, math.nan)
     return [
         GridSample(v1, v2, v3, complex(value), bool(p))
         for (v1, v2, v3), value, p in zip(coords, u, pole)

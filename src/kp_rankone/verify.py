@@ -334,11 +334,12 @@ def bethe_check(
 def crosscheck_wilson(
     d: CalogeroMoserData, t: TimesLike, tol: float = DEFAULT_WILSON_TOL
 ) -> VerificationReport:
-    """General determinant route against det(exp(g(Z))) det(X + g'(Z))."""
+    """General determinant route against det(exp(g(Z))) det(X + g'(Z)),
+    with the gauge det(exp(g(Z))) = exp(tr g(Z)) in exact form."""
     t = TimeVector.coerce(t)
     tr = from_calogero_moser(d)
     lhs = tau(tr, t)
-    gauge = det_scaled(matexp(t.g_matrix(d.Z)))
+    gauge = ScaledComplex.exp_of(np.trace(t.g_matrix(d.Z)))
     rhs = gauge * wilson_tau_closed_form(d, t)
     residual = rel_difference(lhs, rhs)
     return VerificationReport.make(

@@ -36,6 +36,17 @@ def psi_stationary_by_eigenbasis(tr, x: complex, z: complex) -> complex:
     return complex(num / (z ** tr.n * den) * np.exp(x * z))
 
 
+def u_by_eigenbasis(tr, t) -> complex:
+    """u = 2 d^2/dt_1^2 log tau = 2 (tr(M^-1 M'') - tr((M^-1 M')^2)) with
+    M = A exp(g(B)) C.T, M' = A B exp(g(B)) C.T and M'' = A B^2 exp(g(B)) C.T,
+    written in the eigenbasis of B (same accuracy caveat as above)."""
+    L, R, lam = _eigen_blocks(tr)
+    d = np.exp(sum(t_i * lam ** (i + 1) for i, t_i in enumerate(t.values)))
+    M, M1, M2 = (L * (d * lam ** j) @ R for j in range(3))
+    X1, X2 = np.linalg.solve(M, M1), np.linalg.solve(M, M2)
+    return complex(2.0 * (np.trace(X2) - np.trace(X1 @ X1)))
+
+
 def record_criterion(tag: str, passed: bool, detail: str) -> None:
     """Queue one pass/fail line for the end-of-run summary."""
     status = "PASS" if passed else "FAIL"

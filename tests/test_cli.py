@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import psi_stationary_by_eigenbasis
 from kp_rankone.cli import Scenario, load_scenario, main, save_scenario
 from kp_rankone.errors import ScenarioError
 
@@ -227,6 +228,76 @@ def test_psi_grid_rejects_zero_z(tmp_path):
         ]
     )
     assert rc == 2
+
+
+def _psi_rows(out_dir):
+    lines = (out_dir / "psi-grid.csv").read_text().strip().splitlines()
+    assert lines[0] == "t1,z,re,im,log_magnitude,pole"
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_psi_grid_matches_stationary_formula(tmp_path):
+    rc = main(["psi-grid", str(SCENARIOS / "general_block.json"), "--out", str(tmp_path)])
+    assert rc == 0
+    tr = load_scenario(SCENARIOS / "general_block.json").build_triple()
+    rows = _psi_rows(tmp_path)
+    # default grid: z in 2:4:5 outer, x in -1:1:11 inner
+    assert [(float(r[0]), float(r[1])) for r in rows] == [
+        (x, z) for z in np.linspace(2, 4, 5) for x in np.linspace(-1, 1, 11)
+    ]
+    for x, z, re, im, lm, pole in rows:
+        want = psi_stationary_by_eigenbasis(tr, float(x), float(z))
+        assert pole == "0"
+        assert abs(complex(float(re), float(im)) - want) <= 1e-12 * abs(want), (x, z)
+        assert float(lm) == pytest.approx(math.log(abs(want)), abs=1e-12)
+
+
+def test_psi_grid_wilson_point_closed_form_and_pole_row(tmp_path):
+    # tau = t1 + 3, so psi = (1 - 1 / (z (3 + x))) e^{xz}, with a pole row at x = -3
+    rc = main(
+        ["psi-grid", str(SCENARIOS / "wilson_point.json"), "--out", str(tmp_path), "--t1=-4:0:5"]
+    )
+    assert rc == 0
+    rows = _psi_rows(tmp_path)
+    assert len(rows) == 25
+    for x, z, re, im, lm, pole in rows:
+        x, z = float(x), float(z)
+        if x == -3.0:
+            assert pole == "1" and all(math.isnan(float(v)) for v in (re, im, lm))
+            continue
+        want = (1.0 - 1.0 / (z * (3.0 + x))) * math.exp(x * z)
+        assert pole == "0"
+        assert abs(complex(float(re), float(im)) - want) <= 1e-14 * abs(want), (x, z)
+    assert sum(r[5] == "1" for r in rows) == 5
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [("tau-grid", "--t1=nan:1:3"), ("u-grid", "--t3=nan:0:2"), ("psi-grid", "--z=inf:4:3")],
+)
+def test_nonfinite_grid_range_exits_2(tmp_path, capsys, command, flag):
+    out = tmp_path / "out"
+    rc = main([command, str(SCENARIOS / "one_soliton.json"), "--out", str(out), flag])
+    assert rc == 2
+    assert f"{flag.split('=')[0]}: start and end must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_nonfinite_options_grid_exits_2(tmp_path, capsys):
+    path = write_json(tmp_path / "s.json", dict(WORKHORSE, options={"grids": {"t2": "0:inf:3"}}))
+    rc = main(["u-grid", path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "options.grids.t2: start and end must be finite" in capsys.readouterr().err
+
+
+def test_nonfinite_scenario_time_exits_2(tmp_path, capsys):
+    # Python's json reads NaN; the scenario loader must not pass it on
+    path = write_json(tmp_path / "s.json", dict(WORKHORSE, times=[[math.nan, 0.0]]))
+    with pytest.raises(ScenarioError, match=r"times\[0\]: must be finite"):
+        load_scenario(path)
+    rc = main(["tau-grid", path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "times[0]" in capsys.readouterr().err
 
 
 def test_verify_hbde_report_shape(tmp_path):

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import discrete_tau_by_eigenbasis, u_by_eigenbasis
 from kp_rankone.cases import (
     CalogeroMoserData,
     KdVPairData,
@@ -457,28 +458,52 @@ def test_u_field_base_replacement_semantics():
     assert samples[0].value == pytest.approx(want, rel=1e-8)
 
 
+def _u_by_wilson_form(d):
+    """u of a Calogero-Moser triple from tau = det exp(g(Z)) det(X + g'(Z)):
+    tr g(Z) is linear in t_1 and d/dt_1 g'(Z) = I, so u = -2 tr((X + g'(Z))^-2)."""
+
+    def u(tr, t):
+        inv = np.linalg.inv(d.X + t.g_prime_matrix(d.Z))
+        return complex(-2.0 * np.trace(inv @ inv))
+
+    return u
+
+
+def _with_oracle(make):
+    return lambda: (make(), u_by_eigenbasis)
+
+
+def _calogero_moser_case():
+    d = random_calogero_moser(3, seed=5)
+    return from_calogero_moser(d), _u_by_wilson_form(d)
+
+
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: random_admissible(1, 4, seed=11),
-        lambda: random_admissible(2, 6, seed=12),
-        lambda: random_admissible(4, 12, seed=13),
-        lambda: random_admissible(8, 24, seed=14),
-        # B = [[Z, 0], [I, Z]] is defective
-        lambda: from_calogero_moser(random_calogero_moser(3, seed=5)),
-        lambda: from_kdv_pair(random_kdv_pair(3, seed=2)),
+        _with_oracle(lambda: random_admissible(1, 4, seed=11)),
+        _with_oracle(lambda: random_admissible(2, 6, seed=12)),
+        _with_oracle(lambda: random_admissible(4, 12, seed=13)),
+        _with_oracle(lambda: random_admissible(8, 24, seed=14)),
+        # B = [[Z, 0], [I, Z]] is defective: no eigenbasis, the closed form instead
+        _calogero_moser_case,
+        _with_oracle(lambda: from_kdv_pair(random_kdv_pair(3, seed=2))),
     ],
     ids=["1x4", "2x6", "4x12", "8x24", "calogero-moser-defective", "kdv-pair"],
 )
 def test_u_field_stack_matches_pointwise_derivative(make):
-    tr = make()
+    tr, oracle = make()
     base = TimeVector([0.0, 0.15 - 0.1j, -0.05 + 0.2j])
     samples = u_field(tr, np.linspace(-1.0, 1.0, 9), base=base)
     assert len(samples) == 9
     for s in samples:
         assert not s.is_pole
-        want = 2.0 * log_tau_derivative(tr, base.with_entry(1, s.t1), (2, 0, 0))
+        t = base.with_entry(1, s.t1)
+        want = 2.0 * log_tau_derivative(tr, t, (2, 0, 0))
         assert abs(s.value - want) <= 1e-12 * abs(want), (s.t1, s.value, want)
+        # grid and single point share one code path: judge both independently
+        ref = oracle(tr, t)
+        assert abs(s.value - ref) <= 1e-10 * abs(ref), (s.t1, s.value, ref)
 
 
 def test_u_field_3d_grid_order_and_coordinates():
@@ -493,6 +518,8 @@ def test_u_field_3d_grid_order_and_coordinates():
         t = TimeVector([s.t1, s.t2, s.t3, 0.05j])
         want = 2.0 * log_tau_derivative(tr, t, (2, 0, 0))
         assert abs(s.value - want) <= 1e-12 * abs(want)
+        ref = u_by_eigenbasis(tr, t)
+        assert abs(s.value - ref) <= 1e-10 * abs(ref), (s.t1, s.t2, s.t3, s.value, ref)
 
 
 def test_u_field_wilson_zero_mid_stack():
@@ -532,5 +559,8 @@ def test_tau_grid_matches_pointwise_tau():
     assert len(grid) == 10
     for (v1, v2, v3), value in grid:
         assert v3 is None
-        want = tau(tr, TimeVector([v1, v2, 0.0, 0.1 + 0.1j]))
+        t = TimeVector([v1, v2, 0.0, 0.1 + 0.1j])
+        want = tau(tr, t)
         assert rel_difference(value, want) <= 1e-13
+        ref = ScaledComplex.from_complex(discrete_tau_by_eigenbasis(tr, t, ()))
+        assert rel_difference(value, ref) <= 1e-12, (v1, v2, value, ref)

@@ -216,6 +216,21 @@ def test_crosscheck_wilson_random(n):
         assert rep.passed, (n, seed, rep.residual)
 
 
+@pytest.mark.parametrize("t1", [20.0, 30.0])
+def test_crosscheck_wilson_reference_side_matches_mpmath(t1):
+    # the reference side det exp(g(Z)) det(X + g'(Z)) must stay exact at large
+    # times, where the library's own tau is not (its residual reads that error)
+    import mpmath as mp
+
+    d = random_calogero_moser(2, seed=0)
+    tr = from_calogero_moser(d)
+    rep = crosscheck_wilson(d, TimeVector([t1, 0.0, 0.0]))
+    with mp.workdps(60):
+        A, B, C = (mp.matrix(M.tolist()) for M in (tr.A, tr.B, tr.C))
+        want = float(mp.log(abs(mp.det(A * mp.expm(t1 * B) * C.T))))
+    assert abs(rep.context["rhs_log_magnitude"] - want) <= 1e-12, (t1, rep.context, want)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_crosscheck_intertwining_random(n):
     t = TimeVector([0.2, 0.1, -0.05])
