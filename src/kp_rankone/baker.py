@@ -12,7 +12,8 @@ normalized by z^n where n is the row count of A, so psi e^{-xz} -> 1 as
 exponential. The three point functions and :func:`psi_grid` share one
 body: Miwa-shifted taus over plain taus from one :class:`TauEvaluator`
 stack of base times, times exp(+-g(z)), so a grid of x takes one
-exponential. Values are carried as ScaledComplex because e^{xz} alone
+exponential and the plain and every shifted tau one shifted-determinant
+call. Values are carried as ScaledComplex because e^{xz} alone
 overflows doubles on moderate grids.
 
 The spectral support of the whole family is the eigenvalue multiset of
@@ -85,11 +86,11 @@ def _psi(tr: RankOneTriple, ts: List[TimeVector], zs, k: int) -> List[BASample]:
     if 0 in zs:
         raise ValueError("spectral parameter z must be nonzero")
     ev = TauEvaluator(tr, np.array([t.values for t in ts]))
-    bases = ev.shifted_dets(())
+    bases, *rows = ev.shifted_dets([()] + [((z, k),) for z in zs])
     out = []
-    for z in zs:
+    for z, row in zip(zs, rows):
         gauge = _miwa_gauge(tr.n, ((z, k),))
-        for t, base, shifted in zip(ts, bases, ev.shifted_dets(((z, k),))):
+        for t, base, shifted in zip(ts, bases, row):
             if base.is_zero:
                 out.append(BASample.pole(t.entry(1), z))
             else:
@@ -146,7 +147,9 @@ def polynomiality_check(
     q is sampled at N + 1 equispaced nodes on a circle of radius
     2 + max|eig(B)| (or the given override), fitted exactly in the
     DFT-conditioned basis (z / r)^k, and validated on 2N rotated nodes of
-    the same circle. The residual is the largest validation mismatch
+    the same circle; all 3N + 1 shifted taus come from one
+    :meth:`~kp_rankone.tau.TauEvaluator.shifted_dets` call, which makes
+    one stacked solve. The residual is the largest validation mismatch
     relative to the largest sampled |q|. Rank-one admissibility is what
     makes this hold; generic B of full support would need degree n(N-1).
     """
@@ -164,11 +167,9 @@ def polynomiality_check(
         if np.min(np.abs(all_nodes[:, None] - lam[None, :])) < 1e-8 * r:
             r *= 1.3
             continue
+        sets = [((complex(z), -1),) for z in all_nodes]
         try:
-            q_vals = []
-            for z in all_nodes:
-                p = complex(np.prod(z - lam))  # char poly from the spectrum
-                q_vals.append(ev.tau_miwa(((z, -1),)) * p)
+            rows = ev.shifted_dets(sets)
         except SingularShiftError:
             r *= 1.3
             continue
@@ -176,6 +177,11 @@ def polynomiality_check(
     else:
         raise GeometryError("could not place interpolation nodes off the spectrum")
 
+    # q(z) = det(z I - B) tau(t + [1/z]), the char poly taken from the spectrum
+    q_vals = [
+        row[0] / _miwa_gauge(tr.n, shifts) * complex(np.prod(z - lam))
+        for row, shifts, z in zip(rows, sets, all_nodes)
+    ]
     peak = max(q.log_magnitude for q in q_vals)
     if peak == -math.inf:
         # the whole family vanishes; a zero function is trivially polynomial

@@ -14,6 +14,17 @@ products and negative powers as |k| linear solves after one check that
 c I - B is safely invertible, and a Miwa tau divides the gauge out on
 the log scale. c I - B keeps exact input exact, which I - B/c does not.
 
+A lattice identity needs several shifted taus at one base time: six for
+the bilinear lattice check, 3N + 1 for the polynomiality check, one per
+spectral parameter for a wave function. :meth:`TauEvaluator.shifted_dets`
+takes them as a list of shift sets and answers in one call: each
+distinct c I - B is built once, the invertibility check runs once per
+distinct c (a norm certificate, |c| safely above ||B||_2, spares most of
+them an SVD), the sets advance through their factors in lockstep with
+stacked products and solves, and one ``slogdet`` covers every set and
+base time. Each set keeps its own factor order, so a value does not
+depend on the other sets of the call.
+
 Derivatives of log tau are exact. With M = A E C.T, E = exp(g(B)),
 every time derivative of M stays in closed form,
 
@@ -195,28 +206,29 @@ class MiwaShiftList:
         return MiwaShiftList(tuple((c, acc[c]) for c in order if acc[c] != 0))
 
 
-def _shifted_right(
-    B: np.ndarray, right: np.ndarray, shifts: Iterable[Tuple[complex, int]]
-) -> np.ndarray:
-    """prod_j (c_j I - B)^k_j applied to ``right`` (N x n).
+def _check_inverses(B: np.ndarray, factors: np.ndarray, cs: Sequence[complex]) -> None:
+    """Raise SingularShiftError unless each c I - B (``factors``, one per c
+    in ``cs``) is safely invertible.
 
-    Positive k takes k products. Negative k first checks that c I - B is
-    safely invertible, then takes |k| solves; no inverse is formed.
+    A norm certificate settles most c without an SVD of c I - B: where
+    |c| - ||B||_2 > 1e-8 (|c| + ||B||_2), s_min(c I - B) >= |c| - ||B||_2
+    and s_max <= |c| + ||B||_2, so the ratio the SVD test compares with
+    1e-12 stays near 1e-8 or above. ||B||_2 costs one SVD of B; the c
+    left over get one stacked SVD, and the smallest singular value of
+    each must exceed 1e-12 times its largest.
     """
-    for c, k in shifts:
-        if k == 0:
-            continue
-        base = c * np.eye(B.shape[0], dtype=np.complex128) - B
-        if k < 0:
-            s = np.linalg.svd(base, compute_uv=False)
-            if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
-                raise SingularShiftError(
-                    f"shift parameter c = {c} lies in (or too close to) the "
-                    "spectrum of B; the inverse factor does not exist"
-                )
-        for _ in range(abs(k)):
-            right = base @ right if k > 0 else np.linalg.solve(base, right)
-    return right
+    if not cs:
+        return
+    norm_B = float(np.linalg.svd(B, compute_uv=False)[0])
+    doubtful = [i for i, c in enumerate(cs) if not abs(c) - norm_B > 1e-8 * (abs(c) + norm_B)]
+    if not doubtful:
+        return
+    for i, s in zip(doubtful, np.linalg.svd(factors[doubtful], compute_uv=False)):
+        if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
+            raise SingularShiftError(
+                f"shift parameter c = {cs[i]} lies in (or too close to) the "
+                "spectrum of B; the inverse factor does not exist"
+            )
 
 
 def _miwa_gauge(n: int, shifts: Iterable[Tuple[complex, int]]) -> ScaledComplex:
@@ -246,13 +258,47 @@ class TauEvaluator:
         E0, self.mu = expm_centered(G)
         self._left = tr.A @ E0
 
-    def shifted_dets(self, shifts: Iterable[Tuple[complex, int]]) -> List[ScaledComplex]:
-        """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T) at every base time."""
-        right = _shifted_right(self.triple.B, self.triple.C.T, shifts)
-        n = self.triple.n
+    def shifted_dets(
+        self, shift_sets: Sequence[Iterable[Tuple[complex, int]]]
+    ) -> List[List[ScaledComplex]]:
+        """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T) for each shift set
+        ((c_j, k_j), ...): one row per set, one value per base time.
+
+        Each set applies its factors to C.T in its own order, positive
+        powers as products and negative ones as solves; k = 0 entries are
+        dropped. The sets advance in lockstep, so each step is one stacked
+        product and one stacked solve over the sets that take one there.
+        Each distinct c I - B is built once. If any set inverts it, it
+        passes :func:`_check_inverses` once: c with |c| - ||B||_2 >
+        1e-8 (|c| + ||B||_2) are cleared by that norm certificate, the
+        rest by an SVD of c I - B. One product with the left factor and
+        one :func:`det_scaled` serve every set and base time. Raises
+        SingularShiftError if any inverted c I - B fails the check.
+        """
+        tr = self.triple
+        sets = [[(c, k) for c, k in shifts if k] for shifts in shift_sets]
+        if not sets:
+            return []
+        cs = list(dict.fromkeys(c for shifts in sets for c, _ in shifts))
+        index = {c: i for i, c in enumerate(cs)}
+        factors = np.asarray(cs, dtype=np.complex128)[:, None, None] * np.eye(
+            tr.N, dtype=np.complex128
+        ) - tr.B
+        steps = [[(index[c], k > 0) for c, k in shifts for _ in range(abs(k))] for shifts in sets]
+        inverted = list(dict.fromkeys(i for ops in steps for i, forward in ops if not forward))
+        _check_inverses(tr.B, factors[inverted], [cs[i] for i in inverted])
+        rights = np.repeat(tr.C.T[None], len(sets), axis=0)
+        for j in range(max(map(len, steps))):
+            for forward in (True, False):
+                at = [s for s, ops in enumerate(steps) if len(ops) > j and ops[j][1] == forward]
+                if at:
+                    F = factors[[steps[s][j][0] for s in at]]
+                    rights[at] = F @ rights[at] if forward else np.linalg.solve(F, rights[at])
+        scale = [ScaledComplex.exp_of(tr.n * mu) for mu in self.mu]
+        dets = det_scaled(self._left[None] @ rights[:, None])
+        P = len(scale)
         return [
-            d * ScaledComplex.exp_of(n * mu)
-            for d, mu in zip(det_scaled(self._left @ right), self.mu)
+            [d * s for d, s in zip(dets[i * P : (i + 1) * P], scale)] for i in range(len(sets))
         ]
 
     def jets(self, wanted: List[Tuple[int, int, int]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -271,19 +317,19 @@ class TauEvaluator:
         return np.where(regular, logdet + n * self.mu.real, -math.inf), derivs
 
     def tau(self) -> ScaledComplex:
-        return self.shifted_dets(())[0]
+        return self.shifted_dets([()])[0][0]
 
     def tau_miwa(self, shifts: ShiftsLike) -> ScaledComplex:
         """The discrete determinant over its gauge prod_j c_j^(k_j n)."""
         shifts = MiwaShiftList.coerce(shifts).shifts
-        return self.shifted_dets(shifts)[0] / _miwa_gauge(self.triple.n, shifts)
+        return self.shifted_dets([shifts])[0][0] / _miwa_gauge(self.triple.n, shifts)
 
     def tau_discrete(
         self, l: int, m: int, n_index: int, c1: complex, c2: complex, c3: complex
     ) -> ScaledComplex:
         return self.shifted_dets(
-            ((complex(c1), int(l)), (complex(c2), int(m)), (complex(c3), int(n_index)))
-        )[0]
+            [((complex(c1), int(l)), (complex(c2), int(m)), (complex(c3), int(n_index)))]
+        )[0][0]
 
     def log_derivatives(self, orders_list: Iterable[Sequence[int]]) -> List[complex]:
         """Partial derivatives of log tau at the base time, one per multi-index.
@@ -474,7 +520,7 @@ def tau_grid(
     ``slogdet`` call.
     """
     coords, lines = _grid_times(t1_values, t2_values, t3_values, base)
-    values = [v for times in lines for v in TauEvaluator(tr, times).shifted_dets(())]
+    values = [v for times in lines for v in TauEvaluator(tr, times).shifted_dets([()])[0]]
     return list(zip(coords, values))
 
 

@@ -8,6 +8,7 @@ quantities that were combined, not on some absolute scale.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
@@ -37,7 +38,7 @@ from .matkernel import (
     residual_of_sum,
     ScaledComplex,
 )
-from .tau import TauEvaluator, TimeVector, TimesLike, tau
+from .tau import TauEvaluator, TimeVector, TimesLike, _miwa_gauge, tau
 from .triple import RankOneTriple
 
 __all__ = [
@@ -134,22 +135,42 @@ def hbde_residual(
     vanishes identically for admissible triples. The report carries
     |sum| / max term magnitude, evaluated on the log scale.
     """
+    return _hbde_report(TauEvaluator(tr, t), c1, c2, c3, l, m, n_index, tol)
+
+
+# the six sites of the three-term identity, as offsets from (l, m, n)
+_HBDE_SITES = ((1, 0, 0), (0, 1, 1), (0, 1, 0), (1, 0, 1), (0, 0, 1), (1, 1, 0))
+
+
+def _hbde_report(
+    ev: TauEvaluator,
+    c1: complex,
+    c2: complex,
+    c3: complex,
+    l: int,
+    m: int,
+    n_index: int,
+    tol: float,
+) -> VerificationReport:
+    """:func:`hbde_residual` at the base time of ``ev``, with the six
+    shifted taus from one :meth:`TauEvaluator.shifted_dets` call."""
     c1, c2, c3 = complex(c1), complex(c2), complex(c3)
+    l, m, n_index = int(l), int(m), int(n_index)
     if len({c1, c2, c3}) < 3:
         raise ValueError("the three lattice parameters must be distinct")
     if 0 in (c1, c2, c3):
         raise ValueError("lattice parameters must be nonzero")
-    ev = TauEvaluator(tr, t)
-
-    def T(dl: int, dm: int, dn: int) -> ScaledComplex:
-        return ev.tau_miwa(
-            ((c1, l + dl), (c2, m + dm), (c3, n_index + dn))
-        )
-
+    if not all(map(cmath.isfinite, (c1, c2, c3))):
+        raise ValueError("shift parameter c must be finite")
+    sets = [((c1, l + a), (c2, m + b), (c3, n_index + d)) for a, b, d in _HBDE_SITES]
+    T = [
+        row[0] / _miwa_gauge(ev.triple.n, shifts)
+        for row, shifts in zip(ev.shifted_dets(sets), sets)
+    ]
     terms = [
-        T(1, 0, 0) * T(0, 1, 1) * (c2 - c3),
-        T(0, 1, 0) * T(1, 0, 1) * (-(c1 - c3)),
-        T(0, 0, 1) * T(1, 1, 0) * (c1 - c2),
+        T[0] * T[1] * (c2 - c3),
+        T[2] * T[3] * (-(c1 - c3)),
+        T[4] * T[5] * (c1 - c2),
     ]
     residual = residual_of_sum(terms)
     return VerificationReport.make(
@@ -157,7 +178,7 @@ def hbde_residual(
         residual,
         tol,
         c=[c1, c2, c3],
-        site=[int(l), int(m), int(n_index)],
+        site=[l, m, n_index],
         term_log_magnitudes=[x.log_magnitude for x in terms],
     )
 

@@ -322,6 +322,24 @@ def test_verify_hbde_report_shape(tmp_path):
         assert rep["residual"] <= rep["tolerance"]
 
 
+@pytest.mark.parametrize("command", ["verify-hbde", "verify-kp", "verify-h3"])
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_nonpositive_trials_exits_2(tmp_path, capsys, command, trials):
+    # zero trials used to write "all_pass": true with no reports (verify-kp ran one)
+    rc = main([command, str(SCENARIOS / "two_soliton.json"), "--out", str(tmp_path), "--trials", trials])
+    assert rc == 2
+    assert "--trials: expected a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}.json").exists()
+
+
+@pytest.mark.parametrize("K", ["0", "-2"])
+def test_nonpositive_K_exits_2(tmp_path, capsys, K):
+    rc = main(["tau-grid", str(SCENARIOS / "one_soliton.json"), "--out", str(tmp_path), "--K", K])
+    assert rc == 2
+    assert "--K: expected a positive integer" in capsys.readouterr().err
+    assert not (tmp_path / "tau-grid.csv").exists()
+
+
 def test_crosscheck_dispatch(tmp_path):
     for name, want in (
         ("wilson_point", 0),

@@ -213,6 +213,84 @@ def test_discrete_singular_parameter_raises(scalar_triple):
 
 
 # ---------------------------------------------------------------------------
+# stacked shifted determinants and the inverse-factor guard
+# ---------------------------------------------------------------------------
+
+
+def _svd_shapes(monkeypatch) -> list:
+    """Record the shape of every array passed to numpy.linalg.svd."""
+    shapes = []
+    svd = np.linalg.svd
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return shapes
+
+
+def test_shifted_dets_stack_matches_eigenbasis_oracle():
+    tr = random_admissible(3, 8, seed=4)
+    times = np.array([[0.3, -0.1, 0.05], [-0.4 + 0.2j, 0.2, 0.0], [0.1, 0.0, -0.2j]])
+    c1, c2 = 2.1 - 0.4j, -1.6 + 1.1j
+    sets = [
+        (),
+        ((c1, 1),),
+        ((c1, 2), (c2, -1)),
+        ((c1, 1), (c1, -2), (c2, 1)),
+        ((c2, -2), (c1, 0)),
+    ]
+    rows = TauEvaluator(tr, times).shifted_dets(sets)
+    assert [len(row) for row in rows] == [len(times)] * len(sets)
+    for shifts, row in zip(sets, rows):
+        for t, got in zip(times, row):
+            want = discrete_tau_by_eigenbasis(tr, TimeVector(t), shifts)
+            assert rel_difference(got, ScaledComplex.from_complex(want)) <= 1e-12, shifts
+
+
+def test_inverse_guard_norm_certificate_skips_shift_svd(monkeypatch):
+    # ||B||_2 = 1 and |c| = 2.5: the certificate alone clears c, so the
+    # only SVD taken is the one of B
+    tr = random_admissible(2, 6, seed=6)
+    c, other = 2.5 * np.exp(0.7j), -1.9 + 0.2j
+    sets = [((c, -1),), ((c, -2), (other, 1))]
+    shapes = _svd_shapes(monkeypatch)
+    rows = TauEvaluator(tr, TimeVector([0.2, -0.1])).shifted_dets(sets)
+    assert shapes == [(tr.N, tr.N)]
+    for shifts, row in zip(sets, rows):
+        want = discrete_tau_by_eigenbasis(tr, TimeVector([0.2, -0.1]), shifts)
+        assert rel_difference(row[0], ScaledComplex.from_complex(want)) <= 1e-12
+
+
+def test_inverse_guard_svd_branch_jordan_block(monkeypatch):
+    # B = [[0, 100], [0, 0]] has ||B||_2 = 100 > |c| = 2, so the SVD of
+    # 2 I - B decides (s_min / s_max ~ 4e-4, invertible). With A = C = [1 1],
+    # exp(x B) = I + x B and (2 I - B)^-k = [[2^-k, 100 k 2^-(k+1)], [0, 2^-k]],
+    # tau = 2^(1-k) + 100 k 2^-(k+1) + 100 x 2^-k: 41 for k = 1, 33 for
+    # k = 2 at x = 0.3
+    tr = make_triple([[1.0, 1.0]], [[0.0, 100.0], [0.0, 0.0]], [[1.0, 1.0]])
+    shapes = _svd_shapes(monkeypatch)
+    rows = TauEvaluator(tr, TimeVector([0.3])).shifted_dets([((2.0, -1),), ((2.0, -2),)])
+    assert shapes == [(2, 2), (1, 2, 2)]
+    assert abs(rows[0][0].to_complex() - 41.0) <= 1e-13 * 41.0
+    assert abs(rows[1][0].to_complex() - 33.0) <= 1e-13 * 33.0
+
+
+def test_inverse_guard_rejects_shift_next_to_eigenvalue():
+    tr = random_admissible(2, 6, seed=5)
+    c = complex(np.linalg.eigvals(tr.B)[0]) + 1e-14
+    ev = TauEvaluator(tr, TimeVector([0.1]))
+    with pytest.raises(SingularShiftError):
+        ev.shifted_dets([((c, -1),)])
+    # one bad set in a stack fails the whole call, whatever its place
+    with pytest.raises(SingularShiftError):
+        ev.shifted_dets([(), ((2.5, -1),), ((c, 1), (c, -1))])
+    # a positive power needs no inverse and stays allowed
+    assert not ev.shifted_dets([((c, 1),)])[0][0].is_zero
+
+
+# ---------------------------------------------------------------------------
 # symmetries
 # ---------------------------------------------------------------------------
 
