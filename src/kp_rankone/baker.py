@@ -155,7 +155,7 @@ def polynomiality_check(
     """
     t = TimeVector.coerce(t)
     N = tr.N
-    lam = np.linalg.eigvals(tr.B)
+    lam = tr.eigvals_B
     spec_radius = float(np.max(np.abs(lam))) if lam.size else 0.0
     r = float(radius) if radius is not None else 2.0 + spec_radius
     ev = TauEvaluator(tr, t)

@@ -42,6 +42,14 @@ shifted determinant and the jets, serve the whole stack. A single point is
 a stack of one; :func:`tau_grid` and :func:`u_field` take one stack per t1
 line, whose points differ only in the scalars t_i multiplying fixed powers
 of B, so a line costs one ``expm``, one ``slogdet`` and, for u, one ``solve``.
+
+The factor A exp(g(B)) is memoized on the triple, in one slot keyed by
+the exact (P, K) time array it was computed for: evaluators built one
+after another at the same base time (the checks of :mod:`kp_rankone.verify`
+and :mod:`kp_rankone.baker`, and :func:`tau`, :func:`tau_miwa`,
+:func:`tau_discrete` and :func:`log_tau_derivative`) share one
+exponential, and a hit returns exactly the arrays a miss would compute.
+The triple's arrays cannot be made writeable, so the slot cannot go stale.
 """
 
 from __future__ import annotations
@@ -206,20 +214,21 @@ class MiwaShiftList:
         return MiwaShiftList(tuple((c, acc[c]) for c in order if acc[c] != 0))
 
 
-def _check_inverses(B: np.ndarray, factors: np.ndarray, cs: Sequence[complex]) -> None:
+def _check_inverses(tr: RankOneTriple, factors: np.ndarray, cs: Sequence[complex]) -> None:
     """Raise SingularShiftError unless each c I - B (``factors``, one per c
     in ``cs``) is safely invertible.
 
     A norm certificate settles most c without an SVD of c I - B: where
     |c| - ||B||_2 > 1e-8 (|c| + ||B||_2), s_min(c I - B) >= |c| - ||B||_2
     and s_max <= |c| + ||B||_2, so the ratio the SVD test compares with
-    1e-12 stays near 1e-8 or above. ||B||_2 costs one SVD of B; the c
-    left over get one stacked SVD, and the smallest singular value of
-    each must exceed 1e-12 times its largest.
+    1e-12 stays near 1e-8 or above. ||B||_2 is computed once per triple
+    (:attr:`RankOneTriple.norm_B`); the c left over get one stacked SVD,
+    and the smallest singular value of each must exceed 1e-12 times its
+    largest.
     """
     if not cs:
         return
-    norm_B = float(np.linalg.svd(B, compute_uv=False)[0])
+    norm_B = tr.norm_B
     doubtful = [i for i, c in enumerate(cs) if not abs(c) - norm_B > 1e-8 * (abs(c) + norm_B)]
     if not doubtful:
         return
@@ -245,18 +254,33 @@ class TauEvaluator:
     (P, n, N)) and ``mu`` (P,), so huge tau magnitudes never leave the log
     scale. :meth:`shifted_dets` and :meth:`jets` serve the whole stack;
     the single-point methods read slice 0.
+
+    The triple keeps the read-only ``mu`` and ``_left`` of its last
+    evaluator in a single slot, keyed by the dtype, shape and bytes of the
+    (P, K) time array. A new evaluator with the same key takes them from
+    there instead of exponentiating again, so every check at one base
+    time shares one exponential; any other times, even one ulp away or
+    padded with zeros, compute afresh and replace the slot.
     """
 
     def __init__(self, tr: RankOneTriple, t: Union[TimesLike, np.ndarray]):
         self.triple = tr
         stack = isinstance(t, np.ndarray) and t.ndim == 2
         times = t if stack else TimeVector.coerce(t).values[None, :]
+        key = (times.dtype.str, times.shape, times.tobytes())
+        memo = tr._base_factor
+        if memo is not None and memo[0] == key:
+            _, self.mu, self._left = memo
+            return
         I = np.eye(tr.N, dtype=np.complex128)
         G = np.zeros((len(times), tr.N, tr.N), dtype=np.complex128)
         for t_i in times.T[::-1]:
             G = tr.B @ (t_i[:, None, None] * I + G)
         E0, self.mu = expm_centered(G)
         self._left = tr.A @ E0
+        self.mu.setflags(write=False)
+        self._left.setflags(write=False)
+        object.__setattr__(tr, "_base_factor", (key, self.mu, self._left))
 
     def shifted_dets(
         self, shift_sets: Sequence[Iterable[Tuple[complex, int]]]
@@ -270,10 +294,11 @@ class TauEvaluator:
         product and one stacked solve over the sets that take one there.
         Each distinct c I - B is built once. If any set inverts it, it
         passes :func:`_check_inverses` once: c with |c| - ||B||_2 >
-        1e-8 (|c| + ||B||_2) are cleared by that norm certificate, the
-        rest by an SVD of c I - B. One product with the left factor and
-        one :func:`det_scaled` serve every set and base time. Raises
-        SingularShiftError if any inverted c I - B fails the check.
+        1e-8 (|c| + ||B||_2) are cleared by that norm certificate (the
+        triple keeps ||B||_2), the rest by an SVD of c I - B. One product
+        with the left factor and one :func:`det_scaled` serve every set
+        and base time. Raises SingularShiftError if any inverted c I - B
+        fails the check.
         """
         tr = self.triple
         sets = [[(c, k) for c, k in shifts if k] for shifts in shift_sets]
@@ -286,7 +311,7 @@ class TauEvaluator:
         ) - tr.B
         steps = [[(index[c], k > 0) for c, k in shifts for _ in range(abs(k))] for shifts in sets]
         inverted = list(dict.fromkeys(i for ops in steps for i, forward in ops if not forward))
-        _check_inverses(tr.B, factors[inverted], [cs[i] for i in inverted])
+        _check_inverses(tr, factors[inverted], [cs[i] for i in inverted])
         rights = np.repeat(tr.C.T[None], len(sets), axis=0)
         for j in range(max(map(len, steps))):
             for forward in (True, False):

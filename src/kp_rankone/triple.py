@@ -16,8 +16,9 @@ reproducibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -41,13 +42,21 @@ __all__ = [
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+    """A read-only copy of ``arr`` over an immutable bytes buffer, so numpy
+    refuses to make it, or its base, writeable again."""
+    return np.frombuffer(arr.tobytes(), dtype=arr.dtype).reshape(arr.shape)
 
 
 @dataclass(frozen=True, eq=False)
 class RankOneTriple:
     """Immutable container for (A, B, C); construction checks shapes only.
+
+    A, B and C are read-only copies of the inputs that numpy will not let
+    anyone make writeable again, so whatever is derived from them once
+    stays valid: ||B||_2 and the eigenvalues of B are computed on first
+    use and kept, and :class:`~kp_rankone.tau.TauEvaluator` keeps the
+    factor A exp(g(B)) of the last base time in ``_base_factor``. Copies
+    and pickles are rebuilt through the constructor and start empty.
 
     Use :func:`validate_triple` (or :func:`make_triple`) for the
     admissibility test itself.
@@ -56,6 +65,10 @@ class RankOneTriple:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
+    #: (key, mu, A exp(g(B) - mu I)) of the last base times, or None
+    _base_factor: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self):
         A = _frozen(as_cmatrix(self.A, "A"))
@@ -72,6 +85,11 @@ class RankOneTriple:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
 
+    def __reduce__(self):
+        # copies and pickles go through the constructor: fresh read-only
+        # arrays and nothing derived from the old ones
+        return (RankOneTriple, (self.A, self.B, self.C))
+
     @property
     def n(self) -> int:
         return self.A.shape[0]
@@ -79,6 +97,18 @@ class RankOneTriple:
     @property
     def N(self) -> int:
         return self.A.shape[1]
+
+    @cached_property
+    def norm_B(self) -> float:
+        """||B||_2, from one SVD of B."""
+        return float(np.linalg.svd(self.B, compute_uv=False)[0])
+
+    @cached_property
+    def eigvals_B(self) -> np.ndarray:
+        """Eigenvalues of B (read-only), from one ``eigvals`` call."""
+        lam = np.linalg.eigvals(self.B)
+        lam.setflags(write=False)
+        return lam
 
 
 @dataclass(frozen=True)

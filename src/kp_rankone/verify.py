@@ -112,6 +112,10 @@ def draw_lattice_parameters(rng: np.random.Generator, B) -> List[complex]:
     raise GeometryError("could not draw lattice parameters away from the spectrum")
 
 
+# the six sites of the three-term identity, as offsets from (l, m, n)
+_HBDE_SITES = ((1, 0, 0), (0, 1, 1), (0, 1, 0), (1, 0, 1), (0, 0, 1), (1, 1, 0))
+
+
 def hbde_residual(
     tr: RankOneTriple,
     t: TimesLike,
@@ -133,27 +137,10 @@ def hbde_residual(
       + (c1 - c2) T(l, m, n+1) T(l+1, m+1, n)
 
     vanishes identically for admissible triples. The report carries
-    |sum| / max term magnitude, evaluated on the log scale.
+    |sum| / max term magnitude, evaluated on the log scale. The six
+    shifted taus come from one :meth:`TauEvaluator.shifted_dets` call,
+    and checks at one base time share its exponential.
     """
-    return _hbde_report(TauEvaluator(tr, t), c1, c2, c3, l, m, n_index, tol)
-
-
-# the six sites of the three-term identity, as offsets from (l, m, n)
-_HBDE_SITES = ((1, 0, 0), (0, 1, 1), (0, 1, 0), (1, 0, 1), (0, 0, 1), (1, 1, 0))
-
-
-def _hbde_report(
-    ev: TauEvaluator,
-    c1: complex,
-    c2: complex,
-    c3: complex,
-    l: int,
-    m: int,
-    n_index: int,
-    tol: float,
-) -> VerificationReport:
-    """:func:`hbde_residual` at the base time of ``ev``, with the six
-    shifted taus from one :meth:`TauEvaluator.shifted_dets` call."""
     c1, c2, c3 = complex(c1), complex(c2), complex(c3)
     l, m, n_index = int(l), int(m), int(n_index)
     if len({c1, c2, c3}) < 3:
@@ -164,8 +151,8 @@ def _hbde_report(
         raise ValueError("shift parameter c must be finite")
     sets = [((c1, l + a), (c2, m + b), (c3, n_index + d)) for a, b, d in _HBDE_SITES]
     T = [
-        row[0] / _miwa_gauge(ev.triple.n, shifts)
-        for row, shifts in zip(ev.shifted_dets(sets), sets)
+        row[0] / _miwa_gauge(tr.n, shifts)
+        for row, shifts in zip(TauEvaluator(tr, t).shifted_dets(sets), sets)
     ]
     terms = [
         T[0] * T[1] * (c2 - c3),

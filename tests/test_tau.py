@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 from conftest import discrete_tau_by_eigenbasis, u_by_eigenbasis
+from kp_rankone import matkernel
+from kp_rankone.baker import polynomiality_check, psi_dual, psi_time
 from kp_rankone.cases import (
     CalogeroMoserData,
     KdVPairData,
@@ -32,7 +34,8 @@ from kp_rankone.tau import (
     tau_miwa,
     u_field,
 )
-from kp_rankone.triple import make_triple, random_admissible
+from kp_rankone.triple import conjugate_triple, make_triple, random_admissible
+from kp_rankone.verify import draw_lattice_parameters, hbde_residual, kp_residual
 
 # exp(g(1)) + 1 with A=[1 1], B=diag(1,0), C=[1 1]; the workhorse example
 A2 = np.array([[1.0, 1.0]])
@@ -261,6 +264,9 @@ def test_inverse_guard_norm_certificate_skips_shift_svd(monkeypatch):
     for shifts, row in zip(sets, rows):
         want = discrete_tau_by_eigenbasis(tr, TimeVector([0.2, -0.1]), shifts)
         assert rel_difference(row[0], ScaledComplex.from_complex(want)) <= 1e-12
+    # the triple keeps ||B||_2: a second call, at another time, takes no SVD
+    TauEvaluator(tr, TimeVector([0.5])).shifted_dets(sets)
+    assert shapes == [(tr.N, tr.N)]
 
 
 def test_inverse_guard_svd_branch_jordan_block(monkeypatch):
@@ -288,6 +294,90 @@ def test_inverse_guard_rejects_shift_next_to_eigenvalue():
         ev.shifted_dets([(), ((2.5, -1),), ((c, 1), (c, -1))])
     # a positive power needs no inverse and stays allowed
     assert not ev.shifted_dets([((c, 1),)])[0][0].is_zero
+
+
+# ---------------------------------------------------------------------------
+# the per-triple memo of the base-time factor A exp(g(B))
+# ---------------------------------------------------------------------------
+
+
+def _expm_calls(monkeypatch) -> list:
+    """Record the shape of every stack the exponential kernel is given."""
+    shapes = []
+    expm = matkernel._scipy_expm
+
+    def counting(M):
+        shapes.append(np.shape(M))
+        return expm(M)
+
+    monkeypatch.setattr(matkernel, "_scipy_expm", counting)
+    return shapes
+
+
+def test_checks_at_one_base_time_share_one_exponential(monkeypatch):
+    tr = random_admissible(2, 6, seed=11)
+    t = TimeVector([0.3 - 0.1j, 0.2, -0.05])
+    rng = np.random.default_rng(0)
+    calls = _expm_calls(monkeypatch)
+    for _ in range(6):
+        c1, c2, c3 = draw_lattice_parameters(rng, tr.B)
+        assert hbde_residual(tr, t, c1, c2, c3, l=1, m=0, n_index=1).passed
+    assert polynomiality_check(tr, t).passed
+    psi_time(tr, t, 2.5 + 0.5j)
+    psi_dual(tr, t, 2.5 + 0.5j)
+    tau_discrete(tr, 1, 0, 2, 2.0, -2.5j, 3.0, t=t)
+    tau_miwa(tr, ((2.0, 1), (3.0, -1)), t)
+    assert kp_residual(tr, t).passed
+    tau(tr, TimeVector(t.values))  # an equal copy of the time vector hits too
+    assert calls == [(1, tr.N, tr.N)]
+
+
+def test_memo_misses_on_other_times_and_triples(monkeypatch):
+    tr = random_admissible(2, 6, seed=12)
+    t = TimeVector([0.4, -0.2, 0.1])
+    calls = _expm_calls(monkeypatch)
+    tau(tr, t)
+    assert len(calls) == 1
+    tau(tr, TimeVector([np.nextafter(0.4, 1.0), -0.2, 0.1]))  # one ulp away
+    assert len(calls) == 2
+    tau(tr, t)
+    tau(tr, t.padded(5))  # the same tau, from another time array
+    assert len(calls) == 4
+    G = np.eye(tr.N) + 0.1 * np.triu(np.ones((tr.N, tr.N)), 1)
+    tau(conjugate_triple(tr, G), t.padded(5))  # equal times, another triple
+    assert len(calls) == 5
+    stack = np.array([t.values, 2 * t.values])
+    TauEvaluator(tr, stack)
+    TauEvaluator(tr, stack.ravel())  # the same bytes as one time vector
+    TauEvaluator(tr, stack[:1])
+    assert len(calls) == 8
+
+
+def test_memo_hit_is_bit_identical_to_a_miss():
+    t = TimeVector([0.7 - 0.2j, 0.1, 0.3j, -0.05])
+    cold = random_admissible(4, 12, seed=13)
+    warm = random_admissible(4, 12, seed=13)
+    first = TauEvaluator(warm, t)
+    hit = TauEvaluator(warm, t)
+    miss = TauEvaluator(cold, t)
+    assert hit._left is first._left and hit.mu is first.mu
+    assert miss._left is not hit._left
+    assert hit._left.tobytes() == miss._left.tobytes()
+    assert hit.mu.tobytes() == miss.mu.tobytes()
+    sets = [(), ((2.0, 1), (-2.5, -1))]
+    assert hit.shifted_dets(sets) == miss.shifted_dets(sets)
+    assert np.array_equal(hit.jets([(2, 0, 0)])[1], miss.jets([(2, 0, 0)])[1])
+
+
+def test_memo_arrays_are_read_only():
+    tr = random_admissible(2, 6, seed=14)
+    ev = TauEvaluator(tr, TimeVector([0.1, 0.2]))
+    key, mu, left = tr._base_factor
+    assert mu is ev.mu and left is ev._left
+    for arr in (ev.mu, ev._left):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
 
 
 # ---------------------------------------------------------------------------

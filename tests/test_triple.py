@@ -1,5 +1,8 @@
 """Admissibility of matrix triples: validation, generation, symmetries."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from kp_rankone.errors import (
     InadmissibleTripleError,
 )
 from kp_rankone.matkernel import nullspace_rows, numerical_rank
+from kp_rankone.tau import TimeVector, tau
 from kp_rankone.triple import (
     RankOneTriple,
     conjugate_triple,
@@ -97,6 +101,34 @@ def test_triple_is_frozen():
     tr = random_admissible(1, 3, seed=0)
     with pytest.raises((ValueError, AttributeError)):
         tr.A[0, 0] = 99.0
+
+
+def test_triple_arrays_cannot_be_made_writeable():
+    A, B, C = np.ones((1, 3)), np.diag([1.0, 2.0, 3.0]), np.ones((1, 3))
+    tr = RankOneTriple(A, B, C)
+    for arr in (tr.A, tr.B, tr.C):
+        with pytest.raises(ValueError):
+            arr.setflags(write=True)
+        with pytest.raises(ValueError):
+            arr.base.setflags(write=True)
+    # the triple holds copies: the caller's arrays stay writeable
+    B[0, 0] = 5.0
+    assert tr.B[0, 0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "clone", [copy.copy, copy.deepcopy, lambda tr: pickle.loads(pickle.dumps(tr))]
+)
+def test_triple_copies_stay_immutable_and_drop_derived_state(clone):
+    tr = random_admissible(2, 5, seed=3)
+    tau(tr, TimeVector([0.2, 0.1]))
+    assert tr._base_factor is not None and tr.norm_B > 0.0
+    other = clone(tr)
+    assert other._base_factor is None and "norm_B" not in vars(other)
+    for mine, theirs in zip((tr.A, tr.B, tr.C), (other.A, other.B, other.C)):
+        assert np.array_equal(mine, theirs)
+        with pytest.raises(ValueError):
+            theirs.setflags(write=True)
 
 
 # ---------------------------------------------------------------------------
