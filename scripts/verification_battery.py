@@ -51,7 +51,7 @@ def main(argv=None):
         tr = random_admissible(n, N, seed=args.seed * 1000 + i)
         rng = np.random.default_rng(args.seed * 2000 + i)
         t = TimeVector(0.6 * (rng.random(3) - 0.5) + 0.3j * (rng.random(3) - 0.5))
-        c1, c2, c3 = draw_lattice_parameters(rng, tr.B)
+        c1, c2, c3 = draw_lattice_parameters(rng, tr)
         return hbde_residual(tr, t, c1, c2, c3, l=1, m=1, n_index=0).residual
 
     def differential(i):

@@ -13,7 +13,8 @@ exponential. The three point functions and :func:`psi_grid` share one
 body: Miwa-shifted taus over plain taus from one :class:`TauEvaluator`
 stack of base times, times exp(+-g(z)), so a grid of x takes one
 exponential and the plain and every shifted tau one shifted-determinant
-call. Values are carried as ScaledComplex because e^{xz} alone
+call. Values stay on the log scale, as arrays of log magnitudes and
+phases until each sample becomes a ScaledComplex, because e^{xz} alone
 overflows doubles on moderate grids.
 
 The spectral support of the whole family is the eigenvalue multiset of
@@ -31,8 +32,16 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import GeometryError, PoleError, SingularShiftError
-from .matkernel import ScaledComplex, eig
-from .tau import TauEvaluator, TimeVector, TimesLike, _miwa_gauge
+from .matkernel import (
+    ScaledComplex,
+    eig,
+    log_scale,
+    log_scale_div,
+    log_scale_exp,
+    log_scale_mul,
+    scaled_values,
+)
+from .tau import TauEvaluator, TimeVector, TimesLike, _miwa_taus
 from .triple import RankOneTriple
 from .verify import VerificationReport
 
@@ -80,23 +89,29 @@ class BASample:
 def _psi(tr: RankOneTriple, ts: List[TimeVector], zs, k: int) -> List[BASample]:
     """tau(t - k [1/z]) / tau(t) exp(k g(z)), z outer and t inner (ts nonempty,
     of one length); k = 1 gives psi, k = -1 its adjoint. One
-    :class:`TauEvaluator` holds every t; where tau(t) vanishes the sample
-    is a pole."""
+    :class:`TauEvaluator` holds every t and one shifted-determinant call
+    gives tau(t) and every shifted tau, as log-scale arrays; where tau(t)
+    vanishes the sample is a pole."""
     zs = [complex(z) for z in zs]
     if 0 in zs:
         raise ValueError("spectral parameter z must be nonzero")
     ev = TauEvaluator(tr, np.array([t.values for t in ts]))
-    bases, *rows = ev.shifted_dets([()] + [((z, k),) for z in zs])
-    out = []
-    for z, row in zip(zs, rows):
-        gauge = _miwa_gauge(tr.n, ((z, k),))
-        for t, base, shifted in zip(ts, bases, row):
-            if base.is_zero:
-                out.append(BASample.pole(t.entry(1), z))
-            else:
-                val = shifted / gauge / base * ScaledComplex.exp_of(k * t.g_scalar(z))
-                out.append(BASample(t.entry(1), z, val))
-    return out
+    lm, ph = _miwa_taus(ev, [()] + [((z, k),) for z in zs])
+    pole = lm[0] == -math.inf
+    # a zero tau(t) divides as 1 (no -inf - -inf); its samples are poles
+    base = (np.where(pole, 0.0, lm[0]), ph[0])
+    e_lm, e_ph = log_scale_exp(k * t.g_scalar(z) for z in zs for t in ts)
+    shape = (len(zs), len(ts))
+    values = log_scale_mul(
+        log_scale_div((lm[1:], ph[1:]), base), (e_lm.reshape(shape), e_ph.reshape(shape))
+    )
+    xs = [t.entry(1) for t in ts]
+    samples = iter(scaled_values(values))
+    return [
+        BASample.pole(x, z) if p else BASample(x, z, value)
+        for z in zs
+        for x, p, value in zip(xs, pole.tolist(), samples)
+    ]
 
 
 def _psi_point(tr: RankOneTriple, t: TimesLike, z: complex, k: int) -> BASample:
@@ -149,7 +164,10 @@ def polynomiality_check(
     DFT-conditioned basis (z / r)^k, and validated on 2N rotated nodes of
     the same circle; all 3N + 1 shifted taus come from one
     :meth:`~kp_rankone.tau.TauEvaluator.shifted_dets` call, which makes
-    one stacked solve. The residual is the largest validation mismatch
+    one stacked solve. q is formed at all nodes at once on the log scale:
+    the gauges and det(z I - B) (one product over the spectrum per node,
+    from one ``prod``) as arrays, then every node is scaled by the peak
+    |q| before the fit. The residual is the largest validation mismatch
     relative to the largest sampled |q|. Rank-one admissibility is what
     makes this hold; generic B of full support would need degree n(N-1).
     """
@@ -169,7 +187,7 @@ def polynomiality_check(
             continue
         sets = [((complex(z), -1),) for z in all_nodes]
         try:
-            rows = ev.shifted_dets(sets)
+            lm, ph = _miwa_taus(ev, sets)
         except SingularShiftError:
             r *= 1.3
             continue
@@ -177,22 +195,21 @@ def polynomiality_check(
     else:
         raise GeometryError("could not place interpolation nodes off the spectrum")
 
-    # q(z) = det(z I - B) tau(t + [1/z]), the char poly taken from the spectrum
-    q_vals = [
-        row[0] / _miwa_gauge(tr.n, shifts) * complex(np.prod(z - lam))
-        for row, shifts, z in zip(rows, sets, all_nodes)
-    ]
-    peak = max(q.log_magnitude for q in q_vals)
+    # q(z) = det(z I - B) tau(t + [1/z]) at every node at once, the char
+    # poly taken from the spectrum
+    q_lm, q_ph = log_scale_mul(
+        (lm[:, 0], ph[:, 0]), log_scale(np.prod(all_nodes[:, None] - lam, axis=1))
+    )
+    peak = max(q_lm.tolist())
     if peak == -math.inf:
         # the whole family vanishes; a zero function is trivially polynomial
         return VerificationReport.make("polynomiality", 0.0, tol, radius=r, degree=N)
-    scaled = np.array(
-        [
-            (q / ScaledComplex(peak, 0.0)).to_complex()
-            for q in q_vals
-        ],
-        dtype=np.complex128,
-    )
+    # q / e^peak, realized by the math module as ScaledComplex.to_complex does
+    scaled = np.zeros(len(sets), dtype=np.complex128)
+    for i, (m, p) in enumerate(zip((q_lm - peak).tolist(), q_ph.tolist())):
+        if m != -math.inf:
+            mag = math.exp(m)
+            scaled[i] = complex(mag * math.cos(p), mag * math.sin(p))
     V = (fit_nodes[:, None] / r) ** np.arange(N + 1)[None, :]
     coeffs = np.linalg.solve(V, scaled[: N + 1])
     Vc = (check_nodes[:, None] / r) ** np.arange(N + 1)[None, :]

@@ -440,7 +440,7 @@ def _cmd_verify_hbde(scenario: Scenario, args, out_dir: Path) -> int:
     for trial in range(trials):
         rng = np.random.default_rng(seed + trial)
         try:
-            c1, c2, c3 = verify.draw_lattice_parameters(rng, tr.B)
+            c1, c2, c3 = verify.draw_lattice_parameters(rng, tr)
         except GeometryError as exc:
             raise ScenarioError(str(exc)) from exc
         site = rng.integers(0, 2, size=3)

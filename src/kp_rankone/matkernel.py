@@ -8,7 +8,12 @@ finiteness-checks input at API boundaries.
 Determinants (and anything else that can outgrow doubles) are carried as
 :class:`ScaledComplex` values, which keep the natural log of the
 magnitude separate from the phase so products spanning thousands of
-orders of magnitude remain exact to relative rounding error.
+orders of magnitude remain exact to relative rounding error. Many such
+values at once travel as a *log-scale pair* of float arrays (log|w|,
+phase), log magnitude -inf for an exact zero: :func:`slogdet_scaled`
+makes them, :func:`log_scale_mul` and :func:`log_scale_div` combine
+them and :func:`scaled_values` turns them into ScaledComplex values.
+Each gives, entry by entry, the bits the ScaledComplex operation gives.
 
 Numerical backends, all in ``numpy``: the matrix exponential by scaling
 and squaring with a Pade core (:func:`_expm`; defective matrices are
@@ -38,11 +43,18 @@ __all__ = [
     "ScaledComplex",
     "as_cmatrix",
     "wrap_phase",
+    "log_scale",
+    "log_scale_exp",
+    "log_scale_mul",
+    "log_scale_div",
+    "scaled_values",
     "rel_difference",
     "residual_of_sum",
+    "residual_of_log_sum",
     "matexp",
     "expm_centered",
     "det_scaled",
+    "slogdet_scaled",
     "numerical_rank",
     "nullspace_rows",
     "spectral_norm",
@@ -83,7 +95,7 @@ def _as_square_stack(M, name: str) -> np.ndarray:
 def _finite_nonempty(arr: np.ndarray, name: str) -> np.ndarray:
     if arr.size == 0:
         raise DimensionError(f"{name} must be nonempty")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise DegenerateInputError(f"{name} contains non-finite entries")
     return arr
 
@@ -98,6 +110,32 @@ def wrap_phase(p: float) -> float:
     w = math.remainder(p, _TWO_PI)
     if w <= -math.pi:
         w += _TWO_PI
+    return w
+
+
+def _log_polar(w: complex) -> Tuple[float, float]:
+    """(log|w|, arg w) of a finite complex w, (-inf, 0.0) for zero."""
+    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+        raise ValueError("cannot represent a non-finite complex value")
+    if w == 0:
+        return -math.inf, 0.0
+    # atan2, not cmath.phase: the latter raises on a subnormal part
+    return math.log(abs(w)), wrap_phase(math.atan2(w.imag, w.real))
+
+
+def _exp_polar(w: complex) -> Tuple[float, float]:
+    """(log|e^w|, arg e^w) of a finite complex w."""
+    if not (math.isfinite(w.real) and math.isfinite(w.imag)):
+        raise ValueError("exponent must be finite")
+    return w.real, wrap_phase(w.imag)
+
+
+def _wrap_near(w: np.ndarray) -> np.ndarray:
+    """Wrap, in place, an array of phases in (-2 pi, 2 pi] to (-pi, pi], as
+    :func:`wrap_phase` does: one subtraction or addition of 2 pi suffices
+    there and is exact (Sterbenz)."""
+    np.subtract(w, _TWO_PI, out=w, where=w > math.pi)
+    np.add(w, _TWO_PI, out=w, where=w <= -math.pi)
     return w
 
 
@@ -116,13 +154,7 @@ class ScaledComplex:
 
     @classmethod
     def from_complex(cls, w) -> "ScaledComplex":
-        w = complex(w)
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            raise ValueError("cannot represent a non-finite complex value")
-        if w == 0:
-            return cls(-math.inf, 0.0)
-        # atan2, not cmath.phase: the latter raises on a subnormal part
-        return cls(math.log(abs(w)), wrap_phase(math.atan2(w.imag, w.real)))
+        return cls(*_log_polar(complex(w)))
 
     @classmethod
     def one(cls) -> "ScaledComplex":
@@ -131,10 +163,7 @@ class ScaledComplex:
     @classmethod
     def exp_of(cls, w) -> "ScaledComplex":
         """exp(w) for arbitrary complex w, without overflow."""
-        w = complex(w)
-        if not (math.isfinite(w.real) and math.isfinite(w.imag)):
-            raise ValueError("exponent must be finite")
-        return cls(w.real, wrap_phase(w.imag))
+        return cls(*_exp_polar(complex(w)))
 
     @property
     def is_zero(self) -> bool:
@@ -226,20 +255,75 @@ def residual_of_sum(terms: Iterable[ScaledComplex]) -> float:
     in which case a relative residual carries no information.
     """
     terms = list(terms)
-    if not terms:
+    return residual_of_log_sum([t.log_magnitude for t in terms], [t.phase for t in terms])
+
+
+def residual_of_log_sum(log_magnitudes: List[float], phases: List[float]) -> float:
+    """:func:`residual_of_sum` of the terms exp(log_magnitude + i phase),
+    given as two lists of floats (-inf for an exact zero)."""
+    if not log_magnitudes:
         raise ValueError("need at least one term")
-    peak = max(t.log_magnitude for t in terms)
+    peak = max(log_magnitudes)
     if peak < _LOG_TINY:
         raise IndeterminateScaleError(
             "all terms are below 1e-300 in magnitude; relative residual undefined"
         )
     acc = 0j
-    for t in terms:
-        if t.is_zero:
-            continue
-        r = math.exp(t.log_magnitude - peak)
-        acc += complex(r * math.cos(t.phase), r * math.sin(t.phase))
+    for lm, ph in zip(log_magnitudes, phases):
+        if lm == -math.inf:
+            continue  # an exact zero, whatever its phase
+        r = math.exp(lm - peak)
+        acc += complex(r * math.cos(ph), r * math.sin(ph))
     return abs(acc)
+
+
+# ---------------------------------------------------------------------------
+# log-scale pairs: many ScaledComplex values as two float arrays
+# ---------------------------------------------------------------------------
+#
+# A log-scale pair (log|w|, phase) holds, entry by entry, what a
+# ScaledComplex holds, and the functions below give the bits the
+# ScaledComplex operations give. Log magnitude -inf is an exact zero; its
+# phase means nothing inside the arithmetic (a product with a zero keeps
+# the other factor's phase) and reads as 0.0 wherever a value leaves the
+# pair (:func:`scaled_values`, :func:`residual_of_log_sum`).
+
+LogScale = Tuple[np.ndarray, np.ndarray]
+
+
+def log_scale(values: Iterable[complex]) -> LogScale:
+    """(log|w|, arg w) of each finite complex w, as
+    :meth:`ScaledComplex.from_complex` gives them."""
+    polar = [_log_polar(complex(w)) for w in values]
+    lm, ph = np.array(polar, dtype=np.float64).reshape(-1, 2).T
+    return lm, ph
+
+
+def log_scale_exp(exponents: Iterable[complex]) -> LogScale:
+    """exp(w) of each finite complex w, as :meth:`ScaledComplex.exp_of`
+    gives it."""
+    polar = [_exp_polar(complex(w)) for w in exponents]
+    lm, ph = np.array(polar, dtype=np.float64).reshape(-1, 2).T
+    return lm, ph
+
+
+def log_scale_mul(a: LogScale, b: LogScale) -> LogScale:
+    """Entrywise product of two log-scale pairs of arrays (broadcast)."""
+    return a[0] + b[0], _wrap_near(a[1] + b[1])
+
+
+def log_scale_div(a: LogScale, b: LogScale) -> LogScale:
+    """Entrywise quotient of two log-scale pairs of arrays (broadcast);
+    ``b`` must hold no exact zero."""
+    return a[0] - b[0], _wrap_near(a[1] - b[1])
+
+
+def scaled_values(a: LogScale) -> List[ScaledComplex]:
+    """The entries of a log-scale pair as ScaledComplex values, in C order."""
+    return [
+        ScaledComplex(lm, ph if lm != -math.inf else 0.0)
+        for lm, ph in zip(np.ravel(a[0]).tolist(), np.ravel(a[1]).tolist())
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -531,14 +615,21 @@ def expm_centered(M) -> Tuple[np.ndarray, Union[complex, np.ndarray]]:
 def det_scaled(M) -> Union[ScaledComplex, List[ScaledComplex]]:
     """Determinant as a ScaledComplex (LU based, safe for huge/tiny values);
     a stack (..., k, k) gives a list, one per slice in C order, from one ``slogdet``."""
+    out = scaled_values(slogdet_scaled(M))
+    return out[0] if np.ndim(M) == 2 else out
+
+
+def slogdet_scaled(M) -> LogScale:
+    """log|det| and phase of each slice of a stack (..., k, k), as a
+    log-scale pair of shape (...), from one ``slogdet``; an exactly
+    singular slice gives (-inf, 0.0)."""
     M = _as_square_stack(M, "determinant input")
     sign, logdet = np.linalg.slogdet(M)
-    out = [
-        ScaledComplex(-math.inf, 0.0) if s == 0
-        else ScaledComplex(float(ld), wrap_phase(float(np.angle(s))))
-        for s, ld in zip(np.ravel(sign), np.ravel(logdet))
-    ]
-    return out[0] if M.ndim == 2 else out
+    # arg(sign) in [-pi, pi], where wrap_phase moves only -pi; a singular
+    # slice has sign 0 and logdet -inf, and its phase arctan2(0, 0) is 0.0
+    phase = np.asarray(np.arctan2(sign.imag, sign.real))
+    np.add(phase, _TWO_PI, out=phase, where=phase <= -math.pi)
+    return logdet, phase
 
 
 def numerical_rank(M, tol: float = DEFAULT_RANK_TOL) -> int:

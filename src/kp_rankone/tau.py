@@ -17,13 +17,21 @@ the log scale. c I - B keeps exact input exact, which I - B/c does not.
 A lattice identity needs several shifted taus at one base time: six for
 the bilinear lattice check, 3N + 1 for the polynomiality check, one per
 spectral parameter for a wave function. :meth:`TauEvaluator.shifted_dets`
-takes them as a list of shift sets and answers in one call: each
-distinct c I - B is built once, the invertibility check runs once per
-distinct c (a norm certificate, |c| safely above ||B||_2, spares most of
-them an SVD), the sets advance through their factors in lockstep with
-stacked products and solves, and one ``slogdet`` covers every set and
-base time. Each set keeps its own factor order, so a value does not
-depend on the other sets of the call.
+takes them as a list of shift sets and answers in one call. A step plan,
+made in one pass over the sets, groups depth by depth the sets that
+multiply and the sets that solve, so each step is one stacked product or
+solve (on a slice of the stack when its sets are consecutive); the
+factors c I - B of every step come from one broadcast expression; the
+invertibility check runs once per distinct inverted c (a norm
+certificate, |c| safely above ||B||_2, spares most of them an SVD); and
+one ``slogdet`` covers every set and base time. Each set keeps its own
+factor order, so a value does not depend on the other sets of the call.
+
+The answer is a log-scale pair of (sets, P) float arrays, log|det| and
+phase (see :mod:`kp_rankone.matkernel`), which give bit for bit what the
+corresponding ScaledComplex arithmetic gives. The gauges, terms and
+residuals of the checks are formed on those arrays, and ScaledComplex
+values are made only where a public function returns one.
 
 Derivatives of log tau are exact. With M = A E C.T, E = exp(g(B)),
 every time derivative of M stays in closed form,
@@ -43,12 +51,13 @@ a stack of one; :func:`tau_grid` and :func:`u_field` take one stack per t1
 line, whose points differ only in the scalars t_i multiplying fixed powers
 of B, so a line costs one ``expm``, one ``slogdet`` and, for u, one ``solve``.
 
-The factor A exp(g(B)) is memoized on the triple, in one slot keyed by
-the exact (P, K) time array it was computed for: evaluators built one
-after another at the same base time (the checks of :mod:`kp_rankone.verify`
-and :mod:`kp_rankone.baker`, and :func:`tau`, :func:`tau_miwa`,
-:func:`tau_discrete` and :func:`log_tau_derivative`) share one
-exponential, and a hit returns exactly the arrays a miss would compute.
+The factor A exp(g(B)) of a single base time is memoized on the triple,
+in one slot keyed by the exact (1, K) time array it was computed for:
+evaluators built one after another at the same base time (the checks of
+:mod:`kp_rankone.verify` and :mod:`kp_rankone.baker`, and :func:`tau`,
+:func:`tau_miwa`, :func:`tau_discrete` and :func:`log_tau_derivative`)
+share one exponential, and a hit returns exactly the arrays a miss would
+compute. Stacks of several base times neither read nor replace the slot.
 The triple's arrays cannot be made writeable, so the slot cannot go stale.
 """
 
@@ -57,12 +66,24 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import PoleError, SingularShiftError
-from .matkernel import ScaledComplex, as_cmatrix, det_scaled, expm_centered
+from .matkernel import (
+    LogScale,
+    ScaledComplex,
+    as_cmatrix,
+    det_scaled,  # noqa: F401  (the benchmark's tracer wraps tau.det_scaled)
+    expm_centered,
+    log_scale_div,
+    log_scale_exp,
+    log_scale_mul,
+    scaled_values,
+    slogdet_scaled,
+)
 from .triple import RankOneTriple
 
 __all__ = [
@@ -102,7 +123,7 @@ class TimeVector:
         arr = np.atleast_1d(np.array(self.values, dtype=np.complex128))
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("times must form a nonempty 1-D sequence")
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ValueError("times must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -214,9 +235,9 @@ class MiwaShiftList:
         return MiwaShiftList(tuple((c, acc[c]) for c in order if acc[c] != 0))
 
 
-def _check_inverses(tr: RankOneTriple, factors: np.ndarray, cs: Sequence[complex]) -> None:
-    """Raise SingularShiftError unless each c I - B (``factors``, one per c
-    in ``cs``) is safely invertible.
+def _check_inverses(tr: RankOneTriple, cs: Sequence[complex]) -> None:
+    """Raise SingularShiftError unless c I - B is safely invertible for
+    each c in ``cs``.
 
     A norm certificate settles most c without an SVD of c I - B: where
     |c| - ||B||_2 > 1e-8 (|c| + ||B||_2), s_min(c I - B) >= |c| - ||B||_2
@@ -229,20 +250,38 @@ def _check_inverses(tr: RankOneTriple, factors: np.ndarray, cs: Sequence[complex
     if not cs:
         return
     norm_B = tr.norm_B
-    doubtful = [i for i, c in enumerate(cs) if not abs(c) - norm_B > 1e-8 * (abs(c) + norm_B)]
+    doubtful = [c for c in cs if not abs(c) - norm_B > 1e-8 * (abs(c) + norm_B)]
     if not doubtful:
         return
-    for i, s in zip(doubtful, np.linalg.svd(factors[doubtful], compute_uv=False)):
+    factors = np.asarray(doubtful, dtype=np.complex128)[:, None, None] * _identity(tr.N) - tr.B
+    for c, s in zip(doubtful, np.linalg.svd(factors, compute_uv=False)):
         if s[0] == 0.0 or s[-1] <= 1e-12 * s[0]:
             raise SingularShiftError(
-                f"shift parameter c = {cs[i]} lies in (or too close to) the "
+                f"shift parameter c = {c} lies in (or too close to) the "
                 "spectrum of B; the inverse factor does not exist"
             )
 
 
-def _miwa_gauge(n: int, shifts: Iterable[Tuple[complex, int]]) -> ScaledComplex:
-    """prod_j c_j^(k_j n), the scalar between a discrete and a Miwa tau."""
-    return ScaledComplex.exp_of(n * sum(k * cmath.log(c) for c, k in shifts if k))
+@lru_cache(maxsize=8)
+def _identity(N: int) -> np.ndarray:
+    """The read-only N x N complex identity."""
+    I = np.eye(N, dtype=np.complex128)
+    I.setflags(write=False)
+    return I
+
+
+def _miwa_taus(
+    ev: "TauEvaluator", shift_sets: Sequence[Iterable[Tuple[complex, int]]]
+) -> LogScale:
+    """Miwa taus, (sets, P): each discrete determinant of
+    :meth:`TauEvaluator.shifted_dets` over its gauge prod_j c_j^(k_j n),
+    whose exponent n sum_j k_j log c_j is summed per set in Python complex
+    arithmetic. The empty set has gauge 1 and keeps its bits."""
+    n = ev.triple.n
+    lm, ph = log_scale_exp(
+        n * sum(k * cmath.log(c) for c, k in shifts if k) for shifts in shift_sets
+    )
+    return log_scale_div(ev.shifted_dets(shift_sets), (lm[:, None], ph[:, None]))
 
 
 class TauEvaluator:
@@ -256,23 +295,28 @@ class TauEvaluator:
     the single-point methods read slice 0.
 
     The triple keeps the read-only ``mu`` and ``_left`` of its last
-    evaluator in a single slot, keyed by the dtype, shape and bytes of the
-    (P, K) time array. A new evaluator with the same key takes them from
-    there instead of exponentiating again, so every check at one base
-    time shares one exponential; any other times, even one ulp away or
-    padded with zeros, compute afresh and replace the slot.
+    single-point evaluator (P = 1) in one slot, keyed by the dtype, shape
+    and bytes of the (1, K) time array. A new single-point evaluator with
+    the same key takes them from there instead of exponentiating again, so
+    every check at one base time shares one exponential; any other times,
+    even one ulp away or padded with zeros, compute afresh and replace the
+    slot. A stack of P > 1 times (a grid line, a psi grid) neither reads
+    nor replaces the slot: it is rarely asked for twice, and its (P, n, N)
+    factor would stay alive with the triple.
     """
 
     def __init__(self, tr: RankOneTriple, t: Union[TimesLike, np.ndarray]):
         self.triple = tr
         stack = isinstance(t, np.ndarray) and t.ndim == 2
         times = t if stack else TimeVector.coerce(t).values[None, :]
-        key = (times.dtype.str, times.shape, times.tobytes())
-        memo = tr._base_factor
-        if memo is not None and memo[0] == key:
-            _, self.mu, self._left = memo
-            return
-        I = np.eye(tr.N, dtype=np.complex128)
+        single = len(times) == 1
+        if single:
+            key = (times.dtype.str, times.shape, times.tobytes())
+            memo = tr._base_factor
+            if memo is not None and memo[0] == key:
+                _, self.mu, self._left = memo
+                return
+        I = _identity(tr.N)
         G = np.zeros((len(times), tr.N, tr.N), dtype=np.complex128)
         for t_i in times.T[::-1]:
             G = tr.B @ (t_i[:, None, None] * I + G)
@@ -280,51 +324,61 @@ class TauEvaluator:
         self._left = tr.A @ E0
         self.mu.setflags(write=False)
         self._left.setflags(write=False)
-        object.__setattr__(tr, "_base_factor", (key, self.mu, self._left))
+        if single:
+            object.__setattr__(tr, "_base_factor", (key, self.mu, self._left))
 
-    def shifted_dets(
-        self, shift_sets: Sequence[Iterable[Tuple[complex, int]]]
-    ) -> List[List[ScaledComplex]]:
+    def shifted_dets(self, shift_sets: Sequence[Iterable[Tuple[complex, int]]]) -> LogScale:
         """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T) for each shift set
-        ((c_j, k_j), ...): one row per set, one value per base time.
+        ((c_j, k_j), ...), as a log-scale pair of (sets, P) float arrays:
+        log|det| with n mu folded in, and the phase in (-pi, pi]; an exact
+        zero has log magnitude -inf.
 
         Each set applies its factors to C.T in its own order, positive
         powers as products and negative ones as solves; k = 0 entries are
-        dropped. The sets advance in lockstep, so each step is one stacked
-        product and one stacked solve over the sets that take one there.
-        Each distinct c I - B is built once. If any set inverts it, it
-        passes :func:`_check_inverses` once: c with |c| - ||B||_2 >
-        1e-8 (|c| + ||B||_2) are cleared by that norm certificate (the
-        triple keeps ||B||_2), the rest by an SVD of c I - B. One product
-        with the left factor and one :func:`det_scaled` serve every set
-        and base time. Raises SingularShiftError if any inverted c I - B
-        fails the check.
+        dropped. One pass over the sets makes the step plan: for each
+        depth, the sets that multiply there and the sets that solve, each
+        with its c, so a step is one stacked product or one stacked solve.
+        The factors c I - B of all steps are built by one broadcast
+        expression. Every c that some set inverts passes
+        :func:`_check_inverses` once. One product with the left factor and
+        one ``slogdet`` serve every set and base time. Raises
+        SingularShiftError if an inverted c I - B fails the check.
         """
         tr = self.triple
-        sets = [[(c, k) for c, k in shifts if k] for shifts in shift_sets]
-        if not sets:
-            return []
-        cs = list(dict.fromkeys(c for shifts in sets for c, _ in shifts))
-        index = {c: i for i, c in enumerate(cs)}
-        factors = np.asarray(cs, dtype=np.complex128)[:, None, None] * np.eye(
-            tr.N, dtype=np.complex128
-        ) - tr.B
-        steps = [[(index[c], k > 0) for c, k in shifts for _ in range(abs(k))] for shifts in sets]
-        inverted = list(dict.fromkeys(i for ops in steps for i, forward in ops if not forward))
-        _check_inverses(tr, factors[inverted], [cs[i] for i in inverted])
-        rights = np.repeat(tr.C.T[None], len(sets), axis=0)
-        for j in range(max(map(len, steps))):
-            for forward in (True, False):
-                at = [s for s, ops in enumerate(steps) if len(ops) > j and ops[j][1] == forward]
-                if at:
-                    F = factors[[steps[s][j][0] for s in at]]
-                    rights[at] = F @ rights[at] if forward else np.linalg.solve(F, rights[at])
-        scale = [ScaledComplex.exp_of(tr.n * mu) for mu in self.mu]
-        dets = det_scaled(self._left[None] @ rights[:, None])
-        P = len(scale)
-        return [
-            [d * s for d, s in zip(dets[i * P : (i + 1) * P], scale)] for i in range(len(sets))
-        ]
+        count = len(shift_sets)
+        if not count:
+            return np.empty((0, len(self.mu))), np.empty((0, len(self.mu)))
+        plan: dict = {}  # (depth, solve) -> (sets, their c)
+        inverted: dict = {}  # the c some set solves with, in order
+        for s, shifts in enumerate(shift_sets):
+            depth = 0
+            for c, k in shifts:
+                if k:
+                    if k < 0:
+                        inverted[c] = None
+                    for _ in range(abs(k)):
+                        at, cs = plan.setdefault((depth, k < 0), ([], []))
+                        at.append(s)
+                        cs.append(c)
+                        depth += 1
+        _check_inverses(tr, list(inverted))
+        rights = np.repeat(tr.C.T[None], count, axis=0)
+        # by depth, products before solves
+        steps = sorted(plan)
+        if steps:
+            cs = [c for step in steps for c in plan[step][1]]
+            factors = np.asarray(cs, dtype=np.complex128)[:, None, None] * _identity(tr.N) - tr.B
+        start = 0
+        for step in steps:
+            at = plan[step][0]
+            F = factors[start : start + len(at)]
+            start += len(at)
+            # consecutive sets (all of them, often) are a slice, not a gather
+            if at[-1] - at[0] + 1 == len(at):
+                at = slice(at[0], at[-1] + 1)
+            rights[at] = np.linalg.solve(F, rights[at]) if step[1] else F @ rights[at]
+        dets = slogdet_scaled(self._left[None] @ rights[:, None])
+        return log_scale_mul(dets, log_scale_exp(tr.n * self.mu))
 
     def jets(self, wanted: List[Tuple[int, int, int]]) -> Tuple[np.ndarray, np.ndarray]:
         """log|tau| (P,) and derivatives of log tau (P, len(wanted)), one per
@@ -342,19 +396,20 @@ class TauEvaluator:
         return np.where(regular, logdet + n * self.mu.real, -math.inf), derivs
 
     def tau(self) -> ScaledComplex:
-        return self.shifted_dets([()])[0][0]
+        return scaled_values(self.shifted_dets([()]))[0]
 
     def tau_miwa(self, shifts: ShiftsLike) -> ScaledComplex:
         """The discrete determinant over its gauge prod_j c_j^(k_j n)."""
-        shifts = MiwaShiftList.coerce(shifts).shifts
-        return self.shifted_dets([shifts])[0][0] / _miwa_gauge(self.triple.n, shifts)
+        return scaled_values(_miwa_taus(self, [MiwaShiftList.coerce(shifts).shifts]))[0]
 
     def tau_discrete(
         self, l: int, m: int, n_index: int, c1: complex, c2: complex, c3: complex
     ) -> ScaledComplex:
-        return self.shifted_dets(
-            [((complex(c1), int(l)), (complex(c2), int(m)), (complex(c3), int(n_index)))]
-        )[0][0]
+        return scaled_values(
+            self.shifted_dets(
+                [((complex(c1), int(l)), (complex(c2), int(m)), (complex(c3), int(n_index)))]
+            )
+        )[0]
 
     def log_derivatives(self, orders_list: Iterable[Sequence[int]]) -> List[complex]:
         """Partial derivatives of log tau at the base time, one per multi-index.
@@ -542,10 +597,13 @@ def tau_grid(
     """tau over a grid, as ((t1, t2, t3), value) pairs in :func:`u_field` order.
 
     Each t1 line is one :class:`TauEvaluator` stack: one ``expm`` and one
-    ``slogdet`` call.
+    ``slogdet`` call. An exact zero of tau is the scaled zero (log
+    magnitude -inf).
     """
     coords, lines = _grid_times(t1_values, t2_values, t3_values, base)
-    values = [v for times in lines for v in TauEvaluator(tr, times).shifted_dets([()])[0]]
+    values = [
+        v for times in lines for v in scaled_values(TauEvaluator(tr, times).shifted_dets([()]))
+    ]
     return list(zip(coords, values))
 
 

@@ -55,8 +55,8 @@ class RankOneTriple:
     anyone make writeable again, so whatever is derived from them once
     stays valid: ||B||_2 and the eigenvalues of B are computed on first
     use and kept, and :class:`~kp_rankone.tau.TauEvaluator` keeps the
-    factor A exp(g(B)) of the last base time in ``_base_factor``. Copies
-    and pickles are rebuilt through the constructor and start empty.
+    factor A exp(g(B)) of the last single base time in ``_base_factor``.
+    Copies and pickles are rebuilt through the constructor and start empty.
 
     Use :func:`validate_triple` (or :func:`make_triple`) for the
     admissibility test itself.
@@ -65,7 +65,7 @@ class RankOneTriple:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    #: (key, mu, A exp(g(B) - mu I)) of the last base times, or None
+    #: (key, mu, A exp(g(B) - mu I)) of the last single base time, or None
     _base_factor: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False
     )

@@ -33,12 +33,14 @@ from .matkernel import (
     as_cmatrix,
     det_scaled,
     matexp,
+    log_scale,
+    log_scale_mul,
     numerical_rank,
     rel_difference,
-    residual_of_sum,
+    residual_of_log_sum,
     ScaledComplex,
 )
-from .tau import TauEvaluator, TimeVector, TimesLike, _miwa_gauge, tau
+from .tau import TauEvaluator, TimeVector, TimesLike, _miwa_taus, tau
 from .triple import RankOneTriple
 
 __all__ = [
@@ -93,12 +95,14 @@ class VerificationReport:
 def draw_lattice_parameters(rng: np.random.Generator, B) -> List[complex]:
     """Three distinct lattice parameters for :func:`hbde_residual`, reproducibly.
 
+    ``B`` is a square matrix or a :class:`RankOneTriple`, whose kept
+    eigenvalues of B are used (no eigendecomposition per draw).
     Candidates c = (1 + 2 u) e^{2 pi i v}, with u, v two successive
     ``rng.random()`` draws, so 1 <= |c| <= 3; a candidate is kept when it
     lies at least 0.3 from every eigenvalue of B and 0.2 from every kept
     one. Raises GeometryError after 1000 candidates.
     """
-    lam = np.linalg.eigvals(B)
+    lam = B.eigvals_B if isinstance(B, RankOneTriple) else np.linalg.eigvals(B)
     out: List[complex] = []
     for _ in range(1000):
         c = complex((1.0 + 2.0 * rng.random()) * np.exp(2j * np.pi * rng.random()))
@@ -139,7 +143,8 @@ def hbde_residual(
     vanishes identically for admissible triples. The report carries
     |sum| / max term magnitude, evaluated on the log scale. The six
     shifted taus come from one :meth:`TauEvaluator.shifted_dets` call,
-    and checks at one base time share its exponential.
+    and checks at one base time share its exponential; their gauges, the
+    three terms and the residual are formed on log-scale arrays.
     """
     c1, c2, c3 = complex(c1), complex(c2), complex(c3)
     l, m, n_index = int(l), int(m), int(n_index)
@@ -150,23 +155,18 @@ def hbde_residual(
     if not all(map(cmath.isfinite, (c1, c2, c3))):
         raise ValueError("shift parameter c must be finite")
     sets = [((c1, l + a), (c2, m + b), (c3, n_index + d)) for a, b, d in _HBDE_SITES]
-    T = [
-        row[0] / _miwa_gauge(tr.n, shifts)
-        for row, shifts in zip(TauEvaluator(tr, t).shifted_dets(sets), sets)
-    ]
-    terms = [
-        T[0] * T[1] * (c2 - c3),
-        T[2] * T[3] * (-(c1 - c3)),
-        T[4] * T[5] * (c1 - c2),
-    ]
-    residual = residual_of_sum(terms)
+    lm, ph = _miwa_taus(TauEvaluator(tr, t), sets)
+    # T0 T1 (c2 - c3), T2 T3 (-(c1 - c3)), T4 T5 (c1 - c2)
+    pairs = log_scale_mul((lm[0::2, 0], ph[0::2, 0]), (lm[1::2, 0], ph[1::2, 0]))
+    terms = log_scale_mul(pairs, log_scale([c2 - c3, -(c1 - c3), c1 - c2]))
+    term_lm, term_ph = terms[0].tolist(), terms[1].tolist()
     return VerificationReport.make(
         "hbde",
-        residual,
+        residual_of_log_sum(term_lm, term_ph),
         tol,
         c=[c1, c2, c3],
         site=[l, m, n_index],
-        term_log_magnitudes=[x.log_magnitude for x in terms],
+        term_log_magnitudes=term_lm,
     )
 
 

@@ -322,6 +322,17 @@ def test_verify_hbde_report_shape(tmp_path):
         assert rep["residual"] <= rep["tolerance"]
 
 
+def test_verify_hbde_takes_one_eigendecomposition(tmp_path, monkeypatch):
+    # the 20 default trials draw their lattice parameters from eig(B) of one triple
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(1) or eigvals(M))
+    rc = main(["verify-hbde", str(SCENARIOS / "general_block.json"), "--out", str(tmp_path)])
+    assert rc == 0
+    assert len(json.loads((tmp_path / "verify-hbde.json").read_text())["reports"]) == 20
+    assert len(calls) <= 1
+
+
 @pytest.mark.parametrize("command", ["verify-hbde", "verify-kp", "verify-h3"])
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_nonpositive_trials_exits_2(tmp_path, capsys, command, trials):

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kp_rankone import matkernel
 from kp_rankone.errors import (
     DegenerateInputError,
     DimensionError,
@@ -29,11 +30,18 @@ from kp_rankone.matkernel import (
     det_scaled,
     eig,
     expm_centered,
+    log_scale,
+    log_scale_div,
+    log_scale_exp,
+    log_scale_mul,
     matexp,
     nullspace_rows,
     numerical_rank,
     rel_difference,
+    residual_of_log_sum,
     residual_of_sum,
+    scaled_values,
+    slogdet_scaled,
     spectral_norm,
     wrap_phase,
 )
@@ -152,6 +160,66 @@ def test_product_property(a, b):
 @given(st.floats(min_value=-50, max_value=50, allow_nan=False))
 def test_phase_stays_wrapped(p):
     assert -math.pi < wrap_phase(p) <= math.pi
+
+
+def _bits(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def test_wrap_near_matches_wrap_phase_bit_for_bit():
+    # sums and differences of two wrapped phases lie in (-2 pi, 2 pi]
+    rng = np.random.default_rng(31)
+    edges = []
+    for base in (0.0, math.pi, 2 * math.pi):
+        for direction in (math.inf, -math.inf):
+            x = base
+            for _ in range(4):
+                if x <= 2 * math.pi:
+                    edges += [x, -x] if x < 2 * math.pi else [x]
+                x = float(np.nextafter(x, direction))
+    p = np.concatenate(
+        [
+            rng.uniform(-2 * math.pi, 2 * math.pi, 4000),
+            rng.standard_normal(500) * 1e-300,
+            np.array(edges + [0.0, -0.0, 5e-324, -5e-324]),
+        ]
+    )
+    want = np.array([wrap_phase(x) for x in p.tolist()])
+    assert np.array_equal(_bits(matkernel._wrap_near(p.copy())), _bits(want))
+
+
+def test_log_scale_pairs_match_scaled_complex_bit_for_bit():
+    rng = np.random.default_rng(32)
+    w = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    v = np.exp(rng.uniform(-3, 3, 300)) * np.exp(1j * rng.uniform(-3.2, 3.2, 300))
+    w[:3] = [-1.0 - 0.0j, -1.0 + 0.0j, 0.0]
+    a, b = log_scale(w), log_scale(v)
+    sa = [ScaledComplex.from_complex(x) for x in w]
+    sb = [ScaledComplex.from_complex(x) for x in v]
+    assert scaled_values(a) == sa
+    assert scaled_values(log_scale_mul(a, b)) == [x * y for x, y in zip(sa, sb)]
+    assert scaled_values(log_scale_div(a, b)) == [x / y for x, y in zip(sa, sb)]
+    for got, want in zip(scaled_values(log_scale_mul(a, b)), [x * y for x, y in zip(sa, sb)]):
+        assert _bits([got.log_magnitude, got.phase]).tolist() == _bits(
+            [want.log_magnitude, want.phase]
+        ).tolist()
+    e = 40.0 * w
+    assert scaled_values(log_scale_exp(e)) == [ScaledComplex.exp_of(x) for x in e]
+    with pytest.raises(ValueError):
+        log_scale_exp([complex(math.inf, 0.0)])
+    lm, ph = a
+    assert residual_of_log_sum(lm.tolist(), ph.tolist()) == residual_of_sum(sa)
+
+
+def test_slogdet_scaled_is_det_scaled_of_each_slice():
+    rng = np.random.default_rng(33)
+    M = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
+    M[1] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]  # exactly singular
+    M[2] = -np.eye(3)  # det -1: phase pi, never -pi
+    got = scaled_values(slogdet_scaled(M))
+    assert got == [det_scaled(m) for m in M]
+    assert got[1] == ScaledComplex(-math.inf, 0.0)
+    assert got[2].phase == math.pi
 
 
 def test_scalar_mixing():

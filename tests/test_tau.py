@@ -6,13 +6,14 @@ them to near machine precision.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import discrete_tau_by_eigenbasis, u_by_eigenbasis
 from kp_rankone import matkernel
-from kp_rankone.baker import polynomiality_check, psi_dual, psi_time
+from kp_rankone.baker import polynomiality_check, psi_dual, psi_grid, psi_time
 from kp_rankone.cases import (
     CalogeroMoserData,
     KdVPairData,
@@ -22,7 +23,7 @@ from kp_rankone.cases import (
     random_kdv_pair,
 )
 from kp_rankone.errors import DimensionError, PoleError, SingularShiftError
-from kp_rankone.matkernel import ScaledComplex, rel_difference, wrap_phase
+from kp_rankone.matkernel import ScaledComplex, rel_difference, scaled_values, wrap_phase
 from kp_rankone.tau import (
     MiwaShiftList,
     TauEvaluator,
@@ -233,6 +234,11 @@ def _svd_shapes(monkeypatch) -> list:
     return shapes
 
 
+def _rows(dets) -> list:
+    """The (sets, P) log-scale pair of shifted_dets as rows of ScaledComplex."""
+    return [scaled_values(row) for row in zip(*dets)]
+
+
 def test_shifted_dets_stack_matches_eigenbasis_oracle():
     tr = random_admissible(3, 8, seed=4)
     times = np.array([[0.3, -0.1, 0.05], [-0.4 + 0.2j, 0.2, 0.0], [0.1, 0.0, -0.2j]])
@@ -244,8 +250,9 @@ def test_shifted_dets_stack_matches_eigenbasis_oracle():
         ((c1, 1), (c1, -2), (c2, 1)),
         ((c2, -2), (c1, 0)),
     ]
-    rows = TauEvaluator(tr, times).shifted_dets(sets)
-    assert [len(row) for row in rows] == [len(times)] * len(sets)
+    dets = TauEvaluator(tr, times).shifted_dets(sets)
+    assert dets[0].shape == dets[1].shape == (len(sets), len(times))
+    rows = _rows(dets)
     for shifts, row in zip(sets, rows):
         for t, got in zip(times, row):
             want = discrete_tau_by_eigenbasis(tr, TimeVector(t), shifts)
@@ -259,7 +266,7 @@ def test_inverse_guard_norm_certificate_skips_shift_svd(monkeypatch):
     c, other = 2.5 * np.exp(0.7j), -1.9 + 0.2j
     sets = [((c, -1),), ((c, -2), (other, 1))]
     shapes = _svd_shapes(monkeypatch)
-    rows = TauEvaluator(tr, TimeVector([0.2, -0.1])).shifted_dets(sets)
+    rows = _rows(TauEvaluator(tr, TimeVector([0.2, -0.1])).shifted_dets(sets))
     assert shapes == [(tr.N, tr.N)]
     for shifts, row in zip(sets, rows):
         want = discrete_tau_by_eigenbasis(tr, TimeVector([0.2, -0.1]), shifts)
@@ -277,7 +284,7 @@ def test_inverse_guard_svd_branch_jordan_block(monkeypatch):
     # k = 2 at x = 0.3
     tr = make_triple([[1.0, 1.0]], [[0.0, 100.0], [0.0, 0.0]], [[1.0, 1.0]])
     shapes = _svd_shapes(monkeypatch)
-    rows = TauEvaluator(tr, TimeVector([0.3])).shifted_dets([((2.0, -1),), ((2.0, -2),)])
+    rows = _rows(TauEvaluator(tr, TimeVector([0.3])).shifted_dets([((2.0, -1),), ((2.0, -2),)]))
     assert shapes == [(2, 2), (1, 2, 2)]
     assert abs(rows[0][0].to_complex() - 41.0) <= 1e-13 * 41.0
     assert abs(rows[1][0].to_complex() - 33.0) <= 1e-13 * 33.0
@@ -293,7 +300,7 @@ def test_inverse_guard_rejects_shift_next_to_eigenvalue():
     with pytest.raises(SingularShiftError):
         ev.shifted_dets([(), ((2.5, -1),), ((c, 1), (c, -1))])
     # a positive power needs no inverse and stays allowed
-    assert not ev.shifted_dets([((c, 1),)])[0][0].is_zero
+    assert not _rows(ev.shifted_dets([((c, 1),)]))[0][0].is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -365,8 +372,26 @@ def test_memo_hit_is_bit_identical_to_a_miss():
     assert hit._left.tobytes() == miss._left.tobytes()
     assert hit.mu.tobytes() == miss.mu.tobytes()
     sets = [(), ((2.0, 1), (-2.5, -1))]
-    assert hit.shifted_dets(sets) == miss.shifted_dets(sets)
+    for a, b in zip(hit.shifted_dets(sets), miss.shifted_dets(sets)):
+        assert a.tobytes() == b.tobytes()
     assert np.array_equal(hit.jets([(2, 0, 0)])[1], miss.jets([(2, 0, 0)])[1])
+
+
+def test_grid_stacks_leave_the_single_point_memo_alone(monkeypatch):
+    # a stack of P > 1 times neither reads nor replaces the slot, so a check
+    # at the memoized time after a grid takes no exponential
+    tr = random_admissible(2, 6, seed=15)
+    t = TimeVector([0.2, -0.1, 0.05])
+    tau(tr, t)
+    memo = tr._base_factor
+    calls = _expm_calls(monkeypatch)
+    u_field(tr, np.linspace(-1.0, 1.0, 9), base=t)
+    tau_grid(tr, [0.2, 0.3], base=t)
+    psi_grid(tr, [0.2, 0.3], [2.5])
+    assert tr._base_factor is memo and len(calls) == 3
+    assert kp_residual(tr, t).passed
+    assert hbde_residual(tr, t, 2.0, -2.5j, 3.0 + 1j).passed
+    assert len(calls) == 3
 
 
 def test_memo_arrays_are_read_only():
@@ -378,6 +403,29 @@ def test_memo_arrays_are_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0.0
+
+
+def test_exact_zero_of_tau_through_the_log_scale_arrays():
+    # Wilson point: tau = t1 + 3 vanishes exactly at t1 = -3, where the
+    # shifted-determinant arrays carry log magnitude -inf
+    tr = from_calogero_moser(CalogeroMoserData([[3.0]], [[0.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert tau(tr, TimeVector([-3.0])) == ScaledComplex(-math.inf, 0.0)
+        grid = tau_grid(tr, [-4.0, -3.0, -2.0])
+        assert [v for _, v in grid] == [
+            ScaledComplex(0.0, math.pi),
+            ScaledComplex(-math.inf, 0.0),
+            ScaledComplex(0.0, 0.0),
+        ]
+        with pytest.raises(PoleError):
+            psi_time(tr, TimeVector([-3.0]), 2.0)
+        samples = psi_grid(tr, [-3.0, -2.0], [2.0, 1.0 + 1.0j])
+        assert [s.is_pole for s in samples] == [True, False, True, False]
+        for s in samples[1::2]:
+            # psi = e^(x z) (1 - 1 / (z (x + 3))) away from the zero
+            want = np.exp(s.x * s.z) * (1.0 - 1.0 / (s.z * (s.x + 3.0)))
+            assert abs(s.as_complex - want) <= 1e-14 * abs(want)
 
 
 # ---------------------------------------------------------------------------

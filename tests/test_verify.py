@@ -15,12 +15,14 @@ from kp_rankone.cases import (
     random_kdv_pair,
 )
 from kp_rankone.errors import DegenerateSpectrumError, InadmissibleTripleError
-from kp_rankone.tau import TimeVector
+from kp_rankone.matkernel import residual_of_sum
+from kp_rankone.tau import TimeVector, tau_miwa
 from kp_rankone.triple import RankOneTriple, make_triple, random_admissible
 from kp_rankone.verify import (
     DEFAULT_KP_TOL,
     VerificationReport,
     bethe_check,
+    draw_lattice_parameters,
     crosscheck_intertwining,
     crosscheck_wilson,
     h3_residual,
@@ -69,6 +71,34 @@ def test_hbde_random_triples(seed):
     rep = hbde_residual(tr, t, 1.8, 2.2 + 0.7j, -2.4, l=seed % 2, m=(seed // 2) % 2)
     assert rep.passed, rep
     assert rep.residual < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hbde_log_scale_arrays_match_scaled_complex_reference(seed):
+    # the residual formed on log-scale arrays is bit for bit the one that
+    # ScaledComplex arithmetic gives from the same six Miwa taus
+    tr = random_admissible(1 + seed, 4 + 2 * seed, seed=40 + seed)
+    t = TimeVector([0.3 - 0.1j, 0.2, -0.05])
+    c1, c2, c3 = draw_lattice_parameters(np.random.default_rng(seed), tr)
+    l, m, n = [(1, -1, 0), (0, 1, 1), (-1, 0, -1), (1, 1, 1)][seed]
+    rep = hbde_residual(tr, t, c1, c2, c3, l=l, m=m, n_index=n)
+    offsets = ((1, 0, 0), (0, 1, 1), (0, 1, 0), (1, 0, 1), (0, 0, 1), (1, 1, 0))
+    T = [tau_miwa(tr, ((c1, l + a), (c2, m + b), (c3, n + d)), t) for a, b, d in offsets]
+    terms = [T[0] * T[1] * (c2 - c3), T[2] * T[3] * (-(c1 - c3)), T[4] * T[5] * (c1 - c2)]
+    assert rep.residual == residual_of_sum(terms)
+    assert rep.context["term_log_magnitudes"] == [x.log_magnitude for x in terms]
+
+
+def test_lattice_draw_reads_the_triples_eigenvalues(monkeypatch):
+    # a triple gives the same draws as its matrix B, from the kept eigenvalues
+    tr = random_admissible(3, 8, seed=9)
+    want = [draw_lattice_parameters(np.random.default_rng(s), tr.B) for s in range(20)]
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(1) or eigvals(M))
+    got = [draw_lattice_parameters(np.random.default_rng(s), tr) for s in range(20)]
+    assert got == want
+    assert len(calls) == 1
 
 
 def test_hbde_rejects_coincident_parameters():
