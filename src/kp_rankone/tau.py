@@ -47,9 +47,26 @@ one exponential and one linear solve serve every requested order (see
 One :class:`TauEvaluator` holds a stack of P base times, with g(B) formed
 by Horner on a (P, N, N) stack and one ``expm`` call; its two methods, the
 shifted determinant and the jets, serve the whole stack. A single point is
-a stack of one; :func:`tau_grid` and :func:`u_field` take one stack per t1
-line, whose points differ only in the scalars t_i multiplying fixed powers
-of B, so a line costs one ``expm``, one ``slogdet`` and, for u, one ``solve``.
+a stack of one; :func:`tau_grid` takes one such direct stack per t1 line,
+so a line costs one ``expm`` of P slices and one ``slogdet``.
+
+:func:`u_field` uses that t1 is the flow of B itself: exp(g(B)) at t1 + j h
+is exp(g(B)) exp(j h B). A line of P >= 4 points in arithmetic
+progression, step h, is cut into blocks of s = ceil(sqrt(P)) points; the
+anchor centred in each block gets its own exponential, and the other
+points take their anchor's factor times an offset exp(j h B), |j| <= s/2.
+The offsets depend only on h and B, so all lines of a 2-D or 3-D grid
+share them, and one ``expm`` call serves the whole grid: anchors plus
+s - 1 offsets, 12 slices instead of 41 for a 41-point line (a grid whose
+anchors exceed ``_ANCHOR_ENTRIES`` takes one call per group of lines, so
+its memory stays bounded). A stepped
+point is evaluated at t1_anchor + j h, within 8 eps max|t1| of its
+requested t1 (the test that admits a line); anchors keep the bits of the
+direct stack, and other lines stay direct. :func:`tau_grid` and
+:func:`~kp_rankone.baker.psi_grid` stay direct too: a stepped tau where
+tau vanishes exactly (the Wilson point at t1 = -3) is a rounding-size
+number instead of the exact zero that the tau grid flags, while u flags
+any |tau| below ``POLE_REL_THRESHOLD`` times the grid maximum.
 
 The factor A exp(g(B)) of a single base time is memoized on the triple,
 in one slot keyed by the exact (1, K) time array it was computed for:
@@ -67,11 +84,11 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import PoleError, SingularShiftError
+from .errors import PoleError, RangeError, SingularShiftError
 from .matkernel import (
     LogScale,
     ScaledComplex,
@@ -262,6 +279,16 @@ def _check_inverses(tr: RankOneTriple, cs: Sequence[complex]) -> None:
             )
 
 
+def _exponents(tr: RankOneTriple, times: np.ndarray) -> np.ndarray:
+    """g(B) for each row of a time array (P, K), by Horner on a (P, N, N)
+    stack; each slice is bit for bit what it gives in any other stack."""
+    I = _identity(tr.N)
+    G = np.zeros((len(times), tr.N, tr.N), dtype=np.complex128)
+    for t_i in times.T[::-1]:
+        G = tr.B @ (t_i[:, None, None] * I + G)
+    return G
+
+
 @lru_cache(maxsize=8)
 def _identity(N: int) -> np.ndarray:
     """The read-only N x N complex identity."""
@@ -316,16 +343,20 @@ class TauEvaluator:
             if memo is not None and memo[0] == key:
                 _, self.mu, self._left = memo
                 return
-        I = _identity(tr.N)
-        G = np.zeros((len(times), tr.N, tr.N), dtype=np.complex128)
-        for t_i in times.T[::-1]:
-            G = tr.B @ (t_i[:, None, None] * I + G)
-        E0, self.mu = expm_centered(G)
+        E0, self.mu = expm_centered(_exponents(tr, times))
         self._left = tr.A @ E0
         self.mu.setflags(write=False)
         self._left.setflags(write=False)
         if single:
             object.__setattr__(tr, "_base_factor", (key, self.mu, self._left))
+
+    @classmethod
+    def _of_factor(cls, tr: RankOneTriple, mu: np.ndarray, left: np.ndarray) -> "TauEvaluator":
+        """An evaluator over a left factor A exp(g(B) - mu I) (P, n, N) and
+        its mu (P,) formed elsewhere; the triple's memo is not touched."""
+        ev = cls.__new__(cls)
+        ev.triple, ev.mu, ev._left = tr, mu, left
+        return ev
 
     def shifted_dets(self, shift_sets: Sequence[Iterable[Tuple[complex, int]]]) -> LogScale:
         """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T) for each shift set
@@ -607,6 +638,82 @@ def tau_grid(
     return list(zip(coords, values))
 
 
+_EPS = float(np.finfo(float).eps)
+#: a stepped u grid exponentiates anchors of at most this many matrix
+#: entries (slices times N^2) in one call: one call for all but large 3-D
+#: grids, whose memory this bounds
+_ANCHOR_ENTRIES = 1 << 16
+
+
+def _t1_step(t1: np.ndarray) -> Optional[float]:
+    """The step h of a t1 line (P,) that is stepped from anchors, or None
+    where the line keeps the direct stack: P < 4, or some t1_k further than
+    8 eps max|t1| from t1_0 + k h, h = (t1_(P-1) - t1_0) / (P - 1)."""
+    P = len(t1)
+    if P < 4:
+        return None
+    h = (t1[-1] - t1[0]) / (P - 1)
+    drift = np.abs(t1 - (t1[0] + h * np.arange(P))).max()
+    return h if drift <= 8 * _EPS * np.abs(t1).max() else None
+
+
+def _anchor_layout(P: int) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """The anchors of a stepped line of P points, as (s, anchors, block, slot).
+
+    With s = ceil(sqrt(P)) and half = floor(s / 2), block b holds the points
+    b s .. b s + s - 1 and its anchor is the point b s + half, or the last
+    point where that lies past the end (only a short last block can have
+    it so). ``block`` is the block of each point and ``slot`` its offset j
+    from the block's anchor plus half, an index into the offsets
+    -half .. s - 1 - half.
+    """
+    s = math.isqrt(P - 1) + 1
+    k = np.arange(P)
+    anchors = np.minimum(np.arange(0, P, s) + s // 2, P - 1)
+    block = k // s
+    return s, anchors, block, k - anchors[block] + s // 2
+
+
+def _u_line_evaluators(tr: RankOneTriple, lines: List[np.ndarray]) -> Iterator[TauEvaluator]:
+    """One evaluator per t1 line of a grid, whose lines share their t1
+    values, made as they are consumed: stepped from anchors where those
+    have a step (see the module docstring), else one direct stack per
+    line. The offsets exp(j h B), j != 0, are g(B) of the times (j h, 0,
+    ...) and go into the anchors' ``expm_centered`` call, each slice
+    centred on its own mu, so a stepped point gets mu_anchor + mu_j. That
+    is one call per grid, or per group of lines whose anchors fill
+    ``_ANCHOR_ENTRIES``. Raises RangeError where a stepped left factor is
+    not finite.
+    """
+    h = _t1_step(lines[0][:, 0].real)
+    if h is None:
+        yield from (TauEvaluator(tr, times) for times in lines)
+        return
+    s, anchors, block, slot = _anchor_layout(len(lines[0]))
+    half = s // 2
+    steps = np.zeros((s - 1, lines[0].shape[1]), dtype=np.complex128)
+    steps[:, 0] = np.r_[-half:0, 1 : s - half] * h
+    per_call = max(_ANCHOR_ENTRIES // (len(anchors) * tr.N**2), 1)
+    for first in range(0, len(lines), per_call):
+        group = lines[first : first + per_call]
+        rows = [times[anchors] for times in group]
+        if not first:
+            rows.append(steps)
+        E0, mu = expm_centered(_exponents(tr, np.concatenate(rows)))
+        m = len(group) * len(anchors)
+        if not first:
+            S = np.concatenate([E0[m : m + half], _identity(tr.N)[None], E0[m + half :]])
+            mu_S = np.concatenate([mu[m : m + half], [0.0], mu[m + half :]])
+        AE = (tr.A @ E0[:m]).reshape(len(group), len(anchors), tr.n, tr.N)
+        for AE_line, mu_line in zip(AE, mu[:m].reshape(len(group), len(anchors))):
+            left = AE_line[:, None] @ S
+            left[:, half] = AE_line
+            left = left[block, slot]
+            if not np.isfinite(left).all():
+                raise RangeError("a stepped left factor A exp(g(B) - mu I) overflows double precision")
+            yield TauEvaluator._of_factor(tr, mu_line[block] + mu_S[slot], left)
+
+
 def u_field(
     tr: RankOneTriple,
     t1_values: Sequence[float],
@@ -619,14 +726,23 @@ def u_field(
     Grid coordinates overwrite t_1 (and t_2, t_3 when given) of ``base``.
     Each t1 line is one :class:`TauEvaluator` stack whose
     :meth:`~TauEvaluator.jets` give |tau| and u = 2 (tr X_2 - tr X_1^2).
+    The whole grid takes one exponential call (one per group of lines on
+    large 3-D grids) where the t1 values are an arithmetic progression of
+    P >= 4 points: every ceil(sqrt(P))-th point of a line is an anchor
+    with its own exponential, and the other points step from their anchor
+    by offsets exp(j h B) that all lines share (see the module docstring).
+    A stepped point is evaluated at t1_anchor + j h, within 8 eps max|t1|
+    of its reported t1; anchors are bit for bit the direct stack. Other t1
+    values give one direct stack per line.
     Samples where |tau| falls below ``POLE_REL_THRESHOLD`` times the grid
     maximum, M is exactly singular or u is not finite are poles with value
-    nan. An empty grid gives an empty list.
+    nan. An empty grid gives an empty list. Raises RangeError where a left
+    factor overflows.
     """
     coords, lines = _grid_times(t1_values, t2_values, t3_values, base)
     if not coords:
         return []
-    jets = [TauEvaluator(tr, times).jets([(2, 0, 0)]) for times in lines]
+    jets = [ev.jets([(2, 0, 0)]) for ev in _u_line_evaluators(tr, lines)]
     log_mag = np.concatenate([m for m, _ in jets])
     u = 2.0 * np.concatenate([d[:, 0] for _, d in jets])
     threshold = log_mag.max() + math.log(POLE_REL_THRESHOLD)

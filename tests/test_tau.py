@@ -5,6 +5,7 @@ evaluated by hand and frozen here; the multivariate machinery must hit
 them to near machine precision.
 """
 
+import importlib
 import math
 import warnings
 
@@ -710,16 +711,26 @@ def _calogero_moser_case():
 def test_u_field_stack_matches_pointwise_derivative(make):
     tr, oracle = make()
     base = TimeVector([0.0, 0.15 - 0.1j, -0.05 + 0.2j])
-    samples = u_field(tr, np.linspace(-1.0, 1.0, 9), base=base)
+    t1s = np.linspace(-1.0, 1.0, 9)
+    samples = u_field(tr, t1s, base=base)
     assert len(samples) == 9
-    for s in samples:
+    exact = _mpmath_u_line(tr, base, t1s)
+    for k, s in enumerate(samples):
         assert not s.is_pole
         t = base.with_entry(1, s.t1)
         want = 2.0 * log_tau_derivative(tr, t, (2, 0, 0))
-        assert abs(s.value - want) <= 1e-12 * abs(want), (s.t1, s.value, want)
-        # grid and single point share one code path: judge both independently
+        if k in (1, 4, 7):
+            # anchors (ceil(sqrt(9)) = 3 apart, centred in their blocks)
+            # take the single point's own exponential
+            assert abs(s.value - want) <= 1e-12 * abs(want), (s.t1, s.value, want)
+        else:
+            # stepped from an anchor, another algorithm than the single
+            # point: judged against mpmath, no less accurate than the
+            # single point up to 1e-12 relative
+            err, err_point = abs(s.value - exact[k]), abs(want - exact[k])
+            assert err <= err_point + 1e-12 * abs(exact[k]), (s.t1, err, err_point)
         ref = oracle(tr, t)
-        assert abs(s.value - ref) <= 1e-10 * abs(ref), (s.t1, s.value, ref)
+        assert abs(s.value - ref) <= 3e-11 * abs(ref), (s.t1, s.value, ref)
 
 
 def test_u_field_3d_grid_order_and_coordinates():
@@ -748,6 +759,133 @@ def test_u_field_wilson_zero_mid_stack():
     for s in samples[:4] + samples[5:]:
         want = -2.0 / (s.t1 + 3.0) ** 2
         assert abs(s.value - want) <= 1e-12 * abs(want), (s.t1, s.value)
+
+
+def _mpmath_u_line(tr, base, t1s):
+    """20-digit u = 2 (tr X_2 - tr X_1^2) along a t1 line t1_k = t1_0 + k h,
+    the other times from ``base``: the left factor A exp(g(B)) of the first
+    point, times exp(h B) once per step. The t1 values must be an exact
+    arithmetic progression (dyadic steps make them one)."""
+    mpmath = pytest.importorskip("mpmath")
+    h = t1s[1] - t1s[0]
+    assert all(v == t1s[0] + k * h for k, v in enumerate(t1s))
+    with mpmath.workdps(20):
+        B = mpmath.matrix(tr.B.tolist())
+        CT = mpmath.matrix(tr.C.T.tolist())
+        BCT = B * CT
+        B2CT = B * BCT
+        G = mpmath.zeros(B.rows)
+        for v in base.with_entry(1, t1s[0]).values[::-1]:
+            G = B * (mpmath.mpc(complex(v)) * mpmath.eye(B.rows) + G)
+        left = mpmath.matrix(tr.A.tolist()) * mpmath.expm(G)
+        step = mpmath.expm(mpmath.mpf(float(h)) * B)
+        out = []
+        for k in range(len(t1s)):
+            if k:
+                left = left * step
+            inv = mpmath.inverse(left * CT)
+            X1, X2 = inv * (left * BCT), inv * (left * B2CT)
+            X11 = X1 * X1
+            out.append(complex(2 * mpmath.fsum(X2[i, i] - X11[i, i] for i in range(tr.n))))
+    return out
+
+
+@pytest.mark.parametrize("P", [41, 61, 201])
+def test_u_field_wilson_lines_flag_only_the_zero(P):
+    # tau = t1 + 3: t1 = -3 is a stepped (not an anchor) point of each line,
+    # and at P = 201 the last block is too short for a centred anchor
+    tr = from_calogero_moser(CalogeroMoserData([[3.0]], [[0.0]]))
+    grid = {41: np.linspace(-5.0, -1.0, 41), 61: np.linspace(-4.0, 2.0, 61),
+            201: np.linspace(-5.0, -1.0, 201)}[P]
+    samples = u_field(tr, grid)
+    assert [s.t1 for s in samples if s.is_pole] == [-3.0]
+    for s in samples:
+        if not s.is_pole:
+            want = -2.0 / (s.t1 + 3.0) ** 2
+            assert abs(s.value - want) <= 1e-12 * abs(want), (s.t1, s.value, want)
+
+
+def _direct_u(tr, times):
+    """u from one direct TauEvaluator stack of the given times (P, K)."""
+    return 2.0 * TauEvaluator(tr, times).jets([(2, 0, 0)])[1][:, 0]
+
+
+@pytest.mark.parametrize(
+    "t1s",
+    [[-1.0, -0.5, 0.1, 0.2, 0.9, 1.3], [-0.3, 0.1, 0.5], [0.0, 0.1, 0.2, 0.3 + 1e-12]],
+    ids=["uneven", "three-points", "off-by-1e-12"],
+)
+def test_u_field_lines_without_a_step_keep_the_direct_stack(t1s):
+    tr = random_admissible(2, 6, seed=41)
+    base = TimeVector([0.0, 0.1 - 0.2j, 0.05j])
+    times = np.tile(base.values, (len(t1s), 1))
+    times[:, 0] = t1s
+    got = np.array([s.value for s in u_field(tr, t1s, base=base)])
+    assert np.array_equal(got, _direct_u(tr, times))
+
+
+@pytest.mark.parametrize("P", [41, 201])
+def test_u_field_anchors_are_bit_identical_to_the_direct_stack(P):
+    tr = random_admissible(4, 12, seed=42)
+    base = TimeVector([0.0, 0.2 + 0.1j, -0.1j])
+    grid = np.linspace(-1.5, 2.5, P)
+    times = np.tile(base.values, (P, 1))
+    times[:, 0] = grid
+    # ceil(sqrt(P)) = 7 and 15 apart; the last block of 201 is too short
+    # for a centred anchor, so the last point anchors it
+    anchors = {41: [3, 10, 17, 24, 31, 38], 201: list(range(7, 195, 15)) + [200]}[P]
+    got = np.array([x.value for x in u_field(tr, grid, base=base)])
+    want = _direct_u(tr, times)
+    assert got[anchors].tobytes() == want[anchors].tobytes()
+    assert not np.array_equal(got, want)  # the other points are stepped
+
+
+def test_u_field_line_is_one_small_exponential(monkeypatch):
+    tr = random_admissible(2, 6, seed=43)
+    calls = _expm_calls(monkeypatch)
+    u_field(tr, np.linspace(-2.0, 2.0, 41), base=TimeVector([0.0, 0.1, 0.1j]))
+    # 6 anchors and the 6 offsets j != 0, where the direct stack takes 41
+    assert len(calls) == 1 and calls[0][0] <= 2 * math.ceil(math.sqrt(41))
+
+
+def test_u_field_3d_grid_is_one_exponential_call(monkeypatch):
+    tr = random_admissible(2, 6, seed=44)
+    calls = _expm_calls(monkeypatch)
+    samples = u_field(tr, np.linspace(-1.0, 1.0, 21), [0.1, 0.2, 0.3], [-0.1, 0.0, 0.1])
+    assert len(samples) == 21 * 9 and not any(s.is_pole for s in samples)
+    # 5 anchors on each of the 9 lines, and 4 offsets that they all share
+    assert calls == [(9 * 5 + 4, tr.N, tr.N)]
+
+
+def test_u_field_grid_beyond_the_anchor_budget_splits_its_lines(monkeypatch):
+    tr = random_admissible(2, 6, seed=44)
+    axes = (np.linspace(-1.0, 1.0, 21), [0.1, 0.2, 0.3], [-0.1, 0.0, 0.1])
+    whole = [s.value for s in u_field(tr, *axes)]
+    # room for the 5 anchors of two lines a call; the offsets join the first
+    monkeypatch.setattr(importlib.import_module("kp_rankone.tau"), "_ANCHOR_ENTRIES", 10 * tr.N**2)
+    calls = _expm_calls(monkeypatch)
+    assert [s.value for s in u_field(tr, *axes)] == whole
+    assert [c[0] for c in calls] == [2 * 5 + 4, 10, 10, 10, 5]
+
+
+def test_u_field_long_line_accuracy_against_mpmath():
+    # 201 points in dyadic steps, so mpmath steps through exactly the same t1
+    tr = random_admissible(4, 12, seed=12)
+    base = TimeVector([0.0, 0.1 - 0.15j, 0.05 + 0.1j])
+    t1s = np.linspace(-1.5625, 1.5625, 201)
+    exact = np.array(_mpmath_u_line(tr, base, t1s))
+    # the line oracle against the derivative oracle at both ends
+    for k in (0, 200):
+        t = base.with_entry(1, t1s[k])
+        ref = 2.0 * _mpmath_log_tau_derivatives(tr, t, [(2, 0, 0)])[0]
+        assert abs(exact[k] - ref) <= 1e-17 * abs(ref), (k, exact[k], ref)
+    samples = u_field(tr, t1s, base=base)
+    assert not any(s.is_pole for s in samples)
+    point = np.array([2.0 * log_tau_derivative(tr, base.with_entry(1, v), (2, 0, 0)) for v in t1s])
+    grid = np.array([s.value for s in samples])
+    scale = np.abs(exact)
+    err_grid, err_point = (np.max(np.abs(v - exact) / scale) for v in (grid, point))
+    assert err_grid <= 2 * err_point + 1e-13, (err_grid, err_point)
 
 
 def test_u_field_empty_grid():
