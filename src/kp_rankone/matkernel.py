@@ -25,6 +25,7 @@ SVD for ranks and kernels.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple, Union
 
@@ -370,9 +371,12 @@ _ROOTS = np.array([1 / 4, 1 / 6, 1 / 2, 1 / 8])[:, None]
 # stays a normal double); larger ones scale A itself
 _MAX_FOLDED_S = 60
 # a stack is evaluated in chunks of at most this many matrix entries
-# (slices times k^2), which keeps its temporaries small enough for the
-# allocator to reuse rather than return to the system and fault in again
+# (slices times k^2); a chunk's powers and Pade combinations, four times
+# that each, live in two per-thread buffers (:func:`_buffer`) that stay
+# from call to call, so that the allocator does not return them to the
+# system and fault them in again at every call
 _CHUNK_ENTRIES = 16384
+_buffers = threading.local()
 
 # r_m = (V - U)^-1 (V + U) with U = A Y_u, V = Y_v for m <= 9 and
 # U = A (A^6 Z_u + Y_u), V = A^6 Z_v + Y_v for m = 13 (Higham 2005, eqs.
@@ -414,9 +418,26 @@ _IDENTITY_TABLE = np.stack(
 _solve = np.linalg.solve
 
 
+def _buffer(slot: int, shape: Tuple[int, ...]) -> np.ndarray:
+    """A complex128 array of the given shape, contents undefined, over the
+    calling thread's buffer number ``slot`` (0 or 1), which grows to the
+    largest size asked for up to 4 _CHUNK_ENTRIES; a larger shape gets a
+    fresh array. The next call with the same slot reuses the memory."""
+    size = math.prod(shape)
+    if size > 4 * _CHUNK_ENTRIES:
+        return np.empty(shape, dtype=np.complex128)
+    held = getattr(_buffers, "arrays", None)
+    if held is None:
+        held = _buffers.arrays = [np.empty(0, dtype=np.complex128)] * 2
+    if held[slot].size < size:
+        held[slot] = np.empty(size, dtype=np.complex128)
+    return held[slot][:size].reshape(shape)
+
+
 def _powers(A: np.ndarray) -> np.ndarray:
-    """W = (A^4, A^6, A^2, A^8) of a stack A (P, k, k), as (4, P, k, k)."""
-    W = np.empty((4,) + A.shape, dtype=np.complex128)
+    """W = (A^4, A^6, A^2, A^8) of a stack A (P, k, k), as (4, P, k, k) in
+    buffer 0."""
+    W = _buffer(0, (4,) + A.shape)
     A4, A6, A2, A8 = W
     np.matmul(A, A, out=A2)
     np.matmul(A2, A2, out=A4)
@@ -436,7 +457,8 @@ def _abs_power_norms(A: np.ndarray):
     asked for.
 
     2m + 1 is 3 mod 4 for every degree, so the row vectors e^T |A|^3
-    are carried forward by |A|^4 as larger degrees ask for them.
+    are carried forward by |A|^4 as larger degrees ask for them. Called
+    under :func:`_degree_and_scaling`'s errstate.
     """
     absA = np.abs(A)
     abs2 = absA @ absA
@@ -448,8 +470,7 @@ def _abs_power_norms(A: np.ndarray):
         if m not in norms:
             while len(rows) <= m // 2:
                 rows.append(rows[-1] @ abs4)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                norms[m] = np.log2(rows[m // 2].max(axis=(-2, -1))).tolist()
+            norms[m] = np.log2(rows[m // 2].max(axis=(-2, -1))).tolist()
         return norms[m]
 
     return log2_norms
@@ -467,47 +488,48 @@ def _degree_and_scaling(A: np.ndarray, W: np.ndarray):
         power = power or _abs_power_norms(A)
         return power(m)
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    # one errstate for every norm and log below: a norm that overflows
+    # counts as inf, a zero one gives log2 -inf
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         norms = _norm1(W)
         d4, d6, _, d8 = (norms ** _ROOTS).tolist()
-    log2_n1 = [math.log2(n) if n > 0.0 else -math.inf for n in _norm1(A).tolist()]
-    P = len(A)
-    level, s, overflow, rest = [0] * P, [0] * P, [False] * P, []
-    for i in range(P):
-        eta1, eta3 = max(d4[i], d6[i]), max(d6[i], d8[i])
-        if not eta1 + eta3 < math.inf:
-            overflow[i] = True
-            continue
-        # the first of degrees 3..9 that eta and ell(A, m) = 0 allow; ell
-        # is zero where the norm bound ||A||^(2m+1) already gives zero,
-        # else where log2 ||  |A|^(2m+1)  || <= log2 ||A||_1 + bound
-        for j, m in enumerate(_DEGREES[:4]):
-            bound = _LOG2_ELL_BOUND[m]
-            if (eta1 if m < 7 else eta3) <= _THETA[m] and (
-                2 * m * log2_n1[i] <= bound or log2_power(m)[i] <= log2_n1[i] + bound
-            ):
-                level[i] = j
-                break
-        else:
-            level[i] = 4
-            rest.append(i)
-    if rest:
-        # degree 13: s from eta5, plus ell(2^-s A, 13) of Al-Mohy & Higham
-        # (2009), eq. (5.1), where a power norm that overflows counts as 2^1024
-        with np.errstate(over="ignore", invalid="ignore"):
-            d10 = (_norm1(W[0, rest] @ W[1, rest]) ** 0.1).tolist()
-        bound = _LOG2_ELL_BOUND[13]
-        for i, d10_i in zip(rest, d10):
-            eta5 = min(max(d6[i], d8[i]), max(d8[i], d10_i))
-            if not eta5 < math.inf:
+        log2_n1 = [math.log2(n) if n > 0.0 else -math.inf for n in _norm1(A).tolist()]
+        P = len(A)
+        level, s, overflow, rest = [0] * P, [0] * P, [False] * P, []
+        for i in range(P):
+            eta1, eta3 = max(d4[i], d6[i]), max(d6[i], d8[i])
+            if not eta1 + eta3 < math.inf:
                 overflow[i] = True
                 continue
-            s[i] = max(math.ceil(math.log2(eta5 / _THETA[13])), 0) if eta5 > 0.0 else 0
-            if 26 * (log2_n1[i] - s[i]) > bound:
-                excess = min(log2_power(13)[i], 1024.0) - 26 * s[i] - log2_n1[i] - bound
-                if excess > 0:
-                    s[i] += math.ceil(excess / 26)
-    return np.array(level), np.array(s), np.array(overflow), norms[2] == 0
+            # the first of degrees 3..9 that eta and ell(A, m) = 0 allow; ell
+            # is zero where the norm bound ||A||^(2m+1) already gives zero,
+            # else where log2 ||  |A|^(2m+1)  || <= log2 ||A||_1 + bound
+            for j, m in enumerate(_DEGREES[:4]):
+                bound = _LOG2_ELL_BOUND[m]
+                if (eta1 if m < 7 else eta3) <= _THETA[m] and (
+                    2 * m * log2_n1[i] <= bound or log2_power(m)[i] <= log2_n1[i] + bound
+                ):
+                    level[i] = j
+                    break
+            else:
+                level[i] = 4
+                rest.append(i)
+        if rest:
+            # degree 13: s from eta5, plus ell(2^-s A, 13) of Al-Mohy & Higham
+            # (2009), eq. (5.1), where a power norm that overflows counts as 2^1024
+            d10 = (_norm1(W[0, rest] @ W[1, rest]) ** 0.1).tolist()
+            bound = _LOG2_ELL_BOUND[13]
+            for i, d10_i in zip(rest, d10):
+                eta5 = min(max(d6[i], d8[i]), max(d8[i], d10_i))
+                if not eta5 < math.inf:
+                    overflow[i] = True
+                    continue
+                s[i] = max(math.ceil(math.log2(eta5 / _THETA[13])), 0) if eta5 > 0.0 else 0
+                if 26 * (log2_n1[i] - s[i]) > bound:
+                    excess = min(log2_power(13)[i], 1024.0) - 26 * s[i] - log2_n1[i] - bound
+                    if excess > 0:
+                        s[i] += math.ceil(excess / 26)
+        return np.array(level), np.array(s), np.array(overflow), norms[2] == 0
 
 
 def _pade(A: np.ndarray, W: np.ndarray, level: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -516,7 +538,8 @@ def _pade(A: np.ndarray, W: np.ndarray, level: np.ndarray, s: np.ndarray) -> np.
     Z_v, Y_v are one real matrix product per slice."""
     P, k = A.shape[0], A.shape[-1]
     rows = W.view(np.float64).reshape(4, P, 2 * k * k).swapaxes(0, 1)
-    combos = (_B_TABLE[level, s] @ rows).view(np.complex128)
+    out = _buffer(1, (P, 4, k * k)).view(np.float64)
+    combos = np.matmul(_B_TABLE[level, s], rows, out=out).view(np.complex128)
     combos[:, 1::2, :: k + 1] += _IDENTITY_TABLE[s]
     Zu, Yu, Zv, Yv = combos.reshape(P, 4, k, k).swapaxes(0, 1)
     big = np.nonzero(level == 4)[0]
@@ -549,6 +572,7 @@ def _expm(A: np.ndarray) -> np.ndarray:
         return np.concatenate(parts).reshape(shape)
     W = _powers(A)
     level, s, overflow, square_zero = _degree_and_scaling(A, W)
+    # W is not read past this point: _powers(A_s) below may overwrite it
     top = int(s.max())
     # slices whose powers overflow are evaluated as zeros and set to nan;
     # those that scale past the folding range scale A itself
@@ -599,17 +623,26 @@ def expm_centered(M) -> Tuple[np.ndarray, Union[complex, np.ndarray]]:
     A stack (..., dim, dim) gives a stack E0 and an array mu of shape
     (...), one per slice, from one ``expm`` call.
     """
-    M = _as_square_stack(M, "exponent")
+    E0, mu = _expm_centered(_as_square_stack(M, "exponent"))
+    return E0, (complex(mu) if mu.ndim == 0 else mu)
+
+
+def _expm_centered(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`expm_centered` of a complex128 stack (..., dim, dim) that the
+    caller built itself and gives up: M is not copied or scanned, and it is
+    overwritten by M - mu I. mu is an array, of shape (...). Raises
+    RangeError where E0 is not finite."""
     dim = M.shape[-1]
     trace = np.asarray(np.trace(M, axis1=-2, axis2=-1))
     # parts divided separately, as Python's complex / int does (numpy
     # would multiply by the reciprocal)
     mu = np.empty_like(trace)
     mu.real, mu.imag = trace.real / dim, trace.imag / dim
-    E0 = _scipy_expm(M - mu[..., None, None] * np.eye(dim))
-    if not np.all(np.isfinite(E0)):
+    M -= mu[..., None, None] * np.eye(dim)
+    E0 = _scipy_expm(M)
+    if not np.isfinite(E0).all():
         raise RangeError("exp(M - mu I) still overflows double precision")
-    return np.asarray(E0, dtype=np.complex128), (complex(mu) if mu.ndim == 0 else mu)
+    return E0, mu
 
 
 def det_scaled(M) -> Union[ScaledComplex, List[ScaledComplex]]:

@@ -81,10 +81,11 @@ The triple's arrays cannot be made writeable, so the slot cannot go stale.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -93,8 +94,8 @@ from .matkernel import (
     LogScale,
     ScaledComplex,
     as_cmatrix,
+    _expm_centered,
     det_scaled,  # noqa: F401  (the benchmark's tracer wraps tau.det_scaled)
-    expm_centered,
     log_scale_div,
     log_scale_exp,
     log_scale_mul,
@@ -343,7 +344,7 @@ class TauEvaluator:
             if memo is not None and memo[0] == key:
                 _, self.mu, self._left = memo
                 return
-        E0, self.mu = expm_centered(_exponents(tr, times))
+        E0, self.mu = _expm_centered(_exponents(tr, times))
         self._left = tr.A @ E0
         self.mu.setflags(write=False)
         self._left.setflags(write=False)
@@ -411,19 +412,20 @@ class TauEvaluator:
         dets = slogdet_scaled(self._left[None] @ rights[:, None])
         return log_scale_mul(dets, log_scale_exp(tr.n * self.mu))
 
-    def jets(self, wanted: List[Tuple[int, int, int]]) -> Tuple[np.ndarray, np.ndarray]:
+    def jets(self, wanted: Sequence[Tuple[int, int, int]]) -> Tuple[np.ndarray, np.ndarray]:
         """log|tau| (P,) and derivatives of log tau (P, len(wanted)), one per
         multi-index (a1, a2, a3), read by :func:`_jet_series` off the blocks
         X_1 .. X_w of one ``solve``; -inf and nan where M = A exp(g(B)) C.T
         is exactly singular, as one ``slogdet`` tells.
         """
         n = self.triple.n
-        W = self._left @ _right_blocks(self.triple, max(_weight(a) for a in wanted))
+        plan = _jet_plan(tuple(wanted))
+        W = self._left @ _right_blocks(self.triple, plan[0])
         sign, logdet = np.linalg.slogdet(W[..., :n])
         regular = (sign != 0) & np.isfinite(logdet)
         Wr = W[regular]
         derivs = np.full((len(W), len(wanted)), complex(math.nan, math.nan))
-        derivs[regular] = _jet_series(np.linalg.solve(Wr[..., :n], Wr[..., n:]), wanted)
+        derivs[regular] = _jet_series(np.linalg.solve(Wr[..., :n], Wr[..., n:]), plan)
         return np.where(regular, logdet + n * self.mu.real, -math.inf), derivs
 
     def tau(self) -> ScaledComplex:
@@ -512,50 +514,94 @@ def _factorial(a: Tuple[int, int, int]) -> int:
 
 
 def _right_blocks(tr: RankOneTriple, weight: int) -> np.ndarray:
-    """[C.T, B C.T, ..., B^weight C.T] side by side, shape (N, (weight + 1) n)."""
-    blocks = [tr.C.T]
-    for _ in range(weight):
-        blocks.append(tr.B @ blocks[-1])
-    return np.hstack(blocks)
+    """[C.T, B C.T, ..., B^weight C.T] side by side, shape (N, (weight + 1) n),
+    read-only and kept on the triple (one array per weight asked for)."""
+    R = tr._right_blocks.get(weight)
+    if R is None:
+        blocks = [tr.C.T]
+        for _ in range(weight):
+            blocks.append(tr.B @ blocks[-1])
+        R = np.hstack(blocks)
+        R.setflags(write=False)
+        tr._right_blocks[weight] = R
+    return R
 
 
-def _jet_series(X: np.ndarray, wanted: List[Tuple[int, int, int]]) -> np.ndarray:
-    """Derivatives of log det(I + Y(s)) at s = 0, one per multi-index in ``wanted``.
+def _compositions(c: Tuple[int, int, int]) -> Iterator[Tuple[Tuple[int, int, int], ...]]:
+    """Every ordered sequence of nonzero multi-indices that sums to c."""
+    for a in itertools.product(*(range(x + 1) for x in c)):
+        if any(a):
+            rest = (c[0] - a[0], c[1] - a[1], c[2] - a[2])
+            if any(rest):
+                yield from ((a,) + tail for tail in _compositions(rest))
+            else:
+                yield (a,)
+
+
+@lru_cache(maxsize=64)
+def _jet_plan(wanted: Tuple[Tuple[int, int, int], ...]):
+    """The trace words of the series for the multi-indices ``wanted``, made
+    on first use of a ``wanted`` tuple.
+
+    The c-th derivative of log det(I + Y(s)) at s = 0 is c! times the s^c
+    coefficient of sum_k (-1)^(k+1) tr(Y^k) / k, that is the sum over
+    ordered sequences a_1 + ... + a_k = c of nonzero multi-indices of
+    c! (-1)^(k+1) / (k a_1! ... a_k!) tr(X_w(a_1) ... X_w(a_k)). Sequences
+    with the same weights, up to a cyclic rotation, share one trace word.
+
+    Returns (weight, chain, traced, coefficients): the largest weight
+    w(c); the products to form, each (i, j): matrix i times block X_(j+1),
+    appended to the list of blocks X_1 .. X_weight; the index in that list
+    of each trace word, shortest first; and their exact coefficients, a
+    read-only float array (words, len(wanted)).
+    """
+    weight = max(_weight(a) for a in wanted)
+    # exact: integer numerators over the common denominator lcm(1 .. |c|)
+    denominator = math.lcm(*range(1, max(sum(c) for c in wanted) + 1))
+    numerators: dict = {}  # trace word -> numerator per wanted multi-index
+    for col, c in enumerate(wanted):
+        for parts in _compositions(c):
+            k = len(parts)
+            multinomial = _factorial(c) // math.prod(_factorial(a) for a in parts)
+            word = tuple(_weight(a) for a in parts)
+            word = min(word[i:] + word[:i] for i in range(k))
+            row = numerators.setdefault(word, [0] * len(wanted))
+            row[col] += (-1) ** (k + 1) * multinomial * (denominator // k)
+    index = {(w,): w - 1 for w in range(1, weight + 1)}
+    chain: List[Tuple[int, int]] = []
+
+    def product(word: Tuple[int, ...]) -> int:
+        if word not in index:
+            chain.append((product(word[:-1]), word[-1] - 1))
+            index[word] = weight + len(chain) - 1
+        return index[word]
+
+    words = sorted((w for w in numerators if any(numerators[w])), key=lambda w: (len(w), w))
+    traced = [product(word) for word in words]
+    coefficients = np.array([numerators[word] for word in words]) / denominator
+    coefficients.setflags(write=False)
+    return weight, tuple(chain), traced, coefficients
+
+
+def _jet_series(X: np.ndarray, plan) -> np.ndarray:
+    """Derivatives of log det(I + Y(s)) at s = 0, per :func:`_jet_plan`.
 
     X holds the blocks X_1 .. X_w side by side, shape (..., n, w n), with
-    any leading stack axes. The series sum_k (-1)^(k+1) tr(Y^k) / k is
-    truncated to the multi-indices below a wanted one. Returns shape
-    (..., len(wanted)).
+    any leading stack axes. The blocks and the plan's products, one stacked
+    ``matmul`` each, fill one stack; one ``np.trace`` takes the traces of
+    the words, and their sum with the coefficients, shortest word first,
+    gives an array of shape (..., len(wanted)).
     """
-    keep = {
-        (i, j, k)
-        for a1, a2, a3 in wanted
-        for i in range(a1 + 1)
-        for j in range(a2 + 1)
-        for k in range(a3 + 1)
-    }
-    keep.discard((0, 0, 0))
-    n = X.shape[-2]
-    Y = {a: X[..., (_weight(a) - 1) * n : _weight(a) * n] / _factorial(a) for a in keep}
-    series = dict.fromkeys(keep, 0j)
-    power = Y
-    for k in range(1, max(sum(a) for a in keep) + 1):
-        if k > 1:
-            power = _jet_product(power, Y, keep)
-        for a, block in power.items():
-            series[a] = series[a] + (-1) ** (k + 1) / k * np.trace(block, axis1=-2, axis2=-1)
-    return np.stack([_factorial(a) * series[a] for a in wanted], axis=-1)
-
-
-def _jet_product(left: dict, right: dict, keep: set) -> dict:
-    """Product of two matrix jets {multi-index: block}, truncated to ``keep``."""
-    out: dict = {}
-    for a, P in left.items():
-        for b, Q in right.items():
-            c = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
-            if c in keep:
-                out[c] = out[c] + P @ Q if c in out else P @ Q
-    return out
+    weight, chain, traced, coefficients = plan
+    lead, n = X.shape[:-2], X.shape[-2]
+    mats = np.empty((weight + len(chain),) + lead + (n, n), dtype=np.complex128)
+    mats[:weight] = np.moveaxis(X.reshape(lead + (n, weight, n)), -2, 0)
+    for k, (i, j) in enumerate(chain, weight):
+        np.matmul(mats[i], mats[j], out=mats[k])
+    terms = np.trace(mats[traced], axis1=-2, axis2=-1)[..., None] * coefficients.reshape(
+        (len(traced),) + (1,) * len(lead) + (-1,)
+    )
+    return np.add.reduce(terms, axis=0, initial=0)
 
 
 def log_tau_derivative(
@@ -580,9 +626,9 @@ def log_tau_derivative(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GridSample:
-    """One grid point of the field u = 2 d^2/dt_1^2 log tau."""
+class GridSample(NamedTuple):
+    """One grid point of the field u = 2 d^2/dt_1^2 log tau (a named tuple:
+    immutable, and cheap to make for every point of a grid)."""
 
     t1: float
     t2: Optional[float]
@@ -608,14 +654,22 @@ def _grid_times(
     t2s = [float(v) for v in t2_values] if t2_values is not None else [None]
     t3s = [float(v) for v in t3_values] if t3_values is not None else [None]
     coords = [(v1, v2, v3) for v3 in t3s for v2 in t2s for v1 in t1s]
-    times = np.tile(base_t.values, (len(coords), 1))
-    for col in range(3):
-        if coords and coords[0][col] is not None:
-            times[:, col] = [c[col] for c in coords]
-    if not np.all(np.isfinite(times)):
+    if not coords:
+        return [], []
+    line = np.tile(base_t.values, (len(t1s), 1))
+    line[:, 0] = t1s
+    if not (np.isfinite(line).all() and all(math.isfinite(v) for v in t2s + t3s if v is not None)):
         raise ValueError("times must be finite")
-    line = max(len(t1s), 1)
-    return coords, [times[start : start + line] for start in range(0, len(times), line)]
+    lines = []
+    for v3 in t3s:
+        for v2 in t2s:
+            times = line.copy()
+            if v2 is not None:
+                times[:, 1] = v2
+            if v3 is not None:
+                times[:, 2] = v3
+            lines.append(times)
+    return coords, lines
 
 
 def tau_grid(
@@ -643,6 +697,8 @@ _EPS = float(np.finfo(float).eps)
 #: entries (slices times N^2) in one call: one call for all but large 3-D
 #: grids, whose memory this bounds
 _ANCHOR_ENTRIES = 1 << 16
+#: the one multi-index of u = 2 d^2/dt_1^2 log tau
+_U_JETS = ((2, 0, 0),)
 
 
 def _t1_step(t1: np.ndarray) -> Optional[float]:
@@ -657,21 +713,28 @@ def _t1_step(t1: np.ndarray) -> Optional[float]:
     return h if drift <= 8 * _EPS * np.abs(t1).max() else None
 
 
-def _anchor_layout(P: int) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """The anchors of a stepped line of P points, as (s, anchors, block, slot).
+@lru_cache(maxsize=16)
+def _anchor_layout(P: int) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The anchors of a stepped line of P points, as (s, anchors, block,
+    slot, offsets), made once per P (read-only arrays).
 
     With s = ceil(sqrt(P)) and half = floor(s / 2), block b holds the points
     b s .. b s + s - 1 and its anchor is the point b s + half, or the last
     point where that lies past the end (only a short last block can have
     it so). ``block`` is the block of each point and ``slot`` its offset j
     from the block's anchor plus half, an index into the offsets
-    -half .. s - 1 - half.
+    -half .. s - 1 - half; ``offsets`` lists those j other than 0, as
+    floats.
     """
     s = math.isqrt(P - 1) + 1
+    half = s // 2
     k = np.arange(P)
-    anchors = np.minimum(np.arange(0, P, s) + s // 2, P - 1)
+    anchors = np.minimum(np.arange(0, P, s) + half, P - 1)
     block = k // s
-    return s, anchors, block, k - anchors[block] + s // 2
+    layout = (anchors, block, k - anchors[block] + half, np.r_[-half:0, 1 : s - half].astype(float))
+    for a in layout:
+        a.setflags(write=False)
+    return (s,) + layout
 
 
 def _u_line_evaluators(tr: RankOneTriple, lines: List[np.ndarray]) -> Iterator[TauEvaluator]:
@@ -679,27 +742,26 @@ def _u_line_evaluators(tr: RankOneTriple, lines: List[np.ndarray]) -> Iterator[T
     values, made as they are consumed: stepped from anchors where those
     have a step (see the module docstring), else one direct stack per
     line. The offsets exp(j h B), j != 0, are g(B) of the times (j h, 0,
-    ...) and go into the anchors' ``expm_centered`` call, each slice
-    centred on its own mu, so a stepped point gets mu_anchor + mu_j. That
-    is one call per grid, or per group of lines whose anchors fill
-    ``_ANCHOR_ENTRIES``. Raises RangeError where a stepped left factor is
-    not finite.
+    ...) and go into the anchors' exponential call, each slice centred on
+    its own mu, so a stepped point gets mu_anchor + mu_j. That is one call
+    per grid, or per group of lines whose anchors fill ``_ANCHOR_ENTRIES``.
+    Raises RangeError where a stepped left factor is not finite.
     """
     h = _t1_step(lines[0][:, 0].real)
     if h is None:
         yield from (TauEvaluator(tr, times) for times in lines)
         return
-    s, anchors, block, slot = _anchor_layout(len(lines[0]))
+    s, anchors, block, slot, offsets = _anchor_layout(len(lines[0]))
     half = s // 2
     steps = np.zeros((s - 1, lines[0].shape[1]), dtype=np.complex128)
-    steps[:, 0] = np.r_[-half:0, 1 : s - half] * h
+    steps[:, 0] = offsets * h
     per_call = max(_ANCHOR_ENTRIES // (len(anchors) * tr.N**2), 1)
     for first in range(0, len(lines), per_call):
         group = lines[first : first + per_call]
         rows = [times[anchors] for times in group]
         if not first:
             rows.append(steps)
-        E0, mu = expm_centered(_exponents(tr, np.concatenate(rows)))
+        E0, mu = _expm_centered(_exponents(tr, np.concatenate(rows)))
         m = len(group) * len(anchors)
         if not first:
             S = np.concatenate([E0[m : m + half], _identity(tr.N)[None], E0[m + half :]])
@@ -742,13 +804,13 @@ def u_field(
     coords, lines = _grid_times(t1_values, t2_values, t3_values, base)
     if not coords:
         return []
-    jets = [ev.jets([(2, 0, 0)]) for ev in _u_line_evaluators(tr, lines)]
+    jets = [ev.jets(_U_JETS) for ev in _u_line_evaluators(tr, lines)]
     log_mag = np.concatenate([m for m, _ in jets])
     u = 2.0 * np.concatenate([d[:, 0] for _, d in jets])
     threshold = log_mag.max() + math.log(POLE_REL_THRESHOLD)
     pole = ~np.isfinite(u) | (log_mag < threshold)
     u[pole] = complex(math.nan, math.nan)
     return [
-        GridSample(v1, v2, v3, complex(value), bool(p))
-        for (v1, v2, v3), value, p in zip(coords, u, pole)
+        GridSample(v1, v2, v3, value, p)
+        for (v1, v2, v3), value, p in zip(coords, u.tolist(), pole.tolist())
     ]

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -54,8 +54,10 @@ class RankOneTriple:
     A, B and C are read-only copies of the inputs that numpy will not let
     anyone make writeable again, so whatever is derived from them once
     stays valid: ||B||_2 and the eigenvalues of B are computed on first
-    use and kept, and :class:`~kp_rankone.tau.TauEvaluator` keeps the
-    factor A exp(g(B)) of the last single base time in ``_base_factor``.
+    use and kept, :class:`~kp_rankone.tau.TauEvaluator` keeps the factor
+    A exp(g(B)) of the last single base time in ``_base_factor``, and the
+    jets keep their right blocks [C.T, B C.T, ..., B^w C.T] in
+    ``_right_blocks``, one read-only array per weight w.
     Copies and pickles are rebuilt through the constructor and start empty.
 
     Use :func:`validate_triple` (or :func:`make_triple`) for the
@@ -69,6 +71,8 @@ class RankOneTriple:
     _base_factor: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False
     )
+    #: weight w -> [C.T, B C.T, ..., B^w C.T] side by side (read-only)
+    _right_blocks: Dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         A = _frozen(as_cmatrix(self.A, "A"))
