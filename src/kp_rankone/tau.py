@@ -423,6 +423,9 @@ class TauEvaluator:
         W = self._left @ _right_blocks(self.triple, plan[0])
         sign, logdet = np.linalg.slogdet(W[..., :n])
         regular = (sign != 0) & np.isfinite(logdet)
+        if regular.all():
+            X = np.linalg.solve(W[..., :n], W[..., n:])
+            return logdet + n * self.mu.real, _jet_series(X, plan)
         Wr = W[regular]
         derivs = np.full((len(W), len(wanted)), complex(math.nan, math.nan))
         derivs[regular] = _jet_series(np.linalg.solve(Wr[..., :n], Wr[..., n:]), plan)
@@ -496,8 +499,8 @@ def tau_discrete(
 
 def _multi_index(orders: Sequence[int]) -> Tuple[int, int, int]:
     """Validate a derivative multi-index (a1, a2, a3) of total order >= 1."""
-    o = tuple(int(x) for x in orders)
-    if len(o) != 3 or any(x < 0 for x in o):
+    o = tuple(map(int, orders))
+    if len(o) != 3 or min(o) < 0:
         raise ValueError("orders must be three non-negative integers")
     if sum(o) < 1:
         raise ValueError("total derivative order must be at least 1")
@@ -553,7 +556,7 @@ def _jet_plan(wanted: Tuple[Tuple[int, int, int], ...]):
     w(c); the products to form, each (i, j): matrix i times block X_(j+1),
     appended to the list of blocks X_1 .. X_weight; the index in that list
     of each trace word, shortest first; and their exact coefficients, a
-    read-only float array (words, len(wanted)).
+    read-only float array (words, 1, len(wanted)).
     """
     weight = max(_weight(a) for a in wanted)
     # exact: integer numerators over the common denominator lcm(1 .. |c|)
@@ -578,7 +581,7 @@ def _jet_plan(wanted: Tuple[Tuple[int, int, int], ...]):
 
     words = sorted((w for w in numerators if any(numerators[w])), key=lambda w: (len(w), w))
     traced = [product(word) for word in words]
-    coefficients = np.array([numerators[word] for word in words]) / denominator
+    coefficients = np.array([numerators[word] for word in words])[:, None] / denominator
     coefficients.setflags(write=False)
     return weight, tuple(chain), traced, coefficients
 
@@ -586,22 +589,25 @@ def _jet_plan(wanted: Tuple[Tuple[int, int, int], ...]):
 def _jet_series(X: np.ndarray, plan) -> np.ndarray:
     """Derivatives of log det(I + Y(s)) at s = 0, per :func:`_jet_plan`.
 
-    X holds the blocks X_1 .. X_w side by side, shape (..., n, w n), with
-    any leading stack axes. The blocks and the plan's products, one stacked
+    X holds the blocks X_1 .. X_w side by side for a stack of P points,
+    shape (P, n, w n). The blocks and the plan's products, one stacked
     ``matmul`` each, fill one stack; one ``np.trace`` takes the traces of
     the words, and their sum with the coefficients, shortest word first,
-    gives an array of shape (..., len(wanted)).
+    gives an array of shape (P, len(wanted)).
     """
     weight, chain, traced, coefficients = plan
-    lead, n = X.shape[:-2], X.shape[-2]
-    mats = np.empty((weight + len(chain),) + lead + (n, n), dtype=np.complex128)
-    mats[:weight] = np.moveaxis(X.reshape(lead + (n, weight, n)), -2, 0)
+    P, n = X.shape[:2]
+    mats = np.empty((weight + len(chain), P, n, n), dtype=np.complex128)
+    mats[:weight] = X.reshape(P, n, weight, n).transpose(2, 0, 1, 3)
     for k, (i, j) in enumerate(chain, weight):
         np.matmul(mats[i], mats[j], out=mats[k])
-    terms = np.trace(mats[traced], axis1=-2, axis2=-1)[..., None] * coefficients.reshape(
-        (len(traced),) + (1,) * len(lead) + (-1,)
-    )
-    return np.add.reduce(terms, axis=0, initial=0)
+    terms = np.trace(mats[traced], axis1=-2, axis2=-1)[..., None] * coefficients
+    # term by term from zero: the same order for every P (numpy's sum
+    # reduction is not; it changes with the shape)
+    out = np.zeros(terms.shape[1:], dtype=np.complex128)
+    for term in terms:
+        out += term
+    return out
 
 
 def log_tau_derivative(

@@ -608,8 +608,10 @@ def _mpmath_log_tau_derivatives(tr, t, orders_list, terms=64):
         lambda: random_admissible(2, 6, seed=7),
         # B = [[Z, 0], [I, Z]] is defective
         lambda: from_calogero_moser(random_calogero_moser(3, seed=5)),
+        lambda: random_admissible(4, 12, seed=8),
+        lambda: from_kdv_pair(random_kdv_pair(3, seed=4)),
     ],
-    ids=["admissible-2x6", "calogero-moser-defective"],
+    ids=["admissible-2x6", "calogero-moser-defective", "admissible-4x12", "kdv-pair"],
 )
 def test_log_derivatives_match_mpmath_oracle(make):
     tr = make()
@@ -625,6 +627,43 @@ def test_log_derivatives_match_mpmath_oracle(make):
         single = log_tau_derivative(tr, t, o)
         for value in (got, single):
             assert abs(value - ref) <= 1e-11 * max(1.0, abs(ref)), (o, value, ref)
+
+
+_ORDERS_TO_4 = tuple(
+    (i, j, k) for i in range(5) for j in range(5) for k in range(5) if 1 <= i + j + k <= 4
+)
+
+
+@pytest.mark.parametrize("P", [2, 12, 41])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: random_admissible(1, 4, seed=51), lambda: random_admissible(8, 24, seed=52)],
+    ids=["1x4", "8x24"],
+)
+def test_stack_slices_are_bit_identical_to_single_points(make, P):
+    # slice k of a P-stack is what the single point t_k gives alone: mu,
+    # the left factor A exp(g(B) - mu I), and the jets of u, of the KP
+    # check and of every order up to 4 (more than eight trace words)
+    tr = make()
+    rng = np.random.default_rng(P)
+    times = np.zeros((P, 3), dtype=np.complex128)
+    times[:, 0] = np.linspace(-1.0, 1.0, P)
+    times[:, 1:] = 0.2 * (rng.random((P, 2)) - 0.5) + 0.2j * (rng.random((P, 2)) - 0.5)
+    stack = TauEvaluator(tr, times)
+    wanted_sets = [
+        ((2, 0, 0),),
+        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0), (1, 0, 1), (3, 0, 0), (4, 0, 0)),
+        _ORDERS_TO_4,
+    ]
+    jets = [stack.jets(wanted) for wanted in wanted_sets]
+    for k in range(P):
+        single = TauEvaluator(tr, TimeVector(times[k]))
+        assert single.mu.tobytes() == stack.mu[k : k + 1].tobytes()
+        assert single._left.tobytes() == stack._left[k : k + 1].tobytes()
+        for wanted, (log_mag, derivs) in zip(wanted_sets, jets):
+            m, d = single.jets(wanted)
+            assert m.tobytes() == log_mag[k : k + 1].tobytes(), (k, wanted)
+            assert d.tobytes() == derivs[k : k + 1].tobytes(), (k, wanted)
 
 
 # ---------------------------------------------------------------------------
