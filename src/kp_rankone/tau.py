@@ -454,10 +454,10 @@ class TauEvaluator:
         with total order at least one (see :meth:`jets`). Raises PoleError
         where M is singular or a derivative is not finite.
         """
-        out = [complex(v) for v in self.jets([_multi_index(o) for o in orders_list])[1][0]]
-        if not np.all(np.isfinite(out)):
+        derivs = self.jets([_multi_index(o) for o in orders_list])[1][0]
+        if not np.isfinite(derivs).all():
             raise PoleError("tau is zero or numerically zero at the evaluation point")
-        return out
+        return derivs.tolist()
 
 
 def tau(tr: RankOneTriple, t: TimesLike) -> ScaledComplex:

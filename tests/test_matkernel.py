@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import mpmath as mp
@@ -434,6 +435,29 @@ def test_expm_centered_stack_slices_bitwise(seed, n, log_norms):
         E0_i, mu_i = expm_centered(M[i])
         assert mu[i] == mu_i
         assert np.array_equal(E0[i], E0_i)
+
+
+def test_expm_in_threads_matches_serial_bitwise():
+    # the powers and Pade combinations live in per-thread buffers that stay
+    # from call to call: stacks exponentiated in four threads at once, with
+    # sizes that make the buffers grow, come out as one after another
+    rng = np.random.default_rng(5)
+    stacks = [
+        0.3 * (rng.standard_normal((12, k, k)) + 1j * rng.standard_normal((12, k, k)))
+        for k in (4, 24, 6, 12) * 2
+    ]
+    serial = [expm_centered(M) for M in stacks]
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for _ in range(3):
+            for (E0, mu), (E0_s, mu_s) in zip(pool.map(expm_centered, stacks), serial):
+                assert E0.tobytes() == E0_s.tobytes() and mu.tobytes() == mu_s.tobytes()
+
+
+def test_expm_centered_leaves_its_input_alone():
+    M = np.array([[[1.0, 2.0], [0.5, -1.0]], [[0.0, 1j], [2.0, 3.0]]])
+    copy = M.copy()
+    expm_centered(M)
+    assert M.tobytes() == copy.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
