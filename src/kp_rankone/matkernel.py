@@ -457,8 +457,7 @@ def _abs_power_norms(A: np.ndarray):
     asked for.
 
     2m + 1 is 3 mod 4 for every degree, so the row vectors e^T |A|^3
-    are carried forward by |A|^4 as larger degrees ask for them. Called
-    under :func:`_degree_and_scaling`'s errstate.
+    are carried forward by |A|^4 as larger degrees ask for them.
     """
     absA = np.abs(A)
     abs2 = absA @ absA
@@ -470,7 +469,8 @@ def _abs_power_norms(A: np.ndarray):
         if m not in norms:
             while len(rows) <= m // 2:
                 rows.append(rows[-1] @ abs4)
-            norms[m] = np.log2(rows[m // 2].max(axis=(-2, -1))).tolist()
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                norms[m] = np.log2(rows[m // 2].max(axis=(-2, -1))).tolist()
         return norms[m]
 
     return log2_norms
@@ -488,48 +488,47 @@ def _degree_and_scaling(A: np.ndarray, W: np.ndarray):
         power = power or _abs_power_norms(A)
         return power(m)
 
-    # one errstate for every norm and log below: a norm that overflows
-    # counts as inf, a zero one gives log2 -inf
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         norms = _norm1(W)
         d4, d6, _, d8 = (norms ** _ROOTS).tolist()
-        log2_n1 = [math.log2(n) if n > 0.0 else -math.inf for n in _norm1(A).tolist()]
-        P = len(A)
-        level, s, overflow, rest = [0] * P, [0] * P, [False] * P, []
-        for i in range(P):
-            eta1, eta3 = max(d4[i], d6[i]), max(d6[i], d8[i])
-            if not eta1 + eta3 < math.inf:
+    log2_n1 = [math.log2(n) if n > 0.0 else -math.inf for n in _norm1(A).tolist()]
+    P = len(A)
+    level, s, overflow, rest = [0] * P, [0] * P, [False] * P, []
+    for i in range(P):
+        eta1, eta3 = max(d4[i], d6[i]), max(d6[i], d8[i])
+        if not eta1 + eta3 < math.inf:
+            overflow[i] = True
+            continue
+        # the first of degrees 3..9 that eta and ell(A, m) = 0 allow; ell
+        # is zero where the norm bound ||A||^(2m+1) already gives zero,
+        # else where log2 ||  |A|^(2m+1)  || <= log2 ||A||_1 + bound
+        for j, m in enumerate(_DEGREES[:4]):
+            bound = _LOG2_ELL_BOUND[m]
+            if (eta1 if m < 7 else eta3) <= _THETA[m] and (
+                2 * m * log2_n1[i] <= bound or log2_power(m)[i] <= log2_n1[i] + bound
+            ):
+                level[i] = j
+                break
+        else:
+            level[i] = 4
+            rest.append(i)
+    if rest:
+        # degree 13: s from eta5, plus ell(2^-s A, 13) of Al-Mohy & Higham
+        # (2009), eq. (5.1), where a power norm that overflows counts as 2^1024
+        with np.errstate(over="ignore", invalid="ignore"):
+            d10 = (_norm1(W[0, rest] @ W[1, rest]) ** 0.1).tolist()
+        bound = _LOG2_ELL_BOUND[13]
+        for i, d10_i in zip(rest, d10):
+            eta5 = min(max(d6[i], d8[i]), max(d8[i], d10_i))
+            if not eta5 < math.inf:
                 overflow[i] = True
                 continue
-            # the first of degrees 3..9 that eta and ell(A, m) = 0 allow; ell
-            # is zero where the norm bound ||A||^(2m+1) already gives zero,
-            # else where log2 ||  |A|^(2m+1)  || <= log2 ||A||_1 + bound
-            for j, m in enumerate(_DEGREES[:4]):
-                bound = _LOG2_ELL_BOUND[m]
-                if (eta1 if m < 7 else eta3) <= _THETA[m] and (
-                    2 * m * log2_n1[i] <= bound or log2_power(m)[i] <= log2_n1[i] + bound
-                ):
-                    level[i] = j
-                    break
-            else:
-                level[i] = 4
-                rest.append(i)
-        if rest:
-            # degree 13: s from eta5, plus ell(2^-s A, 13) of Al-Mohy & Higham
-            # (2009), eq. (5.1), where a power norm that overflows counts as 2^1024
-            d10 = (_norm1(W[0, rest] @ W[1, rest]) ** 0.1).tolist()
-            bound = _LOG2_ELL_BOUND[13]
-            for i, d10_i in zip(rest, d10):
-                eta5 = min(max(d6[i], d8[i]), max(d8[i], d10_i))
-                if not eta5 < math.inf:
-                    overflow[i] = True
-                    continue
-                s[i] = max(math.ceil(math.log2(eta5 / _THETA[13])), 0) if eta5 > 0.0 else 0
-                if 26 * (log2_n1[i] - s[i]) > bound:
-                    excess = min(log2_power(13)[i], 1024.0) - 26 * s[i] - log2_n1[i] - bound
-                    if excess > 0:
-                        s[i] += math.ceil(excess / 26)
-        return np.array(level), np.array(s), np.array(overflow), norms[2] == 0
+            s[i] = max(math.ceil(math.log2(eta5 / _THETA[13])), 0) if eta5 > 0.0 else 0
+            if 26 * (log2_n1[i] - s[i]) > bound:
+                excess = min(log2_power(13)[i], 1024.0) - 26 * s[i] - log2_n1[i] - bound
+                if excess > 0:
+                    s[i] += math.ceil(excess / 26)
+    return np.array(level), np.array(s), np.array(overflow), norms[2] == 0
 
 
 def _pade(A: np.ndarray, W: np.ndarray, level: np.ndarray, s: np.ndarray) -> np.ndarray:

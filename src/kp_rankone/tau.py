@@ -42,10 +42,20 @@ so M(t + s) = M (I + Y(s)) with Y(s) = sum_{a != 0} X_w(a) s^a / a! and
 X_j = M^-1 A B^j E C.T. Mixed derivatives of log tau are then read off
 the truncated series log det(I + Y) = sum_k (-1)^(k+1) tr(Y^k) / k;
 one exponential and one linear solve serve every requested order (see
-:meth:`TauEvaluator.jets`).
+:meth:`TauEvaluator.jets`). The series for a tuple of multi-indices is a
+plan made once, on first use, and cached: the trace words
+tr(X_w1 ... X_wk), one per class of cyclic rotations, with their exact
+rational coefficients. A call forms the products the words need, each
+sharing the product of its prefix, takes one ``np.trace`` of them all and
+sums the words; for u that is tr X_2 - tr X_1^2. The right blocks
+[C.T, B C.T, ..., B^w C.T] are kept on the triple, one read-only array
+per weight w, so the jets of a stack are one product with its left
+factor, one ``slogdet`` and one ``solve``.
 
 One :class:`TauEvaluator` holds a stack of P base times, with g(B) formed
-by Horner on a (P, N, N) stack and one ``expm`` call; its two methods, the
+by Horner on a (P, N, N) stack and one ``expm`` call (the stack is built
+here, so the exponential skips the input check that
+:func:`~kp_rankone.matkernel.expm_centered` makes); its two methods, the
 shifted determinant and the jets, serve the whole stack. A single point is
 a stack of one; :func:`tau_grid` takes one such direct stack per t1 line,
 so a line costs one ``expm`` of P slices and one ``slogdet``.
@@ -317,7 +327,7 @@ class TauEvaluator:
     vector or an array (P, K).
 
     g(B) is formed by Horner on a (P, N, N) stack and exponentiated by one
-    ``expm_centered`` call, kept as A exp(g(B) - mu I) (``_left``, shape
+    centred ``expm`` call, kept as A exp(g(B) - mu I) (``_left``, shape
     (P, n, N)) and ``mu`` (P,), so huge tau magnitudes never leave the log
     scale. :meth:`shifted_dets` and :meth:`jets` serve the whole stack;
     the single-point methods read slice 0.
@@ -419,13 +429,10 @@ class TauEvaluator:
         is exactly singular, as one ``slogdet`` tells.
         """
         n = self.triple.n
-        plan = _jet_plan(tuple(wanted))
+        plan = _jet_plan(tuple(map(tuple, wanted)))
         W = self._left @ _right_blocks(self.triple, plan[0])
         sign, logdet = np.linalg.slogdet(W[..., :n])
         regular = (sign != 0) & np.isfinite(logdet)
-        if regular.all():
-            X = np.linalg.solve(W[..., :n], W[..., n:])
-            return logdet + n * self.mu.real, _jet_series(X, plan)
         Wr = W[regular]
         derivs = np.full((len(W), len(wanted)), complex(math.nan, math.nan))
         derivs[regular] = _jet_series(np.linalg.solve(Wr[..., :n], Wr[..., n:]), plan)
@@ -499,8 +506,8 @@ def tau_discrete(
 
 def _multi_index(orders: Sequence[int]) -> Tuple[int, int, int]:
     """Validate a derivative multi-index (a1, a2, a3) of total order >= 1."""
-    o = tuple(map(int, orders))
-    if len(o) != 3 or min(o) < 0:
+    o = tuple(int(x) for x in orders)
+    if len(o) != 3 or any(x < 0 for x in o):
         raise ValueError("orders must be three non-negative integers")
     if sum(o) < 1:
         raise ValueError("total derivative order must be at least 1")
@@ -555,8 +562,8 @@ def _jet_plan(wanted: Tuple[Tuple[int, int, int], ...]):
     Returns (weight, chain, traced, coefficients): the largest weight
     w(c); the products to form, each (i, j): matrix i times block X_(j+1),
     appended to the list of blocks X_1 .. X_weight; the index in that list
-    of each trace word, shortest first; and their exact coefficients, a
-    read-only float array (words, 1, len(wanted)).
+    of each trace word, shortest first; and their exact coefficients. The
+    arrays (words,) and (words, 1, len(wanted)) are read-only.
     """
     weight = max(_weight(a) for a in wanted)
     # exact: integer numerators over the common denominator lcm(1 .. |c|)
@@ -580,8 +587,9 @@ def _jet_plan(wanted: Tuple[Tuple[int, int, int], ...]):
         return index[word]
 
     words = sorted((w for w in numerators if any(numerators[w])), key=lambda w: (len(w), w))
-    traced = [product(word) for word in words]
+    traced = np.array([product(word) for word in words])
     coefficients = np.array([numerators[word] for word in words])[:, None] / denominator
+    traced.setflags(write=False)
     coefficients.setflags(write=False)
     return weight, tuple(chain), traced, coefficients
 
@@ -660,22 +668,14 @@ def _grid_times(
     t2s = [float(v) for v in t2_values] if t2_values is not None else [None]
     t3s = [float(v) for v in t3_values] if t3_values is not None else [None]
     coords = [(v1, v2, v3) for v3 in t3s for v2 in t2s for v1 in t1s]
-    if not coords:
-        return [], []
-    line = np.tile(base_t.values, (len(t1s), 1))
-    line[:, 0] = t1s
-    if not (np.isfinite(line).all() and all(math.isfinite(v) for v in t2s + t3s if v is not None)):
+    times = np.tile(base_t.values, (len(coords), 1))
+    for col in range(3):
+        if coords and coords[0][col] is not None:
+            times[:, col] = [c[col] for c in coords]
+    if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    lines = []
-    for v3 in t3s:
-        for v2 in t2s:
-            times = line.copy()
-            if v2 is not None:
-                times[:, 1] = v2
-            if v3 is not None:
-                times[:, 2] = v3
-            lines.append(times)
-    return coords, lines
+    line = max(len(t1s), 1)
+    return coords, [times[start : start + line] for start in range(0, len(times), line)]
 
 
 def tau_grid(
@@ -703,8 +703,6 @@ _EPS = float(np.finfo(float).eps)
 #: entries (slices times N^2) in one call: one call for all but large 3-D
 #: grids, whose memory this bounds
 _ANCHOR_ENTRIES = 1 << 16
-#: the one multi-index of u = 2 d^2/dt_1^2 log tau
-_U_JETS = ((2, 0, 0),)
 
 
 def _t1_step(t1: np.ndarray) -> Optional[float]:
@@ -810,7 +808,7 @@ def u_field(
     coords, lines = _grid_times(t1_values, t2_values, t3_values, base)
     if not coords:
         return []
-    jets = [ev.jets(_U_JETS) for ev in _u_line_evaluators(tr, lines)]
+    jets = [ev.jets(((2, 0, 0),)) for ev in _u_line_evaluators(tr, lines)]
     log_mag = np.concatenate([m for m, _ in jets])
     u = 2.0 * np.concatenate([d[:, 0] for _, d in jets])
     threshold = log_mag.max() + math.log(POLE_REL_THRESHOLD)

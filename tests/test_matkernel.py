@@ -447,10 +447,16 @@ def test_expm_in_threads_matches_serial_bitwise():
         for k in (4, 24, 6, 12) * 2
     ]
     serial = [expm_centered(M) for M in stacks]
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        for _ in range(3):
-            for (E0, mu), (E0_s, mu_s) in zip(pool.map(expm_centered, stacks), serial):
-                assert E0.tobytes() == E0_s.tobytes() and mu.tobytes() == mu_s.tobytes()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            for _ in range(3):
+                got = list(pool.map(expm_centered, stacks, timeout=60))
+                for (E0, mu), (E0_s, mu_s) in zip(got, serial):
+                    assert E0.tobytes() == E0_s.tobytes() and mu.tobytes() == mu_s.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_expm_centered_leaves_its_input_alone():

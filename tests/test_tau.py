@@ -632,6 +632,59 @@ def test_log_derivatives_match_mpmath_oracle(make):
 _ORDERS_TO_4 = tuple(
     (i, j, k) for i in range(5) for j in range(5) for k in range(5) if 1 <= i + j + k <= 4
 )
+_KP_ORDERS = ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0), (1, 0, 1), (3, 0, 0), (4, 0, 0))
+
+
+def _series_by_powers(X, wanted):
+    """Reference for the jet plan: the series log det(I + Y) summed as
+    sum_k (-1)^(k+1) tr(Y^k) / k with Y^k a dict of multi-index blocks,
+    truncated to the multi-indices below a wanted one."""
+    weight = lambda a: a[0] + 2 * a[1] + 3 * a[2]  # noqa: E731
+    fact = lambda a: math.factorial(a[0]) * math.factorial(a[1]) * math.factorial(a[2])  # noqa: E731
+    keep = {
+        (i, j, k)
+        for a1, a2, a3 in wanted
+        for i in range(a1 + 1)
+        for j in range(a2 + 1)
+        for k in range(a3 + 1)
+    } - {(0, 0, 0)}
+    n = X.shape[-2]
+    Y = {a: X[..., (weight(a) - 1) * n : weight(a) * n] / fact(a) for a in keep}
+    series = dict.fromkeys(keep, 0j)
+    power = Y
+    for k in range(1, max(sum(a) for a in keep) + 1):
+        if k > 1:
+            product = {}
+            for a, L in power.items():
+                for b, R in Y.items():
+                    c = (a[0] + b[0], a[1] + b[1], a[2] + b[2])
+                    if c in keep:
+                        product[c] = product[c] + L @ R if c in product else L @ R
+            power = product
+        for a, block in power.items():
+            series[a] = series[a] + (-1) ** (k + 1) / k * np.trace(block, axis1=-2, axis2=-1)
+    return np.stack([fact(a) * series[a] for a in wanted], axis=-1)
+
+
+@pytest.mark.parametrize("real", [False, True])
+@pytest.mark.parametrize("n, P", [(1, 1), (1, 41), (3, 5), (8, 12)])
+def test_jet_plan_matches_the_power_series(n, P, real):
+    # u keeps its bits (words tr X_2 and tr X_1^2, summed from zero as the
+    # power series sums them); other orders agree to rounding
+    tau_module = importlib.import_module("kp_rankone.tau")
+    rng = np.random.default_rng(10 * n + P)
+    X = rng.standard_normal((P, n, 12 * n))
+    if not real:
+        X = X + 1j * rng.standard_normal(X.shape)
+    X = X.astype(np.complex128)
+    for wanted in (((2, 0, 0),), _KP_ORDERS, _ORDERS_TO_4):
+        plan = tau_module._jet_plan(wanted)
+        got = tau_module._jet_series(np.ascontiguousarray(X[..., : plan[0] * n]), plan)
+        want = _series_by_powers(X[..., : plan[0] * n], wanted)
+        if wanted == ((2, 0, 0),):
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), wanted
 
 
 @pytest.mark.parametrize("P", [2, 12, 41])
@@ -652,7 +705,7 @@ def test_stack_slices_are_bit_identical_to_single_points(make, P):
     stack = TauEvaluator(tr, times)
     wanted_sets = [
         ((2, 0, 0),),
-        ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (0, 2, 0), (1, 0, 1), (3, 0, 0), (4, 0, 0)),
+        _KP_ORDERS,
         _ORDERS_TO_4,
     ]
     jets = [stack.jets(wanted) for wanted in wanted_sets]
