@@ -506,8 +506,8 @@ def tau_discrete(
 
 def _multi_index(orders: Sequence[int]) -> Tuple[int, int, int]:
     """Validate a derivative multi-index (a1, a2, a3) of total order >= 1."""
-    o = tuple(int(x) for x in orders)
-    if len(o) != 3 or any(x < 0 for x in o):
+    o = tuple(map(int, orders))
+    if len(o) != 3 or min(o) < 0:
         raise ValueError("orders must be three non-negative integers")
     if sum(o) < 1:
         raise ValueError("total derivative order must be at least 1")
@@ -599,9 +599,9 @@ def _jet_series(X: np.ndarray, plan) -> np.ndarray:
 
     X holds the blocks X_1 .. X_w side by side for a stack of P points,
     shape (P, n, w n). The blocks and the plan's products, one stacked
-    ``matmul`` each, fill one stack; one ``np.trace`` takes the traces of
-    the words, and their sum with the coefficients, shortest word first,
-    gives an array of shape (P, len(wanted)).
+    ``matmul`` each, fill one stack; one ``np.trace`` of the stack gives
+    the traces of the words, and their sum with the coefficients, shortest
+    word first, an array of shape (P, len(wanted)).
     """
     weight, chain, traced, coefficients = plan
     P, n = X.shape[:2]
@@ -609,13 +609,11 @@ def _jet_series(X: np.ndarray, plan) -> np.ndarray:
     mats[:weight] = X.reshape(P, n, weight, n).transpose(2, 0, 1, 3)
     for k, (i, j) in enumerate(chain, weight):
         np.matmul(mats[i], mats[j], out=mats[k])
-    terms = np.trace(mats[traced], axis1=-2, axis2=-1)[..., None] * coefficients
-    # term by term from zero: the same order for every P (numpy's sum
-    # reduction is not; it changes with the shape)
-    out = np.zeros(terms.shape[1:], dtype=np.complex128)
-    for term in terms:
-        out += term
-    return out
+    # a row of zeros, then the terms: summed term by term from zero, in the
+    # same order for every P (numpy's sum reduction changes with the shape)
+    terms = np.zeros((len(traced) + 1, P, coefficients.shape[-1]), dtype=np.complex128)
+    np.multiply(np.trace(mats, axis1=-2, axis2=-1)[traced, :, None], coefficients, out=terms[1:])
+    return np.add.accumulate(terms, axis=0)[-1]
 
 
 def log_tau_derivative(
