@@ -586,7 +586,7 @@ def _jet_plan(wanted: Tuple[Tuple[int, int, int], ...]):
             index[word] = weight + len(chain) - 1
         return index[word]
 
-    words = sorted((w for w in numerators if any(numerators[w])), key=lambda w: (len(w), w))
+    words = sorted(numerators, key=lambda w: (len(w), w))
     traced = np.array([product(word) for word in words])
     coefficients = np.array([numerators[word] for word in words])[:, None] / denominator
     traced.setflags(write=False)
