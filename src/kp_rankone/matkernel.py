@@ -376,6 +376,8 @@ _MAX_FOLDED_S = 60
 # from call to call, so that the allocator does not return them to the
 # system and fault them in again at every call
 _CHUNK_ENTRIES = 16384
+# per thread, so threads never share them; their contents never outlive
+# a call, so one call cannot see another's
 _buffers = threading.local()
 
 # r_m = (V - U)^-1 (V + U) with U = A Y_u, V = Y_v for m <= 9 and

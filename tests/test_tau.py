@@ -703,11 +703,7 @@ def test_stack_slices_are_bit_identical_to_single_points(make, P):
     times[:, 0] = np.linspace(-1.0, 1.0, P)
     times[:, 1:] = 0.2 * (rng.random((P, 2)) - 0.5) + 0.2j * (rng.random((P, 2)) - 0.5)
     stack = TauEvaluator(tr, times)
-    wanted_sets = [
-        ((2, 0, 0),),
-        _KP_ORDERS,
-        _ORDERS_TO_4,
-    ]
+    wanted_sets = [((2, 0, 0),), _KP_ORDERS, _ORDERS_TO_4]
     jets = [stack.jets(wanted) for wanted in wanted_sets]
     for k in range(P):
         single = TauEvaluator(tr, TimeVector(times[k]))
