@@ -14,24 +14,35 @@ products and negative powers as |k| linear solves after one check that
 c I - B is safely invertible, and a Miwa tau divides the gauge out on
 the log scale. c I - B keeps exact input exact, which I - B/c does not.
 
-A lattice identity needs several shifted taus at one base time: six for
-the bilinear lattice check, 3N + 1 for the polynomiality check, one per
-spectral parameter for a wave function. :meth:`TauEvaluator.shifted_dets`
-takes them as a list of shift sets and answers in one call. A step plan,
-made in one pass over the sets, groups depth by depth the sets that
-multiply and the sets that solve, so each step is one stacked product or
-solve (on a slice of the stack when its sets are consecutive); the
-factors c I - B of every step come from one broadcast expression; the
-invertibility check runs once per distinct inverted c (a norm
-certificate, |c| safely above ||B||_2, spares most of them an SVD); and
-one ``slogdet`` covers every set and base time. Each set keeps its own
-factor order, so a value does not depend on the other sets of the call.
+A lattice identity needs several shifted taus at one base time: 3N + 1
+for the polynomiality check, one per spectral parameter for a wave
+function. :meth:`TauEvaluator.shifted_dets` takes them as a list of shift
+sets and answers in one call. A step plan, made in one pass over the sets
+(:func:`_shifted_rights`), groups depth by depth the sets that multiply and
+the sets that solve, so each step is one stacked product or solve (on the
+whole stack, or a slice of it, when its sets are consecutive); the factors
+c I - B of every step are one stack, built in a buffer that stays
+from call to call; the invertibility check runs once per distinct inverted
+c (a norm certificate, |c| safely above ||B||_2, spares most of them an
+SVD); and one ``slogdet`` covers every set and base time. Each set keeps
+its own factor order, so a value does not depend on the other sets of the
+call.
 
 The answer is a log-scale pair of (sets, P) float arrays, log|det| and
 phase (see :mod:`kp_rankone.matkernel`), which give bit for bit what the
 corresponding ScaledComplex arithmetic gives. The gauges, terms and
 residuals of the checks are formed on those arrays, and ScaledComplex
 values are made only where a public function returns one.
+
+The six taus of the bilinear lattice check take no N x N determinant.
+They differ from one site factor R = prod_j (c_j I - B)^k_j C.T by one or
+two factors c I - B, which commute with B, so each is the determinant of
+an n x n combination of the moment blocks A E B^j R, j = 0, 1, 2.
+:meth:`TauEvaluator.moment_blocks` gives them: the site factor applied to
+the triple's kept right blocks [C.T, B C.T, B^2 C.T] (by the same step plan,
+as one set), then one product with the left factor; at a site with no
+nonzero power it is that product alone. The jets read their blocks from
+the same method, with no site factor.
 
 Derivatives of log tau are exact. With M = A E C.T, E = exp(g(B)),
 every time derivative of M stays in closed form,
@@ -50,15 +61,17 @@ sharing the product of its prefix, takes one ``np.trace`` of them all and
 sums the words; for u that is tr X_2 - tr X_1^2. The right blocks
 [C.T, B C.T, ..., B^w C.T] are kept on the triple, one read-only array
 per weight w, so the jets of a stack are one product with its left
-factor, one ``slogdet`` and one ``solve``.
+factor (:meth:`TauEvaluator.moment_blocks`), one ``slogdet`` and one
+``solve``.
 
 One :class:`TauEvaluator` holds a stack of P base times, with g(B) formed
 by Horner on a (P, N, N) stack and one ``expm`` call (the stack is built
 here, so the exponential skips the input check that
-:func:`~kp_rankone.matkernel.expm_centered` makes); its two methods, the
-shifted determinant and the jets, serve the whole stack. A single point is
-a stack of one; :func:`tau_grid` takes one such direct stack per t1 line,
-so a line costs one ``expm`` of P slices and one ``slogdet``.
+:func:`~kp_rankone.matkernel.expm_centered` makes); its methods, the
+shifted determinants, the moment blocks and the jets, serve the whole
+stack. A single point is a stack of one; :func:`tau_grid` takes one such
+direct stack per t1 line, so a line costs one ``expm`` of P slices and
+one ``slogdet``.
 
 :func:`u_field` uses that t1 is the flow of B itself: exp(g(B)) at t1 + j h
 is exp(g(B)) exp(j h B). A line of P >= 4 points in arithmetic
@@ -104,6 +117,7 @@ from .matkernel import (
     LogScale,
     ScaledComplex,
     as_cmatrix,
+    _buffer,
     _expm_centered,
     det_scaled,  # noqa: F401  (the benchmark's tracer wraps tau.det_scaled)
     log_scale_div,
@@ -322,6 +336,63 @@ def _miwa_taus(
     return log_scale_div(ev.shifted_dets(shift_sets), (lm[:, None], ph[:, None]))
 
 
+def _shifted_rights(
+    tr: RankOneTriple,
+    shift_sets: Sequence[Iterable[Tuple[complex, int]]],
+    right: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """prod_j (c_j I - B)^k_j X for each shift set ((c_j, k_j), ...), as a
+    fresh (sets, N, m) stack, where X (N, m) is ``right``, C.T by default;
+    ``shift_sets`` is nonempty.
+
+    Each set applies its factors to X in its own order, positive powers
+    as products and negative ones as solves; k = 0 entries are dropped. One
+    pass over the sets makes the step plan: for each depth, the sets that
+    multiply there and the sets that solve, each with its c, so a step is
+    one stacked product or one stacked solve, on the whole stack or, where
+    its sets are consecutive, a slice of it. The factors c I - B of all
+    steps are one stack, built in place in a buffer that stays from
+    call to call (so that a large stack faults no fresh pages in). Every c
+    that some set inverts passes :func:`_check_inverses` once. Raises
+    SingularShiftError if one fails.
+    """
+    plan: dict = {}  # (depth, solve) -> (sets, their c)
+    inverted: dict = {}  # the c some set solves with, in order
+    for s, shifts in enumerate(shift_sets):
+        depth = 0
+        for c, k in shifts:
+            if k:
+                if k < 0:
+                    inverted[c] = None
+                for _ in range(abs(k)):
+                    at, cs = plan.setdefault((depth, k < 0), ([], []))
+                    at.append(s)
+                    cs.append(c)
+                    depth += 1
+    _check_inverses(tr, list(inverted))
+    rights = np.repeat((tr.C.T if right is None else right)[None], len(shift_sets), axis=0)
+    if not plan:
+        return rights
+    # by depth, products before solves
+    steps = sorted(plan)
+    cs = np.asarray([c for step in steps for c in plan[step][1]], dtype=np.complex128)
+    factors = np.multiply(cs[:, None, None], _identity(tr.N), out=_buffer(0, (len(cs), tr.N, tr.N)))
+    factors -= tr.B
+    start = 0
+    for step in steps:
+        at = plan[step][0]
+        F = factors[start : start + len(at)]
+        start += len(at)
+        if len(at) == len(rights):  # every set (often): the result is the stack
+            rights = np.linalg.solve(F, rights) if step[1] else F @ rights
+            continue
+        # other consecutive sets are a slice, not a gather
+        if at[-1] - at[0] + 1 == len(at):
+            at = slice(at[0], at[-1] + 1)
+        rights[at] = np.linalg.solve(F, rights[at]) if step[1] else F @ rights[at]
+    return rights
+
+
 class TauEvaluator:
     """Tau values for one triple at P >= 1 base times: ``t`` is one time
     vector or an array (P, K).
@@ -329,8 +400,8 @@ class TauEvaluator:
     g(B) is formed by Horner on a (P, N, N) stack and exponentiated by one
     centred ``expm`` call, kept as A exp(g(B) - mu I) (``_left``, shape
     (P, n, N)) and ``mu`` (P,), so huge tau magnitudes never leave the log
-    scale. :meth:`shifted_dets` and :meth:`jets` serve the whole stack;
-    the single-point methods read slice 0.
+    scale. :meth:`shifted_dets`, :meth:`moment_blocks` and :meth:`jets`
+    serve the whole stack; the single-point methods read slice 0.
 
     The triple keeps the read-only ``mu`` and ``_left`` of its last
     single-point evaluator (P = 1) in one slot, keyed by the dtype, shape
@@ -375,52 +446,35 @@ class TauEvaluator:
         log|det| with n mu folded in, and the phase in (-pi, pi]; an exact
         zero has log magnitude -inf.
 
-        Each set applies its factors to C.T in its own order, positive
-        powers as products and negative ones as solves; k = 0 entries are
-        dropped. One pass over the sets makes the step plan: for each
-        depth, the sets that multiply there and the sets that solve, each
-        with its c, so a step is one stacked product or one stacked solve.
-        The factors c I - B of all steps are built by one broadcast
-        expression. Every c that some set inverts passes
-        :func:`_check_inverses` once. One product with the left factor and
-        one ``slogdet`` serve every set and base time. Raises
-        SingularShiftError if an inverted c I - B fails the check.
+        The right factors come from :func:`_shifted_rights`; one product
+        with the left factor and one ``slogdet`` serve every set and base
+        time. Raises SingularShiftError if an inverted c I - B fails
+        :func:`_check_inverses`.
         """
-        tr = self.triple
-        count = len(shift_sets)
-        if not count:
+        if not len(shift_sets):
             return np.empty((0, len(self.mu))), np.empty((0, len(self.mu)))
-        plan: dict = {}  # (depth, solve) -> (sets, their c)
-        inverted: dict = {}  # the c some set solves with, in order
-        for s, shifts in enumerate(shift_sets):
-            depth = 0
-            for c, k in shifts:
-                if k:
-                    if k < 0:
-                        inverted[c] = None
-                    for _ in range(abs(k)):
-                        at, cs = plan.setdefault((depth, k < 0), ([], []))
-                        at.append(s)
-                        cs.append(c)
-                        depth += 1
-        _check_inverses(tr, list(inverted))
-        rights = np.repeat(tr.C.T[None], count, axis=0)
-        # by depth, products before solves
-        steps = sorted(plan)
-        if steps:
-            cs = [c for step in steps for c in plan[step][1]]
-            factors = np.asarray(cs, dtype=np.complex128)[:, None, None] * _identity(tr.N) - tr.B
-        start = 0
-        for step in steps:
-            at = plan[step][0]
-            F = factors[start : start + len(at)]
-            start += len(at)
-            # consecutive sets (all of them, often) are a slice, not a gather
-            if at[-1] - at[0] + 1 == len(at):
-                at = slice(at[0], at[-1] + 1)
-            rights[at] = np.linalg.solve(F, rights[at]) if step[1] else F @ rights[at]
+        rights = _shifted_rights(self.triple, shift_sets)
         dets = slogdet_scaled(self._left[None] @ rights[:, None])
-        return log_scale_mul(dets, log_scale_exp(tr.n * self.mu))
+        return log_scale_mul(dets, log_scale_exp(self.triple.n * self.mu))
+
+    def moment_blocks(self, base: Sequence[Tuple[complex, int]], degree: int) -> np.ndarray:
+        """The blocks A exp(g(B) - mu I) B^j R, j = 0 .. degree, side by side,
+        shape (P, n, (degree + 1) n), with R = prod_j (c_j I - B)^k_j C.T of
+        the shift set ``base`` ((c_j, k_j), ...).
+
+        Every shifted tau whose set is ``base`` plus nonnegative powers is
+        an n x n combination of these blocks: the factors commute with B,
+        so p(B) R with p(B) = sum_j p_j B^j gives sum_j p_j K_j. For the
+        same reason [R, B R, ..., B^degree R] is the triple's kept right
+        blocks [C.T, B C.T, ...] with the factors of ``base`` applied, by
+        :func:`_shifted_rights` (raising SingularShiftError as
+        :meth:`shifted_dets` does). Where every k_j is zero the call is one
+        product of the left factor with the kept blocks.
+        """
+        right = _right_blocks(self.triple, degree)
+        if any(k for _, k in base):
+            right = _shifted_rights(self.triple, [base], right)[0]
+        return self._left @ right
 
     def jets(self, wanted: Sequence[Tuple[int, int, int]]) -> Tuple[np.ndarray, np.ndarray]:
         """log|tau| (P,) and derivatives of log tau (P, len(wanted)), one per
@@ -430,7 +484,7 @@ class TauEvaluator:
         """
         n = self.triple.n
         plan = _jet_plan(tuple(map(tuple, wanted)))
-        W = self._left @ _right_blocks(self.triple, plan[0])
+        W = self.moment_blocks((), plan[0])
         sign, logdet = np.linalg.slogdet(W[..., :n])
         regular = (sign != 0) & np.isfinite(logdet)
         Wr = W[regular]

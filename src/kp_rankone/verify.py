@@ -27,20 +27,21 @@ from .errors import (
     DimensionError,
     GeometryError,
     InadmissibleTripleError,
+    RangeError,
 )
 from .matkernel import (
     DEFAULT_RANK_TOL,
+    _log_polar,
     as_cmatrix,
     det_scaled,
     matexp,
-    log_scale,
-    log_scale_mul,
     numerical_rank,
     rel_difference,
     residual_of_log_sum,
+    wrap_phase,
     ScaledComplex,
 )
-from .tau import TauEvaluator, TimeVector, TimesLike, _miwa_taus, tau
+from .tau import TauEvaluator, TimeVector, TimesLike, tau
 from .triple import RankOneTriple
 
 __all__ = [
@@ -116,8 +117,56 @@ def draw_lattice_parameters(rng: np.random.Generator, B) -> List[complex]:
     raise GeometryError("could not draw lattice parameters away from the spectrum")
 
 
-# the six sites of the three-term identity, as offsets from (l, m, n)
-_HBDE_SITES = ((1, 0, 0), (0, 1, 1), (0, 1, 0), (1, 0, 1), (0, 0, 1), (1, 1, 0))
+# the six taus of the three-term identity, in the order of its terms: the
+# site (l, m, n) stepped by one in each listed parameter (0: c1, 1: c2, 2: c3)
+_HBDE_STEPS = ((0,), (1, 2), (1,), (0, 2), (2,), (0, 1))
+
+
+def _hbde_taus(
+    tr: RankOneTriple, t: TimesLike, c: Tuple[complex, complex, complex], site: Tuple[int, int, int]
+) -> List[Tuple[float, float]]:
+    """The six Miwa taus of the bilinear identity at ``site``, in
+    ``_HBDE_STEPS`` order, as (log|tau|, phase) pairs of Python floats.
+
+    A step in c_a, or in c_a and c_b, multiplies the site factor
+    R = prod_j (c_j I - B)^site_j C.T by c_a I - B, or by
+    (c_a I - B)(c_b I - B), so its determinant is that of an n x n
+    combination of the three moment blocks K_j = A exp(g(B) - mu I) B^j R
+    (:meth:`TauEvaluator.moment_blocks`): c_a K0 - K1, or
+    c_a c_b K0 - (c_a + c_b) K1 + K2. The six combinations are one stacked
+    product and take one ``slogdet``. n mu and the gauge
+    (prod_j c_j^k_j)^n are then folded in as ScaledComplex folds them
+    (det * e^(n mu) / e^gauge).
+    """
+    ev = TauEvaluator(tr, t)
+    n = tr.n
+    # row i of K0, K1, K2 at K[i]
+    K = ev.moment_blocks(tuple(zip(c, site)), 2)[0].reshape(n, 3, n)
+    n_logs = [n * cmath.log(cj) for cj in c]
+    site_gauge = site[0] * n_logs[0] + site[1] * n_logs[1] + site[2] * n_logs[2]
+    weights, gauges = [], []  # weights: the (K0, K1, K2) coefficients, flat
+    for step in _HBDE_STEPS:
+        if len(step) == 1:
+            a = step[0]
+            weights += (c[a], -1.0, 0.0)
+            gauges.append(site_gauge + n_logs[a])
+        else:
+            a, b = step
+            weights += (c[a] * c[b], -(c[a] + c[b]), 1.0)
+            gauges.append(site_gauge + n_logs[a] + n_logs[b])
+    M = (np.array(weights, dtype=np.complex128).reshape(6, 3) @ K).swapaxes(0, 1)
+    if not np.isfinite(M).all():
+        raise RangeError("a moment-block combination overflows double precision")
+    signs, logdets = np.linalg.slogdet(M)
+    n_mu = complex(n * ev.mu[0])
+    mu_phase = wrap_phase(n_mu.imag)
+    out = []
+    for sign, logdet, g in zip(signs.tolist(), logdets.tolist(), gauges):
+        # the determinant's phase as slogdet_scaled gives it, in (-pi, pi]
+        phase = wrap_phase(math.atan2(sign.imag, sign.real))
+        phase = wrap_phase(wrap_phase(phase + mu_phase) - wrap_phase(g.imag))
+        out.append((logdet + n_mu.real - g.real, phase))
+    return out
 
 
 def hbde_residual(
@@ -142,9 +191,12 @@ def hbde_residual(
 
     vanishes identically for admissible triples. The report carries
     |sum| / max term magnitude, evaluated on the log scale. The six
-    shifted taus come from one :meth:`TauEvaluator.shifted_dets` call,
-    and checks at one base time share its exponential; their gauges, the
-    three terms and the residual are formed on log-scale arrays.
+    shifted taus are n x n combinations of three moment blocks of one
+    site factor (:func:`_hbde_taus`), so the check takes one shifted right
+    factor (none at site (0, 0, 0)), one product with the left factor and
+    one n x n ``slogdet``; checks at one base time share its exponential.
+    The pair products and the terms are formed in Python floats, as
+    ScaledComplex forms them.
     """
     c1, c2, c3 = complex(c1), complex(c2), complex(c3)
     l, m, n_index = int(l), int(m), int(n_index)
@@ -154,12 +206,13 @@ def hbde_residual(
         raise ValueError("lattice parameters must be nonzero")
     if not all(map(cmath.isfinite, (c1, c2, c3))):
         raise ValueError("shift parameter c must be finite")
-    sets = [((c1, l + a), (c2, m + b), (c3, n_index + d)) for a, b, d in _HBDE_SITES]
-    lm, ph = _miwa_taus(TauEvaluator(tr, t), sets)
+    T = _hbde_taus(tr, t, (c1, c2, c3), (l, m, n_index))
     # T0 T1 (c2 - c3), T2 T3 (-(c1 - c3)), T4 T5 (c1 - c2)
-    pairs = log_scale_mul((lm[0::2, 0], ph[0::2, 0]), (lm[1::2, 0], ph[1::2, 0]))
-    terms = log_scale_mul(pairs, log_scale([c2 - c3, -(c1 - c3), c1 - c2]))
-    term_lm, term_ph = terms[0].tolist(), terms[1].tolist()
+    term_lm, term_ph = [], []
+    for (a_lm, a_ph), (b_lm, b_ph), w in zip(T[0::2], T[1::2], (c2 - c3, -(c1 - c3), c1 - c2)):
+        w_lm, w_ph = _log_polar(w)
+        term_lm.append(a_lm + b_lm + w_lm)
+        term_ph.append(wrap_phase(wrap_phase(a_ph + b_ph) + w_ph))
     return VerificationReport.make(
         "hbde",
         residual_of_log_sum(term_lm, term_ph),

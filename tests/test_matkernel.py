@@ -167,6 +167,11 @@ def _bits(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
+def _cbits(x) -> np.ndarray:
+    """The bits of complex values, as two uint64 per entry."""
+    return np.ascontiguousarray(x, dtype=np.complex128).view(np.uint64)
+
+
 def test_wrap_near_matches_wrap_phase_bit_for_bit():
     # sums and differences of two wrapped phases lie in (-2 pi, 2 pi]
     rng = np.random.default_rng(31)
@@ -424,7 +429,8 @@ def test_matexp_square_zero_exact(t):
 @example(7, 24, [-1.0, 0.5, 1.5] * 20)  # 60 slices of 24 x 24
 def test_expm_centered_stack_slices_bitwise(seed, n, log_norms):
     # slices of norm 1e-4..300 take different degrees and squarings; each
-    # must come out exactly as when exponentiated alone
+    # must come out exactly as when exponentiated alone, signed zeros
+    # included (array_equal and == count -0.0 equal to 0.0)
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((len(log_norms), n, n)) + 1j * rng.standard_normal(
         (len(log_norms), n, n)
@@ -433,8 +439,8 @@ def test_expm_centered_stack_slices_bitwise(seed, n, log_norms):
     E0, mu = expm_centered(M)
     for i in range(len(M)):
         E0_i, mu_i = expm_centered(M[i])
-        assert mu[i] == mu_i
-        assert np.array_equal(E0[i], E0_i)
+        assert np.array_equal(_cbits(mu[i]), _cbits(mu_i))
+        assert np.array_equal(_cbits(E0[i]), _cbits(E0_i))
 
 
 def test_expm_in_threads_matches_serial_bitwise():
@@ -484,7 +490,7 @@ def test_expm_centered_stack_scales_past_folding_range():
     E0, mu = expm_centered(M)
     assert np.all(np.isfinite(E0))
     for i in range(len(M)):
-        assert np.array_equal(E0[i], expm_centered(M[i])[0])
+        assert np.array_equal(_cbits(E0[i]), _cbits(expm_centered(M[i])[0]))
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -2,6 +2,9 @@
 weighted determinant identity, closed-form crosschecks, Bethe-type products.
 """
 
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,12 +18,13 @@ from kp_rankone.cases import (
     random_kdv_pair,
 )
 from kp_rankone.errors import DegenerateSpectrumError, InadmissibleTripleError
-from kp_rankone.matkernel import residual_of_sum
-from kp_rankone.tau import TimeVector, tau_miwa
+from kp_rankone.matkernel import ScaledComplex, rel_difference, residual_of_sum
+from kp_rankone.tau import TimeVector, tau, tau_miwa
 from kp_rankone.triple import RankOneTriple, make_triple, random_admissible
 from kp_rankone.verify import (
     DEFAULT_KP_TOL,
     VerificationReport,
+    _hbde_taus,
     bethe_check,
     draw_lattice_parameters,
     crosscheck_intertwining,
@@ -75,18 +79,116 @@ def test_hbde_random_triples(seed):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_hbde_log_scale_arrays_match_scaled_complex_reference(seed):
-    # the residual formed on log-scale arrays is bit for bit the one that
-    # ScaledComplex arithmetic gives from the same six Miwa taus
+    # the residual and the terms, formed in Python floats, are bit for bit
+    # what ScaledComplex arithmetic gives from the six taus the check forms
     tr = random_admissible(1 + seed, 4 + 2 * seed, seed=40 + seed)
     t = TimeVector([0.3 - 0.1j, 0.2, -0.05])
     c1, c2, c3 = draw_lattice_parameters(np.random.default_rng(seed), tr)
     l, m, n = [(1, -1, 0), (0, 1, 1), (-1, 0, -1), (1, 1, 1)][seed]
     rep = hbde_residual(tr, t, c1, c2, c3, l=l, m=m, n_index=n)
-    offsets = ((1, 0, 0), (0, 1, 1), (0, 1, 0), (1, 0, 1), (0, 0, 1), (1, 1, 0))
-    T = [tau_miwa(tr, ((c1, l + a), (c2, m + b), (c3, n + d)), t) for a, b, d in offsets]
+    T = [ScaledComplex(lm, ph) for lm, ph in _hbde_taus(tr, t, (c1, c2, c3), (l, m, n))]
     terms = [T[0] * T[1] * (c2 - c3), T[2] * T[3] * (-(c1 - c3)), T[4] * T[5] * (c1 - c2)]
     assert rep.residual == residual_of_sum(terms)
     assert rep.context["term_log_magnitudes"] == [x.log_magnitude for x in terms]
+
+
+# the sites of the identity's six taus, as offsets from (l, m, n)
+_HBDE_OFFSETS = ((1, 0, 0), (0, 1, 1), (0, 1, 0), (1, 0, 1), (0, 0, 1), (1, 1, 0))
+
+
+def _mpmath_hbde_taus(tr, t, c, site, dps=30):
+    """The six Miwa taus of the bilinear identity at ``site`` in mpmath:
+    R = prod_j (c_j I - B)^site_j C.T by products and inverses, exp(g(B)) R
+    by its Taylor series, then det(A (c_a I - B)(c_b I - B) exp(g(B)) R)
+    over the gauge (prod_j c_j^k_j)^n for each offset of the identity."""
+    with mpmath.workdps(dps):
+        A, B, R = (mpmath.matrix(M.tolist()) for M in (tr.A, tr.B, tr.C.T))
+        I = mpmath.eye(tr.N)
+        c = [mpmath.mpc(x) for x in c]
+        for cj, k in zip(c, site):
+            for _ in range(abs(k)):
+                F = cj * I - B
+                R = F * R if k > 0 else mpmath.inverse(F) * R
+        G = mpmath.zeros(tr.N)
+        for v in t.values[::-1]:
+            G = B * (mpmath.mpc(complex(v)) * I + G)
+        term, ER = R, R
+        for j in range(1, 200):
+            term = G * term / j
+            ER += term
+            if mpmath.mnorm(term, 1) < mpmath.eps * mpmath.mnorm(ER, 1):
+                break
+        out = []
+        for offset in _HBDE_OFFSETS:
+            X = ER
+            for cj, a in zip(c, offset):
+                if a:
+                    X = (cj * I - B) * X
+            gauge = mpmath.fprod(cj ** (s + a) for cj, s, a in zip(c, site, offset)) ** tr.n
+            out.append(mpmath.det(A * X) / gauge)
+        return out
+
+
+
+def test_hbde_taus_match_tau_miwa_and_mpmath():
+    # the six taus from the n x n moment blocks stay within 1e-11 of the
+    # N x N shifted determinants of tau_miwa, and of a 30-digit mpmath
+    # determinant on one draw per size
+    rng = np.random.default_rng(77)
+    t = TimeVector([0.25 - 0.1j, -0.15 + 0.05j, 0.1])
+    sizes = ((1, 4), (2, 6), (4, 12), (8, 24))
+    for draw in range(48):
+        n, N = sizes[draw % 4]
+        tr = random_admissible(n, N, seed=100 + draw)
+        c = tuple(draw_lattice_parameters(rng, tr))
+        site = tuple(int(k) for k in rng.integers(-1, 2, size=3))
+        got = [ScaledComplex(lm, ph) for lm, ph in _hbde_taus(tr, t, c, site)]
+        for offset, value in zip(_HBDE_OFFSETS, got):
+            shifts = tuple((cj, s + a) for cj, s, a in zip(c, site, offset))
+            assert rel_difference(value, tau_miwa(tr, shifts, t)) <= 1e-11, (draw, offset)
+        if draw < 4:
+            for value, want in zip(got, _mpmath_hbde_taus(tr, t, c, site)):
+                with mpmath.workdps(30):
+                    ratio = mpmath.exp(mpmath.mpc(value.log_magnitude, value.phase)) / want
+                    assert abs(ratio - 1) <= 1e-11, (draw, value, want)
+
+
+@pytest.mark.parametrize("n, N", [(2, 6), (4, 12), (8, 24)])
+@pytest.mark.parametrize("delta", [1e-3, 1e-6])
+def test_hbde_with_a_parameter_next_to_the_spectrum(n, N, delta):
+    # one c at distance delta from an eigenvalue of B, at every site with
+    # entries in -1..1: the residual stays within the tolerance wherever
+    # that c is not inverted. Inverting c I - B, of condition ~1/delta,
+    # loses digits in proportion (the N x N shifted determinants do alike)
+    tr = random_admissible(n, N, seed=N)
+    lam = tr.eigvals_B
+    rng = np.random.default_rng(N)
+    t = TimeVector([0.2 - 0.1j, -0.1, 0.05])
+    for which in range(3):
+        c = draw_lattice_parameters(rng, tr)
+        c[which] = complex(lam[which] + delta * np.exp(2j * np.pi * rng.random()))
+        for site in itertools.product((-1, 0, 1), repeat=3):
+            rep = hbde_residual(tr, t, *c, *site)
+            if site[which] >= 0:
+                assert rep.passed, (which, site, rep.residual)
+            else:
+                assert rep.residual <= 1e-13 / delta, (which, site, rep.residual)
+
+
+def test_hbde_at_the_origin_site_solves_nothing(monkeypatch):
+    # at site (0, 0, 0) the moment blocks are the triple's kept right blocks
+    # [C.T, B C.T, B^2 C.T]: no shifted factor is built and nothing is solved
+    tr = random_admissible(3, 9, seed=3)
+    t = TimeVector([0.2, -0.1])
+    tau(tr, t)  # the exponential is memoized before counting
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
+    rep = hbde_residual(tr, t, 1.8, 2.2 + 0.7j, -2.4)
+    assert rep.passed and rep.residual < 1e-12
+    assert solves == [] and 2 in tr._right_blocks
+    hbde_residual(tr, t, 1.8, 2.2 + 0.7j, -2.4, l=-1)
+    assert solves == [1]
 
 
 def test_lattice_draw_reads_the_triples_eigenvalues(monkeypatch):
