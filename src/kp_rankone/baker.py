@@ -18,30 +18,34 @@ phases until each sample becomes a ScaledComplex, because e^{xz} alone
 overflows doubles on moderate grids.
 
 The spectral support of the whole family is the eigenvalue multiset of
-B: multiplying the adjoint shift by det(z I - B) clears every pole, and
-:func:`polynomiality_check` verifies that claim by polynomial
-interpolation on a circle enclosing the spectrum.
+B: multiplying the adjoint shift by det(z I - B) clears every pole, for
+every triple, admissible or not (by the Schur complement the product is
+a bordered determinant, polynomial in z), and :func:`polynomiality_check`
+verifies that claim by polynomial interpolation on a circle enclosing the
+spectrum. The nodes of one circle share one site factor, so their shifted
+taus are n x n determinants of moment blocks, as in the bilinear check.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import GeometryError, PoleError, SingularShiftError
+from .errors import GeometryError, PoleError, RangeError
 from .matkernel import (
     ScaledComplex,
     eig,
-    log_scale,
     log_scale_div,
     log_scale_exp,
     log_scale_mul,
     scaled_values,
 )
-from .tau import TauEvaluator, TimeVector, TimesLike, _miwa_taus
+from .tau import TauEvaluator, TimeVector, TimesLike, _miwa_taus, _right_blocks
 from .triple import RankOneTriple
 from .verify import VerificationReport
 
@@ -58,6 +62,10 @@ __all__ = [
 ]
 
 DEFAULT_POLY_TOL = 1e-8
+
+#: the check nodes of :func:`polynomiality_check` are turned by this
+#: fraction of their spacing, so that none is a fit node
+_CHECK_ROTATION = 0.37
 
 
 @dataclass(frozen=True)
@@ -151,77 +159,141 @@ def grassmann_support(tr: RankOneTriple) -> SpectralSupport:
     return SpectralSupport(points=tuple(eig(tr.B)), char_poly_degree=tr.N)
 
 
+@lru_cache(maxsize=16)
+def _node_powers(M: int, rotation: float) -> np.ndarray:
+    """zeta_k^p, k, p = 0 .. M - 1, for the M nodes
+    zeta_k = e^(2 pi i (k + rotation) / M) of one circle, as a read-only
+    (M, M) table kept per (M, rotation). Each entry is the twiddle
+    e^(2 pi i m / M) of index m = k p mod M times e^(2 pi i rotation p / M),
+    so a power is rounded once, not built up from rounded node powers.
+
+    A twiddle is the cosine and sine of an angle of at most pi / 4: the
+    index is folded into the first octant in integers and the quadrant
+    restored by exact swaps and sign changes. So a node is as close to its
+    exact root as a rounding allows, for every k; the characteristic
+    polynomial, whose relative error is about N times a node's, is
+    evaluated at these nodes.
+    """
+    k = np.arange(M)
+    quadrant, m = np.divmod(4 * k, M)  # 2 pi k / M = pi / 2 (quadrant + m / M)
+    high = 2 * m > M
+    x = (math.pi / 2) * np.where(high, M - m, m) / M
+    c, s = np.cos(x), np.sin(x)
+    c, s = np.where(high, s, c), np.where(high, c, s)
+    twiddles = np.choose(quadrant, [c, -s, -c, s]) + 1j * np.choose(quadrant, [s, c, -s, -c])
+    Z = twiddles[np.outer(k, k) % M] * np.exp(2j * math.pi * rotation / M * k)
+    Z.setflags(write=False)
+    return Z
+
+
+def _circle_taus(ev: TauEvaluator, r: float) -> Tuple[List[np.ndarray], np.ndarray, np.ndarray]:
+    """tau(t + [1/z]) at the 3N + 1 nodes z = r zeta of
+    :func:`polynomiality_check`: the N + 1 fit nodes, zeta^(N+1) = 1, then
+    the 2N check nodes, zeta^(2N) = e^(2 pi i 0.37); ``ev`` is a
+    single-point evaluator and r >= 2 ||B||_2. Returns the power tables of
+    the two circles (:func:`_node_powers`), then log|tau| and the unit
+    e^(i arg tau) at the nodes, circle by circle (log|tau| -inf and unit 0
+    at an exact zero).
+
+    All nodes of a circle satisfy zeta^M = omega, so with b = B / r each
+    resolvent splits into a polynomial in b and one inverse that the
+    circle shares:
+
+        (z I - B)^-1 = r^-1 (sum_{j<M} zeta^(M-1-j) b^j) (omega I - b^M)^-1.
+
+    Hence tau(t + [1/z]) = e^(n mu) zeta^n det S, with the n x n
+    combination S = sum_j zeta^(M-1-j) r^-j K_j of the moment blocks
+    K_j = X B^j C.T and X = A exp(g(B) - mu I) (omega I - b^M)^-1, which
+    acts on the left factor because b commutes with the inverse. The two
+    site factors X are one stacked solve of two slices, the blocks one
+    product with the triple's kept right blocks [C.T, ..., B^(2N-1) C.T],
+    and the 3N + 1 combinations take one ``slogdet``. No power r^M is
+    formed. With ||b||_2 <= 1/2, sum_j ||b^j|| <= 2 bounds how much a
+    combination amplifies rounding, and omega I - b^M has condition
+    number at most (1 + 2^-M) / (1 - 2^-M). Raises RangeError where the
+    kept blocks overflow double precision (||B||_2^(2N-1) near 1e308).
+    """
+    tr = ev.triple
+    n, N = tr.n, tr.N
+    I = np.eye(N)
+    b = tr.B / r
+    bN = np.linalg.matrix_power(b, N)
+    omega = cmath.exp(2j * math.pi * _CHECK_ROTATION)
+    F = np.stack([I - bN @ b, omega * I - bN @ bN])
+    X = np.linalg.solve(F.transpose(0, 2, 1), ev._left[0].T).transpose(0, 2, 1)
+    # K[c, j] = K_j of circle c, j = 0 .. 2N - 1
+    K = (X @ _right_blocks(tr, 2 * N - 1)).reshape(2, n, 2 * N, n).transpose(0, 2, 1, 3)
+    powers = [_node_powers(N + 1, 0.0), _node_powers(2 * N, _CHECK_ROTATION)]
+    S = []
+    for c, Z in enumerate(powers):
+        M = len(Z)
+        weights = Z[:, ::-1] * r ** -np.arange(M, dtype=np.float64)
+        S.append((weights @ K[c, :M].reshape(M, n * n)).reshape(M, n, n))
+    S = np.concatenate(S)
+    if not np.isfinite(S).all():
+        raise RangeError("a moment-block combination overflows double precision")
+    sign, logdet = np.linalg.slogdet(S)
+    n_mu = complex(n * ev.mu[0])
+    unit = sign * np.concatenate([Z[:, n] for Z in powers]) * cmath.exp(1j * n_mu.imag)
+    return powers, logdet + n_mu.real, unit
+
+
 def polynomiality_check(
     tr: RankOneTriple,
     t: TimesLike,
     tol: float = DEFAULT_POLY_TOL,
     radius: Optional[float] = None,
 ) -> VerificationReport:
-    """Check that q(z) = det(z I - B) tau(t + [1/z]) is a degree-N polynomial.
+    """Check that q(z) = det(z I - B) tau(t + [1/z]) is a polynomial of
+    degree N whose top coefficient is tau(t).
+
+    By the Schur complement, det(z I - B) det(A E (z I - B)^-1 C.T) is
+    +-det([[z I - B, C.T], [A E, 0]]), a polynomial of degree at most
+    N - n, and tau(t + [1/z]) carries the gauge z^n; so q is a polynomial
+    of degree at most N for every triple, admissible or not, and the check
+    tests how shifted taus are evaluated, not the rank-one condition (the
+    bilinear check of :func:`~kp_rankone.verify.hbde_residual` does that).
 
     q is sampled at N + 1 equispaced nodes on a circle of radius
-    2 + max|eig(B)| (or the given override), fitted exactly in the
+    r = max(2 + max|eig(B)|, 2 ||B||_2) (or the given override, which
+    must be at least 2 ||B||_2, else GeometryError), fitted exactly in the
     DFT-conditioned basis (z / r)^k, and validated on 2N rotated nodes of
-    the same circle; all 3N + 1 shifted taus come from one
-    :meth:`~kp_rankone.tau.TauEvaluator.shifted_dets` call, which makes
-    one stacked solve. q is formed at all nodes at once on the log scale:
-    the gauges and det(z I - B) (one product over the spectrum per node,
-    from one ``prod``) as arrays, then every node is scaled by the peak
-    |q| before the fit. The residual is the largest validation mismatch
-    relative to the largest sampled |q|. Rank-one admissibility is what
-    makes this hold; generic B of full support would need degree n(N-1).
+    the same circle. The nodes stay at least r / 2 from the spectrum, and
+    their shifted taus come from one site factor per circle
+    (:func:`_circle_taus`). q / r^N is formed at all nodes at once: the
+    characteristic polynomial from the kept eigenvalues of B as one
+    product, the phases as products of unit complex numbers, and every
+    node scaled by the peak |q| before the fit. The residual is the
+    largest validation mismatch relative to the largest sampled |q|.
     """
     t = TimeVector.coerce(t)
     N = tr.N
-    lam = tr.eigvals_B
-    spec_radius = float(np.max(np.abs(lam))) if lam.size else 0.0
-    r = float(radius) if radius is not None else 2.0 + spec_radius
-    ev = TauEvaluator(tr, t)
-
-    for _ in range(5):
-        fit_nodes = r * np.exp(2j * np.pi * np.arange(N + 1) / (N + 1))
-        check_nodes = r * np.exp(2j * np.pi * (np.arange(2 * N) + 0.37) / (2 * N))
-        all_nodes = np.concatenate([fit_nodes, check_nodes])
-        if np.min(np.abs(all_nodes[:, None] - lam[None, :])) < 1e-8 * r:
-            r *= 1.3
-            continue
-        sets = [((complex(z), -1),) for z in all_nodes]
-        try:
-            lm, ph = _miwa_taus(ev, sets)
-        except SingularShiftError:
-            r *= 1.3
-            continue
-        break
+    bound = 2.0 * tr.norm_B
+    if radius is None:
+        lam = tr.eigvals_B
+        r = max(2.0 + float(np.max(np.abs(lam))), bound)
     else:
-        raise GeometryError("could not place interpolation nodes off the spectrum")
-
-    # q(z) = det(z I - B) tau(t + [1/z]) at every node at once, the char
-    # poly taken from the spectrum
-    q_lm, q_ph = log_scale_mul(
-        (lm[:, 0], ph[:, 0]), log_scale(np.prod(all_nodes[:, None] - lam, axis=1))
-    )
-    peak = max(q_lm.tolist())
+        r = float(radius)
+        if not (math.isfinite(r) and r > 0.0 and r >= bound):
+            raise GeometryError(
+                f"radius {r} must be finite, positive and at least 2 ||B||_2 = {bound}"
+            )
+    powers, lm, unit = _circle_taus(TauEvaluator(tr, t), r)
+    fit, check = powers
+    zeta = np.concatenate([fit[:, 1], check[:, 1]])
+    char_poly = np.prod(zeta[:, None] - tr.eigvals_B / r, axis=1)
+    lm = lm + np.log(np.abs(char_poly))
+    peak = float(lm.max())
     if peak == -math.inf:
         # the whole family vanishes; a zero function is trivially polynomial
         return VerificationReport.make("polynomiality", 0.0, tol, radius=r, degree=N)
-    # q / e^peak, realized by the math module as ScaledComplex.to_complex does
-    scaled = np.zeros(len(sets), dtype=np.complex128)
-    for i, (m, p) in enumerate(zip((q_lm - peak).tolist(), q_ph.tolist())):
-        if m != -math.inf:
-            mag = math.exp(m)
-            scaled[i] = complex(mag * math.cos(p), mag * math.sin(p))
-    V = (fit_nodes[:, None] / r) ** np.arange(N + 1)[None, :]
-    coeffs = np.linalg.solve(V, scaled[: N + 1])
-    Vc = (check_nodes[:, None] / r) ** np.arange(N + 1)[None, :]
-    predicted = Vc @ coeffs
-    residual = float(np.max(np.abs(predicted - scaled[N + 1 :])))
-    # undo the peak normalization and the (z/r)^k basis scaling so the
-    # reported value is the coefficient of z^N itself (equals tau(t))
-    leading = (
-        ScaledComplex(peak, 0.0)
-        * ScaledComplex.from_complex(complex(coeffs[-1]))
-        / ScaledComplex.exp_of(N * math.log(r))
-    )
+    # q / (r^N e^peak) at every node
+    scaled = np.exp(lm - peak) * (unit * (char_poly / np.abs(char_poly)))
+    # the inverse DFT of the fit nodes, then the series at the check nodes
+    coeffs = fit.conj() @ scaled[: N + 1] / (N + 1)
+    residual = float(np.max(np.abs(check[:, : N + 1] @ coeffs - scaled[N + 1 :])))
+    # the coefficient of z^N, which equals tau(t)
+    leading = ScaledComplex(peak, 0.0) * ScaledComplex.from_complex(complex(coeffs[-1]))
     return VerificationReport.make(
         "polynomiality",
         residual,

@@ -44,7 +44,6 @@ __all__ = [
     "ScaledComplex",
     "as_cmatrix",
     "wrap_phase",
-    "log_scale",
     "log_scale_exp",
     "log_scale_mul",
     "log_scale_div",
@@ -85,9 +84,11 @@ def as_cmatrix(M, name: str = "matrix") -> np.ndarray:
     return _finite_nonempty(arr, name)
 
 
-def _as_square_stack(M, name: str) -> np.ndarray:
-    """Coerce to a finite, nonempty stack (..., k, k) of square complex128 matrices."""
-    arr = np.array(M, dtype=np.complex128, order="C")
+def _as_square_stack(M, name: str, copy: bool = True) -> np.ndarray:
+    """Coerce to a finite, nonempty stack (..., k, k) of square complex128
+    matrices; with ``copy`` False, a C-contiguous complex128 stack is
+    scanned but not copied."""
+    arr = (np.array if copy else np.asarray)(M, dtype=np.complex128, order="C")
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise DimensionError(f"{name} must be square, got shape {arr.shape}")
     return _finite_nonempty(arr, name)
@@ -290,14 +291,6 @@ def residual_of_log_sum(log_magnitudes: List[float], phases: List[float]) -> flo
 # pair (:func:`scaled_values`, :func:`residual_of_log_sum`).
 
 LogScale = Tuple[np.ndarray, np.ndarray]
-
-
-def log_scale(values: Iterable[complex]) -> LogScale:
-    """(log|w|, arg w) of each finite complex w, as
-    :meth:`ScaledComplex.from_complex` gives them."""
-    polar = [_log_polar(complex(w)) for w in values]
-    lm, ph = np.array(polar, dtype=np.float64).reshape(-1, 2).T
-    return lm, ph
 
 
 def log_scale_exp(exponents: Iterable[complex]) -> LogScale:
@@ -661,12 +654,12 @@ def slogdet_scaled(M) -> LogScale:
     """log|det| and phase of each slice of a stack (..., k, k), as a
     log-scale pair of shape (...), from one ``slogdet``; an exactly
     singular slice gives (-inf, 0.0)."""
-    M = _as_square_stack(M, "determinant input")
-    sign, logdet = np.linalg.slogdet(M)
-    # arg(sign) in [-pi, pi], where wrap_phase moves only -pi; a singular
-    # slice has sign 0 and logdet -inf, and its phase arctan2(0, 0) is 0.0
+    sign, logdet = np.linalg.slogdet(_as_square_stack(M, "determinant input", copy=False))
+    # arg(sign) in [-pi, pi], where wrap_phase moves only -pi, to
+    # -pi + 2 pi, which rounds to pi; a singular slice has sign 0 and
+    # logdet -inf, and its phase arctan2(0, 0) is 0.0
     phase = np.asarray(np.arctan2(sign.imag, sign.real))
-    np.add(phase, _TWO_PI, out=phase, where=phase <= -math.pi)
+    np.copyto(phase, math.pi, where=phase <= -math.pi)
     return logdet, phase
 
 

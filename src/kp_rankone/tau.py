@@ -14,15 +14,17 @@ products and negative powers as |k| linear solves after one check that
 c I - B is safely invertible, and a Miwa tau divides the gauge out on
 the log scale. c I - B keeps exact input exact, which I - B/c does not.
 
-A lattice identity needs several shifted taus at one base time: 3N + 1
-for the polynomiality check, one per spectral parameter for a wave
-function. :meth:`TauEvaluator.shifted_dets` takes them as a list of shift
-sets and answers in one call. A step plan, made in one pass over the sets
-(:func:`_shifted_rights`), groups depth by depth the sets that multiply and
-the sets that solve, so each step is one stacked product or solve (on the
-whole stack, or a slice of it, when its sets are consecutive); the factors
-c I - B of every step are one stack, built in a buffer that stays
-from call to call; the invertibility check runs once per distinct inverted
+A lattice identity needs several shifted taus at one base time, a wave
+function one per spectral parameter. :meth:`TauEvaluator.shifted_dets`
+takes them as a list of shift sets and answers in one call. (The 3N + 1
+one-shift taus of :func:`~kp_rankone.baker.polynomiality_check` take no
+shift set each: the nodes of one circle share one site factor.) A step
+plan, made in one pass over the sets (:func:`_shifted_rights`), groups
+depth by depth the sets that multiply and the sets that solve, so each
+step is one stacked product or solve (on the whole stack, or a slice of
+it, when its sets are consecutive); the factors c I - B of every step are
+one stack, built in a buffer that stays from call to call; the
+invertibility check runs once per distinct inverted
 c (a norm certificate, |c| safely above ||B||_2, spares most of them an
 SVD); and one ``slogdet`` covers every set and base time. Each set keeps
 its own factor order, so a value does not depend on the other sets of the

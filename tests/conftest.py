@@ -47,6 +47,16 @@ def u_by_eigenbasis(tr, t) -> complex:
     return complex(2.0 * (np.trace(X2) - np.trace(X1 @ X1)))
 
 
+def slogdet_scaled_copying(M):
+    """``matkernel.slogdet_scaled`` by a fresh C-ordered copy of the input
+    and the phase fix as an in-place add of 2 pi where the phase is -pi."""
+    M = np.array(M, dtype=np.complex128, order="C")
+    sign, logdet = np.linalg.slogdet(M)
+    phase = np.asarray(np.arctan2(sign.imag, sign.real))
+    np.add(phase, 2.0 * np.pi, out=phase, where=phase <= -np.pi)
+    return logdet, phase
+
+
 def record_criterion(tag: str, passed: bool, detail: str) -> None:
     """Queue one pass/fail line for the end-of-run summary."""
     status = "PASS" if passed else "FAIL"

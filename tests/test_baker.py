@@ -7,12 +7,14 @@ show up as value changes, not just as broken self-consistency.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from conftest import psi_stationary_by_eigenbasis
 from kp_rankone.baker import (
     BASample,
+    _circle_taus,
     grassmann_support,
     polynomiality_check,
     psi_dual,
@@ -24,11 +26,14 @@ from kp_rankone.cases import (
     KdVPairData,
     from_calogero_moser,
     from_kdv_pair,
+    random_calogero_moser,
+    random_kdv_pair,
 )
-from kp_rankone.errors import PoleError
+from kp_rankone.errors import GeometryError, PoleError
 from kp_rankone.matkernel import ScaledComplex, rel_difference
-from kp_rankone.tau import TimeVector, tau
-from kp_rankone.triple import RankOneTriple, make_triple, random_admissible
+from kp_rankone.tau import TauEvaluator, TimeVector, tau, tau_miwa
+from kp_rankone.triple import RankOneTriple, make_triple, random_admissible, validate_triple
+from kp_rankone.verify import hbde_residual
 
 A2 = np.array([[1.0, 1.0]])
 B2 = np.diag([1.0, 0.0])
@@ -189,7 +194,7 @@ def test_polynomiality_random(seed):
     assert rep.passed, (seed, rep.residual)
     assert rep.context["degree"] == tr.N
     # the top coefficient of the fitted polynomial is the unshifted tau
-    assert rel_difference(rep.context["leading_coefficient"], tau(tr, t)) < 1e-7
+    assert rel_difference(rep.context["leading_coefficient"], tau(tr, t)) < 1e-12
 
 
 def test_polynomiality_radius_invariance():
@@ -201,3 +206,137 @@ def test_polynomiality_radius_invariance():
     assert rel_difference(
         r1.context["leading_coefficient"], r2.context["leading_coefficient"]
     ) < 1e-8
+
+
+def test_polynomiality_holds_without_rank_one_admissibility():
+    # det(z I - B) det(A E (z I - B)^-1 C.T) = +-det([[z I - B, C.T], [A E, 0]])
+    # has degree <= N - n for any A, B, C: the check passes on a triple
+    # whose rank(A B U.T) is 3, which the bilinear identity rejects
+    rng = np.random.default_rng(11)
+    A, B, C = (
+        rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in ((3, 9), (9, 9), (3, 9))
+    )
+    report = validate_triple(A, B, C)
+    assert report.rank_of_ABUt == 3 and not report.admissible
+    tr = RankOneTriple(A, B, C)
+    t = TimeVector([0.3, -0.15, 0.1])
+    rep = polynomiality_check(tr, t)
+    assert rep.residual < 1e-12
+    assert rel_difference(rep.context["leading_coefficient"], tau(tr, t)) < 1e-12
+    assert hbde_residual(tr, t, 1.5, 2 + 0.5j, -1.8).residual > 0.1
+
+
+def _mp_node_taus(tr, t, zs, dps=40):
+    """tau(t + [1/z]) = z^n det(A (z I - B)^-1 exp(g(B)) C.T) for each z, at
+    ``dps`` digits: mpmath's exponential, then Gaussian elimination with
+    partial pivoting of [z I - B | exp(g(B)) C.T]."""
+    n, N = tr.n, tr.N
+    with mp.workdps(dps):
+        B = mp.matrix(tr.B.tolist())
+        G = mp.zeros(N)
+        for v in t.values[::-1]:
+            G = B * (mp.mpc(complex(v)) * mp.eye(N) + G)
+        R = mp.expm(G) * mp.matrix(tr.C.T.tolist())
+        A = mp.matrix(tr.A.tolist())
+        out = []
+        for z in zs:
+            z = mp.mpc(complex(z))
+            rows = [
+                [(z if i == j else 0) - B[i, j] for j in range(N)] + [R[i, j] for j in range(n)]
+                for i in range(N)
+            ]
+            for k in range(N):
+                p = max(range(k, N), key=lambda i: abs(rows[i][k]))
+                rows[k], rows[p] = rows[p], rows[k]
+                for i in range(k + 1, N):
+                    f = rows[i][k] / rows[k][k]
+                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
+            Y = mp.matrix(N, n)
+            for i in reversed(range(N)):
+                for j in range(n):
+                    acc = rows[i][N + j] - mp.fsum(rows[i][k] * Y[k, j] for k in range(i + 1, N))
+                    Y[i, j] = acc / rows[i][i]
+            out.append(complex(z ** n * mp.det(A * Y)))
+    return out
+
+
+def _b_zero_triple():
+    rng = np.random.default_rng(5)
+    A, C = (rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6)) for _ in range(2))
+    return RankOneTriple(A, np.zeros((6, 6)), C)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: random_admissible(8, 24, seed=1),
+        lambda: from_calogero_moser(random_calogero_moser(2, seed=0)),  # defective B
+        lambda: from_calogero_moser(random_calogero_moser(3, seed=1)),
+        lambda: from_kdv_pair(random_kdv_pair(3, seed=0)),
+        _b_zero_triple,
+    ],
+    ids=["admissible-8x24", "calogero-moser-2", "calogero-moser-3", "kdv-3", "b-zero"],
+)
+def test_circle_node_taus_match_miwa_and_mpmath(build):
+    # the node taus of both circles against the one-shift Miwa tau and a
+    # 40-digit determinant; six nodes per circle, every node of a smaller one
+    tr = build()
+    t = TimeVector([0.3, -0.15j, 0.1])
+    r = max(2.0 + float(np.max(np.abs(tr.eigvals_B))), 2.0 * tr.norm_B)
+    powers, lm, unit = _circle_taus(TauEvaluator(tr, t), r)
+    assert lm.shape == unit.shape == (3 * tr.N + 1,)
+    nodes, zs = [], []
+    start = 0
+    for Z in powers:
+        picked = np.linspace(0, len(Z) - 1, min(6, len(Z))).round().astype(int)
+        nodes += (start + picked).tolist()
+        zs += (r * Z[picked, 1]).tolist()
+        start += len(Z)
+    for i, z, want in zip(nodes, zs, _mp_node_taus(tr, t, zs)):
+        got = ScaledComplex(float(lm[i]), float(np.angle(unit[i])))
+        assert rel_difference(got, tau_miwa(tr, ((z, -1),), t)) < 1e-12, (i, z)
+        assert abs(got.to_complex() - want) < 1e-12 * abs(want), (i, z)
+
+
+def test_polynomiality_default_radius():
+    # max(2 + rho(B), 2 ||B||_2): for random_admissible ||B||_2 = 1, so the
+    # spectral term decides; a nilpotent B of norm 5 needs 2 ||B||_2 = 10
+    tr = random_admissible(2, 6, seed=300)
+    rep = polynomiality_check(tr, TimeVector([0.2, 0.1]))
+    assert tr.norm_B == pytest.approx(1.0, rel=1e-12)
+    assert rep.context["radius"] == 2.0 + float(np.max(np.abs(tr.eigvals_B)))
+    B = np.diag([5.0, 5.0], k=1)
+    tr = RankOneTriple(np.array([[1.0, 0.5, 0.0]]), B, np.array([[1.0, 1.0, 1.0]]))
+    t = TimeVector([0.2, 0.1])
+    rep = polynomiality_check(tr, t)
+    assert rep.context["radius"] == 2.0 * tr.norm_B == 10.0
+    assert rep.passed and rep.residual < 1e-13
+    assert rel_difference(rep.context["leading_coefficient"], tau(tr, t)) < 1e-13
+
+
+def test_polynomiality_radius_below_twice_norm_raises():
+    tr = RankOneTriple(np.array([[1.0, 0.5, 0.0]]), np.diag([5.0, 5.0], k=1), np.ones((1, 3)))
+    with pytest.raises(GeometryError, match="2 \\|\\|B\\|\\|_2"):
+        polynomiality_check(tr, TimeVector([0.2]), radius=9.9)
+    for bad in (0.0, -3.0, math.inf, math.nan):
+        with pytest.raises(GeometryError):
+            polynomiality_check(_b_zero_triple(), TimeVector([0.2]), radius=bad)
+    assert polynomiality_check(tr, TimeVector([0.2]), radius=10.0).passed
+
+
+@pytest.mark.parametrize("n,N", [(2, 6), (8, 24)])
+def test_polynomiality_takes_no_solve_per_node(monkeypatch, n, N):
+    # the 3N + 1 nodes share two site factors, one stacked solve of two
+    # slices; a solve per node, or a stacked one over the nodes, fails here
+    shapes = []
+    solve = np.linalg.solve
+
+    def counted(a, b):
+        shapes.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    rep = polynomiality_check(random_admissible(n, N, seed=4), TimeVector([0.3, -0.15, 0.1]))
+    assert rep.passed
+    assert 1 <= len(shapes) <= 2
+    assert all(len(shape) == 2 or shape[0] <= 2 for shape in shapes), shapes

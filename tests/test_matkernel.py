@@ -18,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import slogdet_scaled_copying
 from kp_rankone import matkernel
 from kp_rankone.errors import (
     DegenerateInputError,
@@ -31,7 +32,6 @@ from kp_rankone.matkernel import (
     det_scaled,
     eig,
     expm_centered,
-    log_scale,
     log_scale_div,
     log_scale_exp,
     log_scale_mul,
@@ -199,9 +199,11 @@ def test_log_scale_pairs_match_scaled_complex_bit_for_bit():
     w = rng.standard_normal(300) + 1j * rng.standard_normal(300)
     v = np.exp(rng.uniform(-3, 3, 300)) * np.exp(1j * rng.uniform(-3.2, 3.2, 300))
     w[:3] = [-1.0 - 0.0j, -1.0 + 0.0j, 0.0]
-    a, b = log_scale(w), log_scale(v)
     sa = [ScaledComplex.from_complex(x) for x in w]
     sb = [ScaledComplex.from_complex(x) for x in v]
+    a, b = (
+        (np.array([x.log_magnitude for x in s]), np.array([x.phase for x in s])) for s in (sa, sb)
+    )
     assert scaled_values(a) == sa
     assert scaled_values(log_scale_mul(a, b)) == [x * y for x, y in zip(sa, sb)]
     assert scaled_values(log_scale_div(a, b)) == [x / y for x, y in zip(sa, sb)]
@@ -226,6 +228,27 @@ def test_slogdet_scaled_is_det_scaled_of_each_slice():
     assert got == [det_scaled(m) for m in M]
     assert got[1] == ScaledComplex(-math.inf, 0.0)
     assert got[2].phase == math.pi
+
+
+def test_slogdet_scaled_keeps_the_bits_of_a_copying_reference():
+    rng = np.random.default_rng(34)
+    M = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
+    M[1, :, 0] = 0.0  # exactly singular
+    M[2] = np.diag([complex(-1.0, -0.0), 1.0, 1.0, 1.0])  # arctan2 gives -pi
+    M[3] = np.diag([-1.0, 1.0, 1.0, 1.0])  # +pi
+    before = M.copy()
+    views = (M[0], M[2], M.transpose(0, 2, 1), np.asfortranarray(M), M[::2], M.real, M.tolist())
+    for stack in (M,) + views:
+        got, want = slogdet_scaled(stack), slogdet_scaled_copying(stack)
+        assert np.array_equal(_bits(got[0]), _bits(want[0]))
+        assert np.array_equal(_bits(got[1]), _bits(want[1]))
+    lm, ph = slogdet_scaled(M)
+    assert lm[1] == -math.inf and ph[1] == 0.0
+    assert ph[2] == ph[3] == math.pi
+    assert np.array_equal(_cbits(M), _cbits(before))  # the input is not written
+    M[4, 1, 1] = math.nan
+    with pytest.raises(DegenerateInputError):
+        slogdet_scaled(M)
 
 
 def test_scalar_mixing():

@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import discrete_tau_by_eigenbasis, u_by_eigenbasis
+from conftest import discrete_tau_by_eigenbasis, slogdet_scaled_copying, u_by_eigenbasis
 from kp_rankone import matkernel
 from kp_rankone.baker import polynomiality_check, psi_dual, psi_grid, psi_time
 from kp_rankone.cases import (
@@ -36,7 +36,7 @@ from kp_rankone.tau import (
     tau_miwa,
     u_field,
 )
-from kp_rankone.triple import conjugate_triple, make_triple, random_admissible
+from kp_rankone.triple import RankOneTriple, conjugate_triple, make_triple, random_admissible
 from kp_rankone.verify import draw_lattice_parameters, hbde_residual, kp_residual
 
 # exp(g(1)) + 1 with A=[1 1], B=diag(1,0), C=[1 1]; the workhorse example
@@ -1006,3 +1006,30 @@ def test_tau_grid_matches_pointwise_tau():
         assert rel_difference(value, want) <= 1e-13
         ref = ScaledComplex.from_complex(discrete_tau_by_eigenbasis(tr, t, ()))
         assert rel_difference(value, ref) <= 1e-12, (v1, v2, value, ref)
+
+
+def test_shifted_determinants_keep_their_bits_with_a_copying_slogdet(monkeypatch):
+    # tau, Miwa and discrete taus and the wave functions, an exact zero of
+    # tau among them (a singular slice), give the same bits when every
+    # determinant goes through a slogdet_scaled that copies its input
+    tr = random_admissible(3, 8, seed=12)
+    zero = RankOneTriple(np.array([[1.0, 1.0]]), np.diag([1.0, 0.0]), np.array([[1.0, -1.0]]))
+    t = TimeVector([0.3, -0.15, 0.1])
+
+    def values():
+        out = [
+            tau(tr, t),
+            tau_miwa(tr, ((1.5, 2), (2 - 1j, -1)), t),
+            tau_discrete(tr, 1, -1, 2, 1.5, 2 - 1j, -1.8, t),
+            psi_time(tr, t, 2.5).value,
+            psi_dual(tr, t, 2.5 + 1j).value,
+            tau(zero, TimeVector([0.0])),
+        ]
+        out += [s.value for s in psi_grid(zero, [0.0, 0.5], [2.0, 3.0 + 1j])]
+        return np.array([(v.log_magnitude, v.phase) for v in out]).view(np.int64)
+
+    got = values()
+    assert got[5, 0] == np.float64(-math.inf).view(np.int64)
+    tau_module = importlib.import_module("kp_rankone.tau")
+    monkeypatch.setattr(tau_module, "slogdet_scaled", slogdet_scaled_copying)
+    assert np.array_equal(got, values())
