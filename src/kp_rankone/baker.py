@@ -202,16 +202,17 @@ def _circle_taus(ev: TauEvaluator, r: float) -> Tuple[List[np.ndarray], np.ndarr
         (z I - B)^-1 = r^-1 (sum_{j<M} zeta^(M-1-j) b^j) (omega I - b^M)^-1.
 
     Hence tau(t + [1/z]) = e^(n mu) zeta^n det S, with the n x n
-    combination S = sum_j zeta^(M-1-j) r^-j K_j of the moment blocks
-    K_j = X B^j C.T and X = A exp(g(B) - mu I) (omega I - b^M)^-1, which
-    acts on the left factor because b commutes with the inverse. The two
-    site factors X are one stacked solve of two slices, the blocks one
-    product with the triple's kept right blocks [C.T, ..., B^(2N-1) C.T],
-    and the 3N + 1 combinations take one ``slogdet``. No power r^M is
-    formed. With ||b||_2 <= 1/2, sum_j ||b^j|| <= 2 bounds how much a
-    combination amplifies rounding, and omega I - b^M has condition
-    number at most (1 + 2^-M) / (1 - 2^-M). Raises RangeError where the
-    kept blocks overflow double precision (||B||_2^(2N-1) near 1e308).
+    combination S = sum_j zeta^(M-1-j) (s / r)^j K_j of the moment blocks
+    K_j = X (B / s)^j C.T, s = ||B||_2 (r for B = 0), and
+    X = A exp(g(B) - mu I) (omega I - b^M)^-1, which acts on the left
+    factor because b commutes with the inverse. The two site factors X are
+    one stacked solve of two slices, the blocks one product with the
+    triple's kept right blocks [C.T, ..., (B / s)^(2N-1) C.T], and the
+    3N + 1 combinations take one ``slogdet``. No power r^M or B^j is
+    formed: every block stays within ||C||_2 and every weight within 2^-j.
+    With ||b||_2 <= 1/2, sum_j ||b^j|| <= 2 bounds how much a combination
+    amplifies rounding, and omega I - b^M has condition number at most
+    (1 + 2^-M) / (1 - 2^-M).
     """
     tr = ev.triple
     n, N = tr.n, tr.N
@@ -220,14 +221,17 @@ def _circle_taus(ev: TauEvaluator, r: float) -> Tuple[List[np.ndarray], np.ndarr
     bN = np.linalg.matrix_power(b, N)
     omega = cmath.exp(2j * math.pi * _CHECK_ROTATION)
     F = np.stack([I - bN @ b, omega * I - bN @ bN])
-    X = np.linalg.solve(F.transpose(0, 2, 1), ev._left[0].T).transpose(0, 2, 1)
+    # the right-hand side gets its own stack axis: numpy 1.x reads a b of
+    # one dimension less than a as a stack of vectors
+    X = np.linalg.solve(F.transpose(0, 2, 1), ev._left[0].T[None]).transpose(0, 2, 1)
+    s = tr.norm_B or r
     # K[c, j] = K_j of circle c, j = 0 .. 2N - 1
-    K = (X @ _right_blocks(tr, 2 * N - 1)).reshape(2, n, 2 * N, n).transpose(0, 2, 1, 3)
+    K = (X @ _right_blocks(tr, 2 * N - 1, s)).reshape(2, n, 2 * N, n).transpose(0, 2, 1, 3)
     powers = [_node_powers(N + 1, 0.0), _node_powers(2 * N, _CHECK_ROTATION)]
     S = []
     for c, Z in enumerate(powers):
         M = len(Z)
-        weights = Z[:, ::-1] * r ** -np.arange(M, dtype=np.float64)
+        weights = Z[:, ::-1] * (s / r) ** np.arange(M, dtype=np.float64)
         S.append((weights @ K[c, :M].reshape(M, n * n)).reshape(M, n, n))
     S = np.concatenate(S)
     if not np.isfinite(S).all():

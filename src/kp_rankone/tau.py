@@ -579,17 +579,20 @@ def _factorial(a: Tuple[int, int, int]) -> int:
     return math.factorial(a[0]) * math.factorial(a[1]) * math.factorial(a[2])
 
 
-def _right_blocks(tr: RankOneTriple, weight: int) -> np.ndarray:
-    """[C.T, B C.T, ..., B^weight C.T] side by side, shape (N, (weight + 1) n),
-    read-only and kept on the triple (one array per weight asked for)."""
-    R = tr._right_blocks.get(weight)
+def _right_blocks(tr: RankOneTriple, weight: int, scale: float = 1.0) -> np.ndarray:
+    """[C.T, b C.T, ..., b^weight C.T] with b = B / scale, side by side,
+    shape (N, (weight + 1) n), read-only and kept on the triple (one array
+    per weight and scale asked for). A scale of ||B||_2 keeps every block
+    within ||C||_2, whatever the weight; scale 1 gives the blocks of B."""
+    R = tr._right_blocks.get((weight, scale))
     if R is None:
+        b = tr.B / scale
         blocks = [tr.C.T]
         for _ in range(weight):
-            blocks.append(tr.B @ blocks[-1])
+            blocks.append(b @ blocks[-1])
         R = np.hstack(blocks)
         R.setflags(write=False)
-        tr._right_blocks[weight] = R
+        tr._right_blocks[(weight, scale)] = R
     return R
 
 

@@ -57,7 +57,8 @@ class RankOneTriple:
     use and kept, :class:`~kp_rankone.tau.TauEvaluator` keeps the factor
     A exp(g(B)) of the last single base time in ``_base_factor``, and the
     jets keep their right blocks [C.T, B C.T, ..., B^w C.T] in
-    ``_right_blocks``, one read-only array per weight w.
+    ``_right_blocks``, one read-only array per weight w and scale s of
+    B (s = 1 there; the polynomiality check keeps those of B / ||B||_2).
     Copies and pickles are rebuilt through the constructor and start empty.
 
     Use :func:`validate_triple` (or :func:`make_triple`) for the
@@ -71,8 +72,8 @@ class RankOneTriple:
     _base_factor: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = field(
         default=None, init=False, repr=False
     )
-    #: weight w -> [C.T, B C.T, ..., B^w C.T] side by side (read-only)
-    _right_blocks: Dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    #: (w, s) -> [C.T, (B/s) C.T, ..., (B/s)^w C.T] side by side (read-only)
+    _right_blocks: Dict[Tuple[int, float], np.ndarray] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         A = _frozen(as_cmatrix(self.A, "A"))

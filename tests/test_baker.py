@@ -314,6 +314,32 @@ def test_polynomiality_default_radius():
     assert rel_difference(rep.context["leading_coefficient"], tau(tr, t)) < 1e-13
 
 
+@pytest.mark.parametrize("n,N,norm", [(2, 24, 4e6), (4, 100, 40.0), (2, 24, 1e150)])
+def test_polynomiality_with_a_large_norm_of_B(n, N, norm):
+    # the moment blocks are those of B / ||B||_2, so no power of B is
+    # formed: ||B||_2^(2N-1) far past 1e308 does not overflow
+    tr = random_admissible(n, N, seed=1)
+    tr = RankOneTriple(tr.A, tr.B * (norm / tr.norm_B), tr.C)
+    t = TimeVector([0.0])
+    rep = polynomiality_check(tr, t)
+    assert rep.context["radius"] == pytest.approx(2.0 * norm, rel=1e-12)
+    assert rep.passed and rep.residual < 1e-12
+    assert rel_difference(rep.context["leading_coefficient"], tau(tr, t)) < 1e-12
+
+
+@pytest.mark.parametrize("radius", [1e-10, 1e-3, 3.0])
+def test_polynomiality_b_zero_at_any_radius(radius):
+    # B = 0 allows any positive radius; a tiny one must not overflow the
+    # weights of the (zero) blocks past the first, 2N - 1 = 47 of them
+    rng = np.random.default_rng(5)
+    A, C = (rng.standard_normal((2, 24)) + 1j * rng.standard_normal((2, 24)) for _ in range(2))
+    tr = RankOneTriple(A, np.zeros((24, 24)), C)
+    t = TimeVector([0.2])
+    rep = polynomiality_check(tr, t, radius=radius)
+    assert rep.passed and rep.residual < 1e-13
+    assert rel_difference(rep.context["leading_coefficient"], tau(tr, t)) < 1e-13
+
+
 def test_polynomiality_radius_below_twice_norm_raises():
     tr = RankOneTriple(np.array([[1.0, 0.5, 0.0]]), np.diag([5.0, 5.0], k=1), np.ones((1, 3)))
     with pytest.raises(GeometryError, match="2 \\|\\|B\\|\\|_2"):
@@ -332,6 +358,9 @@ def test_polynomiality_takes_no_solve_per_node(monkeypatch, n, N):
     solve = np.linalg.solve
 
     def counted(a, b):
+        # b as a stack of a's rank: numpy 1.x reads a b of one dimension
+        # less than a as a stack of vectors
+        assert np.ndim(b) == np.ndim(a)
         shapes.append(np.shape(a))
         return solve(a, b)
 
