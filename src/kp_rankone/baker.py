@@ -103,6 +103,8 @@ def _psi(tr: RankOneTriple, ts: List[TimeVector], zs, k: int) -> List[BASample]:
     zs = [complex(z) for z in zs]
     if 0 in zs:
         raise ValueError("spectral parameter z must be nonzero")
+    if not all(map(cmath.isfinite, zs)):
+        raise ValueError("spectral parameter z must be finite")
     ev = TauEvaluator(tr, np.array([t.values for t in ts]))
     lm, ph = _miwa_taus(ev, [()] + [((z, k),) for z in zs])
     pole = lm[0] == -math.inf

@@ -417,11 +417,7 @@ def _buffer(slot: int, shape: Tuple[int, ...]) -> np.ndarray:
     """A complex128 array of the given shape, contents undefined, over the
     calling thread's buffer number ``slot`` (0 or 1), which grows to the
     largest size asked for up to 4 _CHUNK_ENTRIES; a larger shape gets a
-    fresh array. The next call with the same slot reuses the memory.
-
-    Besides the exponential, the tau layer's shift-factor stacks use slot 0
-    (:func:`kp_rankone.tau._shifted_rights`); no exponential runs while
-    they are in use."""
+    fresh array. The next call with the same slot reuses the memory."""
     size = math.prod(shape)
     if size > 4 * _CHUNK_ENTRIES:
         return np.empty(shape, dtype=np.complex128)

@@ -18,17 +18,13 @@ A lattice identity needs several shifted taus at one base time, a wave
 function one per spectral parameter. :meth:`TauEvaluator.shifted_dets`
 takes them as a list of shift sets and answers in one call. (The 3N + 1
 one-shift taus of :func:`~kp_rankone.baker.polynomiality_check` take no
-shift set each: the nodes of one circle share one site factor.) A step
-plan, made in one pass over the sets (:func:`_shifted_rights`), groups
-depth by depth the sets that multiply and the sets that solve, so each
-step is one stacked product or solve (on the whole stack, or a slice of
-it, when its sets are consecutive); the factors c I - B of every step are
-one stack, built in a buffer that stays from call to call; the
-invertibility check runs once per distinct inverted
-c (a norm certificate, |c| safely above ||B||_2, spares most of them an
-SVD); and one ``slogdet`` covers every set and base time. Each set keeps
-its own factor order, so a value does not depend on the other sets of the
-call.
+shift set each: the nodes of one circle share one site factor.) Each set
+is one site factor R = prod_j (c_j I - B)^k_j C.T (:func:`_site_factor`),
+its factors applied to C.T in the set's own order, so a value does not
+depend on the other sets of the call; the invertibility check runs once
+per call and distinct inverted c (a norm certificate, |c| safely above
+||B||_2, spares most of them an SVD), and one ``slogdet`` covers every set
+and base time.
 
 The answer is a log-scale pair of (sets, P) float arrays, log|det| and
 phase (see :mod:`kp_rankone.matkernel`), which give bit for bit what the
@@ -41,10 +37,10 @@ They differ from one site factor R = prod_j (c_j I - B)^k_j C.T by one or
 two factors c I - B, which commute with B, so each is the determinant of
 an n x n combination of the moment blocks A E B^j R, j = 0, 1, 2.
 :meth:`TauEvaluator.moment_blocks` gives them: the site factor applied to
-the triple's kept right blocks [C.T, B C.T, B^2 C.T] (by the same step plan,
-as one set), then one product with the left factor; at a site with no
-nonzero power it is that product alone. The jets read their blocks from
-the same method, with no site factor.
+the triple's kept right blocks [C.T, B C.T, B^2 C.T] (by the same
+:func:`_site_factor`), then one product with the left factor; at a site
+with no nonzero power it is that product alone. The jets read their
+blocks from the same method, with no site factor.
 
 Derivatives of log tau are exact. With M = A E C.T, E = exp(g(B)),
 every time derivative of M stays in closed form,
@@ -119,7 +115,6 @@ from .matkernel import (
     LogScale,
     ScaledComplex,
     as_cmatrix,
-    _buffer,
     _expm_centered,
     det_scaled,  # noqa: F401  (the benchmark's tracer wraps tau.det_scaled)
     log_scale_div,
@@ -153,6 +148,8 @@ POLE_REL_THRESHOLD = 1e-10
 
 TimesLike = Union["TimeVector", Sequence[complex]]
 ShiftsLike = Union["MiwaShiftList", Iterable[Tuple[complex, int]]]
+#: one shift set ((c_j, k_j), ...), read more than once
+ShiftSet = Sequence[Tuple[complex, int]]
 #: grid coordinates (t1, t2, t3); t2, t3 are None where the grid has no such axis
 GridCoords = Tuple[float, Optional[float], Optional[float]]
 
@@ -218,13 +215,7 @@ class TimeVector:
 
     def g_matrix(self, B: np.ndarray) -> np.ndarray:
         """g(B) = sum_i t_i B^i by Horner (exact for the truncation)."""
-        B = as_cmatrix(B, "B")
-        dim = B.shape[0]
-        acc = np.zeros((dim, dim), dtype=np.complex128)
-        I = np.eye(dim, dtype=np.complex128)
-        for t_i in self.values[::-1]:
-            acc = B @ (complex(t_i) * I + acc)
-        return acc
+        return _exponents(as_cmatrix(B, "B"), self.values[None])[0]
 
     def g_prime_matrix(self, Z: np.ndarray) -> np.ndarray:
         """g'(Z) = sum_i i t_i Z^(i-1) by Horner."""
@@ -306,13 +297,13 @@ def _check_inverses(tr: RankOneTriple, cs: Sequence[complex]) -> None:
             )
 
 
-def _exponents(tr: RankOneTriple, times: np.ndarray) -> np.ndarray:
+def _exponents(B: np.ndarray, times: np.ndarray) -> np.ndarray:
     """g(B) for each row of a time array (P, K), by Horner on a (P, N, N)
     stack; each slice is bit for bit what it gives in any other stack."""
-    I = _identity(tr.N)
-    G = np.zeros((len(times), tr.N, tr.N), dtype=np.complex128)
+    I = _identity(len(B))
+    G = np.zeros((len(times),) + B.shape, dtype=np.complex128)
     for t_i in times.T[::-1]:
-        G = tr.B @ (t_i[:, None, None] * I + G)
+        G = B @ (t_i[:, None, None] * I + G)
     return G
 
 
@@ -324,9 +315,7 @@ def _identity(N: int) -> np.ndarray:
     return I
 
 
-def _miwa_taus(
-    ev: "TauEvaluator", shift_sets: Sequence[Iterable[Tuple[complex, int]]]
-) -> LogScale:
+def _miwa_taus(ev: "TauEvaluator", shift_sets: Sequence[ShiftSet]) -> LogScale:
     """Miwa taus, (sets, P): each discrete determinant of
     :meth:`TauEvaluator.shifted_dets` over its gauge prod_j c_j^(k_j n),
     whose exponent n sum_j k_j log c_j is summed per set in Python complex
@@ -338,61 +327,32 @@ def _miwa_taus(
     return log_scale_div(ev.shifted_dets(shift_sets), (lm[:, None], ph[:, None]))
 
 
-def _shifted_rights(
-    tr: RankOneTriple,
-    shift_sets: Sequence[Iterable[Tuple[complex, int]]],
-    right: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """prod_j (c_j I - B)^k_j X for each shift set ((c_j, k_j), ...), as a
-    fresh (sets, N, m) stack, where X (N, m) is ``right``, C.T by default;
-    ``shift_sets`` is nonempty.
-
-    Each set applies its factors to X in its own order, positive powers
-    as products and negative ones as solves; k = 0 entries are dropped. One
-    pass over the sets makes the step plan: for each depth, the sets that
-    multiply there and the sets that solve, each with its c, so a step is
-    one stacked product or one stacked solve, on the whole stack or, where
-    its sets are consecutive, a slice of it. The factors c I - B of all
-    steps are one stack, built in place in a buffer that stays from
-    call to call (so that a large stack faults no fresh pages in). Every c
-    that some set inverts passes :func:`_check_inverses` once. Raises
-    SingularShiftError if one fails.
-    """
-    plan: dict = {}  # (depth, solve) -> (sets, their c)
+def _check_shifts(tr: RankOneTriple, shift_sets: Sequence[ShiftSet]) -> None:
+    """Raise ValueError if some shift parameter c of ``shift_sets`` is not
+    finite, and SingularShiftError unless :func:`_check_inverses` passes
+    every distinct c that some set inverts (one call for all sets)."""
     inverted: dict = {}  # the c some set solves with, in order
-    for s, shifts in enumerate(shift_sets):
-        depth = 0
+    for shifts in shift_sets:
         for c, k in shifts:
-            if k:
-                if k < 0:
-                    inverted[c] = None
-                for _ in range(abs(k)):
-                    at, cs = plan.setdefault((depth, k < 0), ([], []))
-                    at.append(s)
-                    cs.append(c)
-                    depth += 1
+            if not cmath.isfinite(c):
+                raise ValueError("shift parameter c must be finite")
+            if k < 0:
+                inverted[c] = None
     _check_inverses(tr, list(inverted))
-    rights = np.repeat((tr.C.T if right is None else right)[None], len(shift_sets), axis=0)
-    if not plan:
-        return rights
-    # by depth, products before solves
-    steps = sorted(plan)
-    cs = np.asarray([c for step in steps for c in plan[step][1]], dtype=np.complex128)
-    factors = np.multiply(cs[:, None, None], _identity(tr.N), out=_buffer(0, (len(cs), tr.N, tr.N)))
-    factors -= tr.B
-    start = 0
-    for step in steps:
-        at = plan[step][0]
-        F = factors[start : start + len(at)]
-        start += len(at)
-        if len(at) == len(rights):  # every set (often): the result is the stack
-            rights = np.linalg.solve(F, rights) if step[1] else F @ rights
-            continue
-        # other consecutive sets are a slice, not a gather
-        if at[-1] - at[0] + 1 == len(at):
-            at = slice(at[0], at[-1] + 1)
-        rights[at] = np.linalg.solve(F, rights[at]) if step[1] else F @ rights[at]
-    return rights
+
+
+def _site_factor(tr: RankOneTriple, shifts: ShiftSet, right: np.ndarray) -> np.ndarray:
+    """prod_j (c_j I - B)^k_j X for one shift set ((c_j, k_j), ...), with X
+    (N, m) the array ``right``, which is not written to: the factors act in
+    the set's own order, a positive power as k products and a negative one
+    as |k| solves; k = 0 entries are skipped. The caller checks the
+    inverted c first (:func:`_check_shifts`)."""
+    for c, k in shifts:
+        if k:
+            F = c * _identity(tr.N) - tr.B
+            for _ in range(abs(k)):
+                right = np.linalg.solve(F, right) if k < 0 else F @ right
+    return right
 
 
 class TauEvaluator:
@@ -427,7 +387,7 @@ class TauEvaluator:
             if memo is not None and memo[0] == key:
                 _, self.mu, self._left = memo
                 return
-        E0, self.mu = _expm_centered(_exponents(tr, times))
+        E0, self.mu = _expm_centered(_exponents(tr.B, times))
         self._left = tr.A @ E0
         self.mu.setflags(write=False)
         self._left.setflags(write=False)
@@ -442,24 +402,29 @@ class TauEvaluator:
         ev.triple, ev.mu, ev._left = tr, mu, left
         return ev
 
-    def shifted_dets(self, shift_sets: Sequence[Iterable[Tuple[complex, int]]]) -> LogScale:
+    def shifted_dets(self, shift_sets: Sequence[ShiftSet]) -> LogScale:
         """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T) for each shift set
         ((c_j, k_j), ...), as a log-scale pair of (sets, P) float arrays:
         log|det| with n mu folded in, and the phase in (-pi, pi]; an exact
         zero has log magnitude -inf.
 
-        The right factors come from :func:`_shifted_rights`; one product
+        Every set starts from the triple's kept copy of C.T and gets its own
+        site factor (:func:`_site_factor`), so a value does not depend on the
+        other sets of the call; the factors are stacked, and one product
         with the left factor and one ``slogdet`` serve every set and base
-        time. Raises SingularShiftError if an inverted c I - B fails
-        :func:`_check_inverses`.
+        time. Raises ValueError if a shift parameter is not finite and
+        SingularShiftError if an inverted c I - B fails
+        :func:`_check_inverses`, each c once per call.
         """
         if not len(shift_sets):
             return np.empty((0, len(self.mu))), np.empty((0, len(self.mu)))
-        rights = _shifted_rights(self.triple, shift_sets)
+        _check_shifts(self.triple, shift_sets)
+        right = _right_blocks(self.triple, 0)
+        rights = np.stack([_site_factor(self.triple, shifts, right) for shifts in shift_sets])
         dets = slogdet_scaled(self._left[None] @ rights[:, None])
         return log_scale_mul(dets, log_scale_exp(self.triple.n * self.mu))
 
-    def moment_blocks(self, base: Sequence[Tuple[complex, int]], degree: int) -> np.ndarray:
+    def moment_blocks(self, base: ShiftSet, degree: int) -> np.ndarray:
         """The blocks A exp(g(B) - mu I) B^j R, j = 0 .. degree, side by side,
         shape (P, n, (degree + 1) n), with R = prod_j (c_j I - B)^k_j C.T of
         the shift set ``base`` ((c_j, k_j), ...).
@@ -467,16 +432,13 @@ class TauEvaluator:
         Every shifted tau whose set is ``base`` plus nonnegative powers is
         an n x n combination of these blocks: the factors commute with B,
         so p(B) R with p(B) = sum_j p_j B^j gives sum_j p_j K_j. For the
-        same reason [R, B R, ..., B^degree R] is the triple's kept right
-        blocks [C.T, B C.T, ...] with the factors of ``base`` applied, by
-        :func:`_shifted_rights` (raising SingularShiftError as
-        :meth:`shifted_dets` does). Where every k_j is zero the call is one
-        product of the left factor with the kept blocks.
+        same reason [R, B R, ..., B^degree R] is the site factor of ``base``
+        (:func:`_site_factor`) applied to the triple's kept right blocks
+        [C.T, B C.T, ...], which are the product's right factor where every
+        k_j is zero. Raises as :meth:`shifted_dets` does.
         """
-        right = _right_blocks(self.triple, degree)
-        if any(k for _, k in base):
-            right = _shifted_rights(self.triple, [base], right)[0]
-        return self._left @ right
+        _check_shifts(self.triple, [base])
+        return self._left @ _site_factor(self.triple, base, _right_blocks(self.triple, degree))
 
     def jets(self, wanted: Sequence[Tuple[int, int, int]]) -> Tuple[np.ndarray, np.ndarray]:
         """log|tau| (P,) and derivatives of log tau (P, len(wanted)), one per
@@ -549,7 +511,9 @@ def tau_discrete(
     """det(A exp(g(B)) (c1 I - B)^l (c2 I - B)^m (c3 I - B)^n C.T).
 
     With t omitted the exponential factor is the identity. Equal to
-    (c1^l c2^m c3^n)^n_rows times the corresponding :func:`tau_miwa`.
+    (c1^l c2^m c3^n)^n_rows times the corresponding :func:`tau_miwa`. A c
+    may be zero (its factor is (-B)^k); a c that is not finite raises
+    ValueError.
     """
     base = t if t is not None else TimeVector.zeros(1)
     return TauEvaluator(tr, base).tau_discrete(l, m, n_index, c1, c2, c3)
@@ -822,7 +786,7 @@ def _u_line_evaluators(tr: RankOneTriple, lines: List[np.ndarray]) -> Iterator[T
         rows = [times[anchors] for times in group]
         if not first:
             rows.append(steps)
-        E0, mu = _expm_centered(_exponents(tr, np.concatenate(rows)))
+        E0, mu = _expm_centered(_exponents(tr.B, np.concatenate(rows)))
         m = len(group) * len(anchors)
         if not first:
             S = np.concatenate([E0[m : m + half], _identity(tr.N)[None], E0[m + half :]])

@@ -18,6 +18,7 @@ from kp_rankone.baker import (
     grassmann_support,
     polynomiality_check,
     psi_dual,
+    psi_grid,
     psi_stationary,
     psi_time,
 )
@@ -131,6 +132,19 @@ def test_ba_sample_pole_constructor():
 def test_psi_rejects_zero_z(scalar_triple):
     with pytest.raises(ValueError):
         psi_stationary(scalar_triple, 0.1, 0.0)
+
+
+@pytest.mark.parametrize("z", [math.inf, -math.inf, math.nan, complex(1.0, math.inf)])
+def test_psi_rejects_non_finite_z(z):
+    tr = random_admissible(2, 5, seed=3)
+    t = TimeVector([0.2, -0.1])
+    for call in (
+        lambda: psi_time(tr, t, z),
+        lambda: psi_dual(tr, t, z),
+        lambda: psi_grid(tr, [0.0, 0.5], [2.0, z]),
+    ):
+        with pytest.raises(ValueError, match="spectral parameter z must be finite"):
+            call()
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,8 @@ from kp_rankone.tau import (
     MiwaShiftList,
     TauEvaluator,
     TimeVector,
+    _right_blocks,
+    _site_factor,
     log_tau_derivative,
     tau,
     tau_discrete,
@@ -302,6 +304,61 @@ def test_inverse_guard_rejects_shift_next_to_eigenvalue():
         ev.shifted_dets([(), ((2.5, -1),), ((c, 1), (c, -1))])
     # a positive power needs no inverse and stays allowed
     assert not _rows(ev.shifted_dets([((c, 1),)]))[0][0].is_zero
+
+
+@pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan, complex(2.0, math.inf)])
+@pytest.mark.parametrize("k", [1, -1])
+def test_non_finite_shift_parameter_is_rejected(c, k):
+    tr = random_admissible(2, 6, seed=8)
+    t = TimeVector([0.2, -0.1])
+    ev = TauEvaluator(tr, t)
+    for call in (
+        lambda: tau_discrete(tr, k, 0, 0, c, 2.0, 3.0, t=t),
+        lambda: ev.tau_discrete(0, k, 0, 2.0, c, 3.0),
+        lambda: ev.shifted_dets([(), ((2.5, 1), (c, k))]),
+    ):
+        with pytest.raises(ValueError, match="shift parameter c must be finite"):
+            call()
+
+
+@pytest.mark.parametrize("k", [1, -1])
+def test_zero_shift_parameter_is_the_factor_minus_b(k):
+    # c = 0 is a valid discrete shift: its factor is (-B)^k
+    tr = random_admissible(2, 6, seed=8)
+    t = TimeVector([0.2, -0.1])
+    got = tau_discrete(tr, k, 0, 0, 0.0, 2.0, 3.0, t=t)
+    want = discrete_tau_by_eigenbasis(tr, t, ((0.0, k),))
+    assert rel_difference(got, ScaledComplex.from_complex(want)) <= 1e-12
+
+
+def test_a_shift_set_does_not_depend_on_the_other_sets_of_its_call():
+    tr = random_admissible(3, 8, seed=9)
+    times = np.array([[0.3, -0.1, 0.05], [-0.4 + 0.2j, 0.2, 0.0], [0.1, 0.0, -0.2j]])
+    c1, c2, c3 = 2.1 - 0.4j, -1.6 + 1.1j, 0.5 + 2.4j
+    sets = [
+        (),
+        ((c1, 1),),
+        ((c2, -1),),
+        ((c1, 2), (c2, -1), (c3, 1)),
+        ((c1, 1), (c1, -2)),  # a repeated c
+        ((c3, 0), (c2, 3)),  # a k = 0 entry
+        ((c1, 0), (c2, 0), (c3, 0)),
+        ((c3, -2), (c1, 1), (c2, 0)),
+    ]
+    ev = TauEvaluator(tr, times)
+    lm, ph = ev.shifted_dets(sets)
+    n_mu = matkernel.log_scale_exp(tr.n * ev.mu)
+    for s, shifts in enumerate(sets):
+        alone = ev.shifted_dets([shifts])
+        assert lm[s].tobytes() == alone[0][0].tobytes(), shifts
+        assert ph[s].tobytes() == alone[1][0].tobytes(), shifts
+        # moment_blocks(s, 0) is the product whose determinant shifted_dets takes
+        K0 = ev.moment_blocks(shifts, 0)
+        product = ev._left @ _site_factor(tr, shifts, _right_blocks(tr, 0))
+        assert K0.tobytes() == product.tobytes(), shifts
+        blocks = matkernel.log_scale_mul(matkernel.slogdet_scaled(K0), n_mu)
+        assert blocks[0].tobytes() == lm[s].tobytes(), shifts
+        assert blocks[1].tobytes() == ph[s].tobytes(), shifts
 
 
 # ---------------------------------------------------------------------------
