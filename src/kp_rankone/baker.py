@@ -9,13 +9,12 @@ the determinant ratio
 
 normalized by z^n where n is the row count of A, so psi e^{-xz} -> 1 as
 |z| -> infinity. The adjoint wave function flips the shift and the
-exponential. The three point functions and :func:`psi_grid` share one
-body: Miwa-shifted taus over plain taus from one :class:`TauEvaluator`
-stack of base times, times exp(+-g(z)), so a grid of x takes one
-exponential and the plain and every shifted tau one shifted-determinant
-call. Values stay on the log scale, as arrays of log magnitudes and
-phases until each sample becomes a ScaledComplex, because e^{xz} alone
-overflows doubles on moderate grids.
+exponential. As I - B/z commutes with exp(g(B)), tau(t - [1/z]) =
+det(K0 - K1 / z) with K_j = A exp(g(B)) B^j C.T: psi and :func:`psi_grid`
+take one product and one ``slogdet`` of n x n combinations, the adjoint
+one solve more. Values stay on the log scale (e^{xz} alone overflows
+doubles on moderate grids), folded in Python floats for a point and as
+arrays for a grid, with the same bits.
 
 The spectral support of the whole family is the eigenvalue multiset of
 B: multiplying the adjoint shift by det(z I - B) clears every pole, for
@@ -39,13 +38,15 @@ import numpy as np
 from .errors import GeometryError, PoleError, RangeError
 from .matkernel import (
     ScaledComplex,
+    _exp_polar,
     eig,
     log_scale_div,
     log_scale_exp,
     log_scale_mul,
     scaled_values,
+    wrap_phase,
 )
-from .tau import TauEvaluator, TimeVector, TimesLike, _miwa_taus, _right_blocks
+from .tau import TauEvaluator, TimeVector, TimesLike, _check_inverses, _right_blocks, _slogdet
 from .triple import RankOneTriple
 from .verify import VerificationReport
 
@@ -94,41 +95,68 @@ class BASample:
         return self.value.to_complex()
 
 
-def _psi(tr: RankOneTriple, ts: List[TimeVector], zs, k: int) -> List[BASample]:
-    """tau(t - k [1/z]) / tau(t) exp(k g(z)), z outer and t inner (ts nonempty,
-    of one length); k = 1 gives psi, k = -1 its adjoint. One
-    :class:`TauEvaluator` holds every t and one shifted-determinant call
-    gives tau(t) and every shifted tau, as log-scale arrays; where tau(t)
-    vanishes the sample is a pole."""
+def _spectral_parameters(zs) -> List[complex]:
     zs = [complex(z) for z in zs]
     if 0 in zs:
         raise ValueError("spectral parameter z must be nonzero")
     if not all(map(cmath.isfinite, zs)):
         raise ValueError("spectral parameter z must be finite")
-    ev = TauEvaluator(tr, np.array([t.values for t in ts]))
-    lm, ph = _miwa_taus(ev, [()] + [((z, k),) for z in zs])
-    pole = lm[0] == -math.inf
-    # a zero tau(t) divides as 1 (no -inf - -inf); its samples are poles
-    base = (np.where(pole, 0.0, lm[0]), ph[0])
-    e_lm, e_ph = log_scale_exp(k * t.g_scalar(z) for z in zs for t in ts)
-    shape = (len(zs), len(ts))
-    values = log_scale_mul(
-        log_scale_div((lm[1:], ph[1:]), base), (e_lm.reshape(shape), e_ph.reshape(shape))
-    )
-    xs = [t.entry(1) for t in ts]
-    samples = iter(scaled_values(values))
-    return [
-        BASample.pole(x, z) if p else BASample(x, z, value)
-        for z in zs
-        for x, p, value in zip(xs, pole.tolist(), samples)
-    ]
+    return zs
+
+
+def _split(z: complex) -> Tuple[complex, float]:
+    """(a, s) with s = 2^-e, e = max(0, exponent of |z|), and a = s z, both
+    exact: |a| < 1 and s <= 1."""
+    e = max(math.frexp(abs(z))[1], 0)
+    return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), math.ldexp(1.0, -e)
+
+
+def _psi_stack(K: np.ndarray, zs: List[complex]) -> Tuple[np.ndarray, List[complex]]:
+    """From the moment blocks K = [K0 | K1] (P, n, 2n), the stack
+    (1 + Z, P, n, n) of K0, det = tau(t) e^(-n mu), then per z a K0 - s K1
+    (:func:`_split`), det = a^n tau(t - [1/z]) e^(-n mu); and each n log a.
+    Exact weights of at most 1: a combination overflows only where K does.
+    a K0 is a.real K0 + (i a.imag) K0, products whose cross terms are exact
+    zeros, so each part is rounded once whether or not a loop fuses its
+    multiply-adds, and a value has the same bits in every stack shape."""
+    n = K.shape[1]
+    K0, K1 = K[..., :n], K[..., n:]
+    S = np.empty((1 + len(zs),) + K0.shape, dtype=np.complex128)
+    S[0] = K0
+    gauges = []
+    for S_z, z in zip(S[1:], zs):
+        a, s = _split(z)
+        gauges.append(n * cmath.log(a))
+        np.subtract(a.real * K0 + (a.imag * 1j) * K0, s * K1, out=S_z)
+    return S, gauges
 
 
 def _psi_point(tr: RankOneTriple, t: TimesLike, z: complex, k: int) -> BASample:
-    sample = _psi(tr, [TimeVector.coerce(t)], [z], k)[0]
-    if sample.is_pole:
+    """tau(t - k [1/z]) / tau(t) exp(k g(z)), k = 1 (psi) or -1 (adjoint),
+    from one ``slogdet`` of two n x n slices; e^(n mu) cancels. Raises
+    PoleError where tau(t) vanishes."""
+    (z,) = _spectral_parameters([z])
+    t = TimeVector.coerce(t)
+    ev = TauEvaluator(tr, t)
+    if k == 1:
+        S, (gauge,) = _psi_stack(ev.moment_blocks((), 1), [z])
+    else:
+        # A E0 [C.T | (a I - s B)^-1 C.T]; det of the second is a^-n tau(t + [1/z]) e^(-n mu)
+        _check_inverses(tr, [z])
+        a, s = _split(z)
+        R = _right_blocks(tr, 0)
+        K = ev._left[0] @ np.hstack([R, np.linalg.solve(a * np.eye(tr.N) - s * tr.B, R)])
+        S = K.reshape(tr.n, 2, tr.n).swapaxes(0, 1)
+        gauge = -tr.n * cmath.log(a)
+    (l0, l1), (p0, p1) = (v.ravel().tolist() for v in _slogdet(S))
+    g_lm, g_ph = _exp_polar(gauge)
+    e_lm, e_ph = _exp_polar(k * t.g_scalar(z))
+    if l0 == -math.inf:
         raise PoleError("tau vanishes at the base time")
-    return sample
+    # ScaledComplex's order: shifted / base / e^gauge * e^(k g(z)), 0.0 the phase of a zero
+    lm = l1 - l0 - g_lm + e_lm
+    phase = wrap_phase(wrap_phase(wrap_phase(p1 - p0) - g_ph) + e_ph) if l1 > -math.inf else 0.0
+    return BASample(t.entry(1), z, ScaledComplex(lm, phase))
 
 
 def psi_stationary(tr: RankOneTriple, x: complex, z: complex) -> BASample:
@@ -151,9 +179,30 @@ def psi_dual(tr: RankOneTriple, t: TimesLike, z: complex) -> BASample:
 
 
 def psi_grid(tr: RankOneTriple, x_values: Sequence[float], z_values) -> List[BASample]:
-    """:func:`psi_stationary` over a grid, z outer and x inner, from one
-    exponential; where tau(x) vanishes the sample is a pole, not a PoleError."""
-    return _psi(tr, [TimeVector.coerce((complex(x),)) for x in x_values], z_values, 1)
+    """:func:`psi_stationary` over a grid, z outer and x inner, bit for bit:
+    one exponential, one product and one ``slogdet`` for the whole grid.
+    Where tau(x) vanishes the sample is a pole, not a PoleError. An empty
+    axis gives an empty list."""
+    zs = _spectral_parameters(z_values)
+    ts = [TimeVector.coerce((complex(x),)) for x in x_values]
+    if not (ts and zs):
+        return []
+    ev = TauEvaluator(tr, np.array([t.values for t in ts]))
+    S, gauges = _psi_stack(ev.moment_blocks((), 1), zs)
+    lm, ph = _slogdet(S)
+    pole = lm[0] == -math.inf
+    # a zero tau(x) divides as 1 (no -inf - -inf); its samples are poles
+    base = (np.where(pole, 0.0, lm[0]), ph[0])
+    g = [v[:, None] for v in log_scale_exp(gauges)]
+    e = [v.reshape(len(zs), len(ts)) for v in log_scale_exp(t.g_scalar(z) for z in zs for t in ts)]
+    values = log_scale_mul(log_scale_div(log_scale_div((lm[1:], ph[1:]), base), g), e)
+    xs = [t.entry(1) for t in ts]
+    samples = iter(scaled_values(values))
+    return [
+        BASample.pole(x, z) if p else BASample(x, z, value)
+        for z in zs
+        for x, p, value in zip(xs, pole.tolist(), samples)
+    ]
 
 
 def grassmann_support(tr: RankOneTriple) -> SpectralSupport:

@@ -8,39 +8,21 @@ t_i -> t_i - k c^(-i) / i for all i, acts exactly as the matrix factor
 shifts and :func:`tau_miwa` applies them without any series truncation.
 The discrete variant :func:`tau_discrete` uses factors (c I - B)^k =
 c^k (I - B/c)^k, so it is the Miwa tau times the scalar gauge
-(c1^l c2^m c3^n)^n. Plain, Miwa and discrete taus share one shifted
-determinant: the factors (c I - B)^k act on C.T, positive powers as k
-products and negative powers as |k| linear solves after one check that
-c I - B is safely invertible, and a Miwa tau divides the gauge out on
-the log scale. c I - B keeps exact input exact, which I - B/c does not.
+(c1^l c2^m c3^n)^n. c I - B keeps exact input exact, which I - B/c
+does not.
 
-A lattice identity needs several shifted taus at one base time, a wave
-function one per spectral parameter. :meth:`TauEvaluator.shifted_dets`
-takes them as a list of shift sets and answers in one call. (The 3N + 1
-one-shift taus of :func:`~kp_rankone.baker.polynomiality_check` take no
-shift set each: the nodes of one circle share one site factor.) Each set
-is one site factor R = prod_j (c_j I - B)^k_j C.T (:func:`_site_factor`),
-its factors applied to C.T in the set's own order, so a value does not
-depend on the other sets of the call; the invertibility check runs once
-per call and distinct inverted c (a norm certificate, |c| safely above
-||B||_2, spares most of them an SVD), and one ``slogdet`` covers every set
-and base time.
-
-The answer is a log-scale pair of (sets, P) float arrays, log|det| and
-phase (see :mod:`kp_rankone.matkernel`), which give bit for bit what the
-corresponding ScaledComplex arithmetic gives. The gauges, terms and
-residuals of the checks are formed on those arrays, and ScaledComplex
-values are made only where a public function returns one.
-
-The six taus of the bilinear lattice check take no N x N determinant.
-They differ from one site factor R = prod_j (c_j I - B)^k_j C.T by one or
-two factors c I - B, which commute with B, so each is the determinant of
-an n x n combination of the moment blocks A E B^j R, j = 0, 1, 2.
-:meth:`TauEvaluator.moment_blocks` gives them: the site factor applied to
-the triple's kept right blocks [C.T, B C.T, B^2 C.T] (by the same
-:func:`_site_factor`), then one product with the left factor; at a site
-with no nonzero power it is that product alone. The jets read their
-blocks from the same method, with no site factor.
+Every shifted tau is an n x n determinant of the moment blocks
+K_j = A E B^j R, E = exp(g(B)), of :meth:`TauEvaluator.moment_blocks`:
+the site factor R = prod_j (c_j I - B)^k_j C.T (:func:`_site_factor`,
+negative powers as solves after :func:`_check_inverses`) applied to the
+triple's kept right blocks [C.T, B C.T, ...], then one product with the
+left factor. The factors commute with B, so nonnegative powers beyond R
+are n x n combinations of the K_j: plain, Miwa and discrete taus take K0,
+the bilinear check c_a K0 - K1 and c_a c_b K0 - (c_a + c_b) K1 + K2, the
+wave functions K0 and a K0 - s K1; the jets use the blocks of R = C.T.
+A point value is folded from its ``slogdet`` in Python floats as
+ScaledComplex folds it, a grid as log-scale arrays (see
+:mod:`kp_rankone.matkernel`), with the same bits.
 
 Derivatives of log tau are exact. With M = A E C.T, E = exp(g(B)),
 every time derivative of M stays in closed form,
@@ -65,38 +47,23 @@ factor (:meth:`TauEvaluator.moment_blocks`), one ``slogdet`` and one
 One :class:`TauEvaluator` holds a stack of P base times, with g(B) formed
 by Horner on a (P, N, N) stack and one ``expm`` call (the stack is built
 here, so the exponential skips the input check that
-:func:`~kp_rankone.matkernel.expm_centered` makes); its methods, the
-shifted determinants, the moment blocks and the jets, serve the whole
-stack. A single point is a stack of one; :func:`tau_grid` takes one such
-direct stack per t1 line, so a line costs one ``expm`` of P slices and
-one ``slogdet``.
-
-:func:`u_field` uses that t1 is the flow of B itself: exp(g(B)) at t1 + j h
-is exp(g(B)) exp(j h B). A line of P >= 4 points in arithmetic
-progression, step h, is cut into blocks of s = ceil(sqrt(P)) points; the
-anchor centred in each block gets its own exponential, and the other
-points take their anchor's factor times an offset exp(j h B), |j| <= s/2.
-The offsets depend only on h and B, so all lines of a 2-D or 3-D grid
-share them, and one ``expm`` call serves the whole grid: anchors plus
-s - 1 offsets, 12 slices instead of 41 for a 41-point line (a grid whose
-anchors exceed ``_ANCHOR_ENTRIES`` takes one call per group of lines, so
-its memory stays bounded). A stepped
-point is evaluated at t1_anchor + j h, within 8 eps max|t1| of its
-requested t1 (the test that admits a line); anchors keep the bits of the
-direct stack, and other lines stay direct. :func:`tau_grid` and
-:func:`~kp_rankone.baker.psi_grid` stay direct too: a stepped tau where
-tau vanishes exactly (the Wilson point at t1 = -3) is a rounding-size
-number instead of the exact zero that the tau grid flags, while u flags
-any |tau| below ``POLE_REL_THRESHOLD`` times the grid maximum.
-
+:func:`~kp_rankone.matkernel.expm_centered` makes); its moment blocks
+and jets serve the whole stack, and a single point is a stack of one.
 The factor A exp(g(B)) of a single base time is memoized on the triple,
-in one slot keyed by the exact (1, K) time array it was computed for:
-evaluators built one after another at the same base time (the checks of
-:mod:`kp_rankone.verify` and :mod:`kp_rankone.baker`, and :func:`tau`,
-:func:`tau_miwa`, :func:`tau_discrete` and :func:`log_tau_derivative`)
-share one exponential, and a hit returns exactly the arrays a miss would
-compute. Stacks of several base times neither read nor replace the slot.
-The triple's arrays cannot be made writeable, so the slot cannot go stale.
+so checks made one after another at one base time share one exponential
+(see :class:`TauEvaluator`); the triple's arrays cannot be made
+writeable, so the slot cannot go stale.
+
+:func:`tau_grid` and :func:`~kp_rankone.baker.psi_grid` take one direct
+stack per line of base times: one ``expm`` of P slices and one
+``slogdet``. :func:`u_field` steps instead, since t1 is the flow of B
+itself: exp(g(B)) at t1 + j h is exp(g(B)) exp(j h B), so a line of
+P >= 4 points in arithmetic progression takes an exponential only at
+every ceil(sqrt(P))-th point, and all lines of a grid share the offsets
+exp(j h B) (:func:`_u_line_evaluators`). Stepping would put an exact zero
+of tau (the Wilson point at t1 = -3) at a rounding-size number, which the
+tau and psi grids would not flag, while u flags any |tau| below
+``POLE_REL_THRESHOLD`` times the grid maximum.
 """
 
 from __future__ import annotations
@@ -116,12 +83,13 @@ from .matkernel import (
     ScaledComplex,
     as_cmatrix,
     _expm_centered,
+    _exp_polar,
     det_scaled,  # noqa: F401  (the benchmark's tracer wraps tau.det_scaled)
-    log_scale_div,
     log_scale_exp,
     log_scale_mul,
     scaled_values,
     slogdet_scaled,
+    wrap_phase,
 )
 from .triple import RankOneTriple
 
@@ -315,30 +283,13 @@ def _identity(N: int) -> np.ndarray:
     return I
 
 
-def _miwa_taus(ev: "TauEvaluator", shift_sets: Sequence[ShiftSet]) -> LogScale:
-    """Miwa taus, (sets, P): each discrete determinant of
-    :meth:`TauEvaluator.shifted_dets` over its gauge prod_j c_j^(k_j n),
-    whose exponent n sum_j k_j log c_j is summed per set in Python complex
-    arithmetic. The empty set has gauge 1 and keeps its bits."""
-    n = ev.triple.n
-    lm, ph = log_scale_exp(
-        n * sum(k * cmath.log(c) for c, k in shifts if k) for shifts in shift_sets
-    )
-    return log_scale_div(ev.shifted_dets(shift_sets), (lm[:, None], ph[:, None]))
-
-
-def _check_shifts(tr: RankOneTriple, shift_sets: Sequence[ShiftSet]) -> None:
-    """Raise ValueError if some shift parameter c of ``shift_sets`` is not
-    finite, and SingularShiftError unless :func:`_check_inverses` passes
-    every distinct c that some set inverts (one call for all sets)."""
-    inverted: dict = {}  # the c some set solves with, in order
-    for shifts in shift_sets:
-        for c, k in shifts:
-            if not cmath.isfinite(c):
-                raise ValueError("shift parameter c must be finite")
-            if k < 0:
-                inverted[c] = None
-    _check_inverses(tr, list(inverted))
+def _slogdet(S: np.ndarray) -> LogScale:
+    """:func:`~kp_rankone.matkernel.slogdet_scaled` of an n x n stack S, but
+    RangeError where S is not finite (a singular slice with an inf can give
+    log|det| = -inf, so the check cannot be read off the determinants)."""
+    if not np.isfinite(S).all():
+        raise RangeError("a moment-block combination overflows double precision")
+    return slogdet_scaled(S)
 
 
 def _site_factor(tr: RankOneTriple, shifts: ShiftSet, right: np.ndarray) -> np.ndarray:
@@ -346,7 +297,7 @@ def _site_factor(tr: RankOneTriple, shifts: ShiftSet, right: np.ndarray) -> np.n
     (N, m) the array ``right``, which is not written to: the factors act in
     the set's own order, a positive power as k products and a negative one
     as |k| solves; k = 0 entries are skipped. The caller checks the
-    inverted c first (:func:`_check_shifts`)."""
+    inverted c first (:func:`_check_inverses`)."""
     for c, k in shifts:
         if k:
             F = c * _identity(tr.N) - tr.B
@@ -362,8 +313,8 @@ class TauEvaluator:
     g(B) is formed by Horner on a (P, N, N) stack and exponentiated by one
     centred ``expm`` call, kept as A exp(g(B) - mu I) (``_left``, shape
     (P, n, N)) and ``mu`` (P,), so huge tau magnitudes never leave the log
-    scale. :meth:`shifted_dets`, :meth:`moment_blocks` and :meth:`jets`
-    serve the whole stack; the single-point methods read slice 0.
+    scale. :meth:`moment_blocks` and :meth:`jets` serve the whole stack;
+    the single-point methods read slice 0.
 
     The triple keeps the read-only ``mu`` and ``_left`` of its last
     single-point evaluator (P = 1) in one slot, keyed by the dtype, shape
@@ -402,28 +353,6 @@ class TauEvaluator:
         ev.triple, ev.mu, ev._left = tr, mu, left
         return ev
 
-    def shifted_dets(self, shift_sets: Sequence[ShiftSet]) -> LogScale:
-        """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T) for each shift set
-        ((c_j, k_j), ...), as a log-scale pair of (sets, P) float arrays:
-        log|det| with n mu folded in, and the phase in (-pi, pi]; an exact
-        zero has log magnitude -inf.
-
-        Every set starts from the triple's kept copy of C.T and gets its own
-        site factor (:func:`_site_factor`), so a value does not depend on the
-        other sets of the call; the factors are stacked, and one product
-        with the left factor and one ``slogdet`` serve every set and base
-        time. Raises ValueError if a shift parameter is not finite and
-        SingularShiftError if an inverted c I - B fails
-        :func:`_check_inverses`, each c once per call.
-        """
-        if not len(shift_sets):
-            return np.empty((0, len(self.mu))), np.empty((0, len(self.mu)))
-        _check_shifts(self.triple, shift_sets)
-        right = _right_blocks(self.triple, 0)
-        rights = np.stack([_site_factor(self.triple, shifts, right) for shifts in shift_sets])
-        dets = slogdet_scaled(self._left[None] @ rights[:, None])
-        return log_scale_mul(dets, log_scale_exp(self.triple.n * self.mu))
-
     def moment_blocks(self, base: ShiftSet, degree: int) -> np.ndarray:
         """The blocks A exp(g(B) - mu I) B^j R, j = 0 .. degree, side by side,
         shape (P, n, (degree + 1) n), with R = prod_j (c_j I - B)^k_j C.T of
@@ -435,9 +364,12 @@ class TauEvaluator:
         same reason [R, B R, ..., B^degree R] is the site factor of ``base``
         (:func:`_site_factor`) applied to the triple's kept right blocks
         [C.T, B C.T, ...], which are the product's right factor where every
-        k_j is zero. Raises as :meth:`shifted_dets` does.
+        k_j is zero. Raises ValueError if a shift parameter is not finite,
+        SingularShiftError if an inverted c fails :func:`_check_inverses`.
         """
-        _check_shifts(self.triple, [base])
+        if not all(cmath.isfinite(c) for c, _ in base):
+            raise ValueError("shift parameter c must be finite")
+        _check_inverses(self.triple, list(dict.fromkeys(c for c, k in base if k < 0)))
         return self._left @ _site_factor(self.triple, base, _right_blocks(self.triple, degree))
 
     def jets(self, wanted: Sequence[Tuple[int, int, int]]) -> Tuple[np.ndarray, np.ndarray]:
@@ -456,21 +388,33 @@ class TauEvaluator:
         derivs[regular] = _jet_series(np.linalg.solve(Wr[..., :n], Wr[..., n:]), plan)
         return np.where(regular, logdet + n * self.mu.real, -math.inf), derivs
 
+    def _shifted_tau(self, shifts: ShiftSet, gauge: complex = 0j) -> ScaledComplex:
+        """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T) / e^gauge at the first
+        base time: the ``slogdet`` of :meth:`moment_blocks` ``(shifts, 0)``
+        folded in Python floats as ScaledComplex folds det e^(n mu) / e^gauge."""
+        lm, ph = (float(a[0]) for a in _slogdet(self.moment_blocks(shifts, 0)[:1]))
+        mu_lm, mu_ph = _exp_polar(complex(self.triple.n * self.mu[0]))
+        g_lm, g_ph = _exp_polar(gauge)
+        phase = wrap_phase(wrap_phase(ph + mu_ph) - g_ph) if lm > -math.inf else 0.0
+        return ScaledComplex(lm + mu_lm - g_lm, phase)
+
     def tau(self) -> ScaledComplex:
-        return scaled_values(self.shifted_dets([()]))[0]
+        return self._shifted_tau(())
 
     def tau_miwa(self, shifts: ShiftsLike) -> ScaledComplex:
-        """The discrete determinant over its gauge prod_j c_j^(k_j n)."""
-        return scaled_values(_miwa_taus(self, [MiwaShiftList.coerce(shifts).shifts]))[0]
+        """The discrete determinant over its gauge prod_j c_j^(k_j n), whose
+        exponent n sum_j k_j log c_j is summed in Python complex arithmetic."""
+        shifts = MiwaShiftList.coerce(shifts).shifts
+        return self._shifted_tau(
+            shifts, self.triple.n * sum(k * cmath.log(c) for c, k in shifts if k)
+        )
 
     def tau_discrete(
         self, l: int, m: int, n_index: int, c1: complex, c2: complex, c3: complex
     ) -> ScaledComplex:
-        return scaled_values(
-            self.shifted_dets(
-                [((complex(c1), int(l)), (complex(c2), int(m)), (complex(c3), int(n_index)))]
-            )
-        )[0]
+        return self._shifted_tau(
+            ((complex(c1), int(l)), (complex(c2), int(m)), (complex(c3), int(n_index)))
+        )
 
     def log_derivatives(self, orders_list: Iterable[Sequence[int]]) -> List[complex]:
         """Partial derivatives of log tau at the base time, one per multi-index.
@@ -713,9 +657,11 @@ def tau_grid(
     magnitude -inf).
     """
     coords, lines = _grid_times(t1_values, t2_values, t3_values, base)
-    values = [
-        v for times in lines for v in scaled_values(TauEvaluator(tr, times).shifted_dets([()]))
-    ]
+    values = []
+    for times in lines:
+        ev = TauEvaluator(tr, times)
+        dets = _slogdet(ev.moment_blocks((), 0))
+        values += scaled_values(log_scale_mul(dets, log_scale_exp(tr.n * ev.mu)))
     return list(zip(coords, values))
 
 
@@ -765,8 +711,8 @@ def _anchor_layout(P: int) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.
 def _u_line_evaluators(tr: RankOneTriple, lines: List[np.ndarray]) -> Iterator[TauEvaluator]:
     """One evaluator per t1 line of a grid, whose lines share their t1
     values, made as they are consumed: stepped from anchors where those
-    have a step (see the module docstring), else one direct stack per
-    line. The offsets exp(j h B), j != 0, are g(B) of the times (j h, 0,
+    have a step (:func:`u_field`, :func:`_anchor_layout`), else one direct
+    stack per line. The offsets exp(j h B), j != 0, are g(B) of the times (j h, 0,
     ...) and go into the anchors' exponential call, each slice centred on
     its own mu, so a stepped point gets mu_anchor + mu_j. That is one call
     per grid, or per group of lines whose anchors fill ``_ANCHOR_ENTRIES``.

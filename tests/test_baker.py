@@ -11,7 +11,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import psi_stationary_by_eigenbasis
+from conftest import mp_psi, mp_rel_error, mp_shifted_tau, psi_stationary_by_eigenbasis
 from kp_rankone.baker import (
     BASample,
     _circle_taus,
@@ -30,9 +30,9 @@ from kp_rankone.cases import (
     random_calogero_moser,
     random_kdv_pair,
 )
-from kp_rankone.errors import GeometryError, PoleError
+from kp_rankone.errors import GeometryError, PoleError, SingularShiftError
 from kp_rankone.matkernel import ScaledComplex, rel_difference
-from kp_rankone.tau import TauEvaluator, TimeVector, tau, tau_miwa
+from kp_rankone.tau import TauEvaluator, TimeVector, tau, tau_discrete, tau_miwa
 from kp_rankone.triple import RankOneTriple, make_triple, random_admissible, validate_triple
 from kp_rankone.verify import hbde_residual
 
@@ -147,6 +147,159 @@ def test_psi_rejects_non_finite_z(z):
             call()
 
 
+def test_psi_grid_with_an_empty_axis_is_empty():
+    tr = random_admissible(2, 5, seed=3)
+    assert psi_grid(tr, [], [2.0]) == []
+    assert psi_grid(tr, [0.0, 0.5], []) == []
+    assert psi_grid(tr, [], []) == []
+    with pytest.raises(ValueError, match="nonzero"):
+        psi_grid(tr, [], [0.0])
+
+
+# ---------------------------------------------------------------------------
+# wave functions and point shifted taus from n x n moment blocks
+# ---------------------------------------------------------------------------
+
+_TRIPLES = {
+    "admissible-2x6": lambda: random_admissible(2, 6, seed=1),
+    "admissible-4x12": lambda: random_admissible(4, 12, seed=1),
+    "admissible-8x24": lambda: random_admissible(8, 24, seed=1),
+    "calogero-moser-2": lambda: from_calogero_moser(random_calogero_moser(2, seed=0)),  # defective B
+    "kdv-3": lambda: from_kdv_pair(random_kdv_pair(3, seed=0)),
+}
+
+
+@pytest.mark.parametrize("build", _TRIPLES.values(), ids=_TRIPLES.keys())
+def test_psi_and_point_taus_match_mpmath(build):
+    # against 40-digit references; the base time is the one of the circle
+    # test above, so both share the reference exp(g(B)) C.T of a triple.
+    # One z below 1 in modulus, two above; the worst error seen is 2.3e-14,
+    # on 8 x 24
+    tr = build()
+    t = TimeVector([0.3, -0.15j, 0.1])
+    zs = [2.5 + 0.5j, -1.7 - 1.2j, 0.6 - 0.3j]
+    for z in zs:
+        assert mp_rel_error(psi_time(tr, t, z).value, mp_psi(tr, t, z)) < 1e-13, z
+        assert mp_rel_error(psi_dual(tr, t, z).value, mp_psi(tr, t, z, -1)) < 1e-13, z
+    xs = [0.3] if tr.N > 12 else [-0.7, 0.3]
+    want = {(x, z): mp_psi(tr, TimeVector([x]), z) for x in xs for z in zs}
+    for x, z in want:
+        assert mp_rel_error(psi_stationary(tr, x, z).value, want[x, z]) < 1e-13, (x, z)
+    for s in psi_grid(tr, xs, zs):
+        assert mp_rel_error(s.value, want[s.x.real, s.z]) < 1e-13, (s.x, s.z)
+    shifts = ((2.0, 1), (-2.5j, -1), (1.5 + 1j, 2))
+    discrete = mp_shifted_tau(tr, t, shifts)
+    gauge = ScaledComplex.from_complex(np.prod([c ** (k * tr.n) for c, k in shifts]))
+    got = tau_discrete(tr, 1, -1, 2, 2.0, -2.5j, 1.5 + 1j, t=t)
+    assert mp_rel_error(got, mp.mpc(discrete)) < 1e-13
+    assert mp_rel_error(tau_miwa(tr, shifts, t) * gauge, mp.mpc(discrete)) < 1e-13
+
+
+@pytest.mark.parametrize("n,N", [(2, 6), (4, 12)])
+def test_psi_with_z_next_to_the_spectrum(n, N):
+    # the adjoint solves with a multiple of z I - B and loses digits in
+    # proportion to 1 / delta (4.1e-9 at delta = 1e-6 on 4 x 12); psi itself
+    # takes no solve and keeps its digits here
+    tr = random_admissible(n, N, seed=6)
+    t = TimeVector([0.2 - 0.1j, -0.1, 0.05])
+    for delta in (1e-3, 1e-6):
+        for lam in np.linalg.eigvals(tr.B)[:3]:
+            z = complex(lam + delta * np.exp(0.7j))
+            assert mp_rel_error(psi_dual(tr, t, z).value, mp_psi(tr, t, z, -1)) < 1e-13 / delta
+            assert mp_rel_error(psi_time(tr, t, z).value, mp_psi(tr, t, z)) < 1e-12
+    with pytest.raises(SingularShiftError):
+        psi_dual(tr, t, complex(np.linalg.eigvals(tr.B)[0]) + 1e-14)
+
+
+@pytest.mark.parametrize("build", _TRIPLES.values(), ids=_TRIPLES.keys())
+def test_psi_at_extreme_spectral_parameters(build):
+    # |z| = 1e-300 and 1e300: the weights of the combinations stay within 1,
+    # so nothing overflows. The ratio of taus, psi e^(-k g(z)), matches its
+    # 40-digit reference to the rounding of its log magnitude (up to 1.4e3
+    # here); e^(k g(z)) itself has no correct phase once |g(z)| ~ 1e299
+    tr = build()
+    t = TimeVector([0.3])
+    eps = np.finfo(float).eps
+    for z in (1e-300, -1e-300j, 3e-200 + 1e-200j, 1e300, 1e300j, -7e299 + 7e299j):
+        for got, k in (
+            (psi_time(tr, t, z), 1),
+            (psi_stationary(tr, 0.3, z), 1),
+            (psi_grid(tr, [-0.4, 0.3], [z])[1], 1),
+            (psi_dual(tr, t, z), -1),
+        ):
+            ratio = got.value / ScaledComplex.exp_of(k * t.g_scalar(z))
+            error = mp_rel_error(ratio, mp_psi(tr, t, z, k, exponential=False))
+            assert error < 1e-13 + 4 * eps * abs(ratio.log_magnitude), (z, k)
+
+
+def _linalg_calls(monkeypatch) -> dict:
+    """Count the numpy.linalg solve and slogdet calls made from here on (the
+    exponential binds its own solve, which is not counted)."""
+    calls = {"solve": 0, "slogdet": 0}
+    for name in calls:
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_psi_point_functions_take_one_slogdet(monkeypatch):
+    tr = random_admissible(4, 12, seed=2)
+    t = TimeVector([0.3, -0.1, 0.05])
+    calls = _linalg_calls(monkeypatch)
+    psi_time(tr, t, 2.5 - 0.5j)
+    assert calls == {"solve": 0, "slogdet": 1}
+    psi_stationary(tr, 0.3, 0.5j)
+    assert calls == {"solve": 0, "slogdet": 2}
+    # the adjoint solves once for (z I - B)^-1 C.T
+    psi_dual(tr, t, 2.5 - 0.5j)
+    assert calls == {"solve": 1, "slogdet": 3}
+
+
+def test_psi_grid_takes_one_slogdet_and_no_solve(monkeypatch):
+    tr = random_admissible(4, 12, seed=2)
+    calls = _linalg_calls(monkeypatch)
+    samples = psi_grid(tr, np.linspace(-2.0, 2.0, 7), [2.5, 0.5j, -1.2 + 3.0j, 0.3, -4.0])
+    assert len(samples) == 35
+    assert calls == {"solve": 0, "slogdet": 1}
+
+
+@pytest.mark.parametrize("n,N", [(1, 3), (1, 4), (2, 6), (3, 8), (5, 7), (8, 24)])
+def test_psi_grid_samples_equal_psi_stationary_bit_for_bit(n, N):
+    tr = random_admissible(n, N, seed=3)
+    zs = [2.0, -1.5 + 0.5j, 0.3j, 0.99, 1.0, 1e-300, 1e300, -3.1, 0.7 - 0.2j]
+    for s in psi_grid(tr, np.linspace(-2.0, 2.0, 9), zs):
+        want = psi_stationary(tr, s.x, s.z)
+        assert (s.x, s.z) == (want.x, want.z)
+        assert np.array([s.value.log_magnitude, s.value.phase]).tobytes() == np.array(
+            [want.value.log_magnitude, want.value.phase]
+        ).tobytes(), (s.x, s.z)
+
+
+def _sample_bytes(samples) -> bytes:
+    return np.array([(s.value.log_magnitude, s.value.phase) for s in samples]).tobytes()
+
+
+@pytest.mark.parametrize("n,N", [(1, 4), (3, 8)])
+def test_a_psi_grid_value_does_not_depend_on_the_other_z_of_its_grid(n, N):
+    tr = random_admissible(n, N, seed=9)
+    xs = np.linspace(-1.0, 1.5, 6)
+    zs = [2.1 - 0.4j, 0.5 + 0.2j, -1.6 + 1.1j, 1e-300, 1e300j, 1.0]
+    grid = psi_grid(tr, xs, zs)
+    rows = [grid[i * len(xs) : (i + 1) * len(xs)] for i in range(len(zs))]
+    for z, row in zip(zs, rows):
+        assert _sample_bytes(psi_grid(tr, xs, [z])) == _sample_bytes(row), z
+    backwards = psi_grid(tr, xs, zs[::-1])
+    assert _sample_bytes(backwards) == _sample_bytes([s for row in rows[::-1] for s in row])
+    # one x, whose grid has a single row per z
+    for z, row in zip(zs, rows):
+        assert _sample_bytes(psi_grid(tr, xs[2:3], [z])) == _sample_bytes(row[2:3]), z
+
+
 # ---------------------------------------------------------------------------
 # spectral support
 # ---------------------------------------------------------------------------
@@ -242,36 +395,8 @@ def test_polynomiality_holds_without_rank_one_admissibility():
 
 def _mp_node_taus(tr, t, zs, dps=40):
     """tau(t + [1/z]) = z^n det(A (z I - B)^-1 exp(g(B)) C.T) for each z, at
-    ``dps`` digits: mpmath's exponential, then Gaussian elimination with
-    partial pivoting of [z I - B | exp(g(B)) C.T]."""
-    n, N = tr.n, tr.N
-    with mp.workdps(dps):
-        B = mp.matrix(tr.B.tolist())
-        G = mp.zeros(N)
-        for v in t.values[::-1]:
-            G = B * (mp.mpc(complex(v)) * mp.eye(N) + G)
-        R = mp.expm(G) * mp.matrix(tr.C.T.tolist())
-        A = mp.matrix(tr.A.tolist())
-        out = []
-        for z in zs:
-            z = mp.mpc(complex(z))
-            rows = [
-                [(z if i == j else 0) - B[i, j] for j in range(N)] + [R[i, j] for j in range(n)]
-                for i in range(N)
-            ]
-            for k in range(N):
-                p = max(range(k, N), key=lambda i: abs(rows[i][k]))
-                rows[k], rows[p] = rows[p], rows[k]
-                for i in range(k + 1, N):
-                    f = rows[i][k] / rows[k][k]
-                    rows[i] = [a - f * b for a, b in zip(rows[i], rows[k])]
-            Y = mp.matrix(N, n)
-            for i in reversed(range(N)):
-                for j in range(n):
-                    acc = rows[i][N + j] - mp.fsum(rows[i][k] * Y[k, j] for k in range(i + 1, N))
-                    Y[i, j] = acc / rows[i][i]
-            out.append(complex(z ** n * mp.det(A * Y)))
-    return out
+    ``dps`` digits (:func:`conftest.mp_shifted_tau`)."""
+    return [complex(z) ** tr.n * mp_shifted_tau(tr, t, ((z, -1),), dps) for z in zs]
 
 
 def _b_zero_triple():

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import discrete_tau_by_eigenbasis, slogdet_scaled_copying, u_by_eigenbasis
 from kp_rankone import matkernel
-from kp_rankone.baker import polynomiality_check, psi_dual, psi_grid, psi_time
+from kp_rankone.baker import polynomiality_check, psi_dual, psi_grid, psi_stationary, psi_time
 from kp_rankone.cases import (
     CalogeroMoserData,
     KdVPairData,
@@ -24,13 +24,17 @@ from kp_rankone.cases import (
     random_kdv_pair,
 )
 from kp_rankone.errors import DimensionError, PoleError, SingularShiftError
-from kp_rankone.matkernel import ScaledComplex, rel_difference, scaled_values, wrap_phase
+from kp_rankone.matkernel import (
+    ScaledComplex,
+    rel_difference,
+    scaled_values,
+    slogdet_scaled,
+    wrap_phase,
+)
 from kp_rankone.tau import (
     MiwaShiftList,
     TauEvaluator,
     TimeVector,
-    _right_blocks,
-    _site_factor,
     log_tau_derivative,
     tau,
     tau_discrete,
@@ -237,12 +241,14 @@ def _svd_shapes(monkeypatch) -> list:
     return shapes
 
 
-def _rows(dets) -> list:
-    """The (sets, P) log-scale pair of shifted_dets as rows of ScaledComplex."""
-    return [scaled_values(row) for row in zip(*dets)]
+def _stack_taus(ev, shifts) -> list:
+    """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T) at every base time of
+    ``ev``, from its moment blocks of degree 0, as ScaledComplex values."""
+    n_mu = matkernel.log_scale_exp(ev.triple.n * ev.mu)
+    return scaled_values(matkernel.log_scale_mul(slogdet_scaled(ev.moment_blocks(shifts, 0)), n_mu))
 
 
-def test_shifted_dets_stack_matches_eigenbasis_oracle():
+def test_moment_blocks_stack_matches_eigenbasis_oracle():
     tr = random_admissible(3, 8, seed=4)
     times = np.array([[0.3, -0.1, 0.05], [-0.4 + 0.2j, 0.2, 0.0], [0.1, 0.0, -0.2j]])
     c1, c2 = 2.1 - 0.4j, -1.6 + 1.1j
@@ -253,11 +259,10 @@ def test_shifted_dets_stack_matches_eigenbasis_oracle():
         ((c1, 1), (c1, -2), (c2, 1)),
         ((c2, -2), (c1, 0)),
     ]
-    dets = TauEvaluator(tr, times).shifted_dets(sets)
-    assert dets[0].shape == dets[1].shape == (len(sets), len(times))
-    rows = _rows(dets)
-    for shifts, row in zip(sets, rows):
-        for t, got in zip(times, row):
+    ev = TauEvaluator(tr, times)
+    for shifts in sets:
+        assert ev.moment_blocks(shifts, 0).shape == (len(times), tr.n, tr.n)
+        for t, got in zip(times, _stack_taus(ev, shifts)):
             want = discrete_tau_by_eigenbasis(tr, TimeVector(t), shifts)
             assert rel_difference(got, ScaledComplex.from_complex(want)) <= 1e-12, shifts
 
@@ -267,15 +272,16 @@ def test_inverse_guard_norm_certificate_skips_shift_svd(monkeypatch):
     # only SVD taken is the one of B
     tr = random_admissible(2, 6, seed=6)
     c, other = 2.5 * np.exp(0.7j), -1.9 + 0.2j
-    sets = [((c, -1),), ((c, -2), (other, 1))]
+    t = TimeVector([0.2, -0.1])
     shapes = _svd_shapes(monkeypatch)
-    rows = _rows(TauEvaluator(tr, TimeVector([0.2, -0.1])).shifted_dets(sets))
-    assert shapes == [(tr.N, tr.N)]
-    for shifts, row in zip(sets, rows):
-        want = discrete_tau_by_eigenbasis(tr, TimeVector([0.2, -0.1]), shifts)
-        assert rel_difference(row[0], ScaledComplex.from_complex(want)) <= 1e-12
-    # the triple keeps ||B||_2: a second call, at another time, takes no SVD
-    TauEvaluator(tr, TimeVector([0.5])).shifted_dets(sets)
+    for l, m in ((-1, 0), (-2, 1)):
+        got = tau_discrete(tr, l, m, 0, c, other, 3.0, t=t)
+        assert shapes == [(tr.N, tr.N)]
+        want = discrete_tau_by_eigenbasis(tr, t, ((c, l), (other, m)))
+        assert rel_difference(got, ScaledComplex.from_complex(want)) <= 1e-12
+    # the triple keeps ||B||_2: a call at another time takes no SVD
+    tau_miwa(tr, ((c, -2), (other, 1)), TimeVector([0.5]))
+    psi_dual(tr, TimeVector([0.5]), c)
     assert shapes == [(tr.N, tr.N)]
 
 
@@ -286,24 +292,30 @@ def test_inverse_guard_svd_branch_jordan_block(monkeypatch):
     # tau = 2^(1-k) + 100 k 2^-(k+1) + 100 x 2^-k: 41 for k = 1, 33 for
     # k = 2 at x = 0.3
     tr = make_triple([[1.0, 1.0]], [[0.0, 100.0], [0.0, 0.0]], [[1.0, 1.0]])
+    ev = TauEvaluator(tr, TimeVector([0.3]))
     shapes = _svd_shapes(monkeypatch)
-    rows = _rows(TauEvaluator(tr, TimeVector([0.3])).shifted_dets([((2.0, -1),), ((2.0, -2),)]))
-    assert shapes == [(2, 2), (1, 2, 2)]
-    assert abs(rows[0][0].to_complex() - 41.0) <= 1e-13 * 41.0
-    assert abs(rows[1][0].to_complex() - 33.0) <= 1e-13 * 33.0
+    one, two = (ev.tau_discrete(k, 0, 0, 2.0, 3.0, 4.0) for k in (-1, -2))
+    assert shapes == [(2, 2), (1, 2, 2), (1, 2, 2)]
+    assert abs(one.to_complex() - 41.0) <= 1e-13 * 41.0
+    assert abs(two.to_complex() - 33.0) <= 1e-13 * 33.0
 
 
 def test_inverse_guard_rejects_shift_next_to_eigenvalue():
     tr = random_admissible(2, 6, seed=5)
     c = complex(np.linalg.eigvals(tr.B)[0]) + 1e-14
-    ev = TauEvaluator(tr, TimeVector([0.1]))
-    with pytest.raises(SingularShiftError):
-        ev.shifted_dets([((c, -1),)])
-    # one bad set in a stack fails the whole call, whatever its place
-    with pytest.raises(SingularShiftError):
-        ev.shifted_dets([(), ((2.5, -1),), ((c, 1), (c, -1))])
+    t = TimeVector([0.1])
+    ev = TauEvaluator(tr, t)
+    for call in (
+        lambda: ev.tau_discrete(-1, 0, 0, c, 2.0, 3.0),
+        lambda: ev.tau_miwa(((2.5, -1), (c, 1), (c, -1))),
+        lambda: ev.moment_blocks(((c, -1),), 2),
+        lambda: psi_dual(tr, t, c),
+    ):
+        with pytest.raises(SingularShiftError):
+            call()
     # a positive power needs no inverse and stays allowed
-    assert not _rows(ev.shifted_dets([((c, 1),)]))[0][0].is_zero
+    assert not ev.tau_discrete(1, 0, 0, c, 2.0, 3.0).is_zero
+    assert not psi_time(tr, t, c).value.is_zero
 
 
 @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan, complex(2.0, math.inf)])
@@ -315,7 +327,7 @@ def test_non_finite_shift_parameter_is_rejected(c, k):
     for call in (
         lambda: tau_discrete(tr, k, 0, 0, c, 2.0, 3.0, t=t),
         lambda: ev.tau_discrete(0, k, 0, 2.0, c, 3.0),
-        lambda: ev.shifted_dets([(), ((2.5, 1), (c, k))]),
+        lambda: ev.moment_blocks(((2.5, 1), (c, k)), 1),
     ):
         with pytest.raises(ValueError, match="shift parameter c must be finite"):
             call()
@@ -329,36 +341,6 @@ def test_zero_shift_parameter_is_the_factor_minus_b(k):
     got = tau_discrete(tr, k, 0, 0, 0.0, 2.0, 3.0, t=t)
     want = discrete_tau_by_eigenbasis(tr, t, ((0.0, k),))
     assert rel_difference(got, ScaledComplex.from_complex(want)) <= 1e-12
-
-
-def test_a_shift_set_does_not_depend_on_the_other_sets_of_its_call():
-    tr = random_admissible(3, 8, seed=9)
-    times = np.array([[0.3, -0.1, 0.05], [-0.4 + 0.2j, 0.2, 0.0], [0.1, 0.0, -0.2j]])
-    c1, c2, c3 = 2.1 - 0.4j, -1.6 + 1.1j, 0.5 + 2.4j
-    sets = [
-        (),
-        ((c1, 1),),
-        ((c2, -1),),
-        ((c1, 2), (c2, -1), (c3, 1)),
-        ((c1, 1), (c1, -2)),  # a repeated c
-        ((c3, 0), (c2, 3)),  # a k = 0 entry
-        ((c1, 0), (c2, 0), (c3, 0)),
-        ((c3, -2), (c1, 1), (c2, 0)),
-    ]
-    ev = TauEvaluator(tr, times)
-    lm, ph = ev.shifted_dets(sets)
-    n_mu = matkernel.log_scale_exp(tr.n * ev.mu)
-    for s, shifts in enumerate(sets):
-        alone = ev.shifted_dets([shifts])
-        assert lm[s].tobytes() == alone[0][0].tobytes(), shifts
-        assert ph[s].tobytes() == alone[1][0].tobytes(), shifts
-        # moment_blocks(s, 0) is the product whose determinant shifted_dets takes
-        K0 = ev.moment_blocks(shifts, 0)
-        product = ev._left @ _site_factor(tr, shifts, _right_blocks(tr, 0))
-        assert K0.tobytes() == product.tobytes(), shifts
-        blocks = matkernel.log_scale_mul(matkernel.slogdet_scaled(K0), n_mu)
-        assert blocks[0].tobytes() == lm[s].tobytes(), shifts
-        assert blocks[1].tobytes() == ph[s].tobytes(), shifts
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +411,9 @@ def test_memo_hit_is_bit_identical_to_a_miss():
     assert miss._left is not hit._left
     assert hit._left.tobytes() == miss._left.tobytes()
     assert hit.mu.tobytes() == miss.mu.tobytes()
-    sets = [(), ((2.0, 1), (-2.5, -1))]
-    for a, b in zip(hit.shifted_dets(sets), miss.shifted_dets(sets)):
-        assert a.tobytes() == b.tobytes()
+    shifts = ((2.0, 1), (-2.5, -1))
+    assert hit.moment_blocks(shifts, 2).tobytes() == miss.moment_blocks(shifts, 2).tobytes()
+    assert hit.tau_miwa(shifts) == miss.tau_miwa(shifts)
     assert np.array_equal(hit.jets([(2, 0, 0)])[1], miss.jets([(2, 0, 0)])[1])
 
 
@@ -476,10 +458,16 @@ def test_exact_zero_of_tau_through_the_log_scale_arrays():
             ScaledComplex(-math.inf, 0.0),
             ScaledComplex(0.0, 0.0),
         ]
-        with pytest.raises(PoleError):
-            psi_time(tr, TimeVector([-3.0]), 2.0)
-        samples = psi_grid(tr, [-3.0, -2.0], [2.0, 1.0 + 1.0j])
-        assert [s.is_pole for s in samples] == [True, False, True, False]
+        for call in (
+            lambda: psi_time(tr, TimeVector([-3.0]), 2.0),
+            lambda: psi_stationary(tr, -3.0, 0.5j),
+            lambda: psi_dual(tr, TimeVector([-3.0, 0.2]), 2.0),
+        ):
+            with pytest.raises(PoleError):
+                call()
+        # both sides of |z| = 1, whose combinations take different weights
+        samples = psi_grid(tr, [-3.0, -2.0], [2.0, 1.0 + 1.0j, 0.5j, -0.25 + 0.1j])
+        assert [s.is_pole for s in samples] == [True, False] * 4
         for s in samples[1::2]:
             # psi = e^(x z) (1 - 1 / (z (x + 3))) away from the zero
             want = np.exp(s.x * s.z) * (1.0 - 1.0 / (s.z * (s.x + 3.0)))
@@ -1066,9 +1054,9 @@ def test_tau_grid_matches_pointwise_tau():
 
 
 def test_shifted_determinants_keep_their_bits_with_a_copying_slogdet(monkeypatch):
-    # tau, Miwa and discrete taus and the wave functions, an exact zero of
-    # tau among them (a singular slice), give the same bits when every
-    # determinant goes through a slogdet_scaled that copies its input
+    # tau, Miwa and discrete taus, the wave functions and the tau grid, an
+    # exact zero of tau among them (a singular slice), give the same bits
+    # when every determinant goes through a slogdet that copies its input
     tr = random_admissible(3, 8, seed=12)
     zero = RankOneTriple(np.array([[1.0, 1.0]]), np.diag([1.0, 0.0]), np.array([[1.0, -1.0]]))
     t = TimeVector([0.3, -0.15, 0.1])
@@ -1082,7 +1070,8 @@ def test_shifted_determinants_keep_their_bits_with_a_copying_slogdet(monkeypatch
             psi_dual(tr, t, 2.5 + 1j).value,
             tau(zero, TimeVector([0.0])),
         ]
-        out += [s.value for s in psi_grid(zero, [0.0, 0.5], [2.0, 3.0 + 1j])]
+        out += [s.value for s in psi_grid(zero, [0.0, 0.5], [2.0, 3.0 + 1j, 0.5j])]
+        out += [v for _, v in tau_grid(tr, [0.0, 0.5, 1.0], base=t)]
         return np.array([(v.log_magnitude, v.phase) for v in out]).view(np.int64)
 
     got = values()
