@@ -9,12 +9,12 @@ the determinant ratio
 
 normalized by z^n where n is the row count of A, so psi e^{-xz} -> 1 as
 |z| -> infinity. The adjoint wave function flips the shift and the
-exponential. As I - B/z commutes with exp(g(B)), tau(t - [1/z]) =
-det(K0 - K1 / z) with K_j = A exp(g(B)) B^j C.T: psi and :func:`psi_grid`
-take one product and one ``slogdet`` of n x n combinations, the adjoint
-one solve more. Values stay on the log scale (e^{xz} alone overflows
-doubles on moderate grids), folded in Python floats for a point and as
-arrays for a grid, with the same bits.
+exponential. The shift I - B/z acts on C.T (one N x N product, the
+adjoint one solve), then psi and :func:`psi_grid` take one product with
+the left factor and one ``slogdet`` of n x n slices (:func:`_psi_dets`).
+Values stay on the log scale (e^{xz} alone overflows doubles on moderate
+grids), folded in Python floats for a point and as arrays for a grid,
+with the same bits.
 
 The spectral support of the whole family is the eigenvalue multiset of
 B: multiplying the adjoint shift by det(z I - B) clears every pole, for
@@ -35,18 +35,28 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import GeometryError, PoleError, RangeError
+from .errors import GeometryError, PoleError
 from .matkernel import (
+    LogScale,
     ScaledComplex,
-    _exp_polar,
     eig,
     log_scale_div,
     log_scale_exp,
     log_scale_mul,
     scaled_values,
+    sign_phase,
     wrap_phase,
 )
-from .tau import TauEvaluator, TimeVector, TimesLike, _check_inverses, _right_blocks, _slogdet
+from .tau import (
+    TauEvaluator,
+    TimeVector,
+    TimesLike,
+    _check_inverses,
+    _fold,
+    _identity,
+    _right_blocks,
+    _slogdet,
+)
 from .triple import RankOneTriple
 from .verify import VerificationReport
 
@@ -111,52 +121,37 @@ def _split(z: complex) -> Tuple[complex, float]:
     return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), math.ldexp(1.0, -e)
 
 
-def _psi_stack(K: np.ndarray, zs: List[complex]) -> Tuple[np.ndarray, List[complex]]:
-    """From the moment blocks K = [K0 | K1] (P, n, 2n), the stack
-    (1 + Z, P, n, n) of K0, det = tau(t) e^(-n mu), then per z a K0 - s K1
-    (:func:`_split`), det = a^n tau(t - [1/z]) e^(-n mu); and each n log a.
-    Exact weights of at most 1: a combination overflows only where K does.
-    a K0 is a.real K0 + (i a.imag) K0, products whose cross terms are exact
-    zeros, so each part is rounded once whether or not a loop fuses its
-    multiply-adds, and a value has the same bits in every stack shape."""
-    n = K.shape[1]
-    K0, K1 = K[..., :n], K[..., n:]
-    S = np.empty((1 + len(zs),) + K0.shape, dtype=np.complex128)
-    S[0] = K0
-    gauges = []
-    for S_z, z in zip(S[1:], zs):
-        a, s = _split(z)
-        gauges.append(n * cmath.log(a))
-        np.subtract(a.real * K0 + (a.imag * 1j) * K0, s * K1, out=S_z)
-    return S, gauges
+def _psi_dets(ev: TauEvaluator, zs: List[complex], k: int) -> Tuple[LogScale, List[complex]]:
+    """The log-scale pair (1 + Z, P) of det(A E0 C.T) = tau(t) e^(-n mu),
+    E0 = exp(g(B) - mu I), then per z of det(A E0 F^k C.T) = a^(k n)
+    tau(t - k [1/z]) e^(-n mu), F = a I - s B = s (z I - B) (:func:`_split`);
+    and each gauge k n log a. k = 1 is psi, -1 the adjoint (checked, solved).
+    F C.T takes z - B_ii before the exponential: K0 - K1 / z of the moment
+    blocks would cancel the mode of an eigenvalue next to z after it. Each
+    slice is its own product (n, N) @ (N, n): same bits in any stack."""
+    tr = ev.triple
+    if k == -1:
+        _check_inverses(tr, zs)
+    a, s = (np.array(v)[:, None, None] for v in zip(*map(_split, zs)))
+    F = a * _identity(tr.N) - s * tr.B
+    C_T = _right_blocks(tr, 0)
+    R = np.concatenate([C_T[None], F @ C_T if k == 1 else np.linalg.solve(F, C_T[None])])
+    sign, lm = _slogdet(ev._left[None] @ R[:, None])
+    return (lm, sign_phase(sign)), [k * tr.n * cmath.log(a_z) for a_z in a.ravel().tolist()]
 
 
 def _psi_point(tr: RankOneTriple, t: TimesLike, z: complex, k: int) -> BASample:
-    """tau(t - k [1/z]) / tau(t) exp(k g(z)), k = 1 (psi) or -1 (adjoint),
-    from one ``slogdet`` of two n x n slices; e^(n mu) cancels. Raises
-    PoleError where tau(t) vanishes."""
+    """tau(t - k [1/z]) / tau(t) exp(k g(z)) from :func:`_psi_dets`: the
+    quotient of its two determinants times e^(k g(z)) / e^gauge, folded in
+    Python floats. Raises PoleError where tau(t) vanishes."""
     (z,) = _spectral_parameters([z])
     t = TimeVector.coerce(t)
-    ev = TauEvaluator(tr, t)
-    if k == 1:
-        S, (gauge,) = _psi_stack(ev.moment_blocks((), 1), [z])
-    else:
-        # A E0 [C.T | (a I - s B)^-1 C.T]; det of the second is a^-n tau(t + [1/z]) e^(-n mu)
-        _check_inverses(tr, [z])
-        a, s = _split(z)
-        R = _right_blocks(tr, 0)
-        K = ev._left[0] @ np.hstack([R, np.linalg.solve(a * np.eye(tr.N) - s * tr.B, R)])
-        S = K.reshape(tr.n, 2, tr.n).swapaxes(0, 1)
-        gauge = -tr.n * cmath.log(a)
-    (l0, l1), (p0, p1) = (v.ravel().tolist() for v in _slogdet(S))
-    g_lm, g_ph = _exp_polar(gauge)
-    e_lm, e_ph = _exp_polar(k * t.g_scalar(z))
+    (lm, ph), (gauge,) = _psi_dets(TauEvaluator(tr, t), [z], k)
+    (l0, l1), (p0, p1) = lm.ravel().tolist(), ph.ravel().tolist()
     if l0 == -math.inf:
         raise PoleError("tau vanishes at the base time")
-    # ScaledComplex's order: shifted / base / e^gauge * e^(k g(z)), 0.0 the phase of a zero
-    lm = l1 - l0 - g_lm + e_lm
-    phase = wrap_phase(wrap_phase(wrap_phase(p1 - p0) - g_ph) + e_ph) if l1 > -math.inf else 0.0
-    return BASample(t.entry(1), z, ScaledComplex(lm, phase))
+    value = _fold(l1 - l0, wrap_phase(p1 - p0), k * t.g_scalar(z), gauge)
+    return BASample(t.entry(1), z, ScaledComplex(*value))
 
 
 def psi_stationary(tr: RankOneTriple, x: complex, z: complex) -> BASample:
@@ -187,15 +182,14 @@ def psi_grid(tr: RankOneTriple, x_values: Sequence[float], z_values) -> List[BAS
     ts = [TimeVector.coerce((complex(x),)) for x in x_values]
     if not (ts and zs):
         return []
-    ev = TauEvaluator(tr, np.array([t.values for t in ts]))
-    S, gauges = _psi_stack(ev.moment_blocks((), 1), zs)
-    lm, ph = _slogdet(S)
+    (lm, ph), gauges = _psi_dets(TauEvaluator(tr, np.array([t.values for t in ts])), zs, 1)
     pole = lm[0] == -math.inf
     # a zero tau(x) divides as 1 (no -inf - -inf); its samples are poles
     base = (np.where(pole, 0.0, lm[0]), ph[0])
-    g = [v[:, None] for v in log_scale_exp(gauges)]
     e = [v.reshape(len(zs), len(ts)) for v in log_scale_exp(t.g_scalar(z) for z in zs for t in ts)]
-    values = log_scale_mul(log_scale_div(log_scale_div((lm[1:], ph[1:]), base), g), e)
+    g = [v[:, None] for v in log_scale_exp(gauges)]
+    # the order of _psi_point's fold, so a sample has the bits of its point
+    values = log_scale_div(log_scale_mul(log_scale_div((lm[1:], ph[1:]), base), e), g)
     xs = [t.entry(1) for t in ts]
     samples = iter(scaled_values(values))
     return [
@@ -284,10 +278,7 @@ def _circle_taus(ev: TauEvaluator, r: float) -> Tuple[List[np.ndarray], np.ndarr
         M = len(Z)
         weights = Z[:, ::-1] * (s / r) ** np.arange(M, dtype=np.float64)
         S.append((weights @ K[c, :M].reshape(M, n * n)).reshape(M, n, n))
-    S = np.concatenate(S)
-    if not np.isfinite(S).all():
-        raise RangeError("a moment-block combination overflows double precision")
-    sign, logdet = np.linalg.slogdet(S)
+    sign, logdet = _slogdet(np.concatenate(S))
     n_mu = complex(n * ev.mu[0])
     unit = sign * np.concatenate([Z[:, n] for Z in powers]) * cmath.exp(1j * n_mu.imag)
     return powers, logdet + n_mu.real, unit

@@ -55,6 +55,7 @@ __all__ = [
     "expm_centered",
     "det_scaled",
     "slogdet_scaled",
+    "sign_phase",
     "numerical_rank",
     "nullspace_rows",
     "spectral_norm",
@@ -651,12 +652,15 @@ def slogdet_scaled(M) -> LogScale:
     log-scale pair of shape (...), from one ``slogdet``; an exactly
     singular slice gives (-inf, 0.0)."""
     sign, logdet = np.linalg.slogdet(_as_square_stack(M, "determinant input", copy=False))
-    # arg(sign) in [-pi, pi], where wrap_phase moves only -pi, to
-    # -pi + 2 pi, which rounds to pi; a singular slice has sign 0 and
-    # logdet -inf, and its phase arctan2(0, 0) is 0.0
+    return logdet, sign_phase(sign)
+
+
+def sign_phase(sign: np.ndarray) -> np.ndarray:
+    """The phases in (-pi, pi] of ``numpy.linalg.slogdet`` signs: -pi goes
+    to pi, as wrap_phase moves it, and a singular slice's sign 0 to 0.0."""
     phase = np.asarray(np.arctan2(sign.imag, sign.real))
     np.copyto(phase, math.pi, where=phase <= -math.pi)
-    return logdet, phase
+    return phase
 
 
 def numerical_rank(M, tol: float = DEFAULT_RANK_TOL) -> int:

@@ -11,18 +11,18 @@ c^k (I - B/c)^k, so it is the Miwa tau times the scalar gauge
 (c1^l c2^m c3^n)^n. c I - B keeps exact input exact, which I - B/c
 does not.
 
-Every shifted tau is an n x n determinant of the moment blocks
+Every shifted tau here is an n x n determinant of the moment blocks
 K_j = A E B^j R, E = exp(g(B)), of :meth:`TauEvaluator.moment_blocks`:
 the site factor R = prod_j (c_j I - B)^k_j C.T (:func:`_site_factor`,
 negative powers as solves after :func:`_check_inverses`) applied to the
 triple's kept right blocks [C.T, B C.T, ...], then one product with the
 left factor. The factors commute with B, so nonnegative powers beyond R
 are n x n combinations of the K_j: plain, Miwa and discrete taus take K0,
-the bilinear check c_a K0 - K1 and c_a c_b K0 - (c_a + c_b) K1 + K2, the
-wave functions K0 and a K0 - s K1; the jets use the blocks of R = C.T.
-A point value is folded from its ``slogdet`` in Python floats as
-ScaledComplex folds it, a grid as log-scale arrays (see
-:mod:`kp_rankone.matkernel`), with the same bits.
+the bilinear check c_a K0 - K1 and c_a c_b K0 - (c_a + c_b) K1 + K2; the
+jets use the blocks of R = C.T. A point value is folded from its
+``slogdet`` in Python floats as ScaledComplex folds it (:func:`_fold`),
+a grid as log-scale arrays (see :mod:`kp_rankone.matkernel`), with the
+same bits.
 
 Derivatives of log tau are exact. With M = A E C.T, E = exp(g(B)),
 every time derivative of M stays in closed form,
@@ -79,7 +79,6 @@ import numpy as np
 
 from .errors import PoleError, RangeError, SingularShiftError
 from .matkernel import (
-    LogScale,
     ScaledComplex,
     as_cmatrix,
     _expm_centered,
@@ -88,7 +87,7 @@ from .matkernel import (
     log_scale_exp,
     log_scale_mul,
     scaled_values,
-    slogdet_scaled,
+    sign_phase,
     wrap_phase,
 )
 from .triple import RankOneTriple
@@ -283,13 +282,24 @@ def _identity(N: int) -> np.ndarray:
     return I
 
 
-def _slogdet(S: np.ndarray) -> LogScale:
-    """:func:`~kp_rankone.matkernel.slogdet_scaled` of an n x n stack S, but
-    RangeError where S is not finite (a singular slice with an inf can give
-    log|det| = -inf, so the check cannot be read off the determinants)."""
+def _slogdet(S: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``numpy.linalg.slogdet`` (sign, log|det|) of an n x n stack S, after
+    one scan: RangeError where S is not finite (a singular slice with an inf
+    can give log|det| = -inf, so the determinants cannot tell)."""
     if not np.isfinite(S).all():
         raise RangeError("a moment-block combination overflows double precision")
-    return slogdet_scaled(S)
+    return np.linalg.slogdet(S)
+
+
+def _fold(lm: float, ph: float, times: complex, over: complex) -> Tuple[float, float]:
+    """(log|w|, arg w) of w = d e^times / e^over, d of log magnitude ``lm``
+    and phase ``ph``, in Python floats as ScaledComplex's product and then
+    its quotient fold it; a zero d gives (-inf, 0.0)."""
+    t_lm, t_ph = _exp_polar(times)
+    o_lm, o_ph = _exp_polar(over)
+    if lm == -math.inf:
+        return lm, 0.0
+    return lm + t_lm - o_lm, wrap_phase(wrap_phase(ph + t_ph) - o_ph)
 
 
 def _site_factor(tr: RankOneTriple, shifts: ShiftSet, right: np.ndarray) -> np.ndarray:
@@ -391,12 +401,10 @@ class TauEvaluator:
     def _shifted_tau(self, shifts: ShiftSet, gauge: complex = 0j) -> ScaledComplex:
         """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T) / e^gauge at the first
         base time: the ``slogdet`` of :meth:`moment_blocks` ``(shifts, 0)``
-        folded in Python floats as ScaledComplex folds det e^(n mu) / e^gauge."""
-        lm, ph = (float(a[0]) for a in _slogdet(self.moment_blocks(shifts, 0)[:1]))
-        mu_lm, mu_ph = _exp_polar(complex(self.triple.n * self.mu[0]))
-        g_lm, g_ph = _exp_polar(gauge)
-        phase = wrap_phase(wrap_phase(ph + mu_ph) - g_ph) if lm > -math.inf else 0.0
-        return ScaledComplex(lm + mu_lm - g_lm, phase)
+        folded as det e^(n mu) / e^gauge (:func:`_fold`)."""
+        sign, lm = _slogdet(self.moment_blocks(shifts, 0)[:1])
+        n_mu = complex(self.triple.n * self.mu[0])
+        return ScaledComplex(*_fold(float(lm[0]), float(sign_phase(sign)[0]), n_mu, gauge))
 
     def tau(self) -> ScaledComplex:
         return self._shifted_tau(())
@@ -660,7 +668,8 @@ def tau_grid(
     values = []
     for times in lines:
         ev = TauEvaluator(tr, times)
-        dets = _slogdet(ev.moment_blocks((), 0))
+        sign, lm = _slogdet(ev.moment_blocks((), 0))
+        dets = (lm, sign_phase(sign))
         values += scaled_values(log_scale_mul(dets, log_scale_exp(tr.n * ev.mu)))
     return list(zip(coords, values))
 

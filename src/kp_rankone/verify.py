@@ -27,7 +27,6 @@ from .errors import (
     DimensionError,
     GeometryError,
     InadmissibleTripleError,
-    RangeError,
 )
 from .matkernel import (
     DEFAULT_RANK_TOL,
@@ -41,7 +40,7 @@ from .matkernel import (
     wrap_phase,
     ScaledComplex,
 )
-from .tau import TauEvaluator, TimeVector, TimesLike, tau
+from .tau import TauEvaluator, TimeVector, TimesLike, _fold, _slogdet, tau
 from .triple import RankOneTriple
 
 __all__ = [
@@ -135,8 +134,7 @@ def _hbde_taus(
     (:meth:`TauEvaluator.moment_blocks`): c_a K0 - K1, or
     c_a c_b K0 - (c_a + c_b) K1 + K2. The six combinations are one stacked
     product and take one ``slogdet``. n mu and the gauge
-    (prod_j c_j^k_j)^n are then folded in as ScaledComplex folds them
-    (det * e^(n mu) / e^gauge).
+    (prod_j c_j^k_j)^n are then folded in (:func:`~kp_rankone.tau._fold`).
     """
     ev = TauEvaluator(tr, t)
     n = tr.n
@@ -154,19 +152,14 @@ def _hbde_taus(
             a, b = step
             weights += (c[a] * c[b], -(c[a] + c[b]), 1.0)
             gauges.append(site_gauge + n_logs[a] + n_logs[b])
-    M = (np.array(weights, dtype=np.complex128).reshape(6, 3) @ K).swapaxes(0, 1)
-    if not np.isfinite(M).all():
-        raise RangeError("a moment-block combination overflows double precision")
-    signs, logdets = np.linalg.slogdet(M)
+    M = np.array(weights, dtype=np.complex128).reshape(6, 3) @ K
+    signs, logdets = _slogdet(M.swapaxes(0, 1))
     n_mu = complex(n * ev.mu[0])
-    mu_phase = wrap_phase(n_mu.imag)
-    out = []
-    for sign, logdet, g in zip(signs.tolist(), logdets.tolist(), gauges):
-        # the determinant's phase as slogdet_scaled gives it, in (-pi, pi]
-        phase = wrap_phase(math.atan2(sign.imag, sign.real))
-        phase = wrap_phase(wrap_phase(phase + mu_phase) - wrap_phase(g.imag))
-        out.append((logdet + n_mu.real - g.real, phase))
-    return out
+    # each determinant's phase in (-pi, pi], then det e^(n mu) / e^gauge
+    return [
+        _fold(logdet, wrap_phase(math.atan2(sign.imag, sign.real)), n_mu, g)
+        for sign, logdet, g in zip(signs.tolist(), logdets.tolist(), gauges)
+    ]
 
 
 def hbde_residual(

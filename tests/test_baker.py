@@ -6,6 +6,7 @@ show up as value changes, not just as broken self-consistency.
 """
 
 import math
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -30,6 +31,7 @@ from kp_rankone.cases import (
     random_calogero_moser,
     random_kdv_pair,
 )
+from kp_rankone.cli import load_scenario
 from kp_rankone.errors import GeometryError, PoleError, SingularShiftError
 from kp_rankone.matkernel import ScaledComplex, rel_difference
 from kp_rankone.tau import TauEvaluator, TimeVector, tau, tau_discrete, tau_miwa
@@ -209,6 +211,26 @@ def test_psi_with_z_next_to_the_spectrum(n, N):
             assert mp_rel_error(psi_time(tr, t, z).value, mp_psi(tr, t, z)) < 1e-12
     with pytest.raises(SingularShiftError):
         psi_dual(tr, t, complex(np.linalg.eigvals(tr.B)[0]) + 1e-14)
+
+
+def test_psi_next_to_an_eigenvalue_whose_mode_dominates_tau():
+    # two_soliton: B = diag(1, 3, ...), and e^(3x) dominates tau for x >= 1.
+    # With z next to 3, z I - B nearly removes that mode; the difference
+    # z - 3 is taken on C.T, before the exponential, so psi keeps the
+    # accuracy it has elsewhere (at most 1.4e-14 here). The combination
+    # K0 - K1 / z of the blocks
+    # K_j = A exp(g(B)) B^j C.T cancels the dominant mode after the
+    # exponential and was off by up to 7.9e-13 on these points
+    tr = load_scenario(Path(__file__).parents[1] / "scenarios" / "two_soliton.json").build_triple()
+    xs = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6]
+    zs = [3 - 0.014, 3 - 1e-6, 3 + 0.01j]
+    want = {(x, z): mp_psi(tr, TimeVector([x]), z) for x in xs for z in zs}
+    for x, z in want:
+        assert mp_rel_error(psi_stationary(tr, x, z).value, want[x, z]) < 3e-14, (x, z)
+        t = TimeVector([x, 0.1, -0.05])
+        assert mp_rel_error(psi_time(tr, t, z).value, mp_psi(tr, t, z)) < 3e-14, (x, z)
+    for s in psi_grid(tr, xs, zs):
+        assert mp_rel_error(s.value, want[s.x.real, s.z]) < 3e-14, (s.x, s.z)
 
 
 @pytest.mark.parametrize("build", _TRIPLES.values(), ids=_TRIPLES.keys())
