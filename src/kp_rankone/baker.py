@@ -11,10 +11,10 @@ normalized by z^n where n is the row count of A, so psi e^{-xz} -> 1 as
 |z| -> infinity. The adjoint wave function flips the shift and the
 exponential. The shift I - B/z acts on C.T (one N x N product, the
 adjoint one solve), then psi and :func:`psi_grid` take one product with
-the left factor and one ``slogdet`` of n x n slices (:func:`_psi_dets`).
+the left factor and one ``slogdet`` of n x n slices (:func:`_psi_values`).
 Values stay on the log scale (e^{xz} alone overflows doubles on moderate
-grids), folded in Python floats for a point and as arrays for a grid,
-with the same bits.
+grids), folded in Python floats by that one function for a point and a
+grid, so a grid has the bits of its points.
 
 The spectral support of the whole family is the eigenvalue multiset of
 B: multiplying the adjoint shift by det(z I - B) clears every pole, for
@@ -36,17 +36,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import GeometryError, PoleError
-from .matkernel import (
-    LogScale,
-    ScaledComplex,
-    eig,
-    log_scale_div,
-    log_scale_exp,
-    log_scale_mul,
-    scaled_values,
-    sign_phase,
-    wrap_phase,
-)
+from .matkernel import ScaledComplex, eig, sign_phase, wrap_phase
 from .tau import (
     TauEvaluator,
     TimeVector,
@@ -121,37 +111,53 @@ def _split(z: complex) -> Tuple[complex, float]:
     return complex(math.ldexp(z.real, -e), math.ldexp(z.imag, -e)), math.ldexp(1.0, -e)
 
 
-def _psi_dets(ev: TauEvaluator, zs: List[complex], k: int) -> Tuple[LogScale, List[complex]]:
-    """The log-scale pair (1 + Z, P) of det(A E0 C.T) = tau(t) e^(-n mu),
-    E0 = exp(g(B) - mu I), then per z of det(A E0 F^k C.T) = a^(k n)
-    tau(t - k [1/z]) e^(-n mu), F = a I - s B = s (z I - B) (:func:`_split`);
-    and each gauge k n log a. k = 1 is psi, -1 the adjoint (checked, solved).
+def _psi_values(
+    tr: RankOneTriple, ts: List[TimeVector], zs: List[complex], k: int
+) -> List[Optional[ScaledComplex]]:
+    """tau(t - k [1/z]) / tau(t) exp(k g(z)) for each z (outer) and base time
+    t (inner), None where tau(t) vanishes; k = 1 is psi, -1 the adjoint
+    (checked, solved).
+
+    One ``slogdet`` takes det(A E0 C.T) = tau(t) e^(-n mu),
+    E0 = exp(g(B) - mu I), and per z det(A E0 F^k C.T) = a^(k n)
+    tau(t - k [1/z]) e^(-n mu), F = a I - s B = s (z I - B) (:func:`_split`).
     F C.T takes z - B_ii before the exponential: K0 - K1 / z of the moment
     blocks would cancel the mode of an eigenvalue next to z after it. Each
-    slice is its own product (n, N) @ (N, n): same bits in any stack."""
-    tr = ev.triple
+    slice is its own product (n, N) @ (N, n): same bits in any stack. The
+    quotient of a pair, times e^(k g(z)) over the gauge a^(k n), is folded
+    in Python floats (:func:`_fold`). The exponent is g(z) or -g(z) as
+    such: Python's k * g(z) would change the sign of a zero part."""
+    ev = TauEvaluator(tr, np.array([t.values for t in ts]))
     if k == -1:
         _check_inverses(tr, zs)
     a, s = (np.array(v)[:, None, None] for v in zip(*map(_split, zs)))
     F = a * _identity(tr.N) - s * tr.B
     C_T = _right_blocks(tr, 0)
     R = np.concatenate([C_T[None], F @ C_T if k == 1 else np.linalg.solve(F, C_T[None])])
-    sign, lm = _slogdet(ev._left[None] @ R[:, None])
-    return (lm, sign_phase(sign)), [k * tr.n * cmath.log(a_z) for a_z in a.ravel().tolist()]
+    sign, logdet = _slogdet(ev._left[None] @ R[:, None])
+    (lm0, *lms), (ph0, *phs) = logdet.tolist(), sign_phase(sign).tolist()
+    values: List[Optional[ScaledComplex]] = []
+    for z, a_z, lm1, ph1 in zip(zs, a.ravel().tolist(), lms, phs):
+        gauge = k * tr.n * cmath.log(a_z)
+        for t, l0, p0, l1, p1 in zip(ts, lm0, ph0, lm1, ph1):
+            if l0 == -math.inf:
+                values.append(None)
+                continue
+            g = t.g_scalar(z)
+            value = _fold(l1 - l0, wrap_phase(p1 - p0), g if k == 1 else -g, gauge)
+            values.append(ScaledComplex(*value))
+    return values
 
 
 def _psi_point(tr: RankOneTriple, t: TimesLike, z: complex, k: int) -> BASample:
-    """tau(t - k [1/z]) / tau(t) exp(k g(z)) from :func:`_psi_dets`: the
-    quotient of its two determinants times e^(k g(z)) / e^gauge, folded in
-    Python floats. Raises PoleError where tau(t) vanishes."""
+    """The one value of :func:`_psi_values` at (t, z). Raises PoleError
+    where tau(t) vanishes."""
     (z,) = _spectral_parameters([z])
     t = TimeVector.coerce(t)
-    (lm, ph), (gauge,) = _psi_dets(TauEvaluator(tr, t), [z], k)
-    (l0, l1), (p0, p1) = lm.ravel().tolist(), ph.ravel().tolist()
-    if l0 == -math.inf:
+    (value,) = _psi_values(tr, [t], [z], k)
+    if value is None:
         raise PoleError("tau vanishes at the base time")
-    value = _fold(l1 - l0, wrap_phase(p1 - p0), k * t.g_scalar(z), gauge)
-    return BASample(t.entry(1), z, ScaledComplex(*value))
+    return BASample(t.entry(1), z, value)
 
 
 def psi_stationary(tr: RankOneTriple, x: complex, z: complex) -> BASample:
@@ -182,20 +188,11 @@ def psi_grid(tr: RankOneTriple, x_values: Sequence[float], z_values) -> List[BAS
     ts = [TimeVector.coerce((complex(x),)) for x in x_values]
     if not (ts and zs):
         return []
-    (lm, ph), gauges = _psi_dets(TauEvaluator(tr, np.array([t.values for t in ts])), zs, 1)
-    pole = lm[0] == -math.inf
-    # a zero tau(x) divides as 1 (no -inf - -inf); its samples are poles
-    base = (np.where(pole, 0.0, lm[0]), ph[0])
-    e = [v.reshape(len(zs), len(ts)) for v in log_scale_exp(t.g_scalar(z) for z in zs for t in ts)]
-    g = [v[:, None] for v in log_scale_exp(gauges)]
-    # the order of _psi_point's fold, so a sample has the bits of its point
-    values = log_scale_div(log_scale_mul(log_scale_div((lm[1:], ph[1:]), base), e), g)
     xs = [t.entry(1) for t in ts]
-    samples = iter(scaled_values(values))
+    points = [(x, z) for z in zs for x in xs]
     return [
-        BASample.pole(x, z) if p else BASample(x, z, value)
-        for z in zs
-        for x, p, value in zip(xs, pole.tolist(), samples)
+        BASample.pole(x, z) if value is None else BASample(x, z, value)
+        for (x, z), value in zip(points, _psi_values(tr, ts, zs, 1))
     ]
 
 

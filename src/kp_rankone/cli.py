@@ -49,27 +49,14 @@ from .tau import TimeVector, tau_grid, u_field
 
 __all__ = ["Scenario", "load_scenario", "save_scenario", "run_command", "main"]
 
-SCENARIO_KINDS = ("general", "intertwining", "calogero_moser", "kdv_pair")
-
-COMMANDS = (
-    "validate",
-    "tau-grid",
-    "u-grid",
-    "psi-grid",
-    "verify-hbde",
-    "verify-kp",
-    "verify-h3",
-    "bethe",
-    "spectral",
-    "crosscheck",
-)
-
 _MATRIX_KEYS = {
     "general": ("A", "B", "C"),
     "intertwining": ("X", "Y", "Z"),
     "calogero_moser": ("X", "Z"),
     "kdv_pair": ("X", "Z"),
 }
+
+SCENARIO_KINDS = tuple(_MATRIX_KEYS)
 
 ENV_TOL = "KP_RANKONE_TOL"
 
@@ -194,8 +181,32 @@ def load_scenario(path) -> Scenario:
         if not isinstance(K, int) or K < 1:
             raise ScenarioError("options.K: expected a positive integer")
         times = times.padded(K)
+    if "tol" in options:
+        _tolerance(options["tol"], "options.tol")
+    seed, m = options.get("seed", 0), options.get("m", 0)
+    if not (_is_int(seed) and seed >= 0):
+        raise ScenarioError(f"options.seed: expected a non-negative integer, got {seed!r}")
+    if not _is_int(m):
+        raise ScenarioError(f"options.m: expected an integer, got {m!r}")
+    grids = options.get("grids", {})
+    if not isinstance(grids, dict):
+        raise ScenarioError(f"options.grids: expected an object, got {grids!r}")
+    for name, spec in grids.items():
+        if not isinstance(spec, str):
+            raise ScenarioError(f"options.grids.{name}: expected start:end:count, got {spec!r}")
 
     return Scenario(kind=kind, matrices=matrices, times=times, options=dict(options))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _tolerance(x, where: str) -> float:
+    """A tolerance: a finite, non-negative number."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not (math.isfinite(x) and x >= 0):
+        raise ScenarioError(f"{where}: expected a finite, non-negative number, got {x!r}")
+    return float(x)
 
 
 def _complex_out(w: complex) -> list:
@@ -325,13 +336,14 @@ def _axis_from(args, scenario: Scenario, name: str, default: Optional[str]) -> O
 
 def _default_tol(args, scenario: Scenario, fallback: float) -> float:
     if getattr(args, "tol", None) is not None:
-        return float(args.tol)
+        return _tolerance(args.tol, "--tol")
     env = os.environ.get(ENV_TOL)
     if env:
         try:
-            return float(env)
+            value = float(env)
         except ValueError as exc:
             raise ScenarioError(f"{ENV_TOL}: not a number: {env!r}") from exc
+        return _tolerance(value, ENV_TOL)
     if "tol" in scenario.options:
         return float(scenario.options["tol"])  # type: ignore[arg-type]
     return fallback
@@ -366,16 +378,13 @@ def _cmd_validate(scenario: Scenario, args, out_dir: Path) -> int:
     return 0 if report.admissible else 1
 
 
-def _grid_times(scenario: Scenario, args):
-    axis1 = _axis_from(args, scenario, "t1", "-2:2:41")
-    axis2 = _axis_from(args, scenario, "t2", None)
-    axis3 = _axis_from(args, scenario, "t3", None)
-    return axis1, axis2, axis3
+# t1, t2, t3 of tau-grid and u-grid, with their default ranges
+_GRID_AXES = (("t1", "-2:2:41"), ("t2", None), ("t3", None))
 
 
 def _cmd_tau_grid(scenario: Scenario, args, out_dir: Path) -> int:
     tr = scenario.build_triple()
-    axis1, axis2, axis3 = _grid_times(scenario, args)
+    axis1, axis2, axis3 = (_axis_from(args, scenario, *a) for a in _GRID_AXES)
     header = _grid_header(axis2, axis3)
     # an exact zero of tau is a pole of u, flagged as u-grid flags it
     rows = [
@@ -399,7 +408,7 @@ def _grid_header(axis2, axis3) -> List[str]:
 
 def _cmd_u_grid(scenario: Scenario, args, out_dir: Path) -> int:
     tr = scenario.build_triple()
-    axis1, axis2, axis3 = _grid_times(scenario, args)
+    axis1, axis2, axis3 = (_axis_from(args, scenario, *a) for a in _GRID_AXES)
     samples = u_field(tr, axis1, axis2, axis3, base=scenario.times)
     header = _grid_header(axis2, axis3)
     rows = []
@@ -569,6 +578,8 @@ _DISPATCH = {
     "crosscheck": _cmd_crosscheck,
 }
 
+COMMANDS = tuple(_DISPATCH)
+
 
 def run_command(command: str, scenario: Scenario, args, out_dir) -> int:
     """Execute one command against a parsed scenario; returns the exit code."""
@@ -578,6 +589,8 @@ def run_command(command: str, scenario: Scenario, args, out_dir) -> int:
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             raise ScenarioError(f"--{flag}: expected a positive integer, got {value}")
+    if getattr(args, "seed", None) is not None and args.seed < 0:
+        raise ScenarioError(f"--seed: expected a non-negative integer, got {args.seed}")
     if getattr(args, "K", None):
         scenario = Scenario(
             kind=scenario.kind,

@@ -8,12 +8,9 @@ finiteness-checks input at API boundaries.
 Determinants (and anything else that can outgrow doubles) are carried as
 :class:`ScaledComplex` values, which keep the natural log of the
 magnitude separate from the phase so products spanning thousands of
-orders of magnitude remain exact to relative rounding error. Many such
-values at once travel as a *log-scale pair* of float arrays (log|w|,
-phase), log magnitude -inf for an exact zero: :func:`slogdet_scaled`
-makes them, :func:`log_scale_mul` and :func:`log_scale_div` combine
-them and :func:`scaled_values` turns them into ScaledComplex values.
-Each gives, entry by entry, the bits the ScaledComplex operation gives.
+orders of magnitude remain exact to relative rounding error.
+:func:`det_scaled` makes them from one ``slogdet`` of a stack, each sign
+turned into a phase by :func:`sign_phase`.
 
 Numerical backends, all in ``numpy``: the matrix exponential by scaling
 and squaring with a Pade core (:func:`_expm`; defective matrices are
@@ -44,17 +41,12 @@ __all__ = [
     "ScaledComplex",
     "as_cmatrix",
     "wrap_phase",
-    "log_scale_exp",
-    "log_scale_mul",
-    "log_scale_div",
-    "scaled_values",
     "rel_difference",
     "residual_of_sum",
     "residual_of_log_sum",
     "matexp",
     "expm_centered",
     "det_scaled",
-    "slogdet_scaled",
     "sign_phase",
     "numerical_rank",
     "nullspace_rows",
@@ -131,15 +123,6 @@ def _exp_polar(w: complex) -> Tuple[float, float]:
     if not (math.isfinite(w.real) and math.isfinite(w.imag)):
         raise ValueError("exponent must be finite")
     return w.real, wrap_phase(w.imag)
-
-
-def _wrap_near(w: np.ndarray) -> np.ndarray:
-    """Wrap, in place, an array of phases in (-2 pi, 2 pi] to (-pi, pi], as
-    :func:`wrap_phase` does: one subtraction or addition of 2 pi suffices
-    there and is exact (Sterbenz)."""
-    np.subtract(w, _TWO_PI, out=w, where=w > math.pi)
-    np.add(w, _TWO_PI, out=w, where=w <= -math.pi)
-    return w
 
 
 @dataclass(frozen=True)
@@ -278,47 +261,6 @@ def residual_of_log_sum(log_magnitudes: List[float], phases: List[float]) -> flo
         r = math.exp(lm - peak)
         acc += complex(r * math.cos(ph), r * math.sin(ph))
     return abs(acc)
-
-
-# ---------------------------------------------------------------------------
-# log-scale pairs: many ScaledComplex values as two float arrays
-# ---------------------------------------------------------------------------
-#
-# A log-scale pair (log|w|, phase) holds, entry by entry, what a
-# ScaledComplex holds, and the functions below give the bits the
-# ScaledComplex operations give. Log magnitude -inf is an exact zero; its
-# phase means nothing inside the arithmetic (a product with a zero keeps
-# the other factor's phase) and reads as 0.0 wherever a value leaves the
-# pair (:func:`scaled_values`, :func:`residual_of_log_sum`).
-
-LogScale = Tuple[np.ndarray, np.ndarray]
-
-
-def log_scale_exp(exponents: Iterable[complex]) -> LogScale:
-    """exp(w) of each finite complex w, as :meth:`ScaledComplex.exp_of`
-    gives it."""
-    polar = [_exp_polar(complex(w)) for w in exponents]
-    lm, ph = np.array(polar, dtype=np.float64).reshape(-1, 2).T
-    return lm, ph
-
-
-def log_scale_mul(a: LogScale, b: LogScale) -> LogScale:
-    """Entrywise product of two log-scale pairs of arrays (broadcast)."""
-    return a[0] + b[0], _wrap_near(a[1] + b[1])
-
-
-def log_scale_div(a: LogScale, b: LogScale) -> LogScale:
-    """Entrywise quotient of two log-scale pairs of arrays (broadcast);
-    ``b`` must hold no exact zero."""
-    return a[0] - b[0], _wrap_near(a[1] - b[1])
-
-
-def scaled_values(a: LogScale) -> List[ScaledComplex]:
-    """The entries of a log-scale pair as ScaledComplex values, in C order."""
-    return [
-        ScaledComplex(lm, ph if lm != -math.inf else 0.0)
-        for lm, ph in zip(np.ravel(a[0]).tolist(), np.ravel(a[1]).tolist())
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -642,17 +584,14 @@ def _expm_centered(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def det_scaled(M) -> Union[ScaledComplex, List[ScaledComplex]]:
     """Determinant as a ScaledComplex (LU based, safe for huge/tiny values);
-    a stack (..., k, k) gives a list, one per slice in C order, from one ``slogdet``."""
-    out = scaled_values(slogdet_scaled(M))
-    return out[0] if np.ndim(M) == 2 else out
-
-
-def slogdet_scaled(M) -> LogScale:
-    """log|det| and phase of each slice of a stack (..., k, k), as a
-    log-scale pair of shape (...), from one ``slogdet``; an exactly
-    singular slice gives (-inf, 0.0)."""
+    a stack (..., k, k) gives a list, one per slice in C order, from one
+    ``slogdet``. An exactly singular slice gives (-inf, 0.0)."""
     sign, logdet = np.linalg.slogdet(_as_square_stack(M, "determinant input", copy=False))
-    return logdet, sign_phase(sign)
+    out = [
+        ScaledComplex(lm, ph)
+        for lm, ph in zip(np.ravel(logdet).tolist(), np.ravel(sign_phase(sign)).tolist())
+    ]
+    return out[0] if np.ndim(M) == 2 else out
 
 
 def sign_phase(sign: np.ndarray) -> np.ndarray:

@@ -19,10 +19,10 @@ triple's kept right blocks [C.T, B C.T, ...], then one product with the
 left factor. The factors commute with B, so nonnegative powers beyond R
 are n x n combinations of the K_j: plain, Miwa and discrete taus take K0,
 the bilinear check c_a K0 - K1 and c_a c_b K0 - (c_a + c_b) K1 + K2; the
-jets use the blocks of R = C.T. A point value is folded from its
-``slogdet`` in Python floats as ScaledComplex folds it (:func:`_fold`),
-a grid as log-scale arrays (see :mod:`kp_rankone.matkernel`), with the
-same bits.
+jets use the blocks of R = C.T. Every value, a point's or a grid's, is
+folded from its ``slogdet`` in Python floats as ScaledComplex folds it
+(:func:`_fold`, :meth:`TauEvaluator._shifted_taus`): a point is a stack
+of one, so a grid has the bits of its points.
 
 Derivatives of log tau are exact. With M = A E C.T, E = exp(g(B)),
 every time derivative of M stays in closed form,
@@ -84,9 +84,6 @@ from .matkernel import (
     _expm_centered,
     _exp_polar,
     det_scaled,  # noqa: F401  (the benchmark's tracer wraps tau.det_scaled)
-    log_scale_exp,
-    log_scale_mul,
-    scaled_values,
     sign_phase,
     wrap_phase,
 )
@@ -323,8 +320,9 @@ class TauEvaluator:
     g(B) is formed by Horner on a (P, N, N) stack and exponentiated by one
     centred ``expm`` call, kept as A exp(g(B) - mu I) (``_left``, shape
     (P, n, N)) and ``mu`` (P,), so huge tau magnitudes never leave the log
-    scale. :meth:`moment_blocks` and :meth:`jets` serve the whole stack;
-    the single-point methods read slice 0.
+    scale. :meth:`moment_blocks`, :meth:`jets` and :meth:`_shifted_taus`
+    serve the whole stack; :meth:`tau`, :meth:`tau_miwa` and
+    :meth:`tau_discrete` give the value at the first base time.
 
     The triple keeps the read-only ``mu`` and ``_left`` of its last
     single-point evaluator (P = 1) in one slot, keyed by the dtype, shape
@@ -398,31 +396,31 @@ class TauEvaluator:
         derivs[regular] = _jet_series(np.linalg.solve(Wr[..., :n], Wr[..., n:]), plan)
         return np.where(regular, logdet + n * self.mu.real, -math.inf), derivs
 
-    def _shifted_tau(self, shifts: ShiftSet, gauge: complex = 0j) -> ScaledComplex:
-        """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T) / e^gauge at the first
-        base time: the ``slogdet`` of :meth:`moment_blocks` ``(shifts, 0)``
-        folded as det e^(n mu) / e^gauge (:func:`_fold`)."""
-        sign, lm = _slogdet(self.moment_blocks(shifts, 0)[:1])
-        n_mu = complex(self.triple.n * self.mu[0])
-        return ScaledComplex(*_fold(float(lm[0]), float(sign_phase(sign)[0]), n_mu, gauge))
+    def _shifted_taus(self, shifts: ShiftSet, gauge: complex = 0j) -> List[ScaledComplex]:
+        """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T) / e^gauge at every base
+        time: one ``slogdet`` of :meth:`moment_blocks` ``(shifts, 0)``, each
+        slice folded as det e^(n mu) / e^gauge (:func:`_fold`)."""
+        sign, logdet = _slogdet(self.moment_blocks(shifts, 0))
+        slices = zip(logdet.tolist(), sign_phase(sign).tolist(), (self.triple.n * self.mu).tolist())
+        return [ScaledComplex(*_fold(lm, ph, n_mu, gauge)) for lm, ph, n_mu in slices]
 
     def tau(self) -> ScaledComplex:
-        return self._shifted_tau(())
+        return self._shifted_taus(())[0]
 
     def tau_miwa(self, shifts: ShiftsLike) -> ScaledComplex:
         """The discrete determinant over its gauge prod_j c_j^(k_j n), whose
         exponent n sum_j k_j log c_j is summed in Python complex arithmetic."""
         shifts = MiwaShiftList.coerce(shifts).shifts
-        return self._shifted_tau(
+        return self._shifted_taus(
             shifts, self.triple.n * sum(k * cmath.log(c) for c, k in shifts if k)
-        )
+        )[0]
 
     def tau_discrete(
         self, l: int, m: int, n_index: int, c1: complex, c2: complex, c3: complex
     ) -> ScaledComplex:
-        return self._shifted_tau(
+        return self._shifted_taus(
             ((complex(c1), int(l)), (complex(c2), int(m)), (complex(c3), int(n_index)))
-        )
+        )[0]
 
     def log_derivatives(self, orders_list: Iterable[Sequence[int]]) -> List[complex]:
         """Partial derivatives of log tau at the base time, one per multi-index.
@@ -665,12 +663,7 @@ def tau_grid(
     magnitude -inf).
     """
     coords, lines = _grid_times(t1_values, t2_values, t3_values, base)
-    values = []
-    for times in lines:
-        ev = TauEvaluator(tr, times)
-        sign, lm = _slogdet(ev.moment_blocks((), 0))
-        dets = (lm, sign_phase(sign))
-        values += scaled_values(log_scale_mul(dets, log_scale_exp(tr.n * ev.mu)))
+    values = [v for times in lines for v in TauEvaluator(tr, times)._shifted_taus(())]
     return list(zip(coords, values))
 
 

@@ -53,14 +53,16 @@ def u_by_eigenbasis(tr, t) -> complex:
     return complex(2.0 * (np.trace(X2) - np.trace(X1 @ X1)))
 
 
-def slogdet_scaled_copying(M):
-    """``matkernel.slogdet_scaled`` by a fresh C-ordered copy of the input
-    and the phase fix as an in-place add of 2 pi where the phase is -pi."""
+def det_scaled_copying(M):
+    """``matkernel.det_scaled`` of every slice, as a list, by a fresh
+    C-ordered copy of the input and the phase fix as an in-place add of
+    2 pi where the phase is -pi."""
     M = np.array(M, dtype=np.complex128, order="C")
     sign, logdet = np.linalg.slogdet(M)
     phase = np.asarray(np.arctan2(sign.imag, sign.real))
     np.add(phase, 2.0 * np.pi, out=phase, where=phase <= -np.pi)
-    return logdet, phase
+    pairs = zip(np.ravel(logdet).tolist(), np.ravel(phase).tolist())
+    return [ScaledComplex(lm, ph) for lm, ph in pairs]
 
 
 _MP_EXP_RIGHT = {}

@@ -290,9 +290,18 @@ def test_psi_grid_takes_one_slogdet_and_no_solve(monkeypatch):
     assert calls == {"solve": 0, "slogdet": 1}
 
 
-@pytest.mark.parametrize("n,N", [(1, 3), (1, 4), (2, 6), (3, 8), (5, 7), (8, 24)])
-def test_psi_grid_samples_equal_psi_stationary_bit_for_bit(n, N):
-    tr = random_admissible(n, N, seed=3)
+@pytest.mark.parametrize(
+    "case",
+    [(1, 3), (1, 4), (2, 6), (3, 8), (5, 7), (8, 24), "general_block"],
+    ids=lambda c: c if isinstance(c, str) else "%d-%d" % c,
+)
+def test_psi_grid_samples_equal_psi_stationary_bit_for_bit(case):
+    # a (n, N) random triple at seed 3, or the real triple of a fixture,
+    # whose zero phases at negative real z keep their sign
+    if isinstance(case, str):
+        tr = load_scenario(Path(__file__).parents[1] / "scenarios" / f"{case}.json").build_triple()
+    else:
+        tr = random_admissible(*case, seed=3)
     zs = [2.0, -1.5 + 0.5j, 0.3j, 0.99, 1.0, 1e-300, 1e300, -3.1, 0.7 - 0.2j]
     for s in psi_grid(tr, np.linspace(-2.0, 2.0, 9), zs):
         want = psi_stationary(tr, s.x, s.z)

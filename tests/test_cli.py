@@ -343,6 +343,39 @@ def test_nonpositive_trials_exits_2(tmp_path, capsys, command, trials):
     assert not (tmp_path / f"{command}.json").exists()
 
 
+@pytest.mark.parametrize(
+    "fixture,command,options,extra,env,field",
+    [
+        ("two_soliton", "verify-hbde", {"tol": "abc"}, [], None, "options.tol"),
+        ("two_soliton", "verify-hbde", {"tol": -1.0}, [], None, "options.tol"),
+        ("two_soliton", "verify-hbde", {"seed": "x"}, [], None, "options.seed"),
+        ("two_soliton", "tau-grid", {"grids": [1]}, [], None, "options.grids"),
+        ("two_soliton", "psi-grid", {"grids": {"z": 5}}, [], None, "options.grids.z"),
+        ("wilson_point", "bethe", {"m": "abc"}, [], None, "options.m"),
+        ("two_soliton", "verify-hbde", {}, ["--tol", "nan"], None, "--tol"),
+        ("two_soliton", "verify-hbde", {}, ["--tol", "-1"], None, "--tol"),
+        ("two_soliton", "verify-hbde", {}, ["--seed", "-1"], None, "--seed"),
+        ("two_soliton", "verify-kp", {}, [], "nan", "KP_RANKONE_TOL"),
+    ],
+    ids=["tol-abc", "tol-negative", "seed-x", "grids-list", "grid-number", "m-abc",
+         "flag-tol-nan", "flag-tol-negative", "flag-seed-negative", "env-tol-nan"],
+)
+def test_malformed_options_exit_2(
+    tmp_path, capsys, monkeypatch, fixture, command, options, extra, env, field
+):
+    # each used to end in a traceback (exit 1) or in reports that all fail
+    doc = json.loads((SCENARIOS / f"{fixture}.json").read_text())
+    doc["options"].update(options)
+    if env is not None:
+        monkeypatch.setenv("KP_RANKONE_TOL", env)
+    out = tmp_path / "out"
+    path = write_json(tmp_path / "s.json", doc)
+    rc = main([command, path, "--out", str(out), "--trials", "1"] + extra)
+    assert rc == 2
+    assert f"scenario error: {field}: expected" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("K", ["0", "-2"])
 def test_nonpositive_K_exits_2(tmp_path, capsys, K):
     rc = main(["tau-grid", str(SCENARIOS / "one_soliton.json"), "--out", str(tmp_path), "--K", K])

@@ -18,8 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import slogdet_scaled_copying
-from kp_rankone import matkernel
+from conftest import det_scaled_copying
 from kp_rankone.errors import (
     DegenerateInputError,
     DimensionError,
@@ -32,17 +31,12 @@ from kp_rankone.matkernel import (
     det_scaled,
     eig,
     expm_centered,
-    log_scale_div,
-    log_scale_exp,
-    log_scale_mul,
     matexp,
     nullspace_rows,
     numerical_rank,
     rel_difference,
     residual_of_log_sum,
     residual_of_sum,
-    scaled_values,
-    slogdet_scaled,
     spectral_norm,
     wrap_phase,
 )
@@ -123,6 +117,8 @@ def test_exp_of_matches_cmath():
     w = 2.0 + 1.3j
     s = ScaledComplex.exp_of(w)
     assert s.to_complex() == pytest.approx(np.exp(w), rel=1e-14)
+    with pytest.raises(ValueError):
+        ScaledComplex.exp_of(complex(math.inf, 0.0))
 
 
 def test_scaled_pow_and_neg():
@@ -172,65 +168,24 @@ def _cbits(x) -> np.ndarray:
     return np.ascontiguousarray(x, dtype=np.complex128).view(np.uint64)
 
 
-def test_wrap_near_matches_wrap_phase_bit_for_bit():
-    # sums and differences of two wrapped phases lie in (-2 pi, 2 pi]
-    rng = np.random.default_rng(31)
-    edges = []
-    for base in (0.0, math.pi, 2 * math.pi):
-        for direction in (math.inf, -math.inf):
-            x = base
-            for _ in range(4):
-                if x <= 2 * math.pi:
-                    edges += [x, -x] if x < 2 * math.pi else [x]
-                x = float(np.nextafter(x, direction))
-    p = np.concatenate(
-        [
-            rng.uniform(-2 * math.pi, 2 * math.pi, 4000),
-            rng.standard_normal(500) * 1e-300,
-            np.array(edges + [0.0, -0.0, 5e-324, -5e-324]),
-        ]
-    )
-    want = np.array([wrap_phase(x) for x in p.tolist()])
-    assert np.array_equal(_bits(matkernel._wrap_near(p.copy())), _bits(want))
-
-
-def test_log_scale_pairs_match_scaled_complex_bit_for_bit():
-    rng = np.random.default_rng(32)
-    w = rng.standard_normal(300) + 1j * rng.standard_normal(300)
-    v = np.exp(rng.uniform(-3, 3, 300)) * np.exp(1j * rng.uniform(-3.2, 3.2, 300))
-    w[:3] = [-1.0 - 0.0j, -1.0 + 0.0j, 0.0]
-    sa = [ScaledComplex.from_complex(x) for x in w]
-    sb = [ScaledComplex.from_complex(x) for x in v]
-    a, b = (
-        (np.array([x.log_magnitude for x in s]), np.array([x.phase for x in s])) for s in (sa, sb)
-    )
-    assert scaled_values(a) == sa
-    assert scaled_values(log_scale_mul(a, b)) == [x * y for x, y in zip(sa, sb)]
-    assert scaled_values(log_scale_div(a, b)) == [x / y for x, y in zip(sa, sb)]
-    for got, want in zip(scaled_values(log_scale_mul(a, b)), [x * y for x, y in zip(sa, sb)]):
-        assert _bits([got.log_magnitude, got.phase]).tolist() == _bits(
-            [want.log_magnitude, want.phase]
-        ).tolist()
-    e = 40.0 * w
-    assert scaled_values(log_scale_exp(e)) == [ScaledComplex.exp_of(x) for x in e]
-    with pytest.raises(ValueError):
-        log_scale_exp([complex(math.inf, 0.0)])
-    lm, ph = a
-    assert residual_of_log_sum(lm.tolist(), ph.tolist()) == residual_of_sum(sa)
-
-
-def test_slogdet_scaled_is_det_scaled_of_each_slice():
+def test_det_scaled_of_a_stack_is_det_scaled_of_each_slice():
     rng = np.random.default_rng(33)
     M = rng.standard_normal((5, 3, 3)) + 1j * rng.standard_normal((5, 3, 3))
     M[1] = [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]  # exactly singular
     M[2] = -np.eye(3)  # det -1: phase pi, never -pi
-    got = scaled_values(slogdet_scaled(M))
+    got = det_scaled(M)
     assert got == [det_scaled(m) for m in M]
     assert got[1] == ScaledComplex(-math.inf, 0.0)
     assert got[2].phase == math.pi
 
 
-def test_slogdet_scaled_keeps_the_bits_of_a_copying_reference():
+def _scaled_bits(values) -> list:
+    """The bits of (log magnitude, phase) of a ScaledComplex or a list."""
+    values = values if isinstance(values, list) else [values]
+    return _bits([(v.log_magnitude, v.phase) for v in values]).tolist()
+
+
+def test_det_scaled_keeps_the_bits_of_a_copying_reference():
     rng = np.random.default_rng(34)
     M = rng.standard_normal((6, 4, 4)) + 1j * rng.standard_normal((6, 4, 4))
     M[1, :, 0] = 0.0  # exactly singular
@@ -239,16 +194,14 @@ def test_slogdet_scaled_keeps_the_bits_of_a_copying_reference():
     before = M.copy()
     views = (M[0], M[2], M.transpose(0, 2, 1), np.asfortranarray(M), M[::2], M.real, M.tolist())
     for stack in (M,) + views:
-        got, want = slogdet_scaled(stack), slogdet_scaled_copying(stack)
-        assert np.array_equal(_bits(got[0]), _bits(want[0]))
-        assert np.array_equal(_bits(got[1]), _bits(want[1]))
-    lm, ph = slogdet_scaled(M)
-    assert lm[1] == -math.inf and ph[1] == 0.0
-    assert ph[2] == ph[3] == math.pi
+        assert _scaled_bits(det_scaled(stack)) == _scaled_bits(det_scaled_copying(stack))
+    got = det_scaled(M)
+    assert got[1] == ScaledComplex(-math.inf, 0.0)
+    assert got[2].phase == got[3].phase == math.pi
     assert np.array_equal(_cbits(M), _cbits(before))  # the input is not written
     M[4, 1, 1] = math.nan
     with pytest.raises(DegenerateInputError):
-        slogdet_scaled(M)
+        det_scaled(M)
 
 
 def test_scalar_mixing():
@@ -294,6 +247,14 @@ def test_residual_of_sum_detects_imbalance():
         ScaledComplex.from_complex(-1.0),
     ]
     assert residual_of_sum(terms) == pytest.approx(1.0)
+    # the two-list form gives the same bits, exact zeros and -1 +- 0j among
+    # the terms
+    rng = np.random.default_rng(32)
+    w = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    w[:3] = [-1.0 - 0.0j, -1.0 + 0.0j, 0.0]
+    terms = [ScaledComplex.from_complex(x) for x in w]
+    lm, ph = [x.log_magnitude for x in terms], [x.phase for x in terms]
+    assert residual_of_log_sum(lm, ph) == residual_of_sum(terms)
 
 
 def test_residual_of_sum_all_tiny_raises():
