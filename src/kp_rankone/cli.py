@@ -173,14 +173,22 @@ def load_scenario(path) -> Scenario:
     )
 
     options = raw.get("options", {})
+    _check_options(options)
+    if options.get("K") is not None:
+        times = times.padded(options["K"])
+    return Scenario(kind=kind, matrices=matrices, times=times, options=dict(options))
+
+
+def _check_options(options) -> None:
+    """Raise ScenarioError unless ``options`` is an object whose K, tol,
+    seed, m and grids, where given, are what the commands read. Both
+    :func:`load_scenario` and :func:`run_command` check, so a Scenario
+    built in code meets the rules of a scenario file."""
     if not isinstance(options, dict):
         raise ScenarioError("options: expected an object")
-
     K = options.get("K")
-    if K is not None:
-        if not isinstance(K, int) or K < 1:
-            raise ScenarioError("options.K: expected a positive integer")
-        times = times.padded(K)
+    if K is not None and (not isinstance(K, int) or K < 1):
+        raise ScenarioError("options.K: expected a positive integer")
     if "tol" in options:
         _tolerance(options["tol"], "options.tol")
     seed, m = options.get("seed", 0), options.get("m", 0)
@@ -194,8 +202,6 @@ def load_scenario(path) -> Scenario:
     for name, spec in grids.items():
         if not isinstance(spec, str):
             raise ScenarioError(f"options.grids.{name}: expected start:end:count, got {spec!r}")
-
-    return Scenario(kind=kind, matrices=matrices, times=times, options=dict(options))
 
 
 def _is_int(x) -> bool:
@@ -582,7 +588,10 @@ COMMANDS = tuple(_DISPATCH)
 
 
 def run_command(command: str, scenario: Scenario, args, out_dir) -> int:
-    """Execute one command against a parsed scenario; returns the exit code."""
+    """Execute one command against a scenario; returns the exit code.
+
+    Raises ScenarioError on a bad flag or option, whether the scenario
+    was loaded from a file or built in code."""
     if command not in _DISPATCH:
         raise ScenarioError(f"unknown command {command!r}")
     for flag in ("trials", "K"):
@@ -591,6 +600,7 @@ def run_command(command: str, scenario: Scenario, args, out_dir) -> int:
             raise ScenarioError(f"--{flag}: expected a positive integer, got {value}")
     if getattr(args, "seed", None) is not None and args.seed < 0:
         raise ScenarioError(f"--seed: expected a non-negative integer, got {args.seed}")
+    _check_options(scenario.options)
     if getattr(args, "K", None):
         scenario = Scenario(
             kind=scenario.kind,

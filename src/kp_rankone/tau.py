@@ -60,10 +60,14 @@ stack per line of base times: one ``expm`` of P slices and one
 itself: exp(g(B)) at t1 + j h is exp(g(B)) exp(j h B), so a line of
 P >= 4 points in arithmetic progression takes an exponential only at
 every ceil(sqrt(P))-th point, and all lines of a grid share the offsets
-exp(j h B) (:func:`_u_line_evaluators`). Stepping would put an exact zero
-of tau (the Wilson point at t1 = -3) at a rounding-size number, which the
-tau and psi grids would not flag, while u flags any |tau| below
-``POLE_REL_THRESHOLD`` times the grid maximum.
+exp(j h B) (:func:`_u_line_evaluators`). The offsets depend only on the
+triple and the step, so the triple keeps those of its last step: a later
+grid with the same step, number of points and K exponentiates only its
+anchors. That serves repeated lines (one t1 axis at several (t2, t3),
+call after call); a single grid gains nothing. Stepping would put an
+exact zero of tau (the Wilson point at t1 = -3) at a rounding-size
+number, which the tau and psi grids would not flag, while u flags any
+|tau| below ``POLE_REL_THRESHOLD`` times the grid maximum.
 """
 
 from __future__ import annotations
@@ -714,11 +718,19 @@ def _u_line_evaluators(tr: RankOneTriple, lines: List[np.ndarray]) -> Iterator[T
     """One evaluator per t1 line of a grid, whose lines share their t1
     values, made as they are consumed: stepped from anchors where those
     have a step (:func:`u_field`, :func:`_anchor_layout`), else one direct
-    stack per line. The offsets exp(j h B), j != 0, are g(B) of the times (j h, 0,
-    ...) and go into the anchors' exponential call, each slice centred on
-    its own mu, so a stepped point gets mu_anchor + mu_j. That is one call
-    per grid, or per group of lines whose anchors fill ``_ANCHOR_ENTRIES``.
-    Raises RangeError where a stepped left factor is not finite.
+    stack per line. The offsets exp(j h B), j != 0, are g(B) of the times
+    (j h, 0, ...), each centred on its own mu, so a stepped point gets
+    mu_anchor + mu_j. All lines share them, and so do later calls: the
+    triple keeps the stack S of the last step (``_step_offsets``), keyed by
+    the shape and bytes of the step times, which fix h, s and K.
+
+    A grid whose anchors fit one exponential call (``_ANCHOR_ENTRIES``)
+    takes S from the slot when its step is the kept one, and its call holds
+    only the anchors. Otherwise the offsets go into the first call, after
+    the anchors of the first group of lines, and replace the slot. That is
+    one call per grid, or per group of lines on large 3-D grids, which
+    never read the slot. Raises RangeError where a stepped left factor is
+    not finite.
     """
     h = _t1_step(lines[0][:, 0].real)
     if h is None:
@@ -728,17 +740,25 @@ def _u_line_evaluators(tr: RankOneTriple, lines: List[np.ndarray]) -> Iterator[T
     half = s // 2
     steps = np.zeros((s - 1, lines[0].shape[1]), dtype=np.complex128)
     steps[:, 0] = offsets * h
+    key = (steps.shape, steps.tobytes())
     per_call = max(_ANCHOR_ENTRIES // (len(anchors) * tr.N**2), 1)
+    kept = tr._step_offsets
+    S = None
+    if kept is not None and kept[0] == key and len(lines) <= per_call:
+        _, S, mu_S = kept
     for first in range(0, len(lines), per_call):
         group = lines[first : first + per_call]
         rows = [times[anchors] for times in group]
-        if not first:
+        if S is None:
             rows.append(steps)
         E0, mu = _expm_centered(_exponents(tr.B, np.concatenate(rows)))
         m = len(group) * len(anchors)
-        if not first:
+        if S is None:
             S = np.concatenate([E0[m : m + half], _identity(tr.N)[None], E0[m + half :]])
             mu_S = np.concatenate([mu[m : m + half], [0.0], mu[m + half :]])
+            S.setflags(write=False)
+            mu_S.setflags(write=False)
+            object.__setattr__(tr, "_step_offsets", (key, S, mu_S))
         AE = (tr.A @ E0[:m]).reshape(len(group), len(anchors), tr.n, tr.N)
         for AE_line, mu_line in zip(AE, mu[:m].reshape(len(group), len(anchors))):
             left = AE_line[:, None] @ S
@@ -766,6 +786,9 @@ def u_field(
     P >= 4 points: every ceil(sqrt(P))-th point of a line is an anchor
     with its own exponential, and the other points step from their anchor
     by offsets exp(j h B) that all lines share (see the module docstring).
+    The triple keeps the offsets of its last step, so a later call with
+    the same step, P and K (another (t2, t3), say) exponentiates only its
+    anchors, with the same bits as on a fresh triple.
     A stepped point is evaluated at t1_anchor + j h, within 8 eps max|t1|
     of its reported t1; anchors are bit for bit the direct stack. Other t1
     values give one direct stack per line.

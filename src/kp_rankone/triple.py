@@ -59,6 +59,8 @@ class RankOneTriple:
     jets keep their right blocks [C.T, B C.T, ..., B^w C.T] in
     ``_right_blocks``, one read-only array per weight w and scale s of
     B (s = 1 there; the polynomiality check keeps those of B / ||B||_2).
+    :func:`~kp_rankone.tau.u_field` keeps the step offsets exp(j h B) of
+    its last stepped t1 line, and their mu, in ``_step_offsets``.
     Copies and pickles are rebuilt through the constructor and start empty.
 
     Use :func:`validate_triple` (or :func:`make_triple`) for the
@@ -74,6 +76,11 @@ class RankOneTriple:
     )
     #: (w, s) -> [C.T, (B/s) C.T, ..., (B/s)^w C.T] side by side (read-only)
     _right_blocks: Dict[Tuple[int, float], np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    #: (key, S, mu_S) of the last u-line step h: S (s, N, N) holds exp(j h B - mu_j I)
+    #: for j = -s//2 .. s - 1 - s//2 (the identity at j = 0), both read-only
+    _step_offsets: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = field(
+        default=None, init=False, repr=False
+    )
 
     def __post_init__(self):
         A = _frozen(as_cmatrix(self.A, "A"))

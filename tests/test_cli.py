@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: parsing, outputs, exit codes, determinism."""
 
+import argparse
 import json
 import math
 import subprocess
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import psi_stationary_by_eigenbasis
-from kp_rankone.cli import Scenario, load_scenario, main, save_scenario
+from kp_rankone.cli import Scenario, load_scenario, main, run_command, save_scenario
 from kp_rankone.errors import ScenarioError
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -539,6 +540,21 @@ def test_flag_overrides_env(tmp_path, monkeypatch):
         ]
     )
     assert rc == 0
+
+
+@pytest.mark.parametrize(
+    "options, field",
+    [({"tol": "abc"}, "options.tol"), ({"tol": math.nan}, "options.tol"), ({"seed": -3}, "options.seed")],
+    ids=["tol-text", "tol-nan", "seed-negative"],
+)
+def test_run_command_checks_the_options_of_a_scenario_built_in_code(tmp_path, options, field):
+    # the checks of load_scenario hold for a Scenario that no file went through
+    loaded = load_scenario(SCENARIOS / "general_block.json")
+    scenario = Scenario(loaded.kind, loaded.matrices, loaded.times, options)
+    args = argparse.Namespace(seed=None, trials=2, tol=None, K=None)
+    with pytest.raises(ScenarioError, match=field):
+        run_command("verify-hbde", scenario, args, tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 def test_module_invocation():

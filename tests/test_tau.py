@@ -995,6 +995,76 @@ def test_u_field_grid_beyond_the_anchor_budget_splits_its_lines(monkeypatch):
     assert [c[0] for c in calls] == [2 * 5 + 4, 10, 10, 10, 5]
 
 
+def _u_bits(samples) -> np.ndarray:
+    """The bits of the u values of a grid, as two uint64 per sample, so
+    signed zeros count."""
+    return np.array([x.value for x in samples], dtype=np.complex128).view(np.uint64)
+
+
+def test_u_field_calls_with_one_step_share_the_kept_offsets():
+    # one t1 axis at several (t2, t3), as when u is plotted line by line:
+    # every call after the first takes the offsets from the triple, and
+    # each matches the first call's bits and those of a fresh triple
+    tr = random_admissible(4, 12, seed=45)
+    t1s = np.linspace(-2.0, 2.0, 41)
+    first = _u_bits(u_field(tr, t1s, [0.1], [0.2]))
+    kept = tr._step_offsets
+    assert _u_bits(u_field(tr, t1s, [0.1], [0.2])).tobytes() == first.tobytes()
+    for t2, t3 in [(0.3, -0.1), (-0.2, 0.05)]:
+        got = _u_bits(u_field(tr, t1s, [t2], [t3]))
+        fresh = _u_bits(u_field(random_admissible(4, 12, seed=45), t1s, [t2], [t3]))
+        assert got.tobytes() == fresh.tobytes()
+    assert tr._step_offsets is kept
+
+
+def test_u_field_with_a_kept_step_exponentiates_only_the_anchors(monkeypatch):
+    tr = random_admissible(2, 6, seed=44)
+    axes = (np.linspace(-1.0, 1.0, 21), [0.1, 0.2, 0.3], [-0.1, 0.0, 0.1])
+    whole = _u_bits(u_field(tr, *axes))
+    calls = _expm_calls(monkeypatch)
+    again = _u_bits(u_field(tr, *axes))
+    # the 5 anchors of each of the 9 lines, and no offsets
+    assert calls == [(9 * 5, tr.N, tr.N)]
+    assert again.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize(
+    "t1s, base",
+    [
+        (np.linspace(-1.0, 1.5, 41), TimeVector([0.0, 0.1, 0.1j])),  # h
+        (np.linspace(-2.0, 2.0, 21), TimeVector([0.0, 0.1, 0.1j])),  # P, and so s
+        (np.linspace(-2.0, 2.0, 41), TimeVector([0.0, 0.1, 0.1j, 0.02])),  # K
+    ],
+    ids=["h", "P", "K"],
+)
+def test_u_field_with_another_step_replaces_the_kept_offsets(monkeypatch, t1s, base):
+    tr = random_admissible(2, 6, seed=43)
+    u_field(tr, np.linspace(-2.0, 2.0, 41), base=TimeVector([0.0, 0.1, 0.1j]))
+    old_key = tr._step_offsets[0]
+    calls = _expm_calls(monkeypatch)
+    got = _u_bits(u_field(tr, t1s, base=base))
+    s = math.isqrt(len(t1s) - 1) + 1
+    # the ceil(P / s) anchors and the s - 1 offsets j != 0, in one call
+    assert calls == [(-(-len(t1s) // s) + s - 1, tr.N, tr.N)]
+    key, S, mu_S = tr._step_offsets
+    assert key != old_key and S.shape == (s, tr.N, tr.N) and mu_S.shape == (s,)
+    fresh = _u_bits(u_field(random_admissible(2, 6, seed=43), t1s, base=base))
+    assert got.tobytes() == fresh.tobytes()
+
+
+def test_kept_step_offsets_are_read_only():
+    tr = random_admissible(2, 6, seed=46)
+    u_field(tr, np.linspace(-1.0, 1.0, 9))
+    key, S, mu_S = tr._step_offsets
+    s = math.isqrt(8) + 1
+    assert S.shape == (s, tr.N, tr.N)
+    assert np.array_equal(S[s // 2], np.eye(tr.N)) and mu_S[s // 2] == 0.0
+    for arr in (S, mu_S):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[...] = 0.0
+
+
 def test_u_field_long_line_accuracy_against_mpmath():
     # 201 points in dyadic steps, so mpmath steps through exactly the same t1
     tr = random_admissible(4, 12, seed=12)

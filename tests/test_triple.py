@@ -12,7 +12,7 @@ from kp_rankone.errors import (
     InadmissibleTripleError,
 )
 from kp_rankone.matkernel import nullspace_rows, numerical_rank
-from kp_rankone.tau import TimeVector, tau
+from kp_rankone.tau import TimeVector, tau, u_field
 from kp_rankone.triple import (
     RankOneTriple,
     conjugate_triple,
@@ -122,9 +122,10 @@ def test_triple_arrays_cannot_be_made_writeable():
 def test_triple_copies_stay_immutable_and_drop_derived_state(clone):
     tr = random_admissible(2, 5, seed=3)
     tau(tr, TimeVector([0.2, 0.1]))
-    assert tr._base_factor is not None and tr.norm_B > 0.0
+    u_field(tr, np.linspace(-1.0, 1.0, 9))
+    assert tr._base_factor is not None and tr._step_offsets is not None and tr.norm_B > 0.0
     other = clone(tr)
-    assert other._base_factor is None and "norm_B" not in vars(other)
+    assert other._base_factor is None and other._step_offsets is None and "norm_B" not in vars(other)
     for mine, theirs in zip((tr.A, tr.B, tr.C), (other.A, other.B, other.C)):
         assert np.array_equal(mine, theirs)
         with pytest.raises(ValueError):
