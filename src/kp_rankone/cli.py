@@ -100,7 +100,7 @@ class Scenario:
 
 def _parse_complex(obj, where: str) -> complex:
     parts = obj if isinstance(obj, list) and len(obj) == 2 else [obj, 0.0]
-    if not all(isinstance(x, (int, float)) for x in parts):
+    if not all(_is_number(x) for x in parts):
         raise ScenarioError(f"{where}: expected a complex number as [re, im], got {obj!r}")
     if not all(math.isfinite(x) for x in parts):
         raise ScenarioError(f"{where}: must be finite, got {obj!r}")
@@ -114,7 +114,7 @@ def _parse_matrix(obj, where: str) -> np.ndarray:
         if key not in obj:
             raise ScenarioError(f"{where}: missing field {key!r}")
     rows, cols = obj["rows"], obj["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int) or rows < 1 or cols < 1:
+    if not (_is_int(rows) and _is_int(cols) and rows >= 1 and cols >= 1):
         raise ScenarioError(f"{where}: rows/cols must be positive integers")
     data = obj["data"]
     if not isinstance(data, list) or len(data) != rows:
@@ -187,7 +187,7 @@ def _check_options(options) -> None:
     if not isinstance(options, dict):
         raise ScenarioError("options: expected an object")
     K = options.get("K")
-    if K is not None and (not isinstance(K, int) or K < 1):
+    if K is not None and not (_is_int(K) and K >= 1):
         raise ScenarioError("options.K: expected a positive integer")
     if "tol" in options:
         _tolerance(options["tol"], "options.tol")
@@ -204,13 +204,18 @@ def _check_options(options) -> None:
             raise ScenarioError(f"options.grids.{name}: expected start:end:count, got {spec!r}")
 
 
+def _is_number(x) -> bool:
+    # a JSON number: Python counts a bool as an int, a scenario file does not
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    return _is_number(x) and isinstance(x, int)
 
 
 def _tolerance(x, where: str) -> float:
     """A tolerance: a finite, non-negative number."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not (math.isfinite(x) and x >= 0):
+    if not (_is_number(x) and math.isfinite(x) and x >= 0):
         raise ScenarioError(f"{where}: expected a finite, non-negative number, got {x!r}")
     return float(x)
 

@@ -49,6 +49,7 @@ __all__ = [
     "det_scaled",
     "sign_phase",
     "numerical_rank",
+    "singular_value_rank",
     "nullspace_rows",
     "spectral_norm",
     "eig",
@@ -605,7 +606,11 @@ def sign_phase(sign: np.ndarray) -> np.ndarray:
 def numerical_rank(M, tol: float = DEFAULT_RANK_TOL) -> int:
     """Number of singular values above tol times the largest one."""
     M = as_cmatrix(M, "rank input")
-    s = np.linalg.svd(M, compute_uv=False)
+    return singular_value_rank(np.linalg.svd(M, compute_uv=False), tol)
+
+
+def singular_value_rank(s: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> int:
+    """Number of the singular values ``s`` (largest first) above tol times s[0]."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * s[0]))
@@ -630,9 +635,9 @@ def nullspace_rows(A, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     n, N = A.shape
     if N <= n:
         raise DimensionError(f"need more columns than rows, got {A.shape}")
-    if numerical_rank(A, tol) < n:
+    _, s, vh = np.linalg.svd(A)
+    if singular_value_rank(s, tol) < n:
         raise DegenerateInputError("A is numerically rank-deficient; kernel basis not well-defined")
-    _, _, vh = np.linalg.svd(A)
     # right singular vectors for zero singular values, transposed without
     # conjugation: rows u satisfy A @ u == 0
     return vh[n:].conj()

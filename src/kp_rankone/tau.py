@@ -39,20 +39,20 @@ tr(X_w1 ... X_wk), one per class of cyclic rotations, with their exact
 rational coefficients. A call forms the products the words need, each
 sharing the product of its prefix, takes one ``np.trace`` of them all and
 sums the words; for u that is tr X_2 - tr X_1^2. The right blocks
-[C.T, B C.T, ..., B^w C.T] are kept on the triple, one read-only array
-per weight w, so the jets of a stack are one product with its left
-factor (:meth:`TauEvaluator.moment_blocks`), one ``slogdet`` and one
-``solve``.
+[C.T, B C.T, ..., B^w C.T] are kept on the triple (:func:`_right_blocks`),
+so the jets of a stack are one product with its left factor
+(:meth:`TauEvaluator.moment_blocks`), one ``slogdet`` and one ``solve``.
 
 One :class:`TauEvaluator` holds a stack of P base times, with g(B) formed
 by Horner on a (P, N, N) stack and one ``expm`` call (the stack is built
 here, so the exponential skips the input check that
 :func:`~kp_rankone.matkernel.expm_centered` makes); its moment blocks
 and jets serve the whole stack, and a single point is a stack of one.
-The factor A exp(g(B)) of a single base time is memoized on the triple,
-so checks made one after another at one base time share one exponential
-(see :class:`TauEvaluator`); the triple's arrays cannot be made
-writeable, so the slot cannot go stale.
+The factor A exp(g(B)) of a single base time is kept on the triple
+(:func:`_left_factor`), so checks made one after another at one base time
+share one exponential; the triple's arrays cannot be made writeable, so
+what it keeps cannot go stale. Everything kept goes through the triple's
+one memo, :meth:`~kp_rankone.triple.RankOneTriple._kept`.
 
 :func:`tau_grid` and :func:`~kp_rankone.baker.psi_grid` take one direct
 stack per line of base times: one ``expm`` of P slices and one
@@ -61,10 +61,11 @@ itself: exp(g(B)) at t1 + j h is exp(g(B)) exp(j h B), so a line of
 P >= 4 points in arithmetic progression takes an exponential only at
 every ceil(sqrt(P))-th point, and all lines of a grid share the offsets
 exp(j h B) (:func:`_u_line_evaluators`). The offsets depend only on the
-triple and the step, so the triple keeps those of its last step: a later
-grid with the same step, number of points and K exponentiates only its
-anchors. That serves repeated lines (one t1 axis at several (t2, t3),
-call after call); a single grid gains nothing. Stepping would put an
+triple and the step, so the triple keeps those of its last step: a grid
+whose step it does not keep takes one exponential call of its offsets and
+one of its anchors, and a later grid with the same step, number of points
+and K exponentiates only its anchors. That serves repeated lines (one t1
+axis at several (t2, t3), call after call). Stepping would put an
 exact zero of tau (the Wilson point at t1 = -3) at a rounding-size
 number, which the tau and psi grids would not flag, while u flags any
 |tau| below ``POLE_REL_THRESHOLD`` times the grid maximum.
@@ -317,6 +318,26 @@ def _site_factor(tr: RankOneTriple, shifts: ShiftSet, right: np.ndarray) -> np.n
     return right
 
 
+def _left_factor(tr: RankOneTriple, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(mu, A exp(g(B) - mu I)) of a (P, K) time array, shapes (P,) and
+    (P, n, N), read-only, from one centred ``expm`` call. A single base time
+    (P = 1) is kept on the triple as ``"base_factor"``, keyed by the dtype,
+    shape and bytes of ``times``, in place of the last one. A stack of P > 1
+    times (a grid line, a psi grid) is not kept and leaves the kept one be:
+    it is rarely asked for twice, and would stay alive with the triple."""
+
+    def make():
+        E0, mu = _expm_centered(_exponents(tr.B, times))
+        return mu, tr.A @ E0
+
+    if len(times) == 1:
+        return tr._kept("base_factor", (times.dtype.str, times.shape, times.tobytes()), make)
+    mu, left = make()
+    mu.setflags(write=False)
+    left.setflags(write=False)
+    return mu, left
+
+
 class TauEvaluator:
     """Tau values for one triple at P >= 1 base times: ``t`` is one time
     vector or an array (P, K).
@@ -328,34 +349,17 @@ class TauEvaluator:
     serve the whole stack; :meth:`tau`, :meth:`tau_miwa` and
     :meth:`tau_discrete` give the value at the first base time.
 
-    The triple keeps the read-only ``mu`` and ``_left`` of its last
-    single-point evaluator (P = 1) in one slot, keyed by the dtype, shape
-    and bytes of the (1, K) time array. A new single-point evaluator with
-    the same key takes them from there instead of exponentiating again, so
-    every check at one base time shares one exponential; any other times,
-    even one ulp away or padded with zeros, compute afresh and replace the
-    slot. A stack of P > 1 times (a grid line, a psi grid) neither reads
-    nor replaces the slot: it is rarely asked for twice, and its (P, n, N)
-    factor would stay alive with the triple.
+    A single-point evaluator (P = 1) takes ``mu`` and ``_left`` from the
+    triple where one at the same time array made them (:func:`_left_factor`),
+    so every check at one base time shares one exponential; any other
+    times, even one ulp away or padded with zeros, compute afresh.
     """
 
     def __init__(self, tr: RankOneTriple, t: Union[TimesLike, np.ndarray]):
         self.triple = tr
         stack = isinstance(t, np.ndarray) and t.ndim == 2
         times = t if stack else TimeVector.coerce(t).values[None, :]
-        single = len(times) == 1
-        if single:
-            key = (times.dtype.str, times.shape, times.tobytes())
-            memo = tr._base_factor
-            if memo is not None and memo[0] == key:
-                _, self.mu, self._left = memo
-                return
-        E0, self.mu = _expm_centered(_exponents(tr.B, times))
-        self._left = tr.A @ E0
-        self.mu.setflags(write=False)
-        self._left.setflags(write=False)
-        if single:
-            object.__setattr__(tr, "_base_factor", (key, self.mu, self._left))
+        self.mu, self._left = _left_factor(tr, times)
 
     @classmethod
     def _of_factor(cls, tr: RankOneTriple, mu: np.ndarray, left: np.ndarray) -> "TauEvaluator":
@@ -502,16 +506,15 @@ def _right_blocks(tr: RankOneTriple, weight: int, scale: float = 1.0) -> np.ndar
     shape (N, (weight + 1) n), read-only and kept on the triple (one array
     per weight and scale asked for). A scale of ||B||_2 keeps every block
     within ||C||_2, whatever the weight; scale 1 gives the blocks of B."""
-    R = tr._right_blocks.get((weight, scale))
-    if R is None:
+
+    def make():
         b = tr.B / scale
         blocks = [tr.C.T]
         for _ in range(weight):
             blocks.append(b @ blocks[-1])
-        R = np.hstack(blocks)
-        R.setflags(write=False)
-        tr._right_blocks[(weight, scale)] = R
-    return R
+        return np.hstack(blocks)
+
+    return tr._kept(("right_blocks", weight, scale), None, make)
 
 
 def _compositions(c: Tuple[int, int, int]) -> Iterator[Tuple[Tuple[int, int, int], ...]]:
@@ -721,16 +724,13 @@ def _u_line_evaluators(tr: RankOneTriple, lines: List[np.ndarray]) -> Iterator[T
     stack per line. The offsets exp(j h B), j != 0, are g(B) of the times
     (j h, 0, ...), each centred on its own mu, so a stepped point gets
     mu_anchor + mu_j. All lines share them, and so do later calls: the
-    triple keeps the stack S of the last step (``_step_offsets``), keyed by
-    the shape and bytes of the step times, which fix h, s and K.
+    triple keeps the stack S of the last step as ``"step_offsets"``, keyed
+    by the shape and bytes of the step times, which fix h, s and K.
 
-    A grid whose anchors fit one exponential call (``_ANCHOR_ENTRIES``)
-    takes S from the slot when its step is the kept one, and its call holds
-    only the anchors. Otherwise the offsets go into the first call, after
-    the anchors of the first group of lines, and replace the slot. That is
-    one call per grid, or per group of lines on large 3-D grids, which
-    never read the slot. Raises RangeError where a stepped left factor is
-    not finite.
+    A step the triple does not keep takes one exponential call of its
+    offsets; then the anchors take one call per group of lines that fits
+    ``_ANCHOR_ENTRIES`` (one group but on large 3-D grids). Raises
+    RangeError where a stepped left factor is not finite.
     """
     h = _t1_step(lines[0][:, 0].real)
     if h is None:
@@ -740,27 +740,19 @@ def _u_line_evaluators(tr: RankOneTriple, lines: List[np.ndarray]) -> Iterator[T
     half = s // 2
     steps = np.zeros((s - 1, lines[0].shape[1]), dtype=np.complex128)
     steps[:, 0] = offsets * h
-    key = (steps.shape, steps.tobytes())
+
+    def make():
+        E, mu = _expm_centered(_exponents(tr.B, steps))
+        S = np.concatenate([E[:half], _identity(tr.N)[None], E[half:]])
+        return S, np.concatenate([mu[:half], [0.0], mu[half:]])
+
+    S, mu_S = tr._kept("step_offsets", (steps.shape, steps.tobytes()), make)
     per_call = max(_ANCHOR_ENTRIES // (len(anchors) * tr.N**2), 1)
-    kept = tr._step_offsets
-    S = None
-    if kept is not None and kept[0] == key and len(lines) <= per_call:
-        _, S, mu_S = kept
     for first in range(0, len(lines), per_call):
         group = lines[first : first + per_call]
-        rows = [times[anchors] for times in group]
-        if S is None:
-            rows.append(steps)
-        E0, mu = _expm_centered(_exponents(tr.B, np.concatenate(rows)))
-        m = len(group) * len(anchors)
-        if S is None:
-            S = np.concatenate([E0[m : m + half], _identity(tr.N)[None], E0[m + half :]])
-            mu_S = np.concatenate([mu[m : m + half], [0.0], mu[m + half :]])
-            S.setflags(write=False)
-            mu_S.setflags(write=False)
-            object.__setattr__(tr, "_step_offsets", (key, S, mu_S))
-        AE = (tr.A @ E0[:m]).reshape(len(group), len(anchors), tr.n, tr.N)
-        for AE_line, mu_line in zip(AE, mu[:m].reshape(len(group), len(anchors))):
+        E0, mu = _expm_centered(_exponents(tr.B, np.concatenate([times[anchors] for times in group])))
+        AE = (tr.A @ E0).reshape(len(group), len(anchors), tr.n, tr.N)
+        for AE_line, mu_line in zip(AE, mu.reshape(len(group), len(anchors))):
             left = AE_line[:, None] @ S
             left[:, half] = AE_line
             left = left[block, slot]
@@ -781,14 +773,14 @@ def u_field(
     Grid coordinates overwrite t_1 (and t_2, t_3 when given) of ``base``.
     Each t1 line is one :class:`TauEvaluator` stack whose
     :meth:`~TauEvaluator.jets` give |tau| and u = 2 (tr X_2 - tr X_1^2).
-    The whole grid takes one exponential call (one per group of lines on
-    large 3-D grids) where the t1 values are an arithmetic progression of
-    P >= 4 points: every ceil(sqrt(P))-th point of a line is an anchor
-    with its own exponential, and the other points step from their anchor
-    by offsets exp(j h B) that all lines share (see the module docstring).
-    The triple keeps the offsets of its last step, so a later call with
-    the same step, P and K (another (t2, t3), say) exponentiates only its
-    anchors, with the same bits as on a fresh triple.
+    Where the t1 values are an arithmetic progression of P >= 4 points,
+    every ceil(sqrt(P))-th point of a line is an anchor with its own
+    exponential, and the other points step from their anchor by offsets
+    exp(j h B) that all lines share (see the module docstring). The grid's
+    anchors take one exponential call (one per group of lines on large 3-D
+    grids), and its offsets one more unless the triple keeps them from an
+    earlier call with the same step, P and K (another (t2, t3), say); the
+    bits are those of a fresh triple either way.
     A stepped point is evaluated at t1_anchor + j h, within 8 eps max|t1|
     of its reported t1; anchors are bit for bit the direct stack. Other t1
     values give one direct stack per line.

@@ -12,24 +12,23 @@ tau built in :mod:`kp_rankone.tau` satisfies the bilinear lattice
 identity checked in :mod:`kp_rankone.verify`. The rank condition does
 not depend on the basis chosen for the kernel; we fix the SVD basis for
 reproducibility.
+
+:class:`RankOneTriple` alone coerces and checks shapes, and keeps what
+other modules derive from a triple in one memo. One admissibility test,
+with rank(A) and the kernel rows U from one SVD of A, serves
+:func:`validate_triple`, :func:`make_triple` and :func:`random_admissible`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 import numpy as np
 
 from .errors import DimensionError, GenerationError, InadmissibleTripleError
-from .matkernel import (
-    DEFAULT_RANK_TOL,
-    as_cmatrix,
-    nullspace_rows,
-    numerical_rank,
-    spectral_norm,
-)
+from .matkernel import DEFAULT_RANK_TOL, as_cmatrix, singular_value_rank, spectral_norm
 
 __all__ = [
     "RankOneTriple",
@@ -54,14 +53,12 @@ class RankOneTriple:
     A, B and C are read-only copies of the inputs that numpy will not let
     anyone make writeable again, so whatever is derived from them once
     stays valid: ||B||_2 and the eigenvalues of B are computed on first
-    use and kept, :class:`~kp_rankone.tau.TauEvaluator` keeps the factor
-    A exp(g(B)) of the last single base time in ``_base_factor``, and the
-    jets keep their right blocks [C.T, B C.T, ..., B^w C.T] in
-    ``_right_blocks``, one read-only array per weight w and scale s of
-    B (s = 1 there; the polynomiality check keeps those of B / ||B||_2).
-    :func:`~kp_rankone.tau.u_field` keeps the step offsets exp(j h B) of
-    its last stepped t1 line, and their mu, in ``_step_offsets``.
-    Copies and pickles are rebuilt through the constructor and start empty.
+    use and kept, and so is what :mod:`kp_rankone.tau` reuses, each under
+    one name in one memo (:meth:`_kept`): the factor A exp(g(B)) of the
+    last single base time, the right blocks [C.T, b C.T, ..., b^w C.T] of
+    b = B / s per weight w and scale s, and the step offsets exp(j h B) of
+    the last stepped t1 line. Copies and pickles are rebuilt through the
+    constructor and start empty.
 
     Use :func:`validate_triple` (or :func:`make_triple`) for the
     admissibility test itself.
@@ -70,17 +67,8 @@ class RankOneTriple:
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    #: (key, mu, A exp(g(B) - mu I)) of the last single base time, or None
-    _base_factor: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False
-    )
-    #: (w, s) -> [C.T, (B/s) C.T, ..., (B/s)^w C.T] side by side (read-only)
-    _right_blocks: Dict[Tuple[int, float], np.ndarray] = field(default_factory=dict, init=False, repr=False)
-    #: (key, S, mu_S) of the last u-line step h: S (s, N, N) holds exp(j h B - mu_j I)
-    #: for j = -s//2 .. s - 1 - s//2 (the identity at j = 0), both read-only
-    _step_offsets: Optional[Tuple[tuple, np.ndarray, np.ndarray]] = field(
-        default=None, init=False, repr=False
-    )
+    #: name -> (key, value) last kept under that name (see :meth:`_kept`)
+    _memo: Dict[Hashable, Tuple[Hashable, Any]] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         A = _frozen(as_cmatrix(self.A, "A"))
@@ -109,6 +97,19 @@ class RankOneTriple:
     @property
     def N(self) -> int:
         return self.A.shape[1]
+
+    def _kept(self, name: Hashable, key: Hashable, make: Callable[[], Any]) -> Any:
+        """The value kept under ``name`` if it was made for ``key``; else
+        ``make()``, whose arrays (the value, or each item of a tuple) are made
+        read-only and which replaces what ``name`` held."""
+        kept = self._memo.get(name)
+        if kept is not None and kept[0] == key:
+            return kept[1]
+        value = make()
+        for arr in value if isinstance(value, tuple) else (value,):
+            arr.setflags(write=False)
+        self._memo[name] = (key, value)
+        return value
 
     @cached_property
     def norm_B(self) -> float:
@@ -143,58 +144,52 @@ def validate_triple(A, B, C, tol: float = DEFAULT_RANK_TOL) -> TripleReport:
     """Run the full admissibility test and return a report.
 
     Never raises on merely inadmissible data; dimension mismatches and
-    non-finite entries still raise.
+    non-finite entries still raise, as :class:`RankOneTriple` does.
     """
-    A = as_cmatrix(A, "A")
-    B = as_cmatrix(B, "B")
-    C = as_cmatrix(C, "C")
-    n, N = A.shape
-    if N <= n:
-        raise DimensionError(f"A must be wide (N > n), got shape {A.shape}")
-    if C.shape != (n, N) or B.shape != (N, N):
-        raise DimensionError(
-            f"shape mismatch: A {A.shape}, B {B.shape}, C {C.shape}"
-        )
-
-    rank_A = numerical_rank(A, tol)
-    rank_C = numerical_rank(C, tol)
-    full_rank_ok = (rank_A == n) and (rank_C == n)
-
-    # kernel basis from the SVD of A; if A is rank-deficient the kernel
-    # is larger than N - n and the report reflects that
-    _, _, vh = np.linalg.svd(A)
-    U = vh[rank_A:].conj()
-    R = A @ B @ U.T
-    s = np.linalg.svd(R, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        rank_R = 0
-        ratio = 0.0
-    else:
-        rank_R = int(np.count_nonzero(s > tol * s[0]))
-        ratio = float(s[1] / s[0]) if s.size >= 2 else 0.0
-
-    g = np.linalg.svd(A @ C.T, compute_uv=False)
-    nondegeneracy_ok = bool(g[0] > 0.0 and g[-1] > tol * g[0])
-
-    admissible = full_rank_ok and nondegeneracy_ok and rank_R <= 1
-    return TripleReport(
-        rank_of_ABUt=rank_R,
-        second_singular_ratio=ratio,
-        nondegeneracy_ok=nondegeneracy_ok,
-        full_rank_ok=full_rank_ok,
-        admissible=admissible,
-    )
+    return _report(RankOneTriple(A, B, C), tol)
 
 
 def make_triple(A, B, C, tol: float = DEFAULT_RANK_TOL) -> RankOneTriple:
     """Construct a triple and insist that it is admissible."""
     tr = RankOneTriple(A, B, C)
-    report = validate_triple(tr.A, tr.B, tr.C, tol)
+    report = _report(tr, tol)
     if not report.admissible:
         raise InadmissibleTripleError(
             f"triple failed the admissibility test: {report}", report=report
         )
     return tr
+
+
+def _kernel(A: np.ndarray, tol: float) -> Tuple[int, np.ndarray]:
+    """rank(A) and rows U spanning the kernel of A (A @ U.T = 0), from one
+    SVD of A: the right singular vectors past the rank, conjugated. If A
+    is rank-deficient the kernel is larger than N - n."""
+    _, s, vh = np.linalg.svd(A)
+    rank = singular_value_rank(s, tol)
+    return rank, vh[rank:].conj()
+
+
+def _report(tr: RankOneTriple, tol: float, kernel: Optional[Tuple[int, np.ndarray]] = None) -> TripleReport:
+    """The admissibility test of ``tr``, with :func:`_kernel` of tr.A where
+    the caller has it already."""
+    rank_A, U = kernel or _kernel(tr.A, tol)
+    rank_C = singular_value_rank(np.linalg.svd(tr.C, compute_uv=False), tol)
+    full_rank_ok = rank_A == tr.n and rank_C == tr.n
+
+    s = np.linalg.svd(tr.A @ tr.B @ U.T, compute_uv=False)
+    rank_R = singular_value_rank(s, tol)
+    ratio = float(s[1] / s[0]) if s.size >= 2 and s[0] != 0.0 else 0.0
+
+    g = np.linalg.svd(tr.A @ tr.C.T, compute_uv=False)
+    nondegeneracy_ok = bool(g[0] > 0.0 and g[-1] > tol * g[0])
+
+    return TripleReport(
+        rank_of_ABUt=rank_R,
+        second_singular_ratio=ratio,
+        nondegeneracy_ok=nondegeneracy_ok,
+        full_rank_ok=full_rank_ok,
+        admissible=full_rank_ok and nondegeneracy_ok and rank_R <= 1,
+    )
 
 
 def _unit_square(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
@@ -227,7 +222,7 @@ def random_admissible(
 
     Randomness comes from ``numpy.random.default_rng(seed)`` (the PCG64
     generator), so a given seed reproduces the same triple bit for bit
-    on any platform.
+    for a given numpy/LAPACK build (B passes through an SVD and ``pinv``).
     """
     if not (1 <= n < N):
         raise DimensionError(f"need 1 <= n < N, got n={n}, N={N}")
@@ -239,21 +234,18 @@ def random_admissible(
         a = _unit_square(rng, n, 1)
         b = _unit_square(rng, N - n, 1)
 
-        if numerical_rank(A, tol) < n or numerical_rank(C, tol) < n:
+        rank_A, U = _kernel(A, tol)
+        if rank_A < n:
             continue
-        U = nullspace_rows(A, tol)
         M1 = np.linalg.pinv(A)  # A @ M1 = I_n
         M2 = U.conj()           # M2 @ U.T = I_(N-n), rows of U are orthonormal
-        R = A @ B0 @ U.T
-        B = B0 - M1 @ (R - a @ b.T) @ M2
+        B = B0 - M1 @ (A @ B0 @ U.T - a @ b.T) @ M2
         nb = spectral_norm(B)
         if nb == 0.0:
             continue
-        B = B * (b_norm / nb)
-
-        report = validate_triple(A, B, C, tol)
-        if report.admissible:
-            return RankOneTriple(A, B, C)
+        tr = RankOneTriple(A, B * (b_norm / nb), C)
+        if _report(tr, tol, (rank_A, U)).admissible:
+            return tr
     raise GenerationError(
         f"no admissible triple after {max_resamples} draws for n={n}, N={N}"
     )

@@ -291,6 +291,30 @@ def test_nonfinite_options_grid_exits_2(tmp_path, capsys):
     assert "options.grids.t2: start and end must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "where, value, field",
+    [
+        (("matrices", "A", "rows"), True, "matrices.A: rows/cols"),
+        (("options", "K"), True, "options.K"),
+        (("times",), [True], r"times\[0\]"),
+        (("matrices", "B", "data", 0, 0), [True, False], r"matrices.B.data\[0\]\[0\]"),
+    ],
+    ids=["rows", "K", "times", "entry"],
+)
+def test_json_booleans_are_not_numbers(tmp_path, capsys, where, value, field):
+    # Python counts True as the int 1; a scenario file must not
+    doc = json.loads(json.dumps(WORKHORSE))
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = value
+    path = write_json(tmp_path / "s.json", doc)
+    with pytest.raises(ScenarioError, match=field):
+        load_scenario(path)
+    assert main(["validate", path, "--out", str(tmp_path / "out")]) == 2
+    assert "scenario error" in capsys.readouterr().err
+
+
 def test_nonfinite_scenario_time_exits_2(tmp_path, capsys):
     # Python's json reads NaN; the scenario loader must not pass it on
     path = write_json(tmp_path / "s.json", dict(WORKHORSE, times=[[math.nan, 0.0]]))

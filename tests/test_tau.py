@@ -412,28 +412,50 @@ def test_memo_hit_is_bit_identical_to_a_miss():
 
 
 def test_grid_stacks_leave_the_single_point_memo_alone(monkeypatch):
-    # a stack of P > 1 times neither reads nor replaces the slot, so a check
-    # at the memoized time after a grid takes no exponential
+    # a stack of P > 1 times neither reads nor replaces the kept factor, so
+    # a check at the memoized time after a grid takes no exponential
     tr = random_admissible(2, 6, seed=15)
     t = TimeVector([0.2, -0.1, 0.05])
     tau(tr, t)
-    memo = tr._base_factor
+    memo = tr._memo["base_factor"]
     calls = _expm_calls(monkeypatch)
     u_field(tr, np.linspace(-1.0, 1.0, 9), base=t)
     tau_grid(tr, [0.2, 0.3], base=t)
     psi_grid(tr, [0.2, 0.3], [2.5])
-    assert tr._base_factor is memo and len(calls) == 3
+    # the u grid's offsets (2 of its 4 steps j != 0) and its 3 anchors, then
+    # one stack for each of the tau and psi grids
+    assert calls == [(2, tr.N, tr.N), (3, tr.N, tr.N), (2, tr.N, tr.N), (2, tr.N, tr.N)]
+    assert tr._memo["base_factor"] is memo
     assert kp_residual(tr, t).passed
     assert hbde_residual(tr, t, 2.0, -2.5j, 3.0 + 1j).passed
-    assert len(calls) == 3
+    assert len(calls) == 4
 
 
-def test_memo_arrays_are_read_only():
-    tr = random_admissible(2, 6, seed=14)
+def _kept_arrays(tr, name: str) -> tuple:
+    """The arrays the triple keeps under ``name``, the first item of a tuple
+    name (one value per name here)."""
+    (value,) = [v for k, (_, v) in tr._memo.items() if (k[0] if isinstance(k, tuple) else k) == name]
+    return value if isinstance(value, tuple) else (value,)
+
+
+@pytest.mark.parametrize("name", ["base_factor", "right_blocks", "step_offsets"])
+def test_kept_arrays_are_read_only(name):
+    tr = random_admissible(2, 6, seed=46)
     ev = TauEvaluator(tr, TimeVector([0.1, 0.2]))
-    key, mu, left = tr._base_factor
-    assert mu is ev.mu and left is ev._left
-    for arr in (ev.mu, ev._left):
+    ev.jets([(2, 0, 0)])
+    u_field(tr, np.linspace(-1.0, 1.0, 9))
+    arrays = _kept_arrays(tr, name)
+    if name == "base_factor":
+        assert arrays[0] is ev.mu and arrays[1] is ev._left
+    elif name == "right_blocks":
+        BC = tr.B @ tr.C.T
+        assert arrays[0].tobytes() == np.hstack([tr.C.T, BC, tr.B @ BC]).tobytes()
+    else:
+        S, mu_S = arrays
+        s = math.isqrt(8) + 1
+        assert S.shape == (s, tr.N, tr.N) and mu_S.shape == (s,)
+        assert np.array_equal(S[s // 2], np.eye(tr.N)) and mu_S[s // 2] == 0.0
+    for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[...] = 0.0
@@ -971,8 +993,9 @@ def test_u_field_line_is_one_small_exponential(monkeypatch):
     tr = random_admissible(2, 6, seed=43)
     calls = _expm_calls(monkeypatch)
     u_field(tr, np.linspace(-2.0, 2.0, 41), base=TimeVector([0.0, 0.1, 0.1j]))
-    # 6 anchors and the 6 offsets j != 0, where the direct stack takes 41
-    assert len(calls) == 1 and calls[0][0] <= 2 * math.ceil(math.sqrt(41))
+    # the 6 anchors in one call, after the 6 offsets j != 0 that a fresh
+    # triple makes in one call of their own, where the direct stack takes 41
+    assert calls == [(6, tr.N, tr.N), (6, tr.N, tr.N)]
 
 
 def test_u_field_3d_grid_is_one_exponential_call(monkeypatch):
@@ -980,19 +1003,25 @@ def test_u_field_3d_grid_is_one_exponential_call(monkeypatch):
     calls = _expm_calls(monkeypatch)
     samples = u_field(tr, np.linspace(-1.0, 1.0, 21), [0.1, 0.2, 0.3], [-0.1, 0.0, 0.1])
     assert len(samples) == 21 * 9 and not any(s.is_pole for s in samples)
-    # 5 anchors on each of the 9 lines, and 4 offsets that they all share
-    assert calls == [(9 * 5 + 4, tr.N, tr.N)]
+    # 5 anchors on each of the 9 lines in one call, after the 4 offsets that
+    # they all share, in one call on a fresh triple
+    assert calls == [(4, tr.N, tr.N), (9 * 5, tr.N, tr.N)]
 
 
 def test_u_field_grid_beyond_the_anchor_budget_splits_its_lines(monkeypatch):
     tr = random_admissible(2, 6, seed=44)
     axes = (np.linspace(-1.0, 1.0, 21), [0.1, 0.2, 0.3], [-0.1, 0.0, 0.1])
-    whole = [s.value for s in u_field(tr, *axes)]
-    # room for the 5 anchors of two lines a call; the offsets join the first
+    whole = _u_bits(u_field(tr, *axes))
+    # room for the 5 anchors of two lines a call; the offsets are kept from
+    # the first grid, on this triple, and made in a call of their own on a
+    # fresh one, with the same bits either way
     monkeypatch.setattr(importlib.import_module("kp_rankone.tau"), "_ANCHOR_ENTRIES", 10 * tr.N**2)
     calls = _expm_calls(monkeypatch)
-    assert [s.value for s in u_field(tr, *axes)] == whole
-    assert [c[0] for c in calls] == [2 * 5 + 4, 10, 10, 10, 5]
+    assert _u_bits(u_field(tr, *axes)).tobytes() == whole.tobytes()
+    assert calls == [(10, tr.N, tr.N)] * 4 + [(5, tr.N, tr.N)]
+    calls.clear()
+    assert _u_bits(u_field(random_admissible(2, 6, seed=44), *axes)).tobytes() == whole.tobytes()
+    assert calls == [(4, tr.N, tr.N)] + [(10, tr.N, tr.N)] * 4 + [(5, tr.N, tr.N)]
 
 
 def _u_bits(samples) -> np.ndarray:
@@ -1008,13 +1037,13 @@ def test_u_field_calls_with_one_step_share_the_kept_offsets():
     tr = random_admissible(4, 12, seed=45)
     t1s = np.linspace(-2.0, 2.0, 41)
     first = _u_bits(u_field(tr, t1s, [0.1], [0.2]))
-    kept = tr._step_offsets
+    kept = tr._memo["step_offsets"]
     assert _u_bits(u_field(tr, t1s, [0.1], [0.2])).tobytes() == first.tobytes()
     for t2, t3 in [(0.3, -0.1), (-0.2, 0.05)]:
         got = _u_bits(u_field(tr, t1s, [t2], [t3]))
         fresh = _u_bits(u_field(random_admissible(4, 12, seed=45), t1s, [t2], [t3]))
         assert got.tobytes() == fresh.tobytes()
-    assert tr._step_offsets is kept
+    assert tr._memo["step_offsets"] is kept
 
 
 def test_u_field_with_a_kept_step_exponentiates_only_the_anchors(monkeypatch):
@@ -1040,29 +1069,16 @@ def test_u_field_with_a_kept_step_exponentiates_only_the_anchors(monkeypatch):
 def test_u_field_with_another_step_replaces_the_kept_offsets(monkeypatch, t1s, base):
     tr = random_admissible(2, 6, seed=43)
     u_field(tr, np.linspace(-2.0, 2.0, 41), base=TimeVector([0.0, 0.1, 0.1j]))
-    old_key = tr._step_offsets[0]
+    old_key = tr._memo["step_offsets"][0]
     calls = _expm_calls(monkeypatch)
     got = _u_bits(u_field(tr, t1s, base=base))
     s = math.isqrt(len(t1s) - 1) + 1
-    # the ceil(P / s) anchors and the s - 1 offsets j != 0, in one call
-    assert calls == [(-(-len(t1s) // s) + s - 1, tr.N, tr.N)]
-    key, S, mu_S = tr._step_offsets
+    # the s - 1 offsets j != 0 in one call, then the ceil(P / s) anchors
+    assert calls == [(s - 1, tr.N, tr.N), (-(-len(t1s) // s), tr.N, tr.N)]
+    key, (S, mu_S) = tr._memo["step_offsets"]
     assert key != old_key and S.shape == (s, tr.N, tr.N) and mu_S.shape == (s,)
     fresh = _u_bits(u_field(random_admissible(2, 6, seed=43), t1s, base=base))
     assert got.tobytes() == fresh.tobytes()
-
-
-def test_kept_step_offsets_are_read_only():
-    tr = random_admissible(2, 6, seed=46)
-    u_field(tr, np.linspace(-1.0, 1.0, 9))
-    key, S, mu_S = tr._step_offsets
-    s = math.isqrt(8) + 1
-    assert S.shape == (s, tr.N, tr.N)
-    assert np.array_equal(S[s // 2], np.eye(tr.N)) and mu_S[s // 2] == 0.0
-    for arr in (S, mu_S):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[...] = 0.0
 
 
 def test_u_field_long_line_accuracy_against_mpmath():

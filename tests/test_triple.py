@@ -6,6 +6,7 @@ import pickle
 import numpy as np
 import pytest
 
+import kp_rankone.triple as triple_module
 from kp_rankone.errors import (
     DimensionError,
     GenerationError,
@@ -15,6 +16,7 @@ from kp_rankone.matkernel import nullspace_rows, numerical_rank
 from kp_rankone.tau import TimeVector, tau, u_field
 from kp_rankone.triple import (
     RankOneTriple,
+    TripleReport,
     conjugate_triple,
     make_triple,
     random_admissible,
@@ -123,9 +125,13 @@ def test_triple_copies_stay_immutable_and_drop_derived_state(clone):
     tr = random_admissible(2, 5, seed=3)
     tau(tr, TimeVector([0.2, 0.1]))
     u_field(tr, np.linspace(-1.0, 1.0, 9))
-    assert tr._base_factor is not None and tr._step_offsets is not None and tr.norm_B > 0.0
+    # the base factor, the right blocks of tau (weight 0) and of the jets
+    # (weight 2) and the step offsets are kept, and so is ||B||_2
+    kept = {"base_factor", ("right_blocks", 0, 1.0), ("right_blocks", 2, 1.0), "step_offsets"}
+    assert set(tr._memo) == kept
+    assert tr.norm_B > 0.0
     other = clone(tr)
-    assert other._base_factor is None and other._step_offsets is None and "norm_B" not in vars(other)
+    assert other._memo == {} and "norm_B" not in vars(other)
     for mine, theirs in zip((tr.A, tr.B, tr.C), (other.A, other.B, other.C)):
         assert np.array_equal(mine, theirs)
         with pytest.raises(ValueError):
@@ -144,6 +150,118 @@ def test_random_admissible_is_admissible(n, N):
         rep = validate_triple(tr.A, tr.B, tr.C)
         assert rep.admissible, (n, N, seed, rep)
         assert coupling_rank(tr.A, tr.B) <= 1
+
+
+# A copy of the construction that the program replaced, which ran three
+# overlapping rank paths: rank pre-checks of A and C, a kernel basis that
+# checked the rank of A again, and a report that checked both once more.
+# The program must keep its bits.
+
+
+def _svd_rank(M, tol=1e-9):
+    s = np.linalg.svd(M, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > tol * s[0]))
+
+
+def _reference_report(A, B, C, tol=1e-9):
+    A, B, C = (np.array(M, dtype=np.complex128) for M in (A, B, C))
+    n = A.shape[0]
+    full_rank_ok = _svd_rank(A, tol) == n and _svd_rank(C, tol) == n
+    _, _, vh = np.linalg.svd(A)
+    U = vh[_svd_rank(A, tol) :].conj()
+    s = np.linalg.svd(A @ B @ U.T, compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        rank_R, ratio = 0, 0.0
+    else:
+        rank_R = int(np.count_nonzero(s > tol * s[0]))
+        ratio = float(s[1] / s[0]) if s.size >= 2 else 0.0
+    g = np.linalg.svd(A @ C.T, compute_uv=False)
+    nondegeneracy_ok = bool(g[0] > 0.0 and g[-1] > tol * g[0])
+    admissible = full_rank_ok and nondegeneracy_ok and rank_R <= 1
+    return TripleReport(rank_R, ratio, nondegeneracy_ok, full_rank_ok, admissible)
+
+
+def _reference_draw(n, N, seed, tol=1e-9):
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        A, C, B0 = (rng.random(shape) + 1j * rng.random(shape) for shape in ((n, N), (n, N), (N, N)))
+        a, b = (rng.random(shape) + 1j * rng.random(shape) for shape in ((n, 1), (N - n, 1)))
+        if _svd_rank(A, tol) < n or _svd_rank(C, tol) < n:
+            continue
+        _, _, vh = np.linalg.svd(A)
+        U = vh[n:].conj()
+        B = B0 - np.linalg.pinv(A) @ (A @ B0 @ U.T - a @ b.T) @ U.conj()
+        nb = float(np.linalg.svd(B, compute_uv=False)[0])
+        if nb == 0.0:
+            continue
+        B = B * (1.0 / nb)
+        if _reference_report(A, B, C, tol).admissible:
+            return A, B, C
+    raise AssertionError("no draw")
+
+
+@pytest.mark.parametrize("n,N", [(1, 3), (2, 6), (3, 9), (4, 12), (6, 18), (8, 24)])
+def test_random_admissible_keeps_the_bits_of_the_reference_construction(n, N):
+    for seed in range(40):
+        tr = random_admissible(n, N, seed=seed)
+        for got, want in zip((tr.A, tr.B, tr.C), _reference_draw(n, N, seed)):
+            assert got.tobytes() == want.tobytes(), (n, N, seed)
+
+
+def _report_inputs():
+    rng = np.random.default_rng(21)
+    for i in range(60):
+        n = 1 + i % 4
+        N = n + 1 + i % 3
+        A, B, C = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in ((n, N), (N, N), (n, N)))
+        if i % 5 == 1:
+            A[-1] = 2 * A[0]  # rank-deficient A (for n > 1): a larger kernel
+        elif i % 5 == 2:
+            C[-1] = C[0]  # rank-deficient C
+        elif i % 5 == 3:
+            tr = random_admissible(n, N, seed=i)
+            A, B, C = tr.A, tr.B, tr.C
+        elif i % 5 == 4:
+            B = np.zeros((N, N))  # a coupling of rank zero
+        yield A, B, C
+
+
+def test_reports_keep_the_bits_of_the_reference_test():
+    verdicts = set()
+    for A, B, C in _report_inputs():
+        want = _reference_report(A, B, C)
+        assert validate_triple(A, B, C) == want
+        verdicts.add((want.full_rank_ok, want.admissible))
+        if want.admissible:
+            make_triple(A, B, C)
+        else:
+            with pytest.raises(InadmissibleTripleError) as err:
+                make_triple(A, B, C)
+            assert err.value.report == want
+    assert verdicts == {(False, False), (True, False), (True, True)}
+
+
+def test_admissibility_takes_one_svd_of_each_matrix(monkeypatch):
+    # a draw: the kernel of A, ||B||_2, then rank(C), A B U.T and A C.T for
+    # the report, which shares the draw's SVD of A; make_triple: the four
+    # of the report
+    counts = {"svd": 0, "square": 0}
+    svd, square = np.linalg.svd, triple_module._unit_square
+
+    def counted(name, fn):
+        return lambda *a, **k: counts.update({name: counts[name] + 1}) or fn(*a, **k)
+
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", svd))
+    monkeypatch.setattr(triple_module, "_unit_square", counted("square", square))
+    for n, N, seed in [(1, 3, 0), (4, 12, 3), (8, 24, 5)]:
+        tr = random_admissible(n, N, seed=seed)
+    draws, rest = divmod(counts["square"], 5)  # five arrays a draw
+    assert rest == 0 and counts["svd"] == 5 * draws
+    counts["svd"] = 0
+    make_triple(tr.A, tr.B, tr.C)
+    assert counts["svd"] == 4
 
 
 def test_random_admissible_deterministic():
