@@ -15,6 +15,12 @@ Complex numbers are serialized strictly as two-element arrays [re, im];
 matrices are row-major nested arrays with explicit dimensions. Grid
 ranges use the syntax start:end:count, inclusive at both endpoints.
 
+One table, ``_KINDS``, holds what each kind reads and builds: its
+matrices, case data, triple and crosscheck. A :class:`Scenario` checks
+its kind and options when made, from a file or in code: option keys are
+K, tol, seed, m, grids (t1, t2, t3, z), eta, lambda1 and lambda2, and
+any other key is a ScenarioError.
+
 Outputs land in the --out directory as <command>.json or <command>.csv.
 Exit codes: 0 when every report passes, 1 when a verification fails
 (reports are still written), 2 for usage or scenario errors. Runs are
@@ -29,9 +35,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,55 +49,91 @@ from .errors import (
     KPRankOneError,
     RangeError,
     ScenarioError,
-    SingularShiftError,
 )
 from .matkernel import ScaledComplex
 from .tau import TimeVector, tau_grid, u_field
 
 __all__ = ["Scenario", "load_scenario", "save_scenario", "run_command", "main"]
 
-_MATRIX_KEYS = {
-    "general": ("A", "B", "C"),
-    "intertwining": ("X", "Y", "Z"),
-    "calogero_moser": ("X", "Z"),
-    "kdv_pair": ("X", "Z"),
+
+class _Kind(NamedTuple):
+    """The matrices a file must carry, the case data they make in that order
+    (None for a general triple), the triple of (case data, matrices), and
+    the crosscheck (case data, times, tol) with its default tol, if any."""
+
+    matrices: Tuple[str, ...]
+    data: Optional[type]
+    triple: Callable
+    crosscheck: Optional[Callable] = None
+    crosscheck_tol: float = 0.0
+
+
+# the entries look the library functions up when called, so a wrapper put
+# on a module attribute (a tracer's, say) sees the call
+_KINDS = {
+    "general": _Kind(
+        ("A", "B", "C"), None, lambda d, m: triple_mod.make_triple(m["A"], m["B"], m["C"])
+    ),
+    "intertwining": _Kind(
+        ("X", "Y", "Z"), cases.IntertwiningData,
+        lambda d, m: cases.from_intertwining(d, C=m.get("C")),
+        lambda d, t, tol: verify.crosscheck_intertwining(d, t, tol=tol),
+        verify.DEFAULT_INTERTWINING_TOL,
+    ),
+    "calogero_moser": _Kind(
+        ("X", "Z"), cases.CalogeroMoserData,
+        lambda d, m: cases.from_calogero_moser(d),
+        lambda d, t, tol: verify.crosscheck_wilson(d, t, tol=tol),
+        verify.DEFAULT_WILSON_TOL,
+    ),
+    "kdv_pair": _Kind(
+        ("X", "Z"), cases.KdVPairData,
+        lambda d, m: cases.from_kdv_pair(d),
+        lambda d, t, tol: verify.crosscheck_intertwining(d.as_intertwining(), t, tol=tol),
+        verify.DEFAULT_INTERTWINING_TOL,
+    ),
 }
 
-SCENARIO_KINDS = tuple(_MATRIX_KEYS)
+# the keys the commands read; any other is a ScenarioError
+_OPTION_KEYS = ("K", "tol", "seed", "m", "grids", "eta", "lambda1", "lambda2")
+_GRID_NAMES = ("t1", "t2", "t3", "z")
 
 ENV_TOL = "KP_RANKONE_TOL"
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Scenario:
-    """Parsed scenario: kind, matrices, base times and options."""
+    """Parsed scenario: kind, matrices, base times and options.
+
+    Making one checks the kind and the options (:func:`_check_options`),
+    so a Scenario built in code meets the rules of a scenario file;
+    :func:`dataclasses.replace` checks again."""
 
     kind: str
     matrices: Dict[str, np.ndarray]
     times: TimeVector
     options: Dict[str, object] = field(default_factory=dict)
 
+    def __post_init__(self):
+        _kind(self.kind)
+        _check_options(self.options)
+
     def case_data(self):
-        m = self.matrices
-        if self.kind == "intertwining":
-            return cases.IntertwiningData(m["X"], m["Y"], m["Z"])
-        if self.kind == "calogero_moser":
-            return cases.CalogeroMoserData(m["X"], m["Z"])
-        if self.kind == "kdv_pair":
-            return cases.KdVPairData(m["X"], m["Z"])
-        return None
+        """The kind's case data made from the matrices; None for a general triple."""
+        kind = _KINDS[self.kind]
+        if kind.data is None:
+            return None
+        return kind.data(*(self.matrices[k] for k in kind.matrices))
 
     def build_triple(self) -> triple_mod.RankOneTriple:
-        m = self.matrices
-        if self.kind == "general":
-            return triple_mod.make_triple(m["A"], m["B"], m["C"])
-        if self.kind == "intertwining":
-            return cases.from_intertwining(self.case_data(), C=m.get("C"))
-        if self.kind == "calogero_moser":
-            return cases.from_calogero_moser(self.case_data())
-        if self.kind == "kdv_pair":
-            return cases.from_kdv_pair(self.case_data())
-        raise ScenarioError(f"unknown scenario kind {self.kind!r}")
+        return _KINDS[self.kind].triple(self.case_data(), self.matrices)
+
+
+def _kind(name) -> _Kind:
+    kinds = tuple(_KINDS)  # a tuple: a kind read from JSON may be unhashable
+    if name not in kinds:
+        raise ScenarioError(f"kind: expected one of {kinds}, got {name!r}")
+    return _KINDS[name]
 
 
 # ---------------------------------------------------------------------------
@@ -149,43 +192,33 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(f"{path}: top level must be an object")
 
     kind = raw.get("kind")
-    if kind not in SCENARIO_KINDS:
-        raise ScenarioError(
-            f"kind: expected one of {SCENARIO_KINDS}, got {kind!r}"
-        )
+    required = _kind(kind).matrices
     matrices_raw = raw.get("matrices")
     if not isinstance(matrices_raw, dict):
         raise ScenarioError("matrices: expected an object")
-    matrices: Dict[str, np.ndarray] = {}
-    for key in _MATRIX_KEYS[kind]:
+    for key in required:
         if key not in matrices_raw:
             raise ScenarioError(f"matrices.{key}: required for kind {kind!r}")
-    for key, val in matrices_raw.items():
-        matrices[key] = _parse_matrix(val, f"matrices.{key}")
+    matrices = {key: _parse_matrix(val, f"matrices.{key}") for key, val in matrices_raw.items()}
 
     times_raw = raw.get("times", [[0.0, 0.0]])
     if not isinstance(times_raw, list) or not times_raw:
         raise ScenarioError("times: expected a nonempty list of complex numbers")
-    times = TimeVector(
-        np.array(
-            [_parse_complex(v, f"times[{i}]") for i, v in enumerate(times_raw)]
-        )
-    )
+    values = [_parse_complex(v, f"times[{i}]") for i, v in enumerate(times_raw)]
+    times = TimeVector(np.array(values))
 
-    options = raw.get("options", {})
-    _check_options(options)
-    if options.get("K") is not None:
-        times = times.padded(options["K"])
-    return Scenario(kind=kind, matrices=matrices, times=times, options=dict(options))
+    scenario = Scenario(kind=kind, matrices=matrices, times=times, options=raw.get("options", {}))
+    K = scenario.options.get("K")
+    return scenario if K is None else replace(scenario, times=times.padded(K))
 
 
 def _check_options(options) -> None:
-    """Raise ScenarioError unless ``options`` is an object whose K, tol,
-    seed, m and grids, where given, are what the commands read. Both
-    :func:`load_scenario` and :func:`run_command` check, so a Scenario
-    built in code meets the rules of a scenario file."""
+    """Raise ScenarioError unless ``options`` is an object of the keys the
+    commands read (``_OPTION_KEYS``, grids named in ``_GRID_NAMES``), each
+    given as its command reads it. :meth:`Scenario.__post_init__` checks."""
     if not isinstance(options, dict):
         raise ScenarioError("options: expected an object")
+    _known_keys(options, _OPTION_KEYS, "options")
     K = options.get("K")
     if K is not None and not (_is_int(K) and K >= 1):
         raise ScenarioError("options.K: expected a positive integer")
@@ -199,9 +232,19 @@ def _check_options(options) -> None:
     grids = options.get("grids", {})
     if not isinstance(grids, dict):
         raise ScenarioError(f"options.grids: expected an object, got {grids!r}")
+    _known_keys(grids, _GRID_NAMES, "options.grids")
     for name, spec in grids.items():
         if not isinstance(spec, str):
             raise ScenarioError(f"options.grids.{name}: expected start:end:count, got {spec!r}")
+    for name in ("eta", "lambda1", "lambda2"):
+        if name in options:
+            _parse_complex(options[name], f"options.{name}")
+
+
+def _known_keys(obj: dict, keys: Tuple[str, ...], where: str) -> None:
+    for key in obj:
+        if key not in keys:
+            raise ScenarioError(f"{where}.{key}: unknown key, expected one of {', '.join(keys)}")
 
 
 def _is_number(x) -> bool:
@@ -240,7 +283,7 @@ def save_scenario(s: Scenario, path) -> None:
         "times": [_complex_out(complex(v)) for v in s.times.values],
         "options": s.options,
     }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(_json_text(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -286,29 +329,31 @@ def _write_reports(out_dir: Path, command: str, reports) -> int:
         "reports": [_report_doc(r) for r in reports],
         "all_pass": all(r.passed for r in reports),
     }
-    _write_json(out_dir, command, doc)
+    _write(out_dir, f"{command}.json", _json_text(doc))
     return 0 if doc["all_pass"] else 1
 
 
-def _write_json(out_dir: Path, command: str, payload: dict) -> Path:
+def _write(out_dir: Path, name: str, text: str) -> None:
+    """Write one output file, making --out first."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / f"{command}.json"
-    target.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return target
+    (out_dir / name).write_text(text)
 
 
-def _write_csv(out_dir: Path, command: str, header: Sequence[str], rows) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    target = out_dir / f"{command}.csv"
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(row))
-    target.write_text("\n".join(lines) + "\n")
-    return target
+def _json_text(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _csv_text(header: Sequence[str], rows) -> str:
+    return "\n".join(",".join(row) for row in [header, *rows]) + "\n"
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
+
+
+# the value columns of a grid CSV, and their fields at a pole
+_VALUE_COLUMNS = ["re", "im", "log_magnitude", "pole"]
+_POLE_FIELDS = [_fmt(math.nan)] * 3 + ["1"]
 
 
 def _scaled_fields(v: ScaledComplex) -> List[str]:
@@ -337,7 +382,7 @@ def _parse_axis(spec: str, where: str) -> np.ndarray:
 
 
 def _axis_from(args, scenario: Scenario, name: str, default: Optional[str]) -> Optional[np.ndarray]:
-    spec, where = getattr(args, name.replace("-", "_"), None), f"--{name}"
+    spec, where = getattr(args, name, None), f"--{name}"
     if spec is None:
         spec, where = scenario.options.get("grids", {}).get(name, default), f"options.grids.{name}"
     if spec is None:
@@ -366,6 +411,14 @@ def _seed_of(args, scenario: Scenario) -> int:
     return int(scenario.options.get("seed", 0))  # type: ignore[arg-type]
 
 
+def _trial_rngs(args, scenario: Scenario, default: int, first: int = 0):
+    """The generators default_rng(seed + trial) of trials first .. n - 1,
+    n from --trials or ``default``."""
+    trials = int(args.trials) if args.trials is not None else default
+    seed = _seed_of(args, scenario)
+    return (np.random.default_rng(seed + trial) for trial in range(first, trials))
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -375,64 +428,48 @@ def _cmd_validate(scenario: Scenario, args, out_dir: Path) -> int:
     try:
         tr = scenario.build_triple()
         report = triple_mod.validate_triple(tr.A, tr.B, tr.C)
+        doc = {"admissible": bool(report.admissible), "report": _jsonify(vars(report))}
     except InadmissibleTripleError as exc:
-        rep = exc.report
-        doc = {
-            "admissible": False,
-            "error": str(exc),
-            "report": None if rep is None else _jsonify(vars(rep)),
-        }
-        _write_json(out_dir, "validate", doc)
-        return 1
-    doc = {"admissible": bool(report.admissible), "report": _jsonify(vars(report))}
-    _write_json(out_dir, "validate", doc)
-    return 0 if report.admissible else 1
+        rep = None if exc.report is None else _jsonify(vars(exc.report))
+        doc = {"admissible": False, "error": str(exc), "report": rep}
+    _write(out_dir, "validate.json", _json_text(doc))
+    return 0 if doc["admissible"] else 1
 
 
 # t1, t2, t3 of tau-grid and u-grid, with their default ranges
 _GRID_AXES = (("t1", "-2:2:41"), ("t2", None), ("t3", None))
 
 
-def _cmd_tau_grid(scenario: Scenario, args, out_dir: Path) -> int:
+def _time_grid(command: str, points, scenario: Scenario, args, out_dir: Path) -> int:
+    """tau-grid and u-grid, as ``_DISPATCH`` binds ``command`` and ``points``:
+    one CSV row per point of the t1[, t2, t3] axes, from
+    ``points(triple, axes, base)``, which yields each point's (t1, t2, t3)
+    and value fields."""
     tr = scenario.build_triple()
-    axis1, axis2, axis3 = (_axis_from(args, scenario, *a) for a in _GRID_AXES)
-    header = _grid_header(axis2, axis3)
-    # an exact zero of tau is a pole of u, flagged as u-grid flags it
+    axes = [_axis_from(args, scenario, *a) for a in _GRID_AXES]
+    header = [name for (name, _), axis in zip(_GRID_AXES, axes) if axis is not None]
     rows = [
-        [_fmt(v) for v in coords if v is not None]
-        + _scaled_fields(val)
-        + ["1" if val.is_zero else "0"]
-        for coords, val in tau_grid(tr, axis1, axis2, axis3, base=scenario.times)
+        [_fmt(v) for v in coords if v is not None] + fields
+        for coords, fields in points(tr, axes, scenario.times)
     ]
-    _write_csv(out_dir, "tau-grid", header, rows)
+    _write(out_dir, f"{command}.csv", _csv_text(header + _VALUE_COLUMNS, rows))
     return 0
 
 
-def _grid_header(axis2, axis3) -> List[str]:
-    header = ["t1"]
-    if axis2 is not None:
-        header.append("t2")
-    if axis3 is not None:
-        header.append("t3")
-    return header + ["re", "im", "log_magnitude", "pole"]
+def _tau_points(tr, axes, base):
+    # an exact zero of tau is a pole of u, flagged as u-grid flags it
+    for coords, val in tau_grid(tr, *axes, base=base):
+        yield coords, _scaled_fields(val) + ["1" if val.is_zero else "0"]
 
 
-def _cmd_u_grid(scenario: Scenario, args, out_dir: Path) -> int:
-    tr = scenario.build_triple()
-    axis1, axis2, axis3 = (_axis_from(args, scenario, *a) for a in _GRID_AXES)
-    samples = u_field(tr, axis1, axis2, axis3, base=scenario.times)
-    header = _grid_header(axis2, axis3)
-    rows = []
-    for s in samples:
-        coords = [_fmt(v) for v in (s.t1, s.t2, s.t3) if v is not None]
+def _u_points(tr, axes, base):
+    for s in u_field(tr, *axes, base=base):
         if s.is_pole:
-            rows.append(coords + [_fmt(math.nan), _fmt(math.nan), _fmt(math.nan), "1"])
-        else:
-            mag = abs(s.value)
-            lm = math.log(mag) if mag > 0 else -math.inf
-            rows.append(coords + [_fmt(s.value.real), _fmt(s.value.imag), _fmt(lm), "0"])
-    _write_csv(out_dir, "u-grid", header, rows)
-    return 0
+            yield (s.t1, s.t2, s.t3), _POLE_FIELDS
+            continue
+        mag = abs(s.value)
+        lm = math.log(mag) if mag > 0 else -math.inf
+        yield (s.t1, s.t2, s.t3), [_fmt(s.value.real), _fmt(s.value.imag), _fmt(lm), "0"]
 
 
 def _cmd_psi_grid(scenario: Scenario, args, out_dir: Path) -> int:
@@ -441,52 +478,36 @@ def _cmd_psi_grid(scenario: Scenario, args, out_dir: Path) -> int:
     axis_z = _axis_from(args, scenario, "z", "2:4:5")
     if np.any(axis_z == 0.0):
         raise ScenarioError("--z: the grid must not contain z = 0")
-    header = ["t1", "z", "re", "im", "log_magnitude", "pole"]
     rows = [
         [_fmt(s.x.real), _fmt(s.z.real)]
-        + ([_fmt(math.nan)] * 3 + ["1"] if s.is_pole else _scaled_fields(s.value) + ["0"])
+        + (_POLE_FIELDS if s.is_pole else _scaled_fields(s.value) + ["0"])
         for s in baker.psi_grid(tr, axis_x, axis_z)
     ]
-    _write_csv(out_dir, "psi-grid", header, rows)
+    _write(out_dir, "psi-grid.csv", _csv_text(["t1", "z"] + _VALUE_COLUMNS, rows))
     return 0
 
 
 def _cmd_verify_hbde(scenario: Scenario, args, out_dir: Path) -> int:
     tr = scenario.build_triple()
     tol = _default_tol(args, scenario, verify.DEFAULT_HBDE_TOL)
-    trials = int(args.trials) if args.trials is not None else 20
-    seed = _seed_of(args, scenario)
     reports = []
-    for trial in range(trials):
-        rng = np.random.default_rng(seed + trial)
+    for rng in _trial_rngs(args, scenario, 20):
         try:
             c1, c2, c3 = verify.draw_lattice_parameters(rng, tr)
         except GeometryError as exc:
             raise ScenarioError(str(exc)) from exc
-        site = rng.integers(0, 2, size=3)
-        rep = verify.hbde_residual(
-            tr,
-            scenario.times,
-            c1,
-            c2,
-            c3,
-            l=int(site[0]),
-            m=int(site[1]),
-            n_index=int(site[2]),
-            tol=tol,
+        l, m, n_index = map(int, rng.integers(0, 2, size=3))
+        reports.append(
+            verify.hbde_residual(tr, scenario.times, c1, c2, c3, l=l, m=m, n_index=n_index, tol=tol)
         )
-        reports.append(rep)
     return _write_reports(out_dir, "verify-hbde", reports)
 
 
 def _cmd_verify_kp(scenario: Scenario, args, out_dir: Path) -> int:
     tr = scenario.build_triple()
     tol = _default_tol(args, scenario, verify.DEFAULT_KP_TOL)
-    trials = int(args.trials) if args.trials is not None else 1
-    seed = _seed_of(args, scenario)
     reports = [verify.kp_residual(tr, scenario.times, tol=tol)]
-    for trial in range(1, trials):
-        rng = np.random.default_rng(seed + trial)
+    for rng in _trial_rngs(args, scenario, 1, first=1):
         tvals = 0.6 * (rng.random(3) - 0.5) + 0.6j * (rng.random(3) - 0.5)
         reports.append(verify.kp_residual(tr, TimeVector(tvals), tol=tol))
     return _write_reports(out_dir, "verify-kp", reports)
@@ -495,12 +516,9 @@ def _cmd_verify_kp(scenario: Scenario, args, out_dir: Path) -> int:
 def _cmd_verify_h3(scenario: Scenario, args, out_dir: Path) -> int:
     tr = scenario.build_triple()
     tol = _default_tol(args, scenario, verify.DEFAULT_H3_TOL)
-    trials = int(args.trials) if args.trials is not None else 50
-    seed = _seed_of(args, scenario)
     n = tr.n
     reports = []
-    for trial in range(trials):
-        rng = np.random.default_rng(seed + trial)
+    for rng in _trial_rngs(args, scenario, 50):
         P = rng.random((n, n)) + 1j * rng.random((n, n))
         a = rng.random((n, 1)) + 1j * rng.random((n, 1))
         b = rng.random((n, 1)) + 1j * rng.random((n, 1))
@@ -554,32 +572,23 @@ def _cmd_spectral(scenario: Scenario, args, out_dir: Path) -> int:
             for v, mult in support.points
         ],
     }
-    _write_json(out_dir, "spectral", doc)
+    _write(out_dir, "spectral.json", _json_text(doc))
     return 0
 
 
 def _cmd_crosscheck(scenario: Scenario, args, out_dir: Path) -> int:
-    t = scenario.times
-    if scenario.kind == "calogero_moser":
-        tol = _default_tol(args, scenario, verify.DEFAULT_WILSON_TOL)
-        rep = verify.crosscheck_wilson(scenario.case_data(), t, tol=tol)
-    elif scenario.kind == "intertwining":
-        tol = _default_tol(args, scenario, verify.DEFAULT_INTERTWINING_TOL)
-        rep = verify.crosscheck_intertwining(scenario.case_data(), t, tol=tol)
-    elif scenario.kind == "kdv_pair":
-        tol = _default_tol(args, scenario, verify.DEFAULT_INTERTWINING_TOL)
-        rep = verify.crosscheck_intertwining(scenario.case_data().as_intertwining(), t, tol=tol)
-    else:
-        raise ScenarioError(
-            "crosscheck needs a calogero_moser, intertwining or kdv_pair scenario"
-        )
+    kind = _KINDS[scenario.kind]
+    if kind.crosscheck is None:
+        raise ScenarioError("crosscheck needs a calogero_moser, intertwining or kdv_pair scenario")
+    tol = _default_tol(args, scenario, kind.crosscheck_tol)
+    rep = kind.crosscheck(scenario.case_data(), scenario.times, tol)
     return _write_reports(out_dir, "crosscheck", [rep])
 
 
 _DISPATCH = {
     "validate": _cmd_validate,
-    "tau-grid": _cmd_tau_grid,
-    "u-grid": _cmd_u_grid,
+    "tau-grid": partial(_time_grid, "tau-grid", _tau_points),
+    "u-grid": partial(_time_grid, "u-grid", _u_points),
     "psi-grid": _cmd_psi_grid,
     "verify-hbde": _cmd_verify_hbde,
     "verify-kp": _cmd_verify_kp,
@@ -589,14 +598,12 @@ _DISPATCH = {
     "crosscheck": _cmd_crosscheck,
 }
 
-COMMANDS = tuple(_DISPATCH)
-
 
 def run_command(command: str, scenario: Scenario, args, out_dir) -> int:
     """Execute one command against a scenario; returns the exit code.
 
-    Raises ScenarioError on a bad flag or option, whether the scenario
-    was loaded from a file or built in code."""
+    Raises ScenarioError on a bad flag; the scenario checked its options
+    when it was made."""
     if command not in _DISPATCH:
         raise ScenarioError(f"unknown command {command!r}")
     for flag in ("trials", "K"):
@@ -605,14 +612,8 @@ def run_command(command: str, scenario: Scenario, args, out_dir) -> int:
             raise ScenarioError(f"--{flag}: expected a positive integer, got {value}")
     if getattr(args, "seed", None) is not None and args.seed < 0:
         raise ScenarioError(f"--seed: expected a non-negative integer, got {args.seed}")
-    _check_options(scenario.options)
     if getattr(args, "K", None):
-        scenario = Scenario(
-            kind=scenario.kind,
-            matrices=scenario.matrices,
-            times=scenario.times.padded(int(args.K)),
-            options=scenario.options,
-        )
+        scenario = replace(scenario, times=scenario.times.padded(int(args.K)))
     return _DISPATCH[command](scenario, args, Path(out_dir))
 
 
@@ -622,17 +623,15 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Determinant tau functions from rank-one matrix triples.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _DISPATCH:
         p = sub.add_parser(name)
         p.add_argument("scenario", help="path to a scenario JSON file")
         p.add_argument("--out", default=".", help="output directory (default: .)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--t1", default=None, help="grid start:end:count for t1")
-        p.add_argument("--t2", default=None, help="grid start:end:count for t2")
-        p.add_argument("--t3", default=None, help="grid start:end:count for t3")
-        p.add_argument("--z", default=None, help="grid start:end:count for z")
+        for axis in _GRID_NAMES:
+            p.add_argument(f"--{axis}", default=None, help=f"grid start:end:count for {axis}")
         p.add_argument("--K", type=int, default=None, help="time truncation override")
     return parser
 

@@ -123,6 +123,18 @@ ShiftSet = Sequence[Tuple[complex, int]]
 GridCoords = Tuple[float, Optional[float], Optional[float]]
 
 
+def _integral(x, what: str) -> int:
+    """``x`` as an int: 2, 2.0 and numpy integers pass; 1.5, nan and inf
+    raise ValueError rather than being truncated."""
+    try:
+        k = int(x)
+    except (OverflowError, ValueError):
+        k = None
+    if k is None or k != x:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return k
+
+
 @dataclass(frozen=True, eq=False)
 class TimeVector:
     """Truncated sequence of times (t_1, ..., t_K), K >= 1, all finite."""
@@ -213,7 +225,7 @@ class MiwaShiftList:
         for entry in self.shifts:
             c, k = entry
             c = complex(c)
-            k = int(k)
+            k = _integral(k, "shift multiplicity k")
             if c == 0:
                 raise ValueError("shift parameter c must be nonzero")
             if not (math.isfinite(c.real) and math.isfinite(c.imag)):
@@ -427,7 +439,11 @@ class TauEvaluator:
         self, l: int, m: int, n_index: int, c1: complex, c2: complex, c3: complex
     ) -> ScaledComplex:
         return self._shifted_taus(
-            ((complex(c1), int(l)), (complex(c2), int(m)), (complex(c3), int(n_index)))
+            (
+                (complex(c1), _integral(l, "l")),
+                (complex(c2), _integral(m, "m")),
+                (complex(c3), _integral(n_index, "n_index")),
+            )
         )[0]
 
     def log_derivatives(self, orders_list: Iterable[Sequence[int]]) -> List[complex]:
@@ -484,9 +500,14 @@ def tau_discrete(
 
 def _multi_index(orders: Sequence[int]) -> Tuple[int, int, int]:
     """Validate a derivative multi-index (a1, a2, a3) of total order >= 1."""
-    o = tuple(map(int, orders))
-    if len(o) != 3 or min(o) < 0:
-        raise ValueError("orders must be three non-negative integers")
+    raw = tuple(orders)
+    try:
+        o = tuple(map(int, raw))
+    except (OverflowError, ValueError):  # inf, nan
+        o = None
+    # one comparison, not _integral per order: kp_residual asks for eight
+    if o != raw or len(o) != 3 or min(o) < 0:
+        raise ValueError(f"orders must be three non-negative integers, got {raw!r}")
     if sum(o) < 1:
         raise ValueError("total derivative order must be at least 1")
     return o

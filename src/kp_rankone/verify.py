@@ -40,7 +40,7 @@ from .matkernel import (
     wrap_phase,
     ScaledComplex,
 )
-from .tau import TauEvaluator, TimeVector, TimesLike, _fold, _slogdet, tau
+from .tau import TauEvaluator, TimeVector, TimesLike, _fold, _integral, _slogdet, tau
 from .triple import RankOneTriple
 
 __all__ = [
@@ -192,7 +192,7 @@ def hbde_residual(
     ScaledComplex forms them.
     """
     c1, c2, c3 = complex(c1), complex(c2), complex(c3)
-    l, m, n_index = int(l), int(m), int(n_index)
+    l, m, n_index = _integral(l, "l"), _integral(m, "m"), _integral(n_index, "n_index")
     if len({c1, c2, c3}) < 3:
         raise ValueError("the three lattice parameters must be distinct")
     if 0 in (c1, c2, c3):

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: parsing, outputs, exit codes, determinism."""
 
 import argparse
+import dataclasses
 import json
 import math
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import psi_stationary_by_eigenbasis
+from kp_rankone import cases, triple as triple_mod
 from kp_rankone.cli import Scenario, load_scenario, main, run_command, save_scenario
 from kp_rankone.errors import ScenarioError
 
@@ -572,13 +574,112 @@ def test_flag_overrides_env(tmp_path, monkeypatch):
     ids=["tol-text", "tol-nan", "seed-negative"],
 )
 def test_run_command_checks_the_options_of_a_scenario_built_in_code(tmp_path, options, field):
-    # the checks of load_scenario hold for a Scenario that no file went through
+    # the checks of load_scenario hold for a Scenario that no file went through:
+    # it refuses its options when made, before any command can run
     loaded = load_scenario(SCENARIOS / "general_block.json")
-    scenario = Scenario(loaded.kind, loaded.matrices, loaded.times, options)
     args = argparse.Namespace(seed=None, trials=2, tol=None, K=None)
     with pytest.raises(ScenarioError, match=field):
+        scenario = Scenario(loaded.kind, loaded.matrices, loaded.times, options)
         run_command("verify-hbde", scenario, args, tmp_path)
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "options, field",
+    [
+        ({"tols": 1e-300}, "options.tols: unknown key"),
+        ({"K": 5, "Seed": 1}, "options.Seed: unknown key"),
+        ({"grids": {"T1": "0:1:3"}}, "options.grids.T1: unknown key"),
+        ({"grids": {"x": "0:1:3"}}, "options.grids.x: unknown key"),
+        ({"eta": "abc"}, "options.eta: expected a complex number"),
+    ],
+    ids=["tols", "Seed", "grid-T1", "grid-x", "eta-text"],
+)
+def test_unknown_option_keys_exit_2(tmp_path, capsys, options, field):
+    # a typo used to be ignored: "tols" ran at the default tolerance, "T1" on
+    # the default grid, and both exited 0
+    path = write_json(tmp_path / "s.json", dict(WORKHORSE, options=options))
+    with pytest.raises(ScenarioError, match=field):
+        load_scenario(path)
+    out = tmp_path / "out"
+    for command in ("verify-hbde", "tau-grid"):
+        assert main([command, path, "--out", str(out), "--trials", "1"]) == 2
+        assert f"scenario error: {field}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_option_key_a_command_reads_is_accepted(tmp_path):
+    grids = {"t1": "0:1:2", "t2": "0:1:2", "t3": "0:0:1", "z": "2:3:2"}
+    options = {"K": 4, "tol": 1e-6, "seed": 2, "m": 1, "grids": grids,
+               "eta": [0.9, 0.1], "lambda1": 1.5, "lambda2": [-1.5, 0.5]}
+    s = load_scenario(write_json(tmp_path / "s.json", dict(WORKHORSE, options=options)))
+    assert s.options == options and s.times.K == 4
+
+
+def _code_built(**changes):
+    loaded = load_scenario(SCENARIOS / "general_block.json")
+    fields = dict(kind=loaded.kind, matrices=loaded.matrices, times=loaded.times, options={})
+    return Scenario(**dict(fields, **changes))
+
+
+def test_scenario_is_frozen():
+    s = _code_built()
+    for name, value in (("options", {"tol": -1.0}), ("kind", "nope"), ("times", None)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(s, name, value)
+
+
+def test_replace_checks_the_options_again():
+    s = _code_built(options={"seed": 3})
+    assert dataclasses.replace(s, options={"seed": 4}).options == {"seed": 4}
+    with pytest.raises(ScenarioError, match="options.seed"):
+        dataclasses.replace(s, options={"seed": -1})
+    with pytest.raises(ScenarioError, match="options.tols: unknown key"):
+        dataclasses.replace(s, options={"tols": 1e-3})
+    with pytest.raises(ScenarioError, match="kind"):
+        dataclasses.replace(s, kind="nope")
+
+
+@pytest.mark.parametrize("kind", ["nope", None, ["general"]])
+def test_scenario_built_in_code_with_an_unknown_kind_raises(kind):
+    with pytest.raises(ScenarioError, match="kind: expected one of"):
+        _code_built(kind=kind)
+
+
+@pytest.mark.parametrize(
+    "fixture, kind, data_class, builder",
+    [
+        ("general_block", "general", None, "make_triple"),
+        ("intertwining_pair", "intertwining", cases.IntertwiningData, "from_intertwining"),
+        ("wilson_point", "calogero_moser", cases.CalogeroMoserData, "from_calogero_moser"),
+        ("two_soliton", "kdv_pair", cases.KdVPairData, "from_kdv_pair"),
+    ],
+)
+def test_each_kind_builds_through_the_table(monkeypatch, fixture, kind, data_class, builder):
+    # a kind's case data and triple come from its table entry, which looks
+    # its builder up on the module when called (so a tracer's wrapper sees it)
+    s = load_scenario(SCENARIOS / f"{fixture}.json")
+    assert s.kind == kind
+    data = s.case_data()
+    if data_class is None:
+        assert data is None
+    else:
+        assert type(data) is data_class
+        for name in set(s.matrices) & {"X", "Y", "Z"}:
+            assert np.array_equal(getattr(data, name), s.matrices[name])
+    module = triple_mod if data_class is None else cases
+    original, made = getattr(module, builder), []
+
+    def spy(*a, **k):
+        made.append((a, original(*a, **k)))
+        return made[-1][1]
+
+    monkeypatch.setattr(module, builder, spy)
+    tr = s.build_triple()
+    [(args, result)] = made
+    assert tr is result
+    if data_class is not None:
+        assert type(args[0]) is data_class
 
 
 def test_module_invocation():

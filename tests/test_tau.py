@@ -1161,3 +1161,45 @@ def test_shifted_determinants_keep_their_bits_with_a_copying_slogdet(monkeypatch
     slogdet = np.linalg.slogdet
     monkeypatch.setattr(np.linalg, "slogdet", lambda M: slogdet(np.array(M, order="C")))
     assert np.array_equal(got, values())
+
+
+# ---------------------------------------------------------------------------
+# integer arguments: powers, sites and derivative orders are never truncated
+# ---------------------------------------------------------------------------
+
+
+def test_non_integral_powers_sites_and_orders_raise():
+    # each used to be cut by int(): k = 1.5 gave k = 1, l = 1.7 gave l = 1,
+    # and orders (1.9, 0, 0) gave the first derivative
+    tr = random_admissible(2, 5, seed=3)
+    t = TimeVector([0.1, 0.05])
+    calls = [
+        (lambda: MiwaShiftList(((2.0, 1.5),)), "shift multiplicity k"),
+        (lambda: tau_miwa(tr, ((2.0, 1.5),), t), "shift multiplicity k"),
+        (lambda: tau_miwa(tr, ((2.0, math.inf),), t), "shift multiplicity k"),
+        (lambda: tau_discrete(tr, 1.7, 0, 0, 2.0, 3.0, 4.0, t=t), "l must"),
+        (lambda: tau_discrete(tr, 0, np.float64(-0.5), 0, 2.0, 3.0, 4.0, t=t), "m must"),
+        (lambda: TauEvaluator(tr, t).tau_discrete(0, 0, math.nan, 2.0, 3.0, 4.0), "n_index must"),
+        (lambda: log_tau_derivative(tr, t, (1.9, 0, 0)), "non-negative integers"),
+        (lambda: TauEvaluator(tr, t).log_derivatives([(1, 0.5, 0)]), "non-negative integers"),
+        (lambda: log_tau_derivative(tr, t, (math.inf, 0, 0)), "non-negative integers"),
+        (lambda: log_tau_derivative(tr, t, (1, math.nan, 0)), "non-negative integers"),
+    ]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_integral_floats_and_numpy_integers_are_integers():
+    tr = random_admissible(2, 5, seed=3)
+    t = TimeVector([0.1, 0.05])
+    shifts = ((2.0, 2), (-3.0, -1))
+    want = tau_miwa(tr, shifts, t)
+    for k1, k2 in ((2.0, -1.0), (np.int64(2), np.int32(-1)), (np.float64(2.0), -1)):
+        got = tau_miwa(tr, ((2.0, k1), (-3.0, k2)), t)
+        assert (got.log_magnitude, got.phase) == (want.log_magnitude, want.phase)
+        assert all(type(k) is int for _, k in MiwaShiftList(((2.0, k1), (-3.0, k2))).shifts)
+    want = tau_discrete(tr, 1, -1, 2, 2.0, 3.0, 4.0, t=t)
+    got = tau_discrete(tr, 1.0, np.int64(-1), np.float32(2.0), 2.0, 3.0, 4.0, t=t)
+    assert (got.log_magnitude, got.phase) == (want.log_magnitude, want.phase)
+    assert log_tau_derivative(tr, t, (2.0, np.int64(0), 0)) == log_tau_derivative(tr, t, (2, 0, 0))

@@ -229,6 +229,25 @@ def test_hbde_context_records_site():
     assert tuple(rep.context["site"]) == (1, 0, 1)
 
 
+@pytest.mark.parametrize("site", [{"l": 0.5}, {"m": 1.25}, {"n_index": -0.5}, {"l": float("nan")}])
+def test_hbde_rejects_a_non_integral_site(site):
+    # int() used to truncate: l = 0.5 reported and checked site [0, 0, 0]
+    tr = random_admissible(1, 4, seed=9)
+    name = next(iter(site))
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        hbde_residual(tr, TimeVector([0.1]), 1.5, 2.5, -1.5, **site)
+
+
+def test_hbde_takes_integral_floats_and_numpy_integers_as_sites():
+    tr = random_admissible(1, 4, seed=9)
+    t, c = TimeVector([0.1]), (1.5, 2.5, -1.5)
+    want = hbde_residual(tr, t, *c, l=1, m=0, n_index=-1)
+    for site in ((1.0, 0.0, -1.0), (np.int64(1), np.int32(0), np.int8(-1)), (np.float64(1), 0, -1)):
+        rep = hbde_residual(tr, t, *c, l=site[0], m=site[1], n_index=site[2])
+        assert rep.residual == want.residual and rep.context["site"] == [1, 0, -1]
+        assert all(type(k) is int for k in rep.context["site"])
+
+
 # ---------------------------------------------------------------------------
 # differential identity
 # ---------------------------------------------------------------------------
