@@ -118,9 +118,10 @@ def _psi_values(
     t (inner), None where tau(t) vanishes; k = 1 is psi, -1 the adjoint
     (checked, solved).
 
-    One ``slogdet`` takes det(A E0 C.T) = tau(t) e^(-n mu),
-    E0 = exp(g(B) - mu I), and per z det(A E0 F^k C.T) = a^(k n)
-    tau(t - k [1/z]) e^(-n mu), F = a I - s B = s (z I - B) (:func:`_split`).
+    One ``slogdet`` takes det(L C.T) = tau(t) e^(-scale), L the left factor
+    of the evaluator and scale its log factor, and per z det(L F^k C.T) =
+    a^(k n) tau(t - k [1/z]) e^(-scale), F = a I - s B = s (z I - B)
+    (:func:`_split`).
     F C.T takes z - B_ii before the exponential: K0 - K1 / z of the moment
     blocks would cancel the mode of an eigenvalue next to z after it. Each
     slice is its own product (n, N) @ (N, n): same bits in any stack. The
@@ -243,11 +244,12 @@ def _circle_taus(ev: TauEvaluator, r: float) -> Tuple[List[np.ndarray], np.ndarr
 
         (z I - B)^-1 = r^-1 (sum_{j<M} zeta^(M-1-j) b^j) (omega I - b^M)^-1.
 
-    Hence tau(t + [1/z]) = e^(n mu) zeta^n det S, with the n x n
+    Hence tau(t + [1/z]) = e^scale zeta^n det S, with the n x n
     combination S = sum_j zeta^(M-1-j) (s / r)^j K_j of the moment blocks
     K_j = X (B / s)^j C.T, s = ||B||_2 (r for B = 0), and
-    X = A exp(g(B) - mu I) (omega I - b^M)^-1, which acts on the left
-    factor because b commutes with the inverse. The two site factors X are
+    X = L (omega I - b^M)^-1, with L the evaluator's left factor and scale
+    its log factor (:func:`~kp_rankone.tau._left_factor`): the inverse acts
+    on L because b commutes with it and with exp(g(B)). The two site factors X are
     one stacked solve of two slices, the blocks one product with the
     triple's kept right blocks [C.T, ..., (B / s)^(2N-1) C.T], and the
     3N + 1 combinations take one ``slogdet``. No power r^M or B^j is
@@ -276,9 +278,9 @@ def _circle_taus(ev: TauEvaluator, r: float) -> Tuple[List[np.ndarray], np.ndarr
         weights = Z[:, ::-1] * (s / r) ** np.arange(M, dtype=np.float64)
         S.append((weights @ K[c, :M].reshape(M, n * n)).reshape(M, n, n))
     sign, logdet = _slogdet(np.concatenate(S))
-    n_mu = complex(n * ev.mu[0])
-    unit = sign * np.concatenate([Z[:, n] for Z in powers]) * cmath.exp(1j * n_mu.imag)
-    return powers, logdet + n_mu.real, unit
+    scale = complex(ev.scale[0])
+    unit = sign * np.concatenate([Z[:, n] for Z in powers]) * cmath.exp(1j * scale.imag)
+    return powers, logdet + scale.real, unit
 
 
 def polynomiality_check(

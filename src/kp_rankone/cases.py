@@ -30,7 +30,7 @@ from .errors import (
     GenerationError,
     InadmissibleTripleError,
 )
-from .matkernel import DEFAULT_RANK_TOL, as_cmatrix, numerical_rank
+from .matkernel import DEFAULT_RANK_TOL, _integral, as_cmatrix, numerical_rank
 from .triple import RankOneTriple, _frozen, make_triple
 
 __all__ = [
@@ -217,7 +217,7 @@ def random_intertwining(n: int, seed: int, *, max_resamples: int = 100) -> Inter
     Y is solved from Y = (X Z - a b.T) X^-1, so the defect is a b.T by
     construction; draws with ill-conditioned X are rejected.
     """
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_integral(seed, "seed"))
     for _ in range(max_resamples):
         X = _square(rng, n)
         Z = 0.8 * _square(rng, n)
@@ -251,7 +251,7 @@ def random_calogero_moser(
     well-conditioned G hides that structure without touching either
     invariant. Rejection sampling enforces the rank test and det(X) != 0.
     """
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_integral(seed, "seed"))
     for _ in range(max_resamples):
         z = (rng.random(n) - 0.5) * 4 + 1j * (rng.random(n) - 0.5) * 4
         if n > 1:
@@ -291,7 +291,7 @@ def random_kdv_pair(n: int, seed: int, *, max_resamples: int = 100) -> KdVPairDa
     eigenbasis of Z it is diagonal, and X = Q [C_ij / (ev_i + ev_j)] Q^-1
     with C = Q^-1 a b.T Q.
     """
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_integral(seed, "seed"))
     for _ in range(max_resamples):
         # eigenvalues with real part bounded away from zero
         ev = 0.4 + rng.random(n) + 1j * (rng.random(n) - 0.5)

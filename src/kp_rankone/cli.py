@@ -13,7 +13,10 @@ matrices, a base time vector and options::
 
 Complex numbers are serialized strictly as two-element arrays [re, im];
 matrices are row-major nested arrays with explicit dimensions. Grid
-ranges use the syntax start:end:count, inclusive at both endpoints.
+ranges use the syntax start:end:count, inclusive at both endpoints; a
+command takes only the grid flags it reads (--t1, --t2 and --t3 for
+tau-grid and u-grid, --t1 and --z for psi-grid), and any other grid flag
+is a usage error.
 
 One table, ``_KINDS``, holds what each kind reads and builds: its
 matrices, case data, triple and crosscheck. A :class:`Scenario` checks
@@ -598,6 +601,14 @@ _DISPATCH = {
     "crosscheck": _cmd_crosscheck,
 }
 
+# the grid flags of each command that reads any; a grid flag given to a
+# command that does not read it is a usage error (exit 2), not ignored
+_GRID_FLAGS = {
+    "tau-grid": ("t1", "t2", "t3"),
+    "u-grid": ("t1", "t2", "t3"),
+    "psi-grid": ("t1", "z"),
+}
+
 
 def run_command(command: str, scenario: Scenario, args, out_dir) -> int:
     """Execute one command against a scenario; returns the exit code.
@@ -630,7 +641,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--tol", type=float, default=None)
-        for axis in _GRID_NAMES:
+        for axis in _GRID_FLAGS.get(name, ()):
             p.add_argument(f"--{axis}", default=None, help=f"grid start:end:count for {axis}")
         p.add_argument("--K", type=int, default=None, help="time truncation override")
     return parser

@@ -96,6 +96,18 @@ def _finite_nonempty(arr: np.ndarray, name: str) -> np.ndarray:
     return arr
 
 
+def _integral(x, what: str) -> int:
+    """``x`` as an int: 2, 2.0 and numpy integers pass; 1.5, nan and inf
+    raise ValueError rather than being truncated."""
+    try:
+        k = int(x)
+    except (OverflowError, ValueError):
+        k = None
+    if k is None or k != x:
+        raise ValueError(f"{what} must be an integer, got {x!r}")
+    return k
+
+
 def _require_square(M: np.ndarray, name: str = "matrix") -> None:
     if M.shape[0] != M.shape[1]:
         raise DimensionError(f"{name} must be square, got shape {M.shape}")

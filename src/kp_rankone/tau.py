@@ -12,17 +12,18 @@ c^k (I - B/c)^k, so it is the Miwa tau times the scalar gauge
 does not.
 
 Every shifted tau here is an n x n determinant of the moment blocks
-K_j = A E B^j R, E = exp(g(B)), of :meth:`TauEvaluator.moment_blocks`:
-the site factor R = prod_j (c_j I - B)^k_j C.T (:func:`_site_factor`,
-negative powers as solves after :func:`_check_inverses`) applied to the
-triple's kept right blocks [C.T, B C.T, ...], then one product with the
-left factor. The factors commute with B, so nonnegative powers beyond R
-are n x n combinations of the K_j: plain, Miwa and discrete taus take K0,
-the bilinear check c_a K0 - K1 and c_a c_b K0 - (c_a + c_b) K1 + K2; the
-jets use the blocks of R = C.T. Every value, a point's or a grid's, is
-folded from its ``slogdet`` in Python floats as ScaledComplex folds it
-(:func:`_fold`, :meth:`TauEvaluator._shifted_taus`): a point is a stack
-of one, so a grid has the bits of its points.
+K_j = L B^j R of :meth:`TauEvaluator.moment_blocks`, with L the left
+factor of A exp(g(B)) (below) and R = prod_j (c_j I - B)^k_j C.T: the
+site factor (:func:`_site_factor`, negative powers as solves after
+:func:`_check_inverses`) applied to the triple's kept right blocks
+[C.T, B C.T, ...], then one product with L. The factors commute with B,
+so nonnegative powers beyond R are n x n combinations of the K_j: plain,
+Miwa and discrete taus take K0, the bilinear check c_a K0 - K1 and
+c_a c_b K0 - (c_a + c_b) K1 + K2; the jets use the blocks of R = C.T.
+Every value, a point's or a grid's, is folded from its ``slogdet`` in
+Python floats as ScaledComplex folds it (:func:`_fold`,
+:meth:`TauEvaluator._shifted_taus`): a point is a stack of one, so a grid
+has the bits of its points.
 
 Derivatives of log tau are exact. With M = A E C.T, E = exp(g(B)),
 every time derivative of M stays in closed form,
@@ -32,7 +33,7 @@ every time derivative of M stays in closed form,
 so M(t + s) = M (I + Y(s)) with Y(s) = sum_{a != 0} X_w(a) s^a / a! and
 X_j = M^-1 A B^j E C.T. Mixed derivatives of log tau are then read off
 the truncated series log det(I + Y) = sum_k (-1)^(k+1) tr(Y^k) / k;
-one exponential and one linear solve serve every requested order (see
+one left factor and one linear solve serve every requested order (see
 :meth:`TauEvaluator.jets`). The series for a tuple of multi-indices is a
 plan made once, on first use, and cached: the trace words
 tr(X_w1 ... X_wk), one per class of cyclic rotations, with their exact
@@ -43,32 +44,42 @@ sums the words; for u that is tr X_2 - tr X_1^2. The right blocks
 so the jets of a stack are one product with its left factor
 (:meth:`TauEvaluator.moment_blocks`), one ``slogdet`` and one ``solve``.
 
-One :class:`TauEvaluator` holds a stack of P base times, with g(B) formed
-by Horner on a (P, N, N) stack and one ``expm`` call (the stack is built
-here, so the exponential skips the input check that
-:func:`~kp_rankone.matkernel.expm_centered` makes); its moment blocks
-and jets serve the whole stack, and a single point is a stack of one.
-The factor A exp(g(B)) of a single base time is kept on the triple
-(:func:`_left_factor`), so checks made one after another at one base time
-share one exponential; the triple's arrays cannot be made writeable, so
-what it keeps cannot go stale. Everything kept goes through the triple's
-one memo, :meth:`~kp_rankone.triple.RankOneTriple._kept`.
+One :class:`TauEvaluator` holds a stack of P base times and one left
+factor for them all (:func:`_left_factor`), which spans the rows of
+A exp(g(B)) and comes with the complex log ``scale`` of what its
+determinants leave out. Where B = V diag(lam) V^-1 has a well conditioned
+eigenvector matrix (:func:`_eigenbasis`), no matrix is exponentiated:
+with L = A V, n pivot columns S of L and T = L_S^-1 L kept on the triple,
+the left factor is (T o e^(r - mu)) V^-1, r = g(lam) by Horner and
+mu = max Re r per time, and scale = n mu + log det L_S. Normalising by L_S
+keeps tau accurate where the weights e^r span many orders of magnitude
+(large times). Every other triple, defective or ill-conditioned B, takes
+A exp(g(B) - mu I) from one centred ``expm`` call of the Horner stack
+g(B) (the stack is built here, so the exponential skips the input check
+that :func:`~kp_rankone.matkernel.expm_centered` makes), with scale = n mu.
+Moment blocks and jets serve the whole stack, and a single point is a
+stack of one. The left factor of a single base time is kept on the
+triple, so checks made one after another at one base time share it; the
+triple's arrays cannot be made writeable, so what it keeps cannot go
+stale. Everything kept goes through the triple's one memo,
+:meth:`~kp_rankone.triple.RankOneTriple._kept`.
 
-:func:`tau_grid` and :func:`~kp_rankone.baker.psi_grid` take one direct
-stack per line of base times: one ``expm`` of P slices and one
-``slogdet``. :func:`u_field` steps instead, since t1 is the flow of B
-itself: exp(g(B)) at t1 + j h is exp(g(B)) exp(j h B), so a line of
-P >= 4 points in arithmetic progression takes an exponential only at
-every ceil(sqrt(P))-th point, and all lines of a grid share the offsets
-exp(j h B) (:func:`_u_line_evaluators`). The offsets depend only on the
-triple and the step, so the triple keeps those of its last step: a grid
-whose step it does not keep takes one exponential call of its offsets and
-one of its anchors, and a later grid with the same step, number of points
-and K exponentiates only its anchors. That serves repeated lines (one t1
-axis at several (t2, t3), call after call). Stepping would put an
-exact zero of tau (the Wilson point at t1 = -3) at a rounding-size
-number, which the tau and psi grids would not flag, while u flags any
-|tau| below ``POLE_REL_THRESHOLD`` times the grid maximum.
+:func:`tau_grid`, :func:`~kp_rankone.baker.psi_grid` and, for a triple
+with an eigenbasis, :func:`u_field` take one direct stack per line of
+base times and one ``slogdet``. For the other triples :func:`u_field`
+steps, since t1 is the flow of B itself: exp(g(B)) at t1 + j h is
+exp(g(B)) exp(j h B), so a line of P >= 4 points in arithmetic progression
+takes an exponential only at every ceil(sqrt(P))-th point, and all lines
+of a grid share the offsets exp(j h B) (:func:`_u_line_evaluators`). The
+offsets depend only on the triple and the step, so the triple keeps those
+of its last step: a grid whose step it does not keep takes one
+exponential call of its offsets and one of its anchors, and a later grid
+with the same step, number of points and K exponentiates only its
+anchors. That serves repeated lines (one t1 axis at several (t2, t3),
+call after call). Stepping would put an exact zero of tau (the Wilson
+point at t1 = -3) at a rounding-size number, which the tau and psi grids
+would not flag, while u flags any |tau| below ``POLE_REL_THRESHOLD`` times
+the grid maximum.
 """
 
 from __future__ import annotations
@@ -84,10 +95,12 @@ import numpy as np
 
 from .errors import PoleError, RangeError, SingularShiftError
 from .matkernel import (
+    DEFAULT_RANK_TOL,
     ScaledComplex,
     as_cmatrix,
     _expm_centered,
     _exp_polar,
+    _integral,
     det_scaled,  # noqa: F401  (the benchmark's tracer wraps tau.det_scaled)
     sign_phase,
     wrap_phase,
@@ -115,24 +128,22 @@ DEFAULT_TRUNCATION = 6
 #: the largest |tau| on the grid
 POLE_REL_THRESHOLD = 1e-10
 
+#: the left factor comes from the eigenbasis of B where the eigenvector
+#: matrix V has cond_1(V) at most this, else from ``expm`` (see
+#: :func:`_eigenbasis`). Set by a sweep of near-defective triples against
+#: mpmath: at desk scale the eigenbasis loses about eps cond_1(V) on tau
+#: and 5 eps cond_1(V) on u; at t1 = 10..20 it is the more accurate path
+#: on every triple swept below cond_1(V) ~ 1e3, on half of them above.
+#: Random triples up to (16, 48) stay below 7e2, Calogero-Moser triples
+#: (defective B) lie above 1e7
+_MAX_EIGENVECTOR_COND = 1e3
+
 TimesLike = Union["TimeVector", Sequence[complex]]
 ShiftsLike = Union["MiwaShiftList", Iterable[Tuple[complex, int]]]
 #: one shift set ((c_j, k_j), ...), read more than once
 ShiftSet = Sequence[Tuple[complex, int]]
 #: grid coordinates (t1, t2, t3); t2, t3 are None where the grid has no such axis
 GridCoords = Tuple[float, Optional[float], Optional[float]]
-
-
-def _integral(x, what: str) -> int:
-    """``x`` as an int: 2, 2.0 and numpy integers pass; 1.5, nan and inf
-    raise ValueError rather than being truncated."""
-    try:
-        k = int(x)
-    except (OverflowError, ValueError):
-        k = None
-    if k is None or k != x:
-        raise ValueError(f"{what} must be an integer, got {x!r}")
-    return k
 
 
 @dataclass(frozen=True, eq=False)
@@ -330,40 +341,127 @@ def _site_factor(tr: RankOneTriple, shifts: ShiftSet, right: np.ndarray) -> np.n
     return right
 
 
-def _left_factor(tr: RankOneTriple, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(mu, A exp(g(B) - mu I)) of a (P, K) time array, shapes (P,) and
-    (P, n, N), read-only, from one centred ``expm`` call. A single base time
-    (P = 1) is kept on the triple as ``"base_factor"``, keyed by the dtype,
-    shape and bytes of ``times``, in place of the last one. A stack of P > 1
-    times (a grid line, a psi grid) is not kept and leaves the kept one be:
-    it is rarely asked for twice, and would stay alive with the triple."""
+def _pivot_columns(L: np.ndarray) -> Optional[List[int]]:
+    """n columns of L (n, N) by Gram-Schmidt with column pivoting: each step
+    takes the column of largest norm once the chosen ones are projected
+    out, so L_S is as well conditioned as the greedy choice makes it. None
+    where L is numerically rank-deficient: a pivot's norm is at most
+    ``DEFAULT_RANK_TOL`` times the first (A = 0 included)."""
+    Q = np.array(L)
+    chosen: List[int] = []
+    first = 0.0
+    for _ in range(len(L)):
+        norms = (Q.real**2 + Q.imag**2).sum(axis=0)
+        norms[chosen] = -1.0
+        j = int(np.argmax(norms))
+        pivot = math.sqrt(norms[j])
+        first = first or pivot
+        if not pivot > DEFAULT_RANK_TOL * first:
+            return None
+        chosen.append(j)
+        q = Q[:, j] / pivot
+        Q -= np.outer(q, q.conj() @ Q)
+    return chosen
+
+
+def _eigenbasis(tr: RankOneTriple) -> tuple:
+    """(lam, T, V^-1, log det L_S) of B = V diag(lam) V^-1, or () where V is
+    singular, cond_1(V) = ||V||_1 ||V^-1||_1 exceeds
+    ``_MAX_EIGENVECTOR_COND`` or A V is numerically rank-deficient (then
+    tau vanishes, and the exponential path finds its exact zero); made on
+    the first evaluation of a triple, never while it is built, and kept as
+    ``"eigenbasis"``.
+
+    L = A V, S are n of its columns (:func:`_pivot_columns`) and T =
+    L_S^-1 L, with the identity in the columns S; log det L_S is a
+    complex 0-d array. The eigenvector method loses accuracy in
+    proportion to cond(V) (Moler & Van Loan, SIAM Rev. 45, 2003, method
+    14), hence the threshold. Normalising by L_S keeps the rows of the
+    left factor apart where the weights e^g(lam) span many orders of
+    magnitude: the plain L diag(e^g(lam)) V^-1 loses digits there.
+    """
 
     def make():
-        E0, mu = _expm_centered(_exponents(tr.B, times))
-        return mu, tr.A @ E0
+        try:
+            lam, V = np.linalg.eig(tr.B)
+            V_inv = np.linalg.inv(V)
+        except np.linalg.LinAlgError:  # eig did not converge, or V is singular
+            return ()
+        # Python floats: a product past double range is inf, with no warning
+        cond = float(np.linalg.norm(V, 1)) * float(np.linalg.norm(V_inv, 1))
+        if not cond <= _MAX_EIGENVECTOR_COND:
+            return ()
+        L = tr.A @ V
+        S = _pivot_columns(L)
+        if S is None:
+            return ()
+        T = np.linalg.solve(L[:, S], L)
+        T[:, S] = _identity(tr.n)
+        sign, logdet = np.linalg.slogdet(L[:, S])
+        log_det = np.array(complex(logdet, math.atan2(sign.imag, sign.real)))
+        return lam, T, V_inv, log_det
+
+    return tr._kept("eigenbasis", None, make)
+
+
+def _left_factor(tr: RankOneTriple, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(scale, left) of a (P, K) time array, shapes (P,) and (P, n, N),
+    read-only, with det(left R) e^scale = det(A exp(g(B)) R) for every
+    R (N, n); the rows of ``left`` span those of A exp(g(B)).
+
+    Where the triple has an eigenbasis (:func:`_eigenbasis`), r = g(lam)
+    by Horner on a (P, N) array, mu = max Re r per time, left =
+    (T o e^(r - mu)) V^-1 with the weights on the columns of T, and scale =
+    n mu + log det L_S: no exponential of a matrix. Else left =
+    A exp(g(B) - mu I) from one centred ``expm`` call and scale = n mu,
+    mu = tr g(B) / N.
+
+    A single base time (P = 1) is kept on the triple as ``"base_factor"``,
+    keyed by the dtype, shape and bytes of ``times``, in place of the last
+    one. A stack of P > 1 times (a grid line, a psi grid) is not kept and
+    leaves the kept one be: it is rarely asked for twice, and would stay
+    alive with the triple. Raises RangeError where g(lam) or the left
+    factor is not finite."""
+
+    def make():
+        basis = _eigenbasis(tr)
+        if not basis:
+            E0, mu = _expm_centered(_exponents(tr.B, times))
+            return tr.n * mu, tr.A @ E0
+        lam, T, V_inv, log_det = basis
+        r = np.zeros((len(times), len(lam)), dtype=np.complex128)
+        for t_i in times.T[::-1]:
+            r = lam * (t_i[:, None] + r)
+        if not np.isfinite(r).all():
+            raise RangeError("g(B) overflows double precision on the spectrum of B")
+        mu = r.real.max(axis=1)
+        left = (T * np.exp(r - mu[:, None])[:, None, :]) @ V_inv
+        return tr.n * mu + log_det, left
 
     if len(times) == 1:
         return tr._kept("base_factor", (times.dtype.str, times.shape, times.tobytes()), make)
-    mu, left = make()
-    mu.setflags(write=False)
+    scale, left = make()
+    scale.setflags(write=False)
     left.setflags(write=False)
-    return mu, left
+    return scale, left
 
 
 class TauEvaluator:
     """Tau values for one triple at P >= 1 base times: ``t`` is one time
     vector or an array (P, K).
 
-    g(B) is formed by Horner on a (P, N, N) stack and exponentiated by one
-    centred ``expm`` call, kept as A exp(g(B) - mu I) (``_left``, shape
-    (P, n, N)) and ``mu`` (P,), so huge tau magnitudes never leave the log
-    scale. :meth:`moment_blocks`, :meth:`jets` and :meth:`_shifted_taus`
-    serve the whole stack; :meth:`tau`, :meth:`tau_miwa` and
+    The left factor (``_left``, shape (P, n, N)) spans the rows of
+    A exp(g(B)), and ``scale`` (P,) is the complex log of what its
+    determinants leave out (:func:`_left_factor`): from the eigenbasis of
+    B where the triple has one, else from one centred ``expm`` call of the
+    Horner stack g(B). Huge tau magnitudes never leave the log scale.
+    :meth:`moment_blocks`, :meth:`jets` and :meth:`_shifted_taus` serve
+    the whole stack; :meth:`tau`, :meth:`tau_miwa` and
     :meth:`tau_discrete` give the value at the first base time.
 
-    A single-point evaluator (P = 1) takes ``mu`` and ``_left`` from the
+    A single-point evaluator (P = 1) takes ``scale`` and ``_left`` from the
     triple where one at the same time array made them (:func:`_left_factor`),
-    so every check at one base time shares one exponential; any other
+    so every check at one base time shares one left factor; any other
     times, even one ulp away or padded with zeros, compute afresh.
     """
 
@@ -371,20 +469,20 @@ class TauEvaluator:
         self.triple = tr
         stack = isinstance(t, np.ndarray) and t.ndim == 2
         times = t if stack else TimeVector.coerce(t).values[None, :]
-        self.mu, self._left = _left_factor(tr, times)
+        self.scale, self._left = _left_factor(tr, times)
 
     @classmethod
-    def _of_factor(cls, tr: RankOneTriple, mu: np.ndarray, left: np.ndarray) -> "TauEvaluator":
-        """An evaluator over a left factor A exp(g(B) - mu I) (P, n, N) and
-        its mu (P,) formed elsewhere; the triple's memo is not touched."""
+    def _of_factor(cls, tr: RankOneTriple, scale: np.ndarray, left: np.ndarray) -> "TauEvaluator":
+        """An evaluator over a left factor (P, n, N) and its scale (P,)
+        formed elsewhere; the triple's memo is not touched."""
         ev = cls.__new__(cls)
-        ev.triple, ev.mu, ev._left = tr, mu, left
+        ev.triple, ev.scale, ev._left = tr, scale, left
         return ev
 
     def moment_blocks(self, base: ShiftSet, degree: int) -> np.ndarray:
-        """The blocks A exp(g(B) - mu I) B^j R, j = 0 .. degree, side by side,
-        shape (P, n, (degree + 1) n), with R = prod_j (c_j I - B)^k_j C.T of
-        the shift set ``base`` ((c_j, k_j), ...).
+        """The blocks L B^j R, j = 0 .. degree, of the left factor L, side by
+        side, shape (P, n, (degree + 1) n), with R = prod_j (c_j I - B)^k_j C.T
+        of the shift set ``base`` ((c_j, k_j), ...).
 
         Every shifted tau whose set is ``base`` plus nonnegative powers is
         an n x n combination of these blocks: the factors commute with B,
@@ -414,15 +512,15 @@ class TauEvaluator:
         Wr = W[regular]
         derivs = np.full((len(W), len(wanted)), complex(math.nan, math.nan))
         derivs[regular] = _jet_series(np.linalg.solve(Wr[..., :n], Wr[..., n:]), plan)
-        return np.where(regular, logdet + n * self.mu.real, -math.inf), derivs
+        return np.where(regular, logdet + self.scale.real, -math.inf), derivs
 
     def _shifted_taus(self, shifts: ShiftSet, gauge: complex = 0j) -> List[ScaledComplex]:
         """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T) / e^gauge at every base
         time: one ``slogdet`` of :meth:`moment_blocks` ``(shifts, 0)``, each
-        slice folded as det e^(n mu) / e^gauge (:func:`_fold`)."""
+        slice folded as det e^scale / e^gauge (:func:`_fold`)."""
         sign, logdet = _slogdet(self.moment_blocks(shifts, 0))
-        slices = zip(logdet.tolist(), sign_phase(sign).tolist(), (self.triple.n * self.mu).tolist())
-        return [ScaledComplex(*_fold(lm, ph, n_mu, gauge)) for lm, ph, n_mu in slices]
+        slices = zip(logdet.tolist(), sign_phase(sign).tolist(), self.scale.tolist())
+        return [ScaledComplex(*_fold(lm, ph, scale, gauge)) for lm, ph, scale in slices]
 
     def tau(self) -> ScaledComplex:
         return self._shifted_taus(())[0]
@@ -740,20 +838,22 @@ def _anchor_layout(P: int) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.
 
 def _u_line_evaluators(tr: RankOneTriple, lines: List[np.ndarray]) -> Iterator[TauEvaluator]:
     """One evaluator per t1 line of a grid, whose lines share their t1
-    values, made as they are consumed: stepped from anchors where those
-    have a step (:func:`u_field`, :func:`_anchor_layout`), else one direct
-    stack per line. The offsets exp(j h B), j != 0, are g(B) of the times
-    (j h, 0, ...), each centred on its own mu, so a stepped point gets
-    mu_anchor + mu_j. All lines share them, and so do later calls: the
-    triple keeps the stack S of the last step as ``"step_offsets"``, keyed
-    by the shape and bytes of the step times, which fix h, s and K.
+    values, made as they are consumed: one direct stack per line where the
+    triple has an eigenbasis (:func:`_eigenbasis`) or the t1 values no
+    step, else stepped from anchors (:func:`u_field`,
+    :func:`_anchor_layout`). The offsets exp(j h B), j != 0, are g(B) of
+    the times (j h, 0, ...), each centred on its own mu, so a stepped point
+    gets mu_anchor + mu_j, and its scale n times that. All lines share
+    them, and so do later calls: the triple keeps the stack S of the last
+    step as ``"step_offsets"``, keyed by the shape and bytes of the step
+    times, which fix h, s and K.
 
     A step the triple does not keep takes one exponential call of its
     offsets; then the anchors take one call per group of lines that fits
     ``_ANCHOR_ENTRIES`` (one group but on large 3-D grids). Raises
     RangeError where a stepped left factor is not finite.
     """
-    h = _t1_step(lines[0][:, 0].real)
+    h = None if _eigenbasis(tr) else _t1_step(lines[0][:, 0].real)
     if h is None:
         yield from (TauEvaluator(tr, times) for times in lines)
         return
@@ -779,7 +879,7 @@ def _u_line_evaluators(tr: RankOneTriple, lines: List[np.ndarray]) -> Iterator[T
             left = left[block, slot]
             if not np.isfinite(left).all():
                 raise RangeError("a stepped left factor A exp(g(B) - mu I) overflows double precision")
-            yield TauEvaluator._of_factor(tr, mu_line[block] + mu_S[slot], left)
+            yield TauEvaluator._of_factor(tr, tr.n * (mu_line[block] + mu_S[slot]), left)
 
 
 def u_field(
@@ -794,9 +894,10 @@ def u_field(
     Grid coordinates overwrite t_1 (and t_2, t_3 when given) of ``base``.
     Each t1 line is one :class:`TauEvaluator` stack whose
     :meth:`~TauEvaluator.jets` give |tau| and u = 2 (tr X_2 - tr X_1^2).
-    Where the t1 values are an arithmetic progression of P >= 4 points,
-    every ceil(sqrt(P))-th point of a line is an anchor with its own
-    exponential, and the other points step from their anchor by offsets
+    A triple with an eigenbasis takes one direct stack per line. For the
+    others, where the t1 values are an arithmetic progression of P >= 4
+    points, every ceil(sqrt(P))-th point of a line is an anchor with its
+    own exponential, and the other points step from their anchor by offsets
     exp(j h B) that all lines share (see the module docstring). The grid's
     anchors take one exponential call (one per group of lines on large 3-D
     grids), and its offsets one more unless the triple keeps them from an

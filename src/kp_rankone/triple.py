@@ -28,7 +28,7 @@ from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 import numpy as np
 
 from .errors import DimensionError, GenerationError, InadmissibleTripleError
-from .matkernel import DEFAULT_RANK_TOL, as_cmatrix, singular_value_rank, spectral_norm
+from .matkernel import DEFAULT_RANK_TOL, _integral, as_cmatrix, singular_value_rank, spectral_norm
 
 __all__ = [
     "RankOneTriple",
@@ -54,11 +54,13 @@ class RankOneTriple:
     anyone make writeable again, so whatever is derived from them once
     stays valid: ||B||_2 and the eigenvalues of B are computed on first
     use and kept, and so is what :mod:`kp_rankone.tau` reuses, each under
-    one name in one memo (:meth:`_kept`): the factor A exp(g(B)) of the
-    last single base time, the right blocks [C.T, b C.T, ..., b^w C.T] of
-    b = B / s per weight w and scale s, and the step offsets exp(j h B) of
-    the last stepped t1 line. Copies and pickles are rebuilt through the
-    constructor and start empty.
+    one name in one memo (:meth:`_kept`): the eigenbasis of B that its
+    left factors come from, or () where B falls back to the exponential;
+    the left factor of A exp(g(B)) of the last single base time; the right
+    blocks [C.T, b C.T, ..., b^w C.T] of b = B / s per weight w and scale
+    s; and, for a triple without an eigenbasis, the step offsets
+    exp(j h B) of the last stepped t1 line. Copies and pickles are rebuilt
+    through the constructor and start empty.
 
     Use :func:`validate_triple` (or :func:`make_triple`) for the
     admissibility test itself.
@@ -223,10 +225,12 @@ def random_admissible(
     Randomness comes from ``numpy.random.default_rng(seed)`` (the PCG64
     generator), so a given seed reproduces the same triple bit for bit
     for a given numpy/LAPACK build (B passes through an SVD and ``pinv``).
+    A seed that is not an integer (1.5, nan) raises ValueError; 2.0 and
+    numpy integers are the seed 2.
     """
     if not (1 <= n < N):
         raise DimensionError(f"need 1 <= n < N, got n={n}, N={N}")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(_integral(seed, "seed"))
     for _ in range(int(max_resamples)):
         A = _unit_square(rng, n, N)
         C = _unit_square(rng, n, N)

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .matkernel import (
     DEFAULT_RANK_TOL,
+    _integral,
     _log_polar,
     as_cmatrix,
     det_scaled,
@@ -40,7 +41,7 @@ from .matkernel import (
     wrap_phase,
     ScaledComplex,
 )
-from .tau import TauEvaluator, TimeVector, TimesLike, _fold, _integral, _slogdet, tau
+from .tau import TauEvaluator, TimeVector, TimesLike, _fold, _slogdet, tau
 from .triple import RankOneTriple
 
 __all__ = [
@@ -130,10 +131,10 @@ def _hbde_taus(
     A step in c_a, or in c_a and c_b, multiplies the site factor
     R = prod_j (c_j I - B)^site_j C.T by c_a I - B, or by
     (c_a I - B)(c_b I - B), so its determinant is that of an n x n
-    combination of the three moment blocks K_j = A exp(g(B) - mu I) B^j R
-    (:meth:`TauEvaluator.moment_blocks`): c_a K0 - K1, or
+    combination of the three moment blocks K_j = L B^j R of the left factor
+    L (:meth:`TauEvaluator.moment_blocks`): c_a K0 - K1, or
     c_a c_b K0 - (c_a + c_b) K1 + K2. The six combinations are one stacked
-    product and take one ``slogdet``. n mu and the gauge
+    product and take one ``slogdet``. The evaluator's scale and the gauge
     (prod_j c_j^k_j)^n are then folded in (:func:`~kp_rankone.tau._fold`).
     """
     ev = TauEvaluator(tr, t)
@@ -154,10 +155,10 @@ def _hbde_taus(
             gauges.append(site_gauge + n_logs[a] + n_logs[b])
     M = np.array(weights, dtype=np.complex128).reshape(6, 3) @ K
     signs, logdets = _slogdet(M.swapaxes(0, 1))
-    n_mu = complex(n * ev.mu[0])
-    # each determinant's phase in (-pi, pi], then det e^(n mu) / e^gauge
+    scale = complex(ev.scale[0])
+    # each determinant's phase in (-pi, pi], then det e^scale / e^gauge
     return [
-        _fold(logdet, wrap_phase(math.atan2(sign.imag, sign.real)), n_mu, g)
+        _fold(logdet, wrap_phase(math.atan2(sign.imag, sign.real)), scale, g)
         for sign, logdet, g in zip(signs.tolist(), logdets.tolist(), gauges)
     ]
 

@@ -1,5 +1,4 @@
-"""Shared fixtures, eigenbasis and mpmath oracles and the acceptance
-summary printer."""
+"""Shared fixtures, mpmath oracles and the acceptance summary printer."""
 
 import math
 
@@ -9,48 +8,6 @@ import numpy as np
 from kp_rankone.matkernel import ScaledComplex
 
 ACCEPTANCE_LINES = []
-
-
-def _eigen_blocks(tr):
-    """(A V, V^-1 C.T, eig(B)) for a diagonalizable B = V diag(eig) V^-1."""
-    lam, V = np.linalg.eig(tr.B)
-    return tr.A @ V, np.linalg.solve(V, tr.C.T), lam
-
-
-def discrete_tau_by_eigenbasis(tr, t, shifts) -> complex:
-    """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T) for ``shifts`` ((c, k), ...),
-    with every factor a diagonal in the eigenbasis of B.
-
-    An oracle for the shifted-determinant path that shares no code with
-    it or with the library's exponential. Accurate while B is
-    diagonalizable with a modest eigenvector condition number.
-    """
-    L, R, lam = _eigen_blocks(tr)
-    d = np.exp(sum(t_i * lam ** (i + 1) for i, t_i in enumerate(t.values)))
-    for c, k in shifts:
-        d = d * (c - lam) ** k
-    return complex(np.linalg.det(L * d @ R))
-
-
-def psi_stationary_by_eigenbasis(tr, x: complex, z: complex) -> complex:
-    """The stationary formula det(A e^{xB} (z I - B) C.T) / (z^n det(A e^{xB} C.T)) e^{xz},
-    written directly in the eigenbasis of B (same accuracy caveat as above)."""
-    L, R, lam = _eigen_blocks(tr)
-    e = np.exp(x * lam)
-    num = np.linalg.det(L * (e * (z - lam)) @ R)
-    den = np.linalg.det(L * e @ R)
-    return complex(num / (z ** tr.n * den) * np.exp(x * z))
-
-
-def u_by_eigenbasis(tr, t) -> complex:
-    """u = 2 d^2/dt_1^2 log tau = 2 (tr(M^-1 M'') - tr((M^-1 M')^2)) with
-    M = A exp(g(B)) C.T, M' = A B exp(g(B)) C.T and M'' = A B^2 exp(g(B)) C.T,
-    written in the eigenbasis of B (same accuracy caveat as above)."""
-    L, R, lam = _eigen_blocks(tr)
-    d = np.exp(sum(t_i * lam ** (i + 1) for i, t_i in enumerate(t.values)))
-    M, M1, M2 = (L * (d * lam ** j) @ R for j in range(3))
-    X1, X2 = np.linalg.solve(M, M1), np.linalg.solve(M, M2)
-    return complex(2.0 * (np.trace(X2) - np.trace(X1 @ X1)))
 
 
 def det_scaled_copying(M):
@@ -136,6 +93,20 @@ def mp_shifted_tau(tr, t, shifts, dps=40):
             for _ in range(abs(k)):
                 R = mp_solve(F, R) if k < 0 else F * R
         return complex(mp.det(mp.matrix(tr.A.tolist()) * R))
+
+
+def mp_u(tr, t, dps=40) -> complex:
+    """u = 2 d^2/dt_1^2 log tau = 2 (tr(M^-1 M'') - tr((M^-1 M')^2)) at
+    ``dps`` digits, with M = A R, M' = A B R and M'' = A B^2 R for
+    R = :func:`mp_exp_right`."""
+    with mp.workdps(dps):
+        A, B = mp.matrix(tr.A.tolist()), mp.matrix(tr.B.tolist())
+        R = mp_exp_right(tr, t, dps)
+        BR = B * R
+        inv = mp.inverse(A * R)
+        X1, X2 = inv * (A * BR), inv * (A * (B * BR))
+        X11 = X1 * X1
+        return complex(2 * mp.fsum(X2[i, i] - X11[i, i] for i in range(tr.n)))
 
 
 def mp_psi(tr, t, z, k=1, dps=40, exponential=True):

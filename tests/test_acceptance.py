@@ -12,11 +12,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (
-    discrete_tau_by_eigenbasis,
-    psi_stationary_by_eigenbasis,
-    record_criterion,
-)
+import mpmath as mp
+
+from conftest import mp_exp_right, mp_rel_error, mp_shifted_tau, record_criterion
 
 from kp_rankone.baker import polynomiality_check, psi_stationary, psi_time
 from kp_rankone.cases import (
@@ -28,7 +26,7 @@ from kp_rankone.cases import (
     random_intertwining,
 )
 from kp_rankone.cli import main as cli_main
-from kp_rankone.matkernel import ScaledComplex, rel_difference
+from kp_rankone.matkernel import ScaledComplex
 from kp_rankone.tau import MiwaShiftList, TauEvaluator, TimeVector, log_tau_derivative
 from kp_rankone.triple import RankOneTriple, random_admissible
 from kp_rankone.verify import (
@@ -122,23 +120,22 @@ def test_criterion_02_rank_two_perturbation_detected():
 
 
 def test_criterion_03_discrete_gauge_link(population):
-    # both taus against det(A e^{g(B)} prod (c I - B)^k C^T) formed in the
-    # eigenbasis of B, which shares no code with the shifted-determinant path
+    # both taus against det(A e^{g(B)} prod (c I - B)^k C^T) at 40 digits
     worst = 0.0
     for tr, t, (c1, c2, c3) in population:
         ev = TauEvaluator(tr, t)
         for l, m, nn in [(1, 0, 0), (0, 1, 1), (1, 1, 1)]:
             shifts = ((c1, l), (c2, m), (c3, nn))
-            want = ScaledComplex.from_complex(discrete_tau_by_eigenbasis(tr, t, shifts))
+            want = mp.mpc(mp_shifted_tau(tr, t, shifts))
             td = ev.tau_discrete(l, m, nn, c1, c2, c3)
             tm = ev.tau_miwa(MiwaShiftList(shifts))
             gauge = ScaledComplex.from_complex(c1**l * c2**m * c3**nn) ** tr.n
-            worst = max(worst, rel_difference(td, want), rel_difference(gauge * tm, want))
+            worst = max(worst, mp_rel_error(td, want), mp_rel_error(gauge * tm, want))
     ok = worst < 1e-10
     record_criterion(
         "03 lattice-gauge-link",
         ok,
-        f"max_rel_difference={worst:.3e} against the eigenbasis determinant (tol 1e-10)",
+        f"max_rel_difference={worst:.3e} against the 40-digit determinant (tol 1e-10)",
     )
     assert worst < 1e-10
 
@@ -284,14 +281,20 @@ def test_criterion_10_wave_function_consistency(population):
         xs = np.linspace(-0.5, 0.5, 10)
         zs = zr * np.exp(2j * np.pi * (np.arange(10) + 0.13) / 10)
         for x in xs:
-            for z in zs:
-                # both routes against the stationary formula in the eigenbasis of B
-                want = ScaledComplex.from_complex(
-                    psi_stationary_by_eigenbasis(tr, complex(x), complex(z))
-                )
-                a = psi_time(tr, TimeVector([complex(x)]), complex(z))
-                b = psi_stationary(tr, complex(x), complex(z))
-                worst = max(worst, rel_difference(a.value, want), rel_difference(b.value, want))
+            # both routes against the stationary formula at 40 digits,
+            # det(K0 - K1 / z) / det(K0) e^{xz} with K_j = A B^j e^{xB} C^T
+            t_x = TimeVector([complex(x)])
+            with mp.workdps(40):
+                A, B = mp.matrix(tr.A.tolist()), mp.matrix(tr.B.tolist())
+                R = mp_exp_right(tr, t_x)
+                K0, K1 = A * R, A * (B * R)
+                det0 = mp.det(K0)
+                for z in zs:
+                    zm = mp.mpc(complex(z))
+                    want = mp.det(K0 - K1 / zm) / det0 * mp.exp(mp.mpf(float(x)) * zm)
+                    a = psi_time(tr, t_x, complex(z))
+                    b = psi_stationary(tr, complex(x), complex(z))
+                    worst = max(worst, mp_rel_error(a.value, want), mp_rel_error(b.value, want))
     # large-|z| normalization on the first triple
     tr0 = sub[0][0]
     norm_worst = 0.0
@@ -303,7 +306,7 @@ def test_criterion_10_wave_function_consistency(population):
     record_criterion(
         "10 wave-function-consistency",
         ok,
-        f"max_rel_difference={worst:.3e} against the stationary formula on "
+        f"max_rel_difference={worst:.3e} against the 40-digit stationary formula on "
         f"{len(sub)}x100 grid points (tol 1e-12); "
         f"normalization err={norm_worst:.2e} at |z|=1e6 (tol 1e-5)",
     )

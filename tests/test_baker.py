@@ -12,7 +12,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import mp_psi, mp_rel_error, mp_shifted_tau, psi_stationary_by_eigenbasis
+from conftest import mp_psi, mp_rel_error, mp_shifted_tau
 from kp_rankone.baker import (
     BASample,
     _circle_taus,
@@ -34,7 +34,7 @@ from kp_rankone.cases import (
 from kp_rankone.cli import load_scenario
 from kp_rankone.errors import GeometryError, PoleError, SingularShiftError
 from kp_rankone.matkernel import ScaledComplex, rel_difference
-from kp_rankone.tau import TauEvaluator, TimeVector, tau, tau_discrete, tau_miwa
+from kp_rankone.tau import TauEvaluator, TimeVector, _eigenbasis, tau, tau_discrete, tau_miwa
 from kp_rankone.triple import RankOneTriple, make_triple, random_admissible, validate_triple
 from kp_rankone.verify import hbde_residual
 
@@ -94,18 +94,17 @@ def test_psi_dual_frozen_rational_point():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_time_route_matches_stationary_route(seed):
-    # both routes against the stationary determinant formula, written in
-    # the eigenbasis of B (no shared code with the library's psi path)
+    # both routes against the wave function at t = (x,) at 40 digits
     tr = random_admissible(2 + seed % 2, 5 + seed % 4, seed=seed)
     rng = np.random.default_rng(1000 + seed)
     for _ in range(5):
         x = complex(rng.uniform(-1, 1), rng.uniform(-0.3, 0.3))
         z = complex(rng.uniform(1.5, 3.0), rng.uniform(-1.0, 1.0))
-        want = ScaledComplex.from_complex(psi_stationary_by_eigenbasis(tr, x, z))
+        want = mp_psi(tr, TimeVector([x]), z)
         a = psi_time(tr, TimeVector([x]), z)
         b = psi_stationary(tr, x, z)
-        assert rel_difference(a.value, want) < 1e-12, (seed, x, z)
-        assert rel_difference(b.value, want) < 1e-12, (seed, x, z)
+        assert mp_rel_error(a.value, want) < 1e-12, (seed, x, z)
+        assert mp_rel_error(b.value, want) < 1e-12, (seed, x, z)
 
 
 def test_psi_large_z_normalization(scalar_triple):
@@ -272,6 +271,9 @@ def _linalg_calls(monkeypatch) -> dict:
 def test_psi_point_functions_take_one_slogdet(monkeypatch):
     tr = random_admissible(4, 12, seed=2)
     t = TimeVector([0.3, -0.1, 0.05])
+    # the eigenbasis, made once on a triple's first evaluation (one solve
+    # and one slogdet of L_S), is not counted
+    assert _eigenbasis(tr)
     calls = _linalg_calls(monkeypatch)
     psi_time(tr, t, 2.5 - 0.5j)
     assert calls == {"solve": 0, "slogdet": 1}
@@ -284,6 +286,7 @@ def test_psi_point_functions_take_one_slogdet(monkeypatch):
 
 def test_psi_grid_takes_one_slogdet_and_no_solve(monkeypatch):
     tr = random_admissible(4, 12, seed=2)
+    assert _eigenbasis(tr)  # made once per triple, not counted (see above)
     calls = _linalg_calls(monkeypatch)
     samples = psi_grid(tr, np.linspace(-2.0, 2.0, 7), [2.5, 0.5j, -1.2 + 3.0j, 0.3, -4.0])
     assert len(samples) == 35

@@ -26,7 +26,7 @@ from kp_rankone.errors import (
     InadmissibleTripleError,
 )
 from kp_rankone.tau import TimeVector, tau
-from kp_rankone.triple import validate_triple
+from kp_rankone.triple import random_admissible, validate_triple
 
 
 # ---------------------------------------------------------------------------
@@ -226,3 +226,28 @@ def test_data_dimension_validation():
         CalogeroMoserData(np.eye(2), np.eye(3))
     with pytest.raises(DimensionError):
         KdVPairData(np.ones((2, 3)), np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda seed: random_admissible(2, 6, seed=seed),
+        lambda seed: random_intertwining(2, seed=seed),
+        lambda seed: random_calogero_moser(2, seed=seed),
+        lambda seed: random_kdv_pair(2, seed=seed),
+    ],
+    ids=["admissible", "intertwining", "calogero-moser", "kdv-pair"],
+)
+def test_generators_refuse_a_non_integral_seed(generate):
+    # int() used to truncate: seed 1.5 gave the draw of seed 1
+    for seed in (1.5, np.float64(2.5), float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            generate(seed)
+
+    def arrays(x):
+        names = ("A", "B", "C", "X", "Y", "Z")
+        return [getattr(x, k).tobytes() for k in names if hasattr(x, k)]
+
+    want = arrays(generate(2))
+    for seed in (2.0, np.int64(2), np.float32(2.0)):
+        assert arrays(generate(seed)) == want

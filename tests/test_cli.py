@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import psi_stationary_by_eigenbasis
+from conftest import mp_psi
 from kp_rankone import cases, triple as triple_mod
 from kp_rankone.cli import Scenario, load_scenario, main, run_command, save_scenario
 from kp_rankone.errors import ScenarioError
+from kp_rankone.tau import TimeVector
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -249,7 +250,7 @@ def test_psi_grid_matches_stationary_formula(tmp_path):
         (x, z) for z in np.linspace(2, 4, 5) for x in np.linspace(-1, 1, 11)
     ]
     for x, z, re, im, lm, pole in rows:
-        want = psi_stationary_by_eigenbasis(tr, float(x), float(z))
+        want = complex(mp_psi(tr, TimeVector([float(x)]), float(z)))
         assert pole == "0"
         assert abs(complex(float(re), float(im)) - want) <= 1e-12 * abs(want), (x, z)
         assert float(lm) == pytest.approx(math.log(abs(want)), abs=1e-12)
@@ -283,6 +284,33 @@ def test_nonfinite_grid_range_exits_2(tmp_path, capsys, command, flag):
     rc = main([command, str(SCENARIOS / "one_soliton.json"), "--out", str(out), flag])
     assert rc == 2
     assert f"{flag.split('=')[0]}: start and end must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("tau-grid", "--z=1.5:3:4"),
+        ("u-grid", "--z=1.5:3:4"),
+        ("psi-grid", "--t2=0:1:3"),
+        ("psi-grid", "--t3=0:1:3"),
+        ("verify-hbde", "--t1=0:1:3"),
+        ("verify-kp", "--t2=0:1:3"),
+        ("verify-h3", "--t3=0:1:3"),
+        ("validate", "--z=2:4:5"),
+        ("spectral", "--t1=0:1:3"),
+        ("crosscheck", "--z=2:4:5"),
+        ("bethe", "--t1=0:1:3"),
+    ],
+)
+def test_grid_flag_a_command_does_not_read_exits_2(tmp_path, capsys, command, flag):
+    # each used to be ignored, with exit 0 and the default grid
+    fixture = "wilson_point" if command == "bethe" else "two_soliton"
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, str(SCENARIOS / f"{fixture}.json"), "--out", str(out), flag])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not out.exists()
 
 

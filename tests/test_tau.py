@@ -8,27 +8,33 @@ them to near machine precision.
 import importlib
 import math
 import warnings
+from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import discrete_tau_by_eigenbasis, u_by_eigenbasis
+from conftest import mp_rel_error, mp_shifted_tau, mp_u
 from kp_rankone import matkernel
 from kp_rankone.baker import polynomiality_check, psi_dual, psi_grid, psi_stationary, psi_time
 from kp_rankone.cases import (
     CalogeroMoserData,
+    IntertwiningData,
     KdVPairData,
     from_calogero_moser,
+    from_intertwining,
     from_kdv_pair,
     random_calogero_moser,
     random_kdv_pair,
 )
+from kp_rankone.cli import load_scenario
 from kp_rankone.errors import DimensionError, PoleError, SingularShiftError
 from kp_rankone.matkernel import ScaledComplex, det_scaled, rel_difference, wrap_phase
 from kp_rankone.tau import (
     MiwaShiftList,
     TauEvaluator,
     TimeVector,
+    _eigenbasis,
     log_tau_derivative,
     tau,
     tau_discrete,
@@ -239,10 +245,10 @@ def _stack_taus(ev, shifts) -> list:
     """det(A exp(g(B)) prod_j (c_j I - B)^k_j C.T) at every base time of
     ``ev``, from its moment blocks of degree 0, as ScaledComplex values."""
     dets = det_scaled(ev.moment_blocks(shifts, 0))
-    return [d * ScaledComplex.exp_of(ev.triple.n * mu) for d, mu in zip(dets, ev.mu.tolist())]
+    return [d * ScaledComplex.exp_of(scale) for d, scale in zip(dets, ev.scale.tolist())]
 
 
-def test_moment_blocks_stack_matches_eigenbasis_oracle():
+def test_moment_blocks_stack_matches_mpmath():
     tr = random_admissible(3, 8, seed=4)
     times = np.array([[0.3, -0.1, 0.05], [-0.4 + 0.2j, 0.2, 0.0], [0.1, 0.0, -0.2j]])
     c1, c2 = 2.1 - 0.4j, -1.6 + 1.1j
@@ -257,8 +263,7 @@ def test_moment_blocks_stack_matches_eigenbasis_oracle():
     for shifts in sets:
         assert ev.moment_blocks(shifts, 0).shape == (len(times), tr.n, tr.n)
         for t, got in zip(times, _stack_taus(ev, shifts)):
-            want = discrete_tau_by_eigenbasis(tr, TimeVector(t), shifts)
-            assert rel_difference(got, ScaledComplex.from_complex(want)) <= 1e-12, shifts
+            assert mp_rel_error(got, mp_shifted_tau(tr, TimeVector(t), shifts)) <= 1e-12, shifts
 
 
 def test_inverse_guard_norm_certificate_skips_shift_svd(monkeypatch):
@@ -271,8 +276,7 @@ def test_inverse_guard_norm_certificate_skips_shift_svd(monkeypatch):
     for l, m in ((-1, 0), (-2, 1)):
         got = tau_discrete(tr, l, m, 0, c, other, 3.0, t=t)
         assert shapes == [(tr.N, tr.N)]
-        want = discrete_tau_by_eigenbasis(tr, t, ((c, l), (other, m)))
-        assert rel_difference(got, ScaledComplex.from_complex(want)) <= 1e-12
+        assert mp_rel_error(got, mp_shifted_tau(tr, t, ((c, l), (other, m)))) <= 1e-12
     # the triple keeps ||B||_2: a call at another time takes no SVD
     tau_miwa(tr, ((c, -2), (other, 1)), TimeVector([0.5]))
     psi_dual(tr, TimeVector([0.5]), c)
@@ -333,13 +337,19 @@ def test_zero_shift_parameter_is_the_factor_minus_b(k):
     tr = random_admissible(2, 6, seed=8)
     t = TimeVector([0.2, -0.1])
     got = tau_discrete(tr, k, 0, 0, 0.0, 2.0, 3.0, t=t)
-    want = discrete_tau_by_eigenbasis(tr, t, ((0.0, k),))
-    assert rel_difference(got, ScaledComplex.from_complex(want)) <= 1e-12
+    assert mp_rel_error(got, mp_shifted_tau(tr, t, ((0.0, k),))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
 # the per-triple memo of the base-time factor A exp(g(B))
 # ---------------------------------------------------------------------------
+
+
+def _expm_triple(seed: int, n: int = 3):
+    """A Calogero-Moser triple, N = 2n: B = [[Z, 0], [I, Z]] is defective,
+    so it has no eigenbasis; its left factors come from ``expm`` and its
+    u lines step from anchors."""
+    return from_calogero_moser(random_calogero_moser(n, seed=seed))
 
 
 def _expm_calls(monkeypatch) -> list:
@@ -356,7 +366,7 @@ def _expm_calls(monkeypatch) -> list:
 
 
 def test_checks_at_one_base_time_share_one_exponential(monkeypatch):
-    tr = random_admissible(2, 6, seed=11)
+    tr = _expm_triple(11)
     t = TimeVector([0.3 - 0.1j, 0.2, -0.05])
     rng = np.random.default_rng(0)
     calls = _expm_calls(monkeypatch)
@@ -374,7 +384,7 @@ def test_checks_at_one_base_time_share_one_exponential(monkeypatch):
 
 
 def test_memo_misses_on_other_times_and_triples(monkeypatch):
-    tr = random_admissible(2, 6, seed=12)
+    tr = _expm_triple(12)
     t = TimeVector([0.4, -0.2, 0.1])
     calls = _expm_calls(monkeypatch)
     tau(tr, t)
@@ -395,26 +405,27 @@ def test_memo_misses_on_other_times_and_triples(monkeypatch):
 
 
 def test_memo_hit_is_bit_identical_to_a_miss():
+    # on both paths: an eigenbasis triple and an expm one
     t = TimeVector([0.7 - 0.2j, 0.1, 0.3j, -0.05])
-    cold = random_admissible(4, 12, seed=13)
-    warm = random_admissible(4, 12, seed=13)
-    first = TauEvaluator(warm, t)
-    hit = TauEvaluator(warm, t)
-    miss = TauEvaluator(cold, t)
-    assert hit._left is first._left and hit.mu is first.mu
-    assert miss._left is not hit._left
-    assert hit._left.tobytes() == miss._left.tobytes()
-    assert hit.mu.tobytes() == miss.mu.tobytes()
-    shifts = ((2.0, 1), (-2.5, -1))
-    assert hit.moment_blocks(shifts, 2).tobytes() == miss.moment_blocks(shifts, 2).tobytes()
-    assert hit.tau_miwa(shifts) == miss.tau_miwa(shifts)
-    assert np.array_equal(hit.jets([(2, 0, 0)])[1], miss.jets([(2, 0, 0)])[1])
+    for make in (lambda: random_admissible(4, 12, seed=13), lambda: _expm_triple(13)):
+        cold, warm = make(), make()
+        first = TauEvaluator(warm, t)
+        hit = TauEvaluator(warm, t)
+        miss = TauEvaluator(cold, t)
+        assert hit._left is first._left and hit.scale is first.scale
+        assert miss._left is not hit._left
+        assert hit._left.tobytes() == miss._left.tobytes()
+        assert hit.scale.tobytes() == miss.scale.tobytes()
+        shifts = ((2.0, 1), (-2.5, -1))
+        assert hit.moment_blocks(shifts, 2).tobytes() == miss.moment_blocks(shifts, 2).tobytes()
+        assert hit.tau_miwa(shifts) == miss.tau_miwa(shifts)
+        assert np.array_equal(hit.jets([(2, 0, 0)])[1], miss.jets([(2, 0, 0)])[1])
 
 
 def test_grid_stacks_leave_the_single_point_memo_alone(monkeypatch):
     # a stack of P > 1 times neither reads nor replaces the kept factor, so
     # a check at the memoized time after a grid takes no exponential
-    tr = random_admissible(2, 6, seed=15)
+    tr = _expm_triple(15)
     t = TimeVector([0.2, -0.1, 0.05])
     tau(tr, t)
     memo = tr._memo["base_factor"]
@@ -438,15 +449,21 @@ def _kept_arrays(tr, name: str) -> tuple:
     return value if isinstance(value, tuple) else (value,)
 
 
-@pytest.mark.parametrize("name", ["base_factor", "right_blocks", "step_offsets"])
+@pytest.mark.parametrize("name", ["base_factor", "right_blocks", "step_offsets", "eigenbasis"])
 def test_kept_arrays_are_read_only(name):
-    tr = random_admissible(2, 6, seed=46)
+    # only a triple without an eigenbasis steps its u lines
+    tr = _expm_triple(46) if name == "step_offsets" else random_admissible(2, 6, seed=46)
     ev = TauEvaluator(tr, TimeVector([0.1, 0.2]))
     ev.jets([(2, 0, 0)])
     u_field(tr, np.linspace(-1.0, 1.0, 9))
     arrays = _kept_arrays(tr, name)
     if name == "base_factor":
-        assert arrays[0] is ev.mu and arrays[1] is ev._left
+        assert arrays[0] is ev.scale and arrays[1] is ev._left
+    elif name == "eigenbasis":
+        lam, T, V_inv, log_det = arrays
+        assert T.shape == (tr.n, tr.N) and V_inv.shape == (tr.N, tr.N) and log_det.shape == ()
+        # the rows of V^-1 are left eigenvectors of B
+        assert np.abs(V_inv @ tr.B - lam[:, None] * V_inv).max() <= 1e-13 * np.abs(V_inv).max()
     elif name == "right_blocks":
         BC = tr.B @ tr.C.T
         assert arrays[0].tobytes() == np.hstack([tr.C.T, BC, tr.B @ BC]).tobytes()
@@ -751,13 +768,18 @@ def test_jet_plan_matches_the_power_series(n, P, real):
 @pytest.mark.parametrize("P", [2, 12, 41])
 @pytest.mark.parametrize(
     "make",
-    [lambda: random_admissible(1, 4, seed=51), lambda: random_admissible(8, 24, seed=52)],
-    ids=["1x4", "8x24"],
+    [
+        lambda: random_admissible(1, 4, seed=51),
+        lambda: random_admissible(8, 24, seed=52),
+        lambda: _expm_triple(53),
+    ],
+    ids=["1x4", "8x24", "calogero-moser"],
 )
 def test_stack_slices_are_bit_identical_to_single_points(make, P):
-    # slice k of a P-stack is what the single point t_k gives alone: mu,
-    # the left factor A exp(g(B) - mu I), and the jets of u, of the KP
-    # check and of every order up to 4 (more than eight trace words)
+    # slice k of a P-stack is what the single point t_k gives alone, from
+    # the eigenbasis (random triples) or the exponential (Calogero-Moser):
+    # the scale, the left factor, and the jets of u, of the KP check and
+    # of every order up to 4 (more than eight trace words)
     tr = make()
     rng = np.random.default_rng(P)
     times = np.zeros((P, 3), dtype=np.complex128)
@@ -768,7 +790,7 @@ def test_stack_slices_are_bit_identical_to_single_points(make, P):
     jets = [stack.jets(wanted) for wanted in wanted_sets]
     for k in range(P):
         single = TauEvaluator(tr, TimeVector(times[k]))
-        assert single.mu.tobytes() == stack.mu[k : k + 1].tobytes()
+        assert single.scale.tobytes() == stack.scale[k : k + 1].tobytes()
         assert single._left.tobytes() == stack._left[k : k + 1].tobytes()
         for wanted, (log_mag, derivs) in zip(wanted_sets, jets):
             m, d = single.jets(wanted)
@@ -836,7 +858,8 @@ def _u_by_wilson_form(d):
 
 
 def _with_oracle(make):
-    return lambda: (make(), u_by_eigenbasis)
+    # no closed form: judged by the 20-digit line of _mpmath_u_line alone
+    return lambda: (make(), None)
 
 
 def _calogero_moser_case():
@@ -868,7 +891,10 @@ def test_u_field_stack_matches_pointwise_derivative(make):
         assert not s.is_pole
         t = base.with_entry(1, s.t1)
         want = 2.0 * log_tau_derivative(tr, t, (2, 0, 0))
-        if k in (1, 4, 7):
+        if _eigenbasis(tr):
+            # one direct stack, whose slices are the single points' bits
+            assert np.array([s.value]).tobytes() == np.array([want]).tobytes(), s.t1
+        elif k in (1, 4, 7):
             # anchors (ceil(sqrt(9)) = 3 apart, centred in their blocks)
             # take the single point's own exponential
             assert abs(s.value - want) <= 1e-12 * abs(want), (s.t1, s.value, want)
@@ -878,7 +904,7 @@ def test_u_field_stack_matches_pointwise_derivative(make):
             # single point up to 1e-12 relative
             err, err_point = abs(s.value - exact[k]), abs(want - exact[k])
             assert err <= err_point + 1e-12 * abs(exact[k]), (s.t1, err, err_point)
-        ref = oracle(tr, t)
+        ref = exact[k] if oracle is None else oracle(tr, t)
         assert abs(s.value - ref) <= 3e-11 * abs(ref), (s.t1, s.value, ref)
 
 
@@ -894,7 +920,7 @@ def test_u_field_3d_grid_order_and_coordinates():
         t = TimeVector([s.t1, s.t2, s.t3, 0.05j])
         want = 2.0 * log_tau_derivative(tr, t, (2, 0, 0))
         assert abs(s.value - want) <= 1e-12 * abs(want)
-        ref = u_by_eigenbasis(tr, t)
+        ref = mp_u(tr, t)
         assert abs(s.value - ref) <= 1e-10 * abs(ref), (s.t1, s.t2, s.t3, s.value, ref)
 
 
@@ -965,7 +991,7 @@ def _direct_u(tr, times):
     ids=["uneven", "three-points", "off-by-1e-12"],
 )
 def test_u_field_lines_without_a_step_keep_the_direct_stack(t1s):
-    tr = random_admissible(2, 6, seed=41)
+    tr = _expm_triple(41)
     base = TimeVector([0.0, 0.1 - 0.2j, 0.05j])
     times = np.tile(base.values, (len(t1s), 1))
     times[:, 0] = t1s
@@ -975,7 +1001,7 @@ def test_u_field_lines_without_a_step_keep_the_direct_stack(t1s):
 
 @pytest.mark.parametrize("P", [41, 201])
 def test_u_field_anchors_are_bit_identical_to_the_direct_stack(P):
-    tr = random_admissible(4, 12, seed=42)
+    tr = _expm_triple(42)
     base = TimeVector([0.0, 0.2 + 0.1j, -0.1j])
     grid = np.linspace(-1.5, 2.5, P)
     times = np.tile(base.values, (P, 1))
@@ -990,7 +1016,7 @@ def test_u_field_anchors_are_bit_identical_to_the_direct_stack(P):
 
 
 def test_u_field_line_is_one_small_exponential(monkeypatch):
-    tr = random_admissible(2, 6, seed=43)
+    tr = _expm_triple(43)
     calls = _expm_calls(monkeypatch)
     u_field(tr, np.linspace(-2.0, 2.0, 41), base=TimeVector([0.0, 0.1, 0.1j]))
     # the 6 anchors in one call, after the 6 offsets j != 0 that a fresh
@@ -999,7 +1025,7 @@ def test_u_field_line_is_one_small_exponential(monkeypatch):
 
 
 def test_u_field_3d_grid_is_one_exponential_call(monkeypatch):
-    tr = random_admissible(2, 6, seed=44)
+    tr = _expm_triple(44)
     calls = _expm_calls(monkeypatch)
     samples = u_field(tr, np.linspace(-1.0, 1.0, 21), [0.1, 0.2, 0.3], [-0.1, 0.0, 0.1])
     assert len(samples) == 21 * 9 and not any(s.is_pole for s in samples)
@@ -1009,7 +1035,7 @@ def test_u_field_3d_grid_is_one_exponential_call(monkeypatch):
 
 
 def test_u_field_grid_beyond_the_anchor_budget_splits_its_lines(monkeypatch):
-    tr = random_admissible(2, 6, seed=44)
+    tr = _expm_triple(44)
     axes = (np.linspace(-1.0, 1.0, 21), [0.1, 0.2, 0.3], [-0.1, 0.0, 0.1])
     whole = _u_bits(u_field(tr, *axes))
     # room for the 5 anchors of two lines a call; the offsets are kept from
@@ -1020,7 +1046,7 @@ def test_u_field_grid_beyond_the_anchor_budget_splits_its_lines(monkeypatch):
     assert _u_bits(u_field(tr, *axes)).tobytes() == whole.tobytes()
     assert calls == [(10, tr.N, tr.N)] * 4 + [(5, tr.N, tr.N)]
     calls.clear()
-    assert _u_bits(u_field(random_admissible(2, 6, seed=44), *axes)).tobytes() == whole.tobytes()
+    assert _u_bits(u_field(_expm_triple(44), *axes)).tobytes() == whole.tobytes()
     assert calls == [(4, tr.N, tr.N)] + [(10, tr.N, tr.N)] * 4 + [(5, tr.N, tr.N)]
 
 
@@ -1034,20 +1060,20 @@ def test_u_field_calls_with_one_step_share_the_kept_offsets():
     # one t1 axis at several (t2, t3), as when u is plotted line by line:
     # every call after the first takes the offsets from the triple, and
     # each matches the first call's bits and those of a fresh triple
-    tr = random_admissible(4, 12, seed=45)
+    tr = _expm_triple(45)
     t1s = np.linspace(-2.0, 2.0, 41)
     first = _u_bits(u_field(tr, t1s, [0.1], [0.2]))
     kept = tr._memo["step_offsets"]
     assert _u_bits(u_field(tr, t1s, [0.1], [0.2])).tobytes() == first.tobytes()
     for t2, t3 in [(0.3, -0.1), (-0.2, 0.05)]:
         got = _u_bits(u_field(tr, t1s, [t2], [t3]))
-        fresh = _u_bits(u_field(random_admissible(4, 12, seed=45), t1s, [t2], [t3]))
+        fresh = _u_bits(u_field(_expm_triple(45), t1s, [t2], [t3]))
         assert got.tobytes() == fresh.tobytes()
     assert tr._memo["step_offsets"] is kept
 
 
 def test_u_field_with_a_kept_step_exponentiates_only_the_anchors(monkeypatch):
-    tr = random_admissible(2, 6, seed=44)
+    tr = _expm_triple(44)
     axes = (np.linspace(-1.0, 1.0, 21), [0.1, 0.2, 0.3], [-0.1, 0.0, 0.1])
     whole = _u_bits(u_field(tr, *axes))
     calls = _expm_calls(monkeypatch)
@@ -1067,7 +1093,7 @@ def test_u_field_with_a_kept_step_exponentiates_only_the_anchors(monkeypatch):
     ids=["h", "P", "K"],
 )
 def test_u_field_with_another_step_replaces_the_kept_offsets(monkeypatch, t1s, base):
-    tr = random_admissible(2, 6, seed=43)
+    tr = _expm_triple(43)
     u_field(tr, np.linspace(-2.0, 2.0, 41), base=TimeVector([0.0, 0.1, 0.1j]))
     old_key = tr._memo["step_offsets"][0]
     calls = _expm_calls(monkeypatch)
@@ -1077,7 +1103,7 @@ def test_u_field_with_another_step_replaces_the_kept_offsets(monkeypatch, t1s, b
     assert calls == [(s - 1, tr.N, tr.N), (-(-len(t1s) // s), tr.N, tr.N)]
     key, (S, mu_S) = tr._memo["step_offsets"]
     assert key != old_key and S.shape == (s, tr.N, tr.N) and mu_S.shape == (s,)
-    fresh = _u_bits(u_field(random_admissible(2, 6, seed=43), t1s, base=base))
+    fresh = _u_bits(u_field(_expm_triple(43), t1s, base=base))
     assert got.tobytes() == fresh.tobytes()
 
 
@@ -1131,8 +1157,7 @@ def test_tau_grid_matches_pointwise_tau():
         assert np.array([value.log_magnitude, value.phase]).tobytes() == np.array(
             [want.log_magnitude, want.phase]
         ).tobytes(), (v1, v2)
-        ref = ScaledComplex.from_complex(discrete_tau_by_eigenbasis(tr, t, ()))
-        assert rel_difference(value, ref) <= 1e-12, (v1, v2, value, ref)
+        assert mp_rel_error(value, mp_shifted_tau(tr, t, ())) <= 1e-12, (v1, v2, value)
 
 
 def test_shifted_determinants_keep_their_bits_with_a_copying_slogdet(monkeypatch):
@@ -1203,3 +1228,157 @@ def test_integral_floats_and_numpy_integers_are_integers():
     got = tau_discrete(tr, 1.0, np.int64(-1), np.float32(2.0), 2.0, 3.0, 4.0, t=t)
     assert (got.log_magnitude, got.phase) == (want.log_magnitude, want.phase)
     assert log_tau_derivative(tr, t, (2.0, np.int64(0), 0)) == log_tau_derivative(tr, t, (2, 0, 0))
+
+
+# ---------------------------------------------------------------------------
+# the left factor from the eigenbasis of B
+# ---------------------------------------------------------------------------
+
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def _fixture_triple(name: str):
+    return load_scenario(SCENARIOS / f"{name}.json").build_triple()
+
+
+_PATHS = {
+    "1x4": (lambda: random_admissible(1, 4, seed=0), True),
+    "2x6": (lambda: random_admissible(2, 6, seed=1), True),
+    "4x12": (lambda: random_admissible(4, 12, seed=2), True),
+    "8x24": (lambda: random_admissible(8, 24, seed=3), True),
+    "kdv-pair": (lambda: from_kdv_pair(random_kdv_pair(3, seed=0)), True),
+    "one_soliton": (lambda: _fixture_triple("one_soliton"), True),
+    "two_soliton": (lambda: _fixture_triple("two_soliton"), True),
+    "intertwining_pair": (lambda: _fixture_triple("intertwining_pair"), True),
+    "general_block": (lambda: _fixture_triple("general_block"), True),
+    "wilson_point": (lambda: _fixture_triple("wilson_point"), False),
+    "calogero-moser": (lambda: _expm_triple(0), False),
+}
+
+
+@pytest.mark.parametrize("case", list(_PATHS))
+def test_left_factor_path(monkeypatch, case):
+    # a diagonalizable B with a well conditioned V takes no exponential on
+    # any path that uses the left factor; a defective B (Wilson,
+    # Calogero-Moser) takes the exponential. The eigenbasis is made on the
+    # first evaluation, not when the triple is built.
+    make, eigenbasis = _PATHS[case]
+    tr = make()
+    assert "eigenbasis" not in tr._memo
+    calls = _expm_calls(monkeypatch)
+    t = TimeVector([0.3 - 0.1j, 0.2, -0.05])
+    tau(tr, t)
+    tau_miwa(tr, ((2.5, 1), (3.5, 2)), t)
+    tau_discrete(tr, 1, 0, 2, 2.5, -2.5j, 3.0, t=t)
+    log_tau_derivative(tr, t, (1, 1, 0))
+    hbde_residual(tr, t, 2.5, -2.5j, 3.0 + 1j)
+    polynomiality_check(tr, t)
+    kp_residual(tr, t)
+    psi_time(tr, t, 2.5 + 0.5j)
+    tau_grid(tr, [0.1, 0.2, 0.3], base=t)
+    psi_grid(tr, [0.1, 0.2], [2.5, 3.5j])
+    u_field(tr, np.linspace(-0.5, 0.5, 9), [0.1, 0.2], base=t)
+    assert bool(_eigenbasis(tr)) == eigenbasis
+    assert (calls == []) == eigenbasis, calls
+
+
+def test_checks_at_one_base_time_share_one_left_factor_without_an_exponential(monkeypatch):
+    tr = random_admissible(2, 6, seed=11)
+    t = TimeVector([0.3 - 0.1j, 0.2, -0.05])
+    calls = _expm_calls(monkeypatch)
+    tau(tr, t)
+    kept, basis = tr._memo["base_factor"], tr._memo["eigenbasis"]
+    rng = np.random.default_rng(0)
+    for _ in range(6):
+        c1, c2, c3 = draw_lattice_parameters(rng, tr.B)
+        assert hbde_residual(tr, t, c1, c2, c3, l=1, m=0, n_index=1).passed
+    assert polynomiality_check(tr, t).passed
+    psi_time(tr, t, 2.5 + 0.5j)
+    psi_dual(tr, t, 2.5 + 0.5j)
+    assert kp_residual(tr, t).passed
+    tau(tr, TimeVector(t.values))
+    assert calls == []
+    assert tr._memo["base_factor"] is kept and tr._memo["eigenbasis"] is basis
+
+
+def test_rank_deficient_a_takes_the_exponential_and_tau_vanishes():
+    # A V of rank < n has no n pivot columns; the exponential path finds
+    # the exact zero of tau, as it did before the eigenbasis
+    twice = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+    for tr in (
+        RankOneTriple(twice, np.diag([1.0, 0.5, 0.0]), np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]])),
+        RankOneTriple(np.zeros((1, 2)), np.eye(2), np.ones((1, 2))),
+    ):
+        assert tau(tr, TimeVector([0.3])) == ScaledComplex(-math.inf, 0.0)
+        assert _eigenbasis(tr) == ()
+        assert u_field(tr, [0.0, 0.1])[0].is_pole
+
+
+def _mp_taus_by_eig(tr, t1s, dps=150):
+    """tau at t = (t1,) for each t1 at ``dps`` digits, from eig(B) taken
+    by mpmath at that precision: det(A V diag(e^(t1 lam)) V^-1 C.T). The
+    eigenvector method loses about cond(V) 10^-dps here, nothing at this
+    precision; mpmath's Taylor series of exp(t1 B) would take minutes."""
+    with mp.workdps(dps):
+        lam, V = mp.eig(mp.matrix(tr.B.tolist()))
+        L = mp.matrix(tr.A.tolist()) * V
+        W = mp.inverse(V) * mp.matrix(tr.C.T.tolist())
+        out = []
+        for t1 in t1s:
+            w = [mp.exp(mp.mpf(t1) * x) for x in lam]
+            M = mp.matrix(tr.n, tr.n)
+            for a in range(tr.n):
+                for b in range(tr.n):
+                    M[a, b] = mp.fsum(L[a, j] * w[j] * W[j, b] for j in range(tr.N))
+            out.append(mp.det(M))
+    return out
+
+
+@pytest.mark.parametrize("n, N", [(2, 6), (4, 12), (8, 24)])
+def test_large_time_tau_against_mpmath(n, N):
+    # exp(t1 B) spans up to e^120 at t1 = 60; A exp(t1 B) C.T formed from
+    # the exponential lost tau there (relative errors 1.0, 47 and 2e20)
+    tr = random_admissible(n, N, seed=1)
+    t1s = (20.0, 40.0, 60.0)
+    for t1, want in zip(t1s, _mp_taus_by_eig(tr, t1s)):
+        assert mp_rel_error(tau(tr, TimeVector([t1])), want) <= 1e-10, t1
+    rep = hbde_residual(tr, TimeVector([60.0, 0.0, 0.0]), 1.5, 2.0 + 0.5j, -1.8, l=1, m=1)
+    assert rep.passed, rep.residual
+
+
+def _near_defective_triple(delta: float, seed: int):
+    """An admissible intertwining triple (N = 6) whose Z has the block
+    [[lam, 1], [0, lam + delta]] in a random basis: two eigenvalues delta
+    apart with nearly parallel eigenvectors, so cond_1(V) grows as 1 /
+    delta (3.5e2 at 1e-2, 3.6e3 at 1e-3)."""
+    rng = np.random.default_rng(seed)
+
+    def square(scale):
+        return scale * (rng.random((3, 3)) + 1j * rng.random((3, 3)))
+
+    J = np.diag(rng.random(3) - 0.5 + 1j * (rng.random(3) - 0.5))
+    J[1, 1] = J[0, 0] + delta
+    J[0, 1] = 1.0
+    Q = np.eye(3) + square(0.3)
+    Z = Q @ J @ np.linalg.inv(Q)
+    X = np.eye(3) + square(1.0)
+    a, b = (0.5 * (rng.random((3, 1)) + 1j * rng.random((3, 1))) for _ in range(2))
+    Y = (X @ Z - a @ b.T) @ np.linalg.inv(X)
+    return from_intertwining(IntertwiningData(X, Y, Z))
+
+
+@pytest.mark.parametrize("delta, eigenbasis", [(1e-2, True), (1e-3, False)])
+def test_eigenvector_condition_threshold(delta, eigenbasis):
+    # either side of _MAX_EIGENVECTOR_COND, judged against mpmath: above
+    # it the eigenbasis would lose up to 3.2e-13 on tau and 1.8e-12 on u
+    # at desk scale, where the exponential keeps 4e-15 and 2e-14
+    for seed in range(3):
+        tr = _near_defective_triple(delta, seed)
+        assert bool(_eigenbasis(tr)) == eigenbasis
+        for t in (TimeVector([0.5 + 0.2j, 0.1, -0.05]), TimeVector([2.0, 0.3j, 0.1])):
+            assert mp_rel_error(tau(tr, t), mp_shifted_tau(tr, t, ())) <= 1e-13, (seed, t)
+            u, want = 2.0 * log_tau_derivative(tr, t, (2, 0, 0)), mp_u(tr, t)
+            assert abs(u - want) <= 1e-12 * abs(want), (seed, t)
+        large = TimeVector([20.0])
+        assert mp_rel_error(tau(tr, large), mp_shifted_tau(tr, large, (), dps=60)) <= 1e-11, seed

@@ -12,6 +12,7 @@ from kp_rankone.errors import (
     GenerationError,
     InadmissibleTripleError,
 )
+from kp_rankone.cases import from_calogero_moser, random_calogero_moser
 from kp_rankone.matkernel import nullspace_rows, numerical_rank
 from kp_rankone.tau import TimeVector, tau, u_field
 from kp_rankone.triple import (
@@ -125,10 +126,16 @@ def test_triple_copies_stay_immutable_and_drop_derived_state(clone):
     tr = random_admissible(2, 5, seed=3)
     tau(tr, TimeVector([0.2, 0.1]))
     u_field(tr, np.linspace(-1.0, 1.0, 9))
-    # the base factor, the right blocks of tau (weight 0) and of the jets
-    # (weight 2) and the step offsets are kept, and so is ||B||_2
-    kept = {"base_factor", ("right_blocks", 0, 1.0), ("right_blocks", 2, 1.0), "step_offsets"}
+    # the eigenbasis, the base factor and the right blocks of tau (weight 0)
+    # and of the jets (weight 2) are kept, and so is ||B||_2
+    kept = {"eigenbasis", "base_factor", ("right_blocks", 0, 1.0), ("right_blocks", 2, 1.0)}
     assert set(tr._memo) == kept
+    # a triple without an eigenbasis keeps that it has none, and the step
+    # offsets of its u lines
+    cm = from_calogero_moser(random_calogero_moser(2, seed=3))
+    tau(cm, TimeVector([0.2, 0.1]))
+    u_field(cm, np.linspace(-1.0, 1.0, 9))
+    assert set(cm._memo) == kept | {"step_offsets"} and cm._memo["eigenbasis"] == (None, ())
     assert tr.norm_B > 0.0
     other = clone(tr)
     assert other._memo == {} and "norm_B" not in vars(other)
