@@ -182,7 +182,8 @@ def psi_dual(tr: RankOneTriple, t: TimesLike, z: complex) -> BASample:
 
 def psi_grid(tr: RankOneTriple, x_values: Sequence[float], z_values) -> List[BASample]:
     """:func:`psi_stationary` over a grid, z outer and x inner, bit for bit:
-    one exponential, one product and one ``slogdet`` for the whole grid.
+    one left factor (from the eigenbasis of B or one exponential), one
+    product and one ``slogdet`` for the whole grid.
     Where tau(x) vanishes the sample is a pole, not a PoleError. An empty
     axis gives an empty list."""
     zs = _spectral_parameters(z_values)

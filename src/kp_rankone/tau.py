@@ -67,19 +67,15 @@ stale. Everything kept goes through the triple's one memo,
 :func:`tau_grid`, :func:`~kp_rankone.baker.psi_grid` and, for a triple
 with an eigenbasis, :func:`u_field` take one direct stack per line of
 base times and one ``slogdet``. For the other triples :func:`u_field`
-steps, since t1 is the flow of B itself: exp(g(B)) at t1 + j h is
-exp(g(B)) exp(j h B), so a line of P >= 4 points in arithmetic progression
-takes an exponential only at every ceil(sqrt(P))-th point, and all lines
-of a grid share the offsets exp(j h B) (:func:`_u_line_evaluators`). The
-offsets depend only on the triple and the step, so the triple keeps those
-of its last step: a grid whose step it does not keep takes one
-exponential call of its offsets and one of its anchors, and a later grid
-with the same step, number of points and K exponentiates only its
-anchors. That serves repeated lines (one t1 axis at several (t2, t3),
-call after call). Stepping would put an exact zero of tau (the Wilson
-point at t1 = -3) at a rounding-size number, which the tau and psi grids
-would not flag, while u flags any |tau| below ``POLE_REL_THRESHOLD`` times
-the grid maximum.
+steps, since t1 is the flow of B itself: exp(g(B)) at t1_k is exp(g(B))
+at t1_m times exp((t1_k - t1_m) B). Each line takes one exponential, at
+its middle point m, and the offsets exp((t1_k - t1_m) B) are shared by
+all lines of a grid and kept on the triple, so a later grid with the same
+t1 values and K exponentiates only its middle points
+(:func:`_u_line_evaluators`). Stepping would put an exact zero of tau
+(the Wilson point at t1 = -3) at a rounding-size number, which the tau
+and psi grids would not flag, while u flags any |tau| below
+``POLE_REL_THRESHOLD`` times the grid maximum.
 """
 
 from __future__ import annotations
@@ -448,7 +444,8 @@ def _left_factor(tr: RankOneTriple, times: np.ndarray) -> Tuple[np.ndarray, np.n
 
 class TauEvaluator:
     """Tau values for one triple at P >= 1 base times: ``t`` is one time
-    vector or an array (P, K).
+    vector or an array (P, K); like a :class:`TimeVector`, an array that is
+    empty or not finite raises ValueError, on every path.
 
     The left factor (``_left``, shape (P, n, N)) spans the rows of
     A exp(g(B)), and ``scale`` (P,) is the complex log of what its
@@ -468,6 +465,8 @@ class TauEvaluator:
     def __init__(self, tr: RankOneTriple, t: Union[TimesLike, np.ndarray]):
         self.triple = tr
         stack = isinstance(t, np.ndarray) and t.ndim == 2
+        if stack and not (len(t) and np.isfinite(t).all()):
+            raise ValueError("a time stack must be nonempty and finite")
         times = t if stack else TimeVector.coerce(t).values[None, :]
         self.scale, self._left = _left_factor(tr, times)
 
@@ -784,102 +783,54 @@ def tau_grid(
 ) -> List[Tuple[GridCoords, ScaledComplex]]:
     """tau over a grid, as ((t1, t2, t3), value) pairs in :func:`u_field` order.
 
-    Each t1 line is one :class:`TauEvaluator` stack: one ``expm`` and one
-    ``slogdet`` call. An exact zero of tau is the scaled zero (log
-    magnitude -inf).
+    Each t1 line is one :class:`TauEvaluator` stack: one left factor, from
+    the eigenbasis of B or one ``expm`` call, and one ``slogdet`` call. An
+    exact zero of tau is the scaled zero (log magnitude -inf).
     """
     coords, lines = _grid_times(t1_values, t2_values, t3_values, base)
     values = [v for times in lines for v in TauEvaluator(tr, times)._shifted_taus(())]
     return list(zip(coords, values))
 
 
-_EPS = float(np.finfo(float).eps)
-#: a stepped u grid exponentiates anchors of at most this many matrix
-#: entries (slices times N^2) in one call: one call for all but large 3-D
-#: grids, whose memory this bounds
-_ANCHOR_ENTRIES = 1 << 16
-
-
-def _t1_step(t1: np.ndarray) -> Optional[float]:
-    """The step h of a t1 line (P,) that is stepped from anchors, or None
-    where the line keeps the direct stack: P < 4, or some t1_k further than
-    8 eps max|t1| from t1_0 + k h, h = (t1_(P-1) - t1_0) / (P - 1)."""
-    P = len(t1)
-    if P < 4:
-        return None
-    h = (t1[-1] - t1[0]) / (P - 1)
-    drift = np.abs(t1 - (t1[0] + h * np.arange(P))).max()
-    return h if drift <= 8 * _EPS * np.abs(t1).max() else None
-
-
-@lru_cache(maxsize=16)
-def _anchor_layout(P: int) -> Tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The anchors of a stepped line of P points, as (s, anchors, block,
-    slot, offsets), made once per P (read-only arrays).
-
-    With s = ceil(sqrt(P)) and half = floor(s / 2), block b holds the points
-    b s .. b s + s - 1 and its anchor is the point b s + half, or the last
-    point where that lies past the end (only a short last block can have
-    it so). ``block`` is the block of each point and ``slot`` its offset j
-    from the block's anchor plus half, an index into the offsets
-    -half .. s - 1 - half; ``offsets`` lists those j other than 0, as
-    floats.
-    """
-    s = math.isqrt(P - 1) + 1
-    half = s // 2
-    k = np.arange(P)
-    anchors = np.minimum(np.arange(0, P, s) + half, P - 1)
-    block = k // s
-    layout = (anchors, block, k - anchors[block] + half, np.r_[-half:0, 1 : s - half].astype(float))
-    for a in layout:
-        a.setflags(write=False)
-    return (s,) + layout
-
-
 def _u_line_evaluators(tr: RankOneTriple, lines: List[np.ndarray]) -> Iterator[TauEvaluator]:
     """One evaluator per t1 line of a grid, whose lines share their t1
     values, made as they are consumed: one direct stack per line where the
-    triple has an eigenbasis (:func:`_eigenbasis`) or the t1 values no
-    step, else stepped from anchors (:func:`u_field`,
-    :func:`_anchor_layout`). The offsets exp(j h B), j != 0, are g(B) of
-    the times (j h, 0, ...), each centred on its own mu, so a stepped point
-    gets mu_anchor + mu_j, and its scale n times that. All lines share
-    them, and so do later calls: the triple keeps the stack S of the last
-    step as ``"step_offsets"``, keyed by the shape and bytes of the step
-    times, which fix h, s and K.
+    triple has an eigenbasis (:func:`_eigenbasis`), else stepped from the
+    line's middle point m = P // 2 (:func:`u_field`).
 
-    A step the triple does not keep takes one exponential call of its
-    offsets; then the anchors take one call per group of lines that fits
-    ``_ANCHOR_ENTRIES`` (one group but on large 3-D grids). Raises
+    The middle points of all lines take one centred exponential call, and
+    each is bit for bit the direct stack's slice. Point k of a line is
+    (A E_m) S_k, with the offsets S_k = exp((t1_k - t1_m) B) the g(B) of the
+    times (t1_k - t1_m, 0, ...), k != m, each centred on its own nu_k, so
+    its scale is n (mu_m + nu_k). All lines share the offsets, and so do
+    later calls: the triple keeps them as ``"step_offsets"``, keyed by the
+    shape and bytes of the offset times, with S_m = I and nu_m = 0. A
+    one-point line is its middle point and takes no offsets. Raises
     RangeError where a stepped left factor is not finite.
     """
-    h = None if _eigenbasis(tr) else _t1_step(lines[0][:, 0].real)
-    if h is None:
+    if _eigenbasis(tr):
         yield from (TauEvaluator(tr, times) for times in lines)
         return
-    s, anchors, block, slot, offsets = _anchor_layout(len(lines[0]))
-    half = s // 2
-    steps = np.zeros((s - 1, lines[0].shape[1]), dtype=np.complex128)
-    steps[:, 0] = offsets * h
+    P, m = len(lines[0]), len(lines[0]) // 2
+    steps = np.zeros((P - 1, lines[0].shape[1]), dtype=np.complex128)
+    steps[:, 0] = np.delete(lines[0][:, 0] - lines[0][m, 0], m)
 
     def make():
-        E, mu = _expm_centered(_exponents(tr.B, steps))
-        S = np.concatenate([E[:half], _identity(tr.N)[None], E[half:]])
-        return S, np.concatenate([mu[:half], [0.0], mu[half:]])
+        S = np.repeat(_identity(tr.N)[None], P, axis=0)
+        nu = np.zeros(P, dtype=np.complex128)
+        if len(steps):  # a one-point line has none
+            rest = np.arange(P) != m
+            S[rest], nu[rest] = _expm_centered(_exponents(tr.B, steps))
+        return S, nu
 
-    S, mu_S = tr._kept("step_offsets", (steps.shape, steps.tobytes()), make)
-    per_call = max(_ANCHOR_ENTRIES // (len(anchors) * tr.N**2), 1)
-    for first in range(0, len(lines), per_call):
-        group = lines[first : first + per_call]
-        E0, mu = _expm_centered(_exponents(tr.B, np.concatenate([times[anchors] for times in group])))
-        AE = (tr.A @ E0).reshape(len(group), len(anchors), tr.n, tr.N)
-        for AE_line, mu_line in zip(AE, mu.reshape(len(group), len(anchors))):
-            left = AE_line[:, None] @ S
-            left[:, half] = AE_line
-            left = left[block, slot]
-            if not np.isfinite(left).all():
-                raise RangeError("a stepped left factor A exp(g(B) - mu I) overflows double precision")
-            yield TauEvaluator._of_factor(tr, tr.n * (mu_line[block] + mu_S[slot]), left)
+    S, nu = tr._kept("step_offsets", (steps.shape, steps.tobytes()), make)
+    E_m, mu = _expm_centered(_exponents(tr.B, np.stack([times[m] for times in lines])))
+    for AE_m, mu_m in zip(tr.A @ E_m, mu):
+        left = AE_m @ S
+        left[m] = AE_m
+        if not np.isfinite(left).all():
+            raise RangeError("a stepped left factor A exp(g(B) - mu I) overflows double precision")
+        yield TauEvaluator._of_factor(tr, tr.n * (mu_m + nu), left)
 
 
 def u_field(
@@ -895,17 +846,15 @@ def u_field(
     Each t1 line is one :class:`TauEvaluator` stack whose
     :meth:`~TauEvaluator.jets` give |tau| and u = 2 (tr X_2 - tr X_1^2).
     A triple with an eigenbasis takes one direct stack per line. For the
-    others, where the t1 values are an arithmetic progression of P >= 4
-    points, every ceil(sqrt(P))-th point of a line is an anchor with its
-    own exponential, and the other points step from their anchor by offsets
-    exp(j h B) that all lines share (see the module docstring). The grid's
-    anchors take one exponential call (one per group of lines on large 3-D
-    grids), and its offsets one more unless the triple keeps them from an
-    earlier call with the same step, P and K (another (t2, t3), say); the
-    bits are those of a fresh triple either way.
-    A stepped point is evaluated at t1_anchor + j h, within 8 eps max|t1|
-    of its reported t1; anchors are bit for bit the direct stack. Other t1
-    values give one direct stack per line.
+    others, every line steps from its middle point m = P // 2, whatever
+    its t1 values: the middle points of all lines take one exponential
+    call, bit for bit the direct stack's slices, and every other point
+    multiplies its line's factor by an offset exp((t1_k - t1_m) B) that all
+    lines share (see the module docstring). The offsets take one call more
+    unless the triple keeps them from an earlier call with the same t1
+    values and K (another (t2, t3), say); the bits are those of a fresh
+    triple either way. A stepped point is evaluated at t1_m plus the
+    rounded difference t1_k - t1_m.
     Samples where |tau| falls below ``POLE_REL_THRESHOLD`` times the grid
     maximum, M is exactly singular or u is not finite are poles with value
     nan. An empty grid gives an empty list. Raises RangeError where a left

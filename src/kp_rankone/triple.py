@@ -58,9 +58,10 @@ class RankOneTriple:
     left factors come from, or () where B falls back to the exponential;
     the left factor of A exp(g(B)) of the last single base time; the right
     blocks [C.T, b C.T, ..., b^w C.T] of b = B / s per weight w and scale
-    s; and, for a triple without an eigenbasis, the step offsets
-    exp(j h B) of the last stepped t1 line. Copies and pickles are rebuilt
-    through the constructor and start empty.
+    s; and, for a triple without an eigenbasis, the offsets
+    exp((t1_k - t1_m) B) of the last u line stepped from its middle point
+    t1_m. Copies and pickles are rebuilt through the constructor and start
+    empty.
 
     Use :func:`validate_triple` (or :func:`make_triple`) for the
     admissibility test itself.

@@ -188,7 +188,7 @@ def hbde_residual(
     shifted taus are n x n combinations of three moment blocks of one
     site factor (:func:`_hbde_taus`), so the check takes one shifted right
     factor (none at site (0, 0, 0)), one product with the left factor and
-    one n x n ``slogdet``; checks at one base time share its exponential.
+    one n x n ``slogdet``; checks at one base time share its left factor.
     The pair products and the terms are formed in Python floats, as
     ScaledComplex forms them.
     """
@@ -223,8 +223,8 @@ def kp_residual(tr: RankOneTriple, t: TimesLike, tol: float = DEFAULT_KP_TOL) ->
     Checks 2(T1111 T - 4 T111 T1 + 3 T11^2) - 8(T13 T - T1 T3)
     + 6(T22 T - T2^2) = 0, with subscripts denoting tau derivatives.
     Divided by tau^2 and written in the log derivatives L_a of tau, which
-    :meth:`TauEvaluator.log_derivatives` returns exactly from one
-    exponential and one solve, the left side collapses to
+    :meth:`TauEvaluator.log_derivatives` returns exactly from one left
+    factor and one solve, the left side collapses to
     2 L1111 + 12 L11^2 - 8 L13 + 6 L22. The scale is the largest monomial
     of the seven products expanded in the L_a, which stays positive when
     the products themselves vanish, as they do for tau linear in t_1.

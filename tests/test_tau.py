@@ -348,7 +348,7 @@ def test_zero_shift_parameter_is_the_factor_minus_b(k):
 def _expm_triple(seed: int, n: int = 3):
     """A Calogero-Moser triple, N = 2n: B = [[Z, 0], [I, Z]] is defective,
     so it has no eigenbasis; its left factors come from ``expm`` and its
-    u lines step from anchors."""
+    u lines step from their middle points."""
     return from_calogero_moser(random_calogero_moser(n, seed=seed))
 
 
@@ -433,9 +433,9 @@ def test_grid_stacks_leave_the_single_point_memo_alone(monkeypatch):
     u_field(tr, np.linspace(-1.0, 1.0, 9), base=t)
     tau_grid(tr, [0.2, 0.3], base=t)
     psi_grid(tr, [0.2, 0.3], [2.5])
-    # the u grid's offsets (2 of its 4 steps j != 0) and its 3 anchors, then
-    # one stack for each of the tau and psi grids
-    assert calls == [(2, tr.N, tr.N), (3, tr.N, tr.N), (2, tr.N, tr.N), (2, tr.N, tr.N)]
+    # the u grid's 8 offsets and its middle point, then one stack for each
+    # of the tau and psi grids
+    assert calls == [(8, tr.N, tr.N), (1, tr.N, tr.N), (2, tr.N, tr.N), (2, tr.N, tr.N)]
     assert tr._memo["base_factor"] is memo
     assert kp_residual(tr, t).passed
     assert hbde_residual(tr, t, 2.0, -2.5j, 3.0 + 1j).passed
@@ -468,10 +468,10 @@ def test_kept_arrays_are_read_only(name):
         BC = tr.B @ tr.C.T
         assert arrays[0].tobytes() == np.hstack([tr.C.T, BC, tr.B @ BC]).tobytes()
     else:
-        S, mu_S = arrays
-        s = math.isqrt(8) + 1
-        assert S.shape == (s, tr.N, tr.N) and mu_S.shape == (s,)
-        assert np.array_equal(S[s // 2], np.eye(tr.N)) and mu_S[s // 2] == 0.0
+        # the offsets of the 9 points, the middle one the identity
+        S, nu = arrays
+        assert S.shape == (9, tr.N, tr.N) and nu.shape == (9,)
+        assert np.array_equal(S[4], np.eye(tr.N)) and nu[4] == 0.0
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -894,12 +894,11 @@ def test_u_field_stack_matches_pointwise_derivative(make):
         if _eigenbasis(tr):
             # one direct stack, whose slices are the single points' bits
             assert np.array([s.value]).tobytes() == np.array([want]).tobytes(), s.t1
-        elif k in (1, 4, 7):
-            # anchors (ceil(sqrt(9)) = 3 apart, centred in their blocks)
-            # take the single point's own exponential
-            assert abs(s.value - want) <= 1e-12 * abs(want), (s.t1, s.value, want)
+        elif k == 4:
+            # the middle point takes the single point's own exponential
+            assert np.array([s.value]).tobytes() == np.array([want]).tobytes(), s.t1
         else:
-            # stepped from an anchor, another algorithm than the single
+            # stepped from the middle point, another algorithm than the single
             # point: judged against mpmath, no less accurate than the
             # single point up to 1e-12 relative
             err, err_point = abs(s.value - exact[k]), abs(want - exact[k])
@@ -967,8 +966,9 @@ def _mpmath_u_line(tr, base, t1s):
 
 @pytest.mark.parametrize("P", [41, 61, 201])
 def test_u_field_wilson_lines_flag_only_the_zero(P):
-    # tau = t1 + 3: t1 = -3 is a stepped (not an anchor) point of each line,
-    # and at P = 201 the last block is too short for a centred anchor
+    # tau = t1 + 3: t1 = -3 is the middle point of the 41- and 201-point
+    # lines, where tau is the exact zero, and a stepped point of the
+    # 61-point line, where it is a rounding-size number
     tr = from_calogero_moser(CalogeroMoserData([[3.0]], [[0.0]]))
     grid = {41: np.linspace(-5.0, -1.0, 41), 61: np.linspace(-4.0, 2.0, 61),
             201: np.linspace(-5.0, -1.0, 201)}[P]
@@ -987,16 +987,33 @@ def _direct_u(tr, times):
 
 @pytest.mark.parametrize(
     "t1s",
-    [[-1.0, -0.5, 0.1, 0.2, 0.9, 1.3], [-0.3, 0.1, 0.5], [0.0, 0.1, 0.2, 0.3 + 1e-12]],
-    ids=["uneven", "three-points", "off-by-1e-12"],
+    [
+        [-1.0, -0.5, 0.1, 0.2, 0.9, 1.3],
+        [-0.3, 0.1, 0.5],
+        [0.0, 0.1, 0.2, 0.3 + 1e-12],
+        [0.7],
+        [-0.4, 0.6],
+    ],
+    ids=["uneven", "three-points", "off-by-1e-12", "one-point", "two-points"],
 )
-def test_u_field_lines_without_a_step_keep_the_direct_stack(t1s):
+def test_u_field_uneven_and_short_lines_step_from_their_middle_point(monkeypatch, t1s):
+    # any t1 values step, with no rule on their spacing or number: the
+    # middle point keeps the direct stack's bits, and every point is
+    # judged against 40-digit u (the uneven line's last point, 1.1 from
+    # the middle, is off by 1.8e-13 where the direct stack is off by 1.3e-14)
     tr = _expm_triple(41)
     base = TimeVector([0.0, 0.1 - 0.2j, 0.05j])
-    times = np.tile(base.values, (len(t1s), 1))
-    times[:, 0] = t1s
+    P, m = len(t1s), len(t1s) // 2
+    calls = _expm_calls(monkeypatch)
     got = np.array([s.value for s in u_field(tr, t1s, base=base)])
-    assert np.array_equal(got, _direct_u(tr, times))
+    # the offsets of the other points, if there are any, then the middle one
+    assert calls == [(P - 1, tr.N, tr.N)] * (P > 1) + [(1, tr.N, tr.N)]
+    times = np.tile(base.values, (P, 1))
+    times[:, 0] = t1s
+    assert got[m : m + 1].tobytes() == _direct_u(tr, times)[m : m + 1].tobytes()
+    for v, value in zip(t1s, got):
+        ref = mp_u(tr, base.with_entry(1, v))
+        assert abs(value - ref) <= 1e-12 * abs(ref), (v, value, ref)
 
 
 @pytest.mark.parametrize("P", [41, 201])
@@ -1006,22 +1023,26 @@ def test_u_field_anchors_are_bit_identical_to_the_direct_stack(P):
     grid = np.linspace(-1.5, 2.5, P)
     times = np.tile(base.values, (P, 1))
     times[:, 0] = grid
-    # ceil(sqrt(P)) = 7 and 15 apart; the last block of 201 is too short
-    # for a centred anchor, so the last point anchors it
-    anchors = {41: [3, 10, 17, 24, 31, 38], 201: list(range(7, 195, 15)) + [200]}[P]
+    # the middle point, 20 or 100, is the line's one anchor
+    m = P // 2
     got = np.array([x.value for x in u_field(tr, grid, base=base)])
     want = _direct_u(tr, times)
-    assert got[anchors].tobytes() == want[anchors].tobytes()
+    assert got[m : m + 1].tobytes() == want[m : m + 1].tobytes()
     assert not np.array_equal(got, want)  # the other points are stepped
 
 
 def test_u_field_line_is_one_small_exponential(monkeypatch):
     tr = _expm_triple(43)
+    t1s, base = np.linspace(-2.0, 2.0, 41), TimeVector([0.0, 0.1, 0.1j])
     calls = _expm_calls(monkeypatch)
-    u_field(tr, np.linspace(-2.0, 2.0, 41), base=TimeVector([0.0, 0.1, 0.1j]))
-    # the 6 anchors in one call, after the 6 offsets j != 0 that a fresh
-    # triple makes in one call of their own, where the direct stack takes 41
-    assert calls == [(6, tr.N, tr.N), (6, tr.N, tr.N)]
+    first = _u_bits(u_field(tr, t1s, base=base))
+    # a fresh triple makes the 40 offsets in one call, then the middle
+    # point in one more: 41 slices, as the direct stack takes
+    assert calls == [(40, tr.N, tr.N), (1, tr.N, tr.N)]
+    calls.clear()
+    # with the offsets kept, the line takes one slice, with the same bits
+    assert _u_bits(u_field(tr, t1s, base=base)).tobytes() == first.tobytes()
+    assert calls == [(1, tr.N, tr.N)]
 
 
 def test_u_field_3d_grid_is_one_exponential_call(monkeypatch):
@@ -1029,25 +1050,9 @@ def test_u_field_3d_grid_is_one_exponential_call(monkeypatch):
     calls = _expm_calls(monkeypatch)
     samples = u_field(tr, np.linspace(-1.0, 1.0, 21), [0.1, 0.2, 0.3], [-0.1, 0.0, 0.1])
     assert len(samples) == 21 * 9 and not any(s.is_pole for s in samples)
-    # 5 anchors on each of the 9 lines in one call, after the 4 offsets that
-    # they all share, in one call on a fresh triple
-    assert calls == [(4, tr.N, tr.N), (9 * 5, tr.N, tr.N)]
-
-
-def test_u_field_grid_beyond_the_anchor_budget_splits_its_lines(monkeypatch):
-    tr = _expm_triple(44)
-    axes = (np.linspace(-1.0, 1.0, 21), [0.1, 0.2, 0.3], [-0.1, 0.0, 0.1])
-    whole = _u_bits(u_field(tr, *axes))
-    # room for the 5 anchors of two lines a call; the offsets are kept from
-    # the first grid, on this triple, and made in a call of their own on a
-    # fresh one, with the same bits either way
-    monkeypatch.setattr(importlib.import_module("kp_rankone.tau"), "_ANCHOR_ENTRIES", 10 * tr.N**2)
-    calls = _expm_calls(monkeypatch)
-    assert _u_bits(u_field(tr, *axes)).tobytes() == whole.tobytes()
-    assert calls == [(10, tr.N, tr.N)] * 4 + [(5, tr.N, tr.N)]
-    calls.clear()
-    assert _u_bits(u_field(_expm_triple(44), *axes)).tobytes() == whole.tobytes()
-    assert calls == [(4, tr.N, tr.N)] + [(10, tr.N, tr.N)] * 4 + [(5, tr.N, tr.N)]
+    # the middle points of the 9 lines in one call, after the 20 offsets
+    # that they all share, in one call on a fresh triple
+    assert calls == [(20, tr.N, tr.N), (9, tr.N, tr.N)]
 
 
 def _u_bits(samples) -> np.ndarray:
@@ -1078,8 +1083,8 @@ def test_u_field_with_a_kept_step_exponentiates_only_the_anchors(monkeypatch):
     whole = _u_bits(u_field(tr, *axes))
     calls = _expm_calls(monkeypatch)
     again = _u_bits(u_field(tr, *axes))
-    # the 5 anchors of each of the 9 lines, and no offsets
-    assert calls == [(9 * 5, tr.N, tr.N)]
+    # the middle points of the 9 lines, and no offsets
+    assert calls == [(9, tr.N, tr.N)]
     assert again.tobytes() == whole.tobytes()
 
 
@@ -1087,7 +1092,7 @@ def test_u_field_with_a_kept_step_exponentiates_only_the_anchors(monkeypatch):
     "t1s, base",
     [
         (np.linspace(-1.0, 1.5, 41), TimeVector([0.0, 0.1, 0.1j])),  # h
-        (np.linspace(-2.0, 2.0, 21), TimeVector([0.0, 0.1, 0.1j])),  # P, and so s
+        (np.linspace(-2.0, 2.0, 21), TimeVector([0.0, 0.1, 0.1j])),  # P
         (np.linspace(-2.0, 2.0, 41), TimeVector([0.0, 0.1, 0.1j, 0.02])),  # K
     ],
     ids=["h", "P", "K"],
@@ -1098,18 +1103,25 @@ def test_u_field_with_another_step_replaces_the_kept_offsets(monkeypatch, t1s, b
     old_key = tr._memo["step_offsets"][0]
     calls = _expm_calls(monkeypatch)
     got = _u_bits(u_field(tr, t1s, base=base))
-    s = math.isqrt(len(t1s) - 1) + 1
-    # the s - 1 offsets j != 0 in one call, then the ceil(P / s) anchors
-    assert calls == [(s - 1, tr.N, tr.N), (-(-len(t1s) // s), tr.N, tr.N)]
-    key, (S, mu_S) = tr._memo["step_offsets"]
-    assert key != old_key and S.shape == (s, tr.N, tr.N) and mu_S.shape == (s,)
+    P = len(t1s)
+    # the P - 1 offsets in one call, then the middle point
+    assert calls == [(P - 1, tr.N, tr.N), (1, tr.N, tr.N)]
+    key, (S, nu) = tr._memo["step_offsets"]
+    assert key != old_key and S.shape == (P, tr.N, tr.N) and nu.shape == (P,)
     fresh = _u_bits(u_field(_expm_triple(43), t1s, base=base))
     assert got.tobytes() == fresh.tobytes()
 
 
-def test_u_field_long_line_accuracy_against_mpmath():
-    # 201 points in dyadic steps, so mpmath steps through exactly the same t1
-    tr = random_admissible(4, 12, seed=12)
+@pytest.mark.parametrize(
+    "make",
+    [lambda: random_admissible(4, 12, seed=12), lambda: _expm_triple(12)],
+    ids=["4x12", "calogero-moser"],
+)
+def test_u_field_long_line_accuracy_against_mpmath(make):
+    # 201 points in dyadic steps, so mpmath steps through exactly the same
+    # t1: one direct stack from the eigenbasis (4x12), or 200 points
+    # stepped from the middle one (Calogero-Moser)
+    tr = make()
     base = TimeVector([0.0, 0.1 - 0.15j, 0.05 + 0.1j])
     t1s = np.linspace(-1.5625, 1.5625, 201)
     exact = np.array(_mpmath_u_line(tr, base, t1s))
@@ -1143,6 +1155,26 @@ def test_grid_rejects_nonfinite_axis_value(bad):
         u_field(tr, [0.0], t3_values=[bad])
     with pytest.raises(ValueError):
         tau_grid(tr, [0.0], [bad])
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: random_admissible(2, 6, seed=3), lambda: _expm_triple(3)], ids=["eigenbasis", "expm"]
+)
+@pytest.mark.parametrize(
+    "stack",
+    [
+        np.zeros((0, 3), dtype=np.complex128),
+        np.array([[0.1, 0.2, 0.0], [math.nan, 0.0, 0.0]], dtype=np.complex128),
+        np.array([[0.1, complex(0.0, math.inf), 0.0]], dtype=np.complex128),
+    ],
+    ids=["empty", "nan", "inf"],
+)
+def test_time_stack_that_is_empty_or_not_finite_is_rejected(make, stack):
+    # a TauEvaluator stack is checked as a TimeVector is, on both paths
+    tr = make()
+    with pytest.raises(ValueError, match="a time stack must be nonempty and finite"):
+        TauEvaluator(tr, stack)
+    assert tr._memo == {}  # rejected before the triple is evaluated
 
 
 def test_tau_grid_matches_pointwise_tau():
