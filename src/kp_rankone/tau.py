@@ -13,13 +13,19 @@ does not.
 
 Every shifted tau here is an n x n determinant of the moment blocks
 K_j = L B^j R of :meth:`TauEvaluator.moment_blocks`, with L the left
-factor of A exp(g(B)) (below) and R = prod_j (c_j I - B)^k_j C.T: the
-site factor (:func:`_site_factor`, negative powers as solves after
-:func:`_check_inverses`) applied to the triple's kept right blocks
-[C.T, B C.T, ...], then one product with L. The factors commute with B,
-so nonnegative powers beyond R are n x n combinations of the K_j: plain,
-Miwa and discrete taus take K0, the bilinear check c_a K0 - K1 and
-c_a c_b K0 - (c_a + c_b) K1 + K2; the jets use the blocks of R = C.T.
+factor of A exp(g(B)) (below) and R = prod_j (c_j I - B)^k_j C.T, after
+:func:`_check_inverses` has cleared the inverted c. Where B has a kept
+eigenbasis, B = V diag(lam) V^-1, every such factor commutes with B and
+is diagonal in it, so the blocks are L diag(lam^j w) W with W = V^-1 C.T
+and one weight vector w = prod_j (c_j - lam)^k_j (:func:`_shift_weights`),
+a negative power a division: the kept right blocks [W, lam W, ...] times
+w, then one product with L, and no solve. A triple without an eigenbasis
+applies the site factor as matrices (:func:`_site_factor`, negative
+powers as solves) to its kept right blocks [C.T, B C.T, ...]. The factors
+commute with B, so nonnegative powers beyond R are n x n combinations of
+the K_j: plain, Miwa and discrete taus take K0, the bilinear check
+c_a K0 - K1 and c_a c_b K0 - (c_a + c_b) K1 + K2; the jets use the blocks
+of R = C.T.
 Every value, a point's or a grid's, is folded from its ``slogdet`` in
 Python floats as ScaledComplex folds it (:func:`_fold`,
 :meth:`TauEvaluator._shifted_taus`): a point is a stack of one, so a grid
@@ -40,8 +46,9 @@ tr(X_w1 ... X_wk), one per class of cyclic rotations, with their exact
 rational coefficients. A call forms the products the words need, each
 sharing the product of its prefix, takes one ``np.trace`` of them all and
 sums the words; for u that is tr X_2 - tr X_1^2. The right blocks
-[C.T, B C.T, ..., B^w C.T] are kept on the triple (:func:`_right_blocks`),
-so the jets of a stack are one product with its left factor
+[C.T, B C.T, ..., B^w C.T], in the coordinates of the left factor, are
+kept on the triple (:func:`_right_blocks`), so the jets of a stack are
+one product with its left factor
 (:meth:`TauEvaluator.moment_blocks`), one ``slogdet`` and one ``solve``.
 
 One :class:`TauEvaluator` holds a stack of P base times and one left
@@ -50,13 +57,17 @@ A exp(g(B)) and comes with the complex log ``scale`` of what its
 determinants leave out. Where B = V diag(lam) V^-1 has a well conditioned
 eigenvector matrix (:func:`_eigenbasis`), no matrix is exponentiated:
 with L = A V, n pivot columns S of L and T = L_S^-1 L kept on the triple,
-the left factor is (T o e^(r - mu)) V^-1, r = g(lam) by Horner and
-mu = max Re r per time, and scale = n mu + log det L_S. Normalising by L_S
-keeps tau accurate where the weights e^r span many orders of magnitude
-(large times). Every other triple, defective or ill-conditioned B, takes
-A exp(g(B) - mu I) from one centred ``expm`` call of the Horner stack
-g(B) (the stack is built here, so the exponential skips the input check
-that :func:`~kp_rankone.matkernel.expm_centered` makes), with scale = n mu.
+the left factor is T o e^(r - mu) in eigen coordinates, r = g(lam) by
+Horner and mu = max Re r per time, and scale = n mu + log det L_S; its
+right factors are diag(w) W, so V^-1 is never multiplied back.
+Normalising by L_S keeps tau accurate where the weights e^r span many
+orders of magnitude (large times). Every other triple, defective or
+ill-conditioned B, takes A exp(g(B) - mu I) from one centred ``expm``
+call of the Horner stack g(B) (the stack is built here, so the
+exponential skips the input check that
+:func:`~kp_rankone.matkernel.expm_centered` makes), with scale = n mu;
+only this fallback path forms shifted right factors as matrices, with
+products and solves.
 Moment blocks and jets serve the whole stack, and a single point is a
 stack of one. The left factor of a single base time is kept on the
 triple, so checks made one after another at one base time share it; the
@@ -327,8 +338,10 @@ def _site_factor(tr: RankOneTriple, shifts: ShiftSet, right: np.ndarray) -> np.n
     """prod_j (c_j I - B)^k_j X for one shift set ((c_j, k_j), ...), with X
     (N, m) the array ``right``, which is not written to: the factors act in
     the set's own order, a positive power as k products and a negative one
-    as |k| solves; k = 0 entries are skipped. The caller checks the
-    inverted c first (:func:`_check_inverses`)."""
+    as |k| solves; k = 0 entries are skipped. Only a triple without an
+    eigenbasis takes this path; the eigenbasis weighs rows instead
+    (:func:`_shift_weights`). The caller checks the inverted c first
+    (:func:`_check_inverses`)."""
     for c, k in shifts:
         if k:
             F = c * _identity(tr.N) - tr.B
@@ -361,7 +374,7 @@ def _pivot_columns(L: np.ndarray) -> Optional[List[int]]:
 
 
 def _eigenbasis(tr: RankOneTriple) -> tuple:
-    """(lam, T, V^-1, log det L_S) of B = V diag(lam) V^-1, or () where V is
+    """(lam, T, W, log det L_S) of B = V diag(lam) V^-1, or () where V is
     singular, cond_1(V) = ||V||_1 ||V^-1||_1 exceeds
     ``_MAX_EIGENVECTOR_COND`` or A V is numerically rank-deficient (then
     tau vanishes, and the exponential path finds its exact zero); made on
@@ -369,12 +382,14 @@ def _eigenbasis(tr: RankOneTriple) -> tuple:
     ``"eigenbasis"``.
 
     L = A V, S are n of its columns (:func:`_pivot_columns`) and T =
-    L_S^-1 L, with the identity in the columns S; log det L_S is a
-    complex 0-d array. The eigenvector method loses accuracy in
-    proportion to cond(V) (Moler & Van Loan, SIAM Rev. 45, 2003, method
-    14), hence the threshold. Normalising by L_S keeps the rows of the
-    left factor apart where the weights e^g(lam) span many orders of
-    magnitude: the plain L diag(e^g(lam)) V^-1 loses digits there.
+    L_S^-1 L, with the identity in the columns S; W = V^-1 C.T (N, n), by
+    a solve with V, which keeps more digits than the product with V^-1;
+    log det L_S is a complex 0-d array. The eigenvector method loses
+    accuracy in proportion to cond(V) (Moler & Van Loan, SIAM Rev. 45,
+    2003, method 14), hence the threshold. Normalising by L_S keeps the
+    rows of the left factor apart where the weights e^g(lam) span many
+    orders of magnitude: the plain L diag(e^g(lam)) V^-1 loses digits
+    there.
     """
 
     def make():
@@ -395,22 +410,37 @@ def _eigenbasis(tr: RankOneTriple) -> tuple:
         T[:, S] = _identity(tr.n)
         sign, logdet = np.linalg.slogdet(L[:, S])
         log_det = np.array(complex(logdet, math.atan2(sign.imag, sign.real)))
-        return lam, T, V_inv, log_det
+        return lam, T, np.linalg.solve(V, tr.C.T), log_det
 
     return tr._kept("eigenbasis", None, make)
 
 
+def _shift_weights(lam: np.ndarray, shifts: ShiftSet) -> np.ndarray:
+    """prod_j (c_j - lam)^k_j elementwise over the eigenvalues ``lam``: the
+    site factor of a shift set in the eigenbasis, a negative power as a
+    division. The caller checks the inverted c first
+    (:func:`_check_inverses`)."""
+    w = np.ones(len(lam), dtype=np.complex128)
+    for c, k in shifts:
+        if k:
+            f = (c - lam) ** abs(k)
+            w = w * f if k > 0 else w / f
+    return w
+
+
 def _left_factor(tr: RankOneTriple, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(scale, left) of a (P, K) time array, shapes (P,) and (P, n, N),
-    read-only, with det(left R) e^scale = det(A exp(g(B)) R) for every
-    R (N, n); the rows of ``left`` span those of A exp(g(B)).
+    read-only, with det(left R') e^scale = det(A exp(g(B)) R) for every
+    R (N, n), R' its coordinates in the basis of the left factor.
 
     Where the triple has an eigenbasis (:func:`_eigenbasis`), r = g(lam)
-    by Horner on a (P, N) array, mu = max Re r per time, left =
-    (T o e^(r - mu)) V^-1 with the weights on the columns of T, and scale =
-    n mu + log det L_S: no exponential of a matrix. Else left =
-    A exp(g(B) - mu I) from one centred ``expm`` call and scale = n mu,
-    mu = tr g(B) / N.
+    by Horner on a (P, N) array, mu = max Re r per time, left = G =
+    T o e^(r - mu) with the weights on the columns of T, scale =
+    n mu + log det L_S and R' = V^-1 R: no exponential of a matrix, and
+    no product with V^-1 either, since every right factor is diag(w) W in
+    eigen coordinates (:meth:`TauEvaluator.moment_blocks`). Else left =
+    A exp(g(B) - mu I) from one centred ``expm`` call, scale = n mu,
+    mu = tr g(B) / N, and R' = R.
 
     A single base time (P = 1) is kept on the triple as ``"base_factor"``,
     keyed by the dtype, shape and bytes of ``times``, in place of the last
@@ -424,15 +454,14 @@ def _left_factor(tr: RankOneTriple, times: np.ndarray) -> Tuple[np.ndarray, np.n
         if not basis:
             E0, mu = _expm_centered(_exponents(tr.B, times))
             return tr.n * mu, tr.A @ E0
-        lam, T, V_inv, log_det = basis
+        lam, T, _, log_det = basis
         r = np.zeros((len(times), len(lam)), dtype=np.complex128)
         for t_i in times.T[::-1]:
             r = lam * (t_i[:, None] + r)
         if not np.isfinite(r).all():
             raise RangeError("g(B) overflows double precision on the spectrum of B")
         mu = r.real.max(axis=1)
-        left = (T * np.exp(r - mu[:, None])[:, None, :]) @ V_inv
-        return tr.n * mu + log_det, left
+        return tr.n * mu + log_det, T * np.exp(r - mu[:, None])[:, None, :]
 
     if len(times) == 1:
         return tr._kept("base_factor", (times.dtype.str, times.shape, times.tobytes()), make)
@@ -448,10 +477,12 @@ class TauEvaluator:
     empty or not finite raises ValueError, on every path.
 
     The left factor (``_left``, shape (P, n, N)) spans the rows of
-    A exp(g(B)), and ``scale`` (P,) is the complex log of what its
-    determinants leave out (:func:`_left_factor`): from the eigenbasis of
-    B where the triple has one, else from one centred ``expm`` call of the
-    Horner stack g(B). Huge tau magnitudes never leave the log scale.
+    A exp(g(B)), in eigen coordinates where the triple has an eigenbasis,
+    and ``scale`` (P,) is the complex log of what its determinants leave
+    out (:func:`_left_factor`): from the eigenbasis of B where the triple
+    has one, else from one centred ``expm`` call of the Horner stack g(B).
+    Right factors are taken in the same coordinates
+    (:func:`_right_blocks`). Huge tau magnitudes never leave the log scale.
     :meth:`moment_blocks`, :meth:`jets` and :meth:`_shifted_taus` serve
     the whole stack; :meth:`tau`, :meth:`tau_miwa` and
     :meth:`tau_discrete` give the value at the first base time.
@@ -473,7 +504,8 @@ class TauEvaluator:
     @classmethod
     def _of_factor(cls, tr: RankOneTriple, scale: np.ndarray, left: np.ndarray) -> "TauEvaluator":
         """An evaluator over a left factor (P, n, N) and its scale (P,)
-        formed elsewhere; the triple's memo is not touched."""
+        formed elsewhere, in the original coordinates (a stepped u line of a
+        triple without an eigenbasis); the triple's memo is not touched."""
         ev = cls.__new__(cls)
         ev.triple, ev.scale, ev._left = tr, scale, left
         return ev
@@ -487,15 +519,27 @@ class TauEvaluator:
         an n x n combination of these blocks: the factors commute with B,
         so p(B) R with p(B) = sum_j p_j B^j gives sum_j p_j K_j. For the
         same reason [R, B R, ..., B^degree R] is the site factor of ``base``
-        (:func:`_site_factor`) applied to the triple's kept right blocks
-        [C.T, B C.T, ...], which are the product's right factor where every
-        k_j is zero. Raises ValueError if a shift parameter is not finite,
-        SingularShiftError if an inverted c fails :func:`_check_inverses`.
+        applied to the triple's kept right blocks (:func:`_right_blocks`),
+        which are the product's right factor where every k_j is zero. In
+        the eigenbasis the site factor is the weight vector
+        w = prod_j (c_j - lam)^k_j on the rows of [W, lam W, ...]
+        (:func:`_shift_weights`): no product and no solve. Only a triple
+        without an eigenbasis applies it as matrices (:func:`_site_factor`),
+        a negative power as solves. Raises ValueError if a shift parameter
+        is not finite, SingularShiftError if an inverted c fails
+        :func:`_check_inverses`, on both paths.
         """
         if not all(cmath.isfinite(c) for c, _ in base):
             raise ValueError("shift parameter c must be finite")
-        _check_inverses(self.triple, list(dict.fromkeys(c for c, k in base if k < 0)))
-        return self._left @ _site_factor(self.triple, base, _right_blocks(self.triple, degree))
+        tr = self.triple
+        _check_inverses(tr, list(dict.fromkeys(c for c, k in base if k < 0)))
+        blocks = _right_blocks(tr, degree)
+        basis = _eigenbasis(tr)
+        if not basis:
+            return self._left @ _site_factor(tr, base, blocks)
+        if any(k for _, k in base):
+            blocks = _shift_weights(basis[0], base)[:, None] * blocks
+        return self._left @ blocks
 
     def jets(self, wanted: Sequence[Tuple[int, int, int]]) -> Tuple[np.ndarray, np.ndarray]:
         """log|tau| (P,) and derivatives of log tau (P, len(wanted)), one per
@@ -620,16 +664,27 @@ def _factorial(a: Tuple[int, int, int]) -> int:
 
 
 def _right_blocks(tr: RankOneTriple, weight: int, scale: float = 1.0) -> np.ndarray:
-    """[C.T, b C.T, ..., b^weight C.T] with b = B / scale, side by side,
+    """[C.T, b C.T, ..., b^weight C.T] with b = B / scale, side by side, in
+    the coordinates of the triple's left factors (:func:`_left_factor`),
     shape (N, (weight + 1) n), read-only and kept on the triple (one array
-    per weight and scale asked for). A scale of ||B||_2 keeps every block
-    within ||C||_2, whatever the weight; scale 1 gives the blocks of B."""
+    per weight and scale asked for). With an eigenbasis
+    (:func:`_eigenbasis`) that is [W, d W, ..., d^weight W] with
+    d = diag(lam) / scale, elementwise on the rows of W = V^-1 C.T; else
+    the products with b. A scale of ||B||_2 keeps every block within
+    ||C||_2, whatever the weight; scale 1 gives the blocks of B."""
 
     def make():
-        b = tr.B / scale
-        blocks = [tr.C.T]
-        for _ in range(weight):
-            blocks.append(b @ blocks[-1])
+        basis = _eigenbasis(tr)
+        if basis:
+            d = (basis[0] / scale)[:, None]
+            blocks = [basis[2]]
+            for _ in range(weight):
+                blocks.append(d * blocks[-1])
+        else:
+            b = tr.B / scale
+            blocks = [tr.C.T]
+            for _ in range(weight):
+                blocks.append(b @ blocks[-1])
         return np.hstack(blocks)
 
     return tr._kept(("right_blocks", weight, scale), None, make)

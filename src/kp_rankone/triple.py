@@ -55,10 +55,12 @@ class RankOneTriple:
     stays valid: ||B||_2 and the eigenvalues of B are computed on first
     use and kept, and so is what :mod:`kp_rankone.tau` reuses, each under
     one name in one memo (:meth:`_kept`): the eigenbasis of B that its
-    left factors come from, or () where B falls back to the exponential;
-    the left factor of A exp(g(B)) of the last single base time; the right
+    left factors come from, with W = V^-1 C.T, in which every shift factor
+    is a weight vector, or () where B falls back to the exponential; the
+    left factor of A exp(g(B)) of the last single base time; the right
     blocks [C.T, b C.T, ..., b^w C.T] of b = B / s per weight w and scale
-    s; and, for a triple without an eigenbasis, the offsets
+    s, in eigen coordinates ([W, d W, ...], d = diag(lam) / s) where there
+    is an eigenbasis; and, for a triple without one, the offsets
     exp((t1_k - t1_m) B) of the last u line stepped from its middle point
     t1_m. Copies and pickles are rebuilt through the constructor and start
     empty.

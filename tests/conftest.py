@@ -35,15 +35,17 @@ def mp_exp_right(tr, t, dps=40):
     exponential acts on C.T as its Taylor
     series, term by term until a term falls below 10^-(dps + guard) of the
     sum, at dps + guard digits: the guard covers the cancellation of terms
-    up to e^||g(B)||. That is N^2 n operations a term instead of the N^3
-    of a full matrix exponential.
+    up to e^||g(B)||_2, and the series runs at least ||g(B)||_2 terms, past
+    its largest one (||g(B)^k||_2 / k! <= ||g(B)||_2^k / k!). That is
+    N^2 n operations a term instead of the N^3 of a full matrix
+    exponential.
     """
     key = (tr.A.tobytes(), tr.B.tobytes(), tr.C.tobytes(), t.values.tobytes(), dps)
     if key not in _MP_EXP_RIGHT:
         G = np.zeros_like(tr.B, dtype=np.complex128)
         for v in t.values[::-1]:
             G = tr.B @ (v * np.eye(tr.N) + G)
-        norm = float(np.linalg.norm(G))
+        norm = float(np.linalg.norm(G, 2))
         guard = 10 + int(2 * norm / math.log(10))
         with mp.workdps(dps + guard):
             B = mp.matrix(tr.B.tolist())

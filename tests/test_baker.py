@@ -196,6 +196,30 @@ def test_psi_and_point_taus_match_mpmath(build):
     assert mp_rel_error(tau_miwa(tr, shifts, t) * gauge, mp.mpc(discrete)) < 1e-13
 
 
+def test_eigenbasis_weights_match_mpmath():
+    # in the eigenbasis every shift is a weight vector on the rows of
+    # V^-1 C.T: powers -3 .. 3 of the discrete and Miwa taus, psi and its
+    # adjoint, and the polynomiality check's top coefficient (its 3N + 1
+    # node taus) against 40-digit references; one c, z inside the unit disk
+    # that holds the spectrum. The worst error seen is 2.8e-14
+    tr = random_admissible(4, 12, seed=5)
+    assert _eigenbasis(tr)
+    t = TimeVector([0.4 - 0.2j, 0.1, -0.05j])
+    c1, c2, c3 = 1.7 + 0.4j, -0.9 + 1.1j, 0.45 - 0.35j
+    for k in range(-3, 4):
+        want = mp_shifted_tau(tr, t, ((c1, k), (c2, -k), (c3, k)))
+        assert mp_rel_error(tau_discrete(tr, k, -k, k, c1, c2, c3, t=t), mp.mpc(want)) < 1e-13, k
+        got = tau_miwa(tr, ((c3, k),), t) * ScaledComplex.from_complex(c3 ** (k * tr.n))
+        assert mp_rel_error(got, mp.mpc(mp_shifted_tau(tr, t, ((c3, k),)))) < 1e-13, k
+    for z in (c1, c2, c3):
+        assert mp_rel_error(psi_time(tr, t, z).value, mp_psi(tr, t, z)) < 1e-13, z
+        assert mp_rel_error(psi_dual(tr, t, z).value, mp_psi(tr, t, z, -1)) < 1e-13, z
+    rep = polynomiality_check(tr, t)
+    assert rep.passed and rep.residual < 1e-13
+    want = mp.mpc(mp_shifted_tau(tr, t, ()))
+    assert mp_rel_error(rep.context["leading_coefficient"], want) < 1e-13
+
+
 @pytest.mark.parametrize("n,N", [(2, 6), (4, 12)])
 def test_psi_with_z_next_to_the_spectrum(n, N):
     # the adjoint solves with a multiple of z I - B and loses digits in
@@ -271,7 +295,7 @@ def _linalg_calls(monkeypatch) -> dict:
 def test_psi_point_functions_take_one_slogdet(monkeypatch):
     tr = random_admissible(4, 12, seed=2)
     t = TimeVector([0.3, -0.1, 0.05])
-    # the eigenbasis, made once on a triple's first evaluation (one solve
+    # the eigenbasis, made once on a triple's first evaluation (two solves
     # and one slogdet of L_S), is not counted
     assert _eigenbasis(tr)
     calls = _linalg_calls(monkeypatch)
@@ -279,9 +303,17 @@ def test_psi_point_functions_take_one_slogdet(monkeypatch):
     assert calls == {"solve": 0, "slogdet": 1}
     psi_stationary(tr, 0.3, 0.5j)
     assert calls == {"solve": 0, "slogdet": 2}
-    # the adjoint solves once for (z I - B)^-1 C.T
+    # in the eigenbasis the adjoint divides by the weights z - lam
     psi_dual(tr, t, 2.5 - 0.5j)
-    assert calls == {"solve": 1, "slogdet": 3}
+    assert calls == {"solve": 0, "slogdet": 3}
+    # a triple without an eigenbasis (defective B) solves once for the
+    # adjoint's (z I - B)^-1 C.T
+    cm = from_calogero_moser(random_calogero_moser(2, seed=0))
+    assert not _eigenbasis(cm)
+    psi_time(cm, t, 2.5 - 0.5j)
+    assert calls == {"solve": 0, "slogdet": 4}
+    psi_dual(cm, t, 2.5 - 0.5j)
+    assert calls == {"solve": 1, "slogdet": 5}
 
 
 def test_psi_grid_takes_one_slogdet_and_no_solve(monkeypatch):
@@ -525,8 +557,10 @@ def test_polynomiality_radius_below_twice_norm_raises():
 
 @pytest.mark.parametrize("n,N", [(2, 6), (8, 24)])
 def test_polynomiality_takes_no_solve_per_node(monkeypatch, n, N):
-    # the 3N + 1 nodes share two site factors, one stacked solve of two
-    # slices; a solve per node, or a stacked one over the nodes, fails here
+    # in the eigenbasis a node's resolvent is a weight vector: no solve. A
+    # triple without one (Calogero-Moser, N = 2n) shares two site factors
+    # over the 3N + 1 nodes, one stacked solve of two slices; a solve per
+    # node, or a stacked one over the nodes, fails here
     shapes = []
     solve = np.linalg.solve
 
@@ -537,8 +571,12 @@ def test_polynomiality_takes_no_solve_per_node(monkeypatch, n, N):
         shapes.append(np.shape(a))
         return solve(a, b)
 
+    t = TimeVector([0.3, -0.15, 0.1])
+    tr = random_admissible(n, N, seed=4)
+    assert _eigenbasis(tr)  # made once per triple, not counted
     monkeypatch.setattr(np.linalg, "solve", counted)
-    rep = polynomiality_check(random_admissible(n, N, seed=4), TimeVector([0.3, -0.15, 0.1]))
-    assert rep.passed
-    assert 1 <= len(shapes) <= 2
-    assert all(len(shape) == 2 or shape[0] <= 2 for shape in shapes), shapes
+    assert polynomiality_check(tr, t).passed
+    assert shapes == []
+    cm = from_calogero_moser(random_calogero_moser(n, seed=4))
+    assert polynomiality_check(cm, t).passed
+    assert shapes == [(2, cm.N, cm.N)]

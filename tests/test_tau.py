@@ -299,21 +299,26 @@ def test_inverse_guard_svd_branch_jordan_block(monkeypatch):
 
 
 def test_inverse_guard_rejects_shift_next_to_eigenvalue():
-    tr = random_admissible(2, 6, seed=5)
-    c = complex(np.linalg.eigvals(tr.B)[0]) + 1e-14
+    # on both paths: the eigenbasis divides by the weights c - lam, a
+    # triple without one (defective B) solves; the one guard comes first,
+    # so SingularShiftError is raised, never RangeError, inf or nan
     t = TimeVector([0.1])
-    ev = TauEvaluator(tr, t)
-    for call in (
-        lambda: ev.tau_discrete(-1, 0, 0, c, 2.0, 3.0),
-        lambda: ev.tau_miwa(((2.5, -1), (c, 1), (c, -1))),
-        lambda: ev.moment_blocks(((c, -1),), 2),
-        lambda: psi_dual(tr, t, c),
-    ):
-        with pytest.raises(SingularShiftError):
-            call()
-    # a positive power needs no inverse and stays allowed
-    assert not ev.tau_discrete(1, 0, 0, c, 2.0, 3.0).is_zero
-    assert not psi_time(tr, t, c).value.is_zero
+    for tr in (random_admissible(2, 6, seed=5), _expm_triple(5)):
+        c = complex(np.linalg.eigvals(tr.B)[0]) + 1e-14
+        ev = TauEvaluator(tr, t)
+        for call in (
+            lambda: ev.tau_discrete(-1, 0, 0, c, 2.0, 3.0),
+            lambda: ev.tau_miwa(((2.5, -1), (c, 1), (c, -1))),
+            lambda: ev.moment_blocks(((c, -1),), 2),
+            lambda: hbde_residual(tr, t, c, 2.5, -2.5 + 1j, l=-1),
+            lambda: psi_dual(tr, t, c),
+        ):
+            with pytest.raises(SingularShiftError):
+                call()
+        # a positive power needs no inverse and stays allowed, and finite
+        for value in (ev.tau_discrete(1, 0, 0, c, 2.0, 3.0), psi_time(tr, t, c).value):
+            assert not value.is_zero and math.isfinite(value.log_magnitude), tr.N
+            assert math.isfinite(value.phase)
 
 
 @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan, complex(2.0, math.inf)])
@@ -460,13 +465,26 @@ def test_kept_arrays_are_read_only(name):
     if name == "base_factor":
         assert arrays[0] is ev.scale and arrays[1] is ev._left
     elif name == "eigenbasis":
-        lam, T, V_inv, log_det = arrays
-        assert T.shape == (tr.n, tr.N) and V_inv.shape == (tr.N, tr.N) and log_det.shape == ()
-        # the rows of V^-1 are left eigenvectors of B
-        assert np.abs(V_inv @ tr.B - lam[:, None] * V_inv).max() <= 1e-13 * np.abs(V_inv).max()
+        lam, T, W, log_det = arrays
+        assert T.shape == (tr.n, tr.N) and W.shape == (tr.N, tr.n) and log_det.shape == ()
+        # W = V^-1 C.T, with V the eigenvectors of B
+        eigvals, V = np.linalg.eig(tr.B)
+        assert lam.tobytes() == eigvals.tobytes()
+        assert np.abs(V @ W - tr.C.T).max() <= 1e-14 * np.abs(tr.C).max()
+        # A V = L_S T, so det(A C.T) = det(L_S) det(T W)
+        got = log_det + np.log(np.linalg.det(T @ W))
+        assert abs(np.exp(got) - np.linalg.det(tr.A @ tr.C.T)) <= 1e-13 * abs(np.exp(got))
     elif name == "right_blocks":
-        BC = tr.B @ tr.C.T
-        assert arrays[0].tobytes() == np.hstack([tr.C.T, BC, tr.B @ BC]).tobytes()
+        # in the eigenbasis the rows of W = V^-1 C.T times lam^j: no product
+        lam, W = _eigenbasis(tr)[0][:, None], _eigenbasis(tr)[2]
+        assert arrays[0].tobytes() == np.hstack([W, lam * W, lam * (lam * W)]).tobytes()
+        # without an eigenbasis, the products with B
+        cm = _expm_triple(46)
+        TauEvaluator(cm, TimeVector([0.1, 0.2])).jets([(2, 0, 0)])
+        BC = cm.B @ cm.C.T
+        (blocks,) = _kept_arrays(cm, "right_blocks")
+        assert blocks.tobytes() == np.hstack([cm.C.T, BC, cm.B @ BC]).tobytes()
+        assert not blocks.flags.writeable
     else:
         # the offsets of the 9 points, the middle one the identity
         S, nu = arrays

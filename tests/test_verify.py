@@ -177,18 +177,41 @@ def test_hbde_with_a_parameter_next_to_the_spectrum(n, N, delta):
 
 def test_hbde_at_the_origin_site_solves_nothing(monkeypatch):
     # at site (0, 0, 0) the moment blocks are the triple's kept right blocks
-    # [C.T, B C.T, B^2 C.T]: no shifted factor is built and nothing is solved
-    tr = random_admissible(3, 9, seed=3)
+    # [C.T, B C.T, B^2 C.T] (in the eigenbasis [W, lam W, lam^2 W]): no
+    # shifted factor is built and nothing is solved. Off the origin the
+    # eigenbasis weighs the rows of those blocks, and only a triple without
+    # one (defective B) solves for a negative power
     t = TimeVector([0.2, -0.1])
-    tau(tr, t)  # the exponential is memoized before counting
     solves = []
     solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
-    rep = hbde_residual(tr, t, 1.8, 2.2 + 0.7j, -2.4)
-    assert rep.passed and rep.residual < 1e-12
-    assert solves == [] and ("right_blocks", 2, 1.0) in tr._memo
-    hbde_residual(tr, t, 1.8, 2.2 + 0.7j, -2.4, l=-1)
-    assert solves == [1]
+    for tr, negative in (
+        (random_admissible(3, 9, seed=3), []),
+        (from_calogero_moser(random_calogero_moser(3, seed=3)), [1]),
+    ):
+        tau(tr, t)  # the left factor (and the eigenbasis) is kept before counting
+        monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
+        rep = hbde_residual(tr, t, 1.8, 2.2 + 0.7j, -2.4)
+        assert rep.passed and rep.residual < 1e-12
+        assert solves == [] and ("right_blocks", 2, 1.0) in tr._memo
+        rep = hbde_residual(tr, t, 1.8, 2.2 + 0.7j, -2.4, l=-1, n_index=2)
+        assert rep.passed and solves == negative
+        monkeypatch.undo()
+        solves.clear()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_hbde_at_large_sites_with_c_inside_the_spectral_spread(seed):
+    # c on the circle of 0.3 times the spectral radius, between the small
+    # eigenvalues and the dominant one: (c I - B)^20 weighs the modes over
+    # many orders. As N x N products the small ones were rounded away (0.013,
+    # 1.2e-3 and 1.3e-4 at (20, 10, 0)); as eigenbasis weights they stay
+    tr = random_admissible(4, 12, seed=seed)
+    rho = float(np.abs(tr.eigvals_B).max())
+    c = [complex(0.3 * rho * np.exp(2j * np.pi * (j / 3 + 0.1))) for j in range(3)]
+    t = TimeVector([0.2 - 0.1j, -0.1, 0.05])
+    for site in ((10, 5, 0), (20, 10, 0), (-10, -5, 0)):
+        rep = hbde_residual(tr, t, *c, *site)
+        assert rep.residual <= 1e-12, (site, rep.residual)
 
 
 def test_lattice_draw_reads_the_triples_eigenvalues(monkeypatch):
