@@ -9,10 +9,11 @@ the determinant ratio
 
 normalized by z^n where n is the row count of A, so psi e^{-xz} -> 1 as
 |z| -> infinity. The adjoint wave function flips the shift and the
-exponential. The shift I - B/z acts on C.T, before the exponential: where
-B has a kept eigenbasis it is the weight vector 1 - lam/z on the rows of
-V^-1 C.T, the adjoint its elementwise inverse, so neither takes a product
-of matrices or a solve; a triple without one takes an N x N product, the
+exponential. The shift I - B/z acts on C.T, before the exponential, as
+the right factor :func:`~kp_rankone.tau._shifted_right` builds for every
+shifted value: where B has a kept eigenbasis a weight vector on the rows
+of V^-1 C.T, the adjoint a division by it, so neither takes a product of
+matrices or a solve; a triple without one takes an N x N product, the
 adjoint a solve. Then psi and :func:`psi_grid` take one product with the
 left factor and one ``slogdet`` of n x n slices (:func:`_psi_values`).
 Values stay on the log scale (e^{xz} alone overflows doubles on moderate
@@ -24,11 +25,10 @@ B: multiplying the adjoint shift by det(z I - B) clears every pole, for
 every triple, admissible or not (by the Schur complement the product is
 a bordered determinant, polynomial in z), and :func:`polynomiality_check`
 verifies that claim by polynomial interpolation on a circle enclosing the
-spectrum. In the eigenbasis each node's resolvent (z I - B)^-1 is again a
-weight vector, 1 / (z - lam), so a node tau is one n x n product and no
-solve. Only a triple without an eigenbasis lets the nodes of one circle
-share one site factor, a solve, and takes their shifted taus as n x n
-combinations of scaled moment blocks, as in the bilinear check.
+spectrum. Each node's resolvent is the same right factor again: in the
+eigenbasis the weight vector 1 / (zeta - lam / r), so a node tau is one
+n x n product and no solve; a triple without an eigenbasis takes one
+stacked solve over the nodes, each of them well conditioned.
 """
 
 from __future__ import annotations
@@ -48,10 +48,8 @@ from .tau import (
     TimeVector,
     TimesLike,
     _check_inverses,
-    _eigenbasis,
     _fold,
-    _identity,
-    _right_blocks,
+    _shifted_right,
     _slogdet,
 )
 from .triple import RankOneTriple
@@ -128,31 +126,22 @@ def _psi_values(
     One ``slogdet`` takes det(L C.T) = tau(t) e^(-scale), L the left factor
     of the evaluator and scale its log factor, and per z det(L F^k C.T) =
     a^(k n) tau(t - k [1/z]) e^(-scale), F = a I - s B = s (z I - B)
-    (:func:`_split`), with C.T and F in the coordinates of L
-    (:func:`~kp_rankone.tau._right_blocks`). In the eigenbasis F is the
-    weight vector a - s lam on the rows of W = V^-1 C.T, the adjoint its
-    elementwise inverse: no product and no solve. A triple without an
-    eigenbasis takes the product F C.T, or the solve for the adjoint.
-    Either way the shift acts on C.T before the exponential: K0 - K1 / z
-    of the moment blocks would cancel the mode of an eigenvalue next to z
-    after it. Each slice is its own product (n, N) @ (N, n): same bits in
-    any stack. The quotient of a pair, times e^(k g(z)) over the gauge
-    a^(k n), is folded in Python floats (:func:`_fold`). The exponent is
-    g(z) or -g(z) as such: Python's k * g(z) would change the sign of a
+    (:func:`_split`), with F^k C.T the right factor (a, s, k) over the
+    stack of z (:func:`~kp_rankone.tau._shifted_right`): in the eigenbasis
+    the weight vector a - s lam, or its inverse, on the rows of
+    W = V^-1 C.T; without one the product F C.T, or a solve for the
+    adjoint. Either way the shift acts on C.T before the exponential:
+    K0 - K1 / z of the moment blocks would cancel the mode of an eigenvalue
+    next to z after it. Each slice is its own product (n, N) @ (N, n): same
+    bits in any stack. The quotient of a pair, times e^(k g(z)) over the
+    gauge a^(k n), is folded in Python floats (:func:`_fold`). The exponent
+    is g(z) or -g(z) as such: Python's k * g(z) would change the sign of a
     zero part."""
     ev = TauEvaluator(tr, np.array([t.values for t in ts]))
     if k == -1:
         _check_inverses(tr, zs)
-    a, s = (np.array(v)[:, None, None] for v in zip(*map(_split, zs)))
-    C_T = _right_blocks(tr, 0)
-    basis = _eigenbasis(tr)
-    if basis:
-        f = a - s * basis[0][:, None]
-        shifted = f * C_T if k == 1 else C_T / f
-    else:
-        F = a * _identity(tr.N) - s * tr.B
-        shifted = F @ C_T if k == 1 else np.linalg.solve(F, C_T[None])
-    R = np.concatenate([C_T[None], shifted])
+    a, s = (np.array(v)[:, None] for v in zip(*map(_split, zs)))
+    R = np.concatenate([_shifted_right(tr, ())[None], _shifted_right(tr, ((a, s, k),))])
     sign, logdet = _slogdet(ev._left[None] @ R[:, None])
     (lm0, *lms), (ph0, *phs) = logdet.tolist(), sign_phase(sign).tolist()
     values: List[Optional[ScaledComplex]] = []
@@ -257,71 +246,26 @@ def _circle_taus(ev: TauEvaluator, r: float) -> Tuple[List[np.ndarray], np.ndarr
     e^(i arg tau) at the nodes, circle by circle (log|tau| -inf and unit 0
     at an exact zero).
 
-    With b = B / r, tau(t + [1/z]) = z^n det(A E (z I - B)^-1 C.T) =
-    e^scale zeta^n det S, where S = L (zeta I - b)^-1 C.T in the
-    coordinates of L, the evaluator's left factor, and scale its log factor
-    (:func:`~kp_rankone.tau._left_factor`). In the eigenbasis (zeta I - b)^-1
-    is the weight vector 1 / (zeta - lam / r) on the rows of W = V^-1 C.T,
-    so S is one product per node, and no solve: |zeta - lam / r| >= 1/2
-    keeps every weight within 2. A triple without an eigenbasis takes the
-    circle's shared inverse (:func:`_circle_combinations`). The 3N + 1
-    determinants take one ``slogdet``.
+    tau(t + [1/z]) = z^n det(A E (z I - B)^-1 C.T) = e^scale zeta^n det S,
+    where S = L (zeta I - B / r)^-1 C.T in the coordinates of L, the
+    evaluator's left factor, and scale its log factor
+    (:func:`~kp_rankone.tau._left_factor`). The resolvents of all nodes are
+    one right factor (zeta, 1 / r, -1) over the stack of nodes
+    (:func:`~kp_rankone.tau._shifted_right`): in the eigenbasis the weight
+    vector 1 / (zeta - lam / r) on the rows of W = V^-1 C.T, no solve, and
+    |zeta - lam / r| >= 1/2 keeps every weight within 2; without one a
+    stacked solve over the nodes, and ||B / r||_2 <= 1/2 keeps the
+    condition number of each zeta I - B / r at most 3, whatever ||B||_2.
+    The 3N + 1 determinants take one ``slogdet``.
     """
     tr = ev.triple
     powers = [_node_powers(tr.N + 1, 0.0), _node_powers(2 * tr.N, _CHECK_ROTATION)]
-    basis = _eigenbasis(tr)
-    if basis:
-        zeta = np.concatenate([Z[:, 1] for Z in powers])
-        S = ev._left[0] @ (_right_blocks(tr, 0) / (zeta[:, None, None] - basis[0][:, None] / r))
-    else:
-        S = _circle_combinations(ev, r, powers)
+    zeta = np.concatenate([Z[:, 1] for Z in powers])[:, None]
+    S = ev._left[0] @ _shifted_right(tr, ((zeta, 1.0 / r, -1),))
     sign, logdet = _slogdet(S)
     scale = complex(ev.scale[0])
     unit = sign * np.concatenate([Z[:, tr.n] for Z in powers]) * cmath.exp(1j * scale.imag)
     return powers, logdet + scale.real, unit
-
-
-def _circle_combinations(ev: TauEvaluator, r: float, powers: List[np.ndarray]) -> np.ndarray:
-    """The n x n matrices S of :func:`_circle_taus` at the nodes of the two
-    circles whose power tables are ``powers``, for a triple without an
-    eigenbasis, shape (3N + 1, n, n).
-
-    All nodes of a circle satisfy zeta^M = omega, so with b = B / r each
-    resolvent splits into a polynomial in b and one inverse that the
-    circle shares:
-
-        (zeta I - b)^-1 = (sum_{j<M} zeta^(M-1-j) b^j) (omega I - b^M)^-1.
-
-    Hence S = sum_j zeta^(M-1-j) (s / r)^j K_j, a combination of the moment
-    blocks K_j = X (B / s)^j C.T, s = ||B||_2 (r for B = 0), and
-    X = L (omega I - b^M)^-1: the inverse acts on L because b commutes with
-    it and with exp(g(B)). The two site factors X are one stacked solve of
-    two slices, the blocks one product with the triple's kept right blocks
-    [C.T, ..., (B / s)^(2N-1) C.T]. No power r^M or B^j is formed: every
-    block stays within ||C||_2 and every weight within 2^-j. With
-    ||b||_2 <= 1/2, sum_j ||b^j|| <= 2 bounds how much a combination
-    amplifies rounding, and omega I - b^M has condition number at most
-    (1 + 2^-M) / (1 - 2^-M).
-    """
-    tr = ev.triple
-    n, N = tr.n, tr.N
-    I = np.eye(N)
-    b = tr.B / r
-    bN = np.linalg.matrix_power(b, N)
-    omega = cmath.exp(2j * math.pi * _CHECK_ROTATION)
-    F = np.stack([I - bN @ b, omega * I - bN @ bN])
-    # the right-hand side gets its own stack axis: numpy 1.x reads a b of
-    # one dimension less than a as a stack of vectors
-    X = np.linalg.solve(F.transpose(0, 2, 1), ev._left[0].T[None]).transpose(0, 2, 1)
-    s = tr.norm_B or r
-    # K[c, j] = K_j of circle c, j = 0 .. 2N - 1
-    K = (X @ _right_blocks(tr, 2 * N - 1, s)).reshape(2, n, 2 * N, n).transpose(0, 2, 1, 3)
-    S = []
-    for c, Z in enumerate(powers):
-        M = len(Z)
-        weights = Z[:, ::-1] * (s / r) ** np.arange(M, dtype=np.float64)
-        S.append((weights @ K[c, :M].reshape(M, n * n)).reshape(M, n, n))
-    return np.concatenate(S)
 
 
 def polynomiality_check(
@@ -345,7 +289,7 @@ def polynomiality_check(
     must be at least 2 ||B||_2, else GeometryError), fitted exactly in the
     DFT-conditioned basis (z / r)^k, and validated on 2N rotated nodes of
     the same circle. The nodes stay at least r / 2 from the spectrum, and
-    their shifted taus come from one site factor per circle
+    their shifted taus come from one right factor over all 3N + 1 nodes
     (:func:`_circle_taus`). q / r^N is formed at all nodes at once: the
     characteristic polynomial from the kept eigenvalues of B as one
     product, the phases as products of unit complex numbers, and every

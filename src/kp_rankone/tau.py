@@ -14,18 +14,17 @@ does not.
 Every shifted tau here is an n x n determinant of the moment blocks
 K_j = L B^j R of :meth:`TauEvaluator.moment_blocks`, with L the left
 factor of A exp(g(B)) (below) and R = prod_j (c_j I - B)^k_j C.T, after
-:func:`_check_inverses` has cleared the inverted c. Where B has a kept
-eigenbasis, B = V diag(lam) V^-1, every such factor commutes with B and
-is diagonal in it, so the blocks are L diag(lam^j w) W with W = V^-1 C.T
-and one weight vector w = prod_j (c_j - lam)^k_j (:func:`_shift_weights`),
-a negative power a division: the kept right blocks [W, lam W, ...] times
-w, then one product with L, and no solve. A triple without an eigenbasis
-applies the site factor as matrices (:func:`_site_factor`, negative
-powers as solves) to its kept right blocks [C.T, B C.T, ...]. The factors
-commute with B, so nonnegative powers beyond R are n x n combinations of
-the K_j: plain, Miwa and discrete taus take K0, the bilinear check
-c_a K0 - K1 and c_a c_b K0 - (c_a + c_b) K1 + K2; the jets use the blocks
-of R = C.T.
+:func:`_check_inverses` has cleared the inverted c. One function builds
+every such right factor, these sites as well as the wave function's and
+the polynomiality nodes' (:func:`_shifted_right`): the factors commute
+with B, so where B has a kept eigenbasis, B = V diag(lam) V^-1, they are
+one weight vector on the rows of the kept right blocks [W, lam W, ...],
+W = V^-1 C.T, a negative power a division, and no solve; a triple without
+an eigenbasis applies them as matrices to its kept right blocks
+[C.T, B C.T, ...], negative powers as solves. Nonnegative powers beyond R
+are n x n combinations of the K_j: plain, Miwa and discrete taus take K0,
+the bilinear check c_a K0 - K1 and c_a c_b K0 - (c_a + c_b) K1 + K2; the
+jets use the blocks of R = C.T.
 Every value, a point's or a grid's, is folded from its ``slogdet`` in
 Python floats as ScaledComplex folds it (:func:`_fold`,
 :meth:`TauEvaluator._shifted_taus`): a point is a stack of one, so a grid
@@ -59,15 +58,14 @@ eigenvector matrix (:func:`_eigenbasis`), no matrix is exponentiated:
 with L = A V, n pivot columns S of L and T = L_S^-1 L kept on the triple,
 the left factor is T o e^(r - mu) in eigen coordinates, r = g(lam) by
 Horner and mu = max Re r per time, and scale = n mu + log det L_S; its
-right factors are diag(w) W, so V^-1 is never multiplied back.
+right factors are weights on the rows of W, so V^-1 is never multiplied
+back.
 Normalising by L_S keeps tau accurate where the weights e^r span many
 orders of magnitude (large times). Every other triple, defective or
 ill-conditioned B, takes A exp(g(B) - mu I) from one centred ``expm``
 call of the Horner stack g(B) (the stack is built here, so the
 exponential skips the input check that
-:func:`~kp_rankone.matkernel.expm_centered` makes), with scale = n mu;
-only this fallback path forms shifted right factors as matrices, with
-products and solves.
+:func:`~kp_rankone.matkernel.expm_centered` makes), with scale = n mu.
 Moment blocks and jets serve the whole stack, and a single point is a
 stack of one. The left factor of a single base time is kept on the
 triple, so checks made one after another at one base time share it; the
@@ -149,6 +147,9 @@ TimesLike = Union["TimeVector", Sequence[complex]]
 ShiftsLike = Union["MiwaShiftList", Iterable[Tuple[complex, int]]]
 #: one shift set ((c_j, k_j), ...), read more than once
 ShiftSet = Sequence[Tuple[complex, int]]
+#: one right factor (a, s, k), (a I - s B)^k; a and s are scalars or (S, 1)
+#: arrays over a stack of S shift sets (:func:`_shifted_right`)
+Factor = Tuple[Union[complex, np.ndarray], Union[float, np.ndarray], int]
 #: grid coordinates (t1, t2, t3); t2, t3 are None where the grid has no such axis
 GridCoords = Tuple[float, Optional[float], Optional[float]]
 
@@ -334,22 +335,6 @@ def _fold(lm: float, ph: float, times: complex, over: complex) -> Tuple[float, f
     return lm + t_lm - o_lm, wrap_phase(wrap_phase(ph + t_ph) - o_ph)
 
 
-def _site_factor(tr: RankOneTriple, shifts: ShiftSet, right: np.ndarray) -> np.ndarray:
-    """prod_j (c_j I - B)^k_j X for one shift set ((c_j, k_j), ...), with X
-    (N, m) the array ``right``, which is not written to: the factors act in
-    the set's own order, a positive power as k products and a negative one
-    as |k| solves; k = 0 entries are skipped. Only a triple without an
-    eigenbasis takes this path; the eigenbasis weighs rows instead
-    (:func:`_shift_weights`). The caller checks the inverted c first
-    (:func:`_check_inverses`)."""
-    for c, k in shifts:
-        if k:
-            F = c * _identity(tr.N) - tr.B
-            for _ in range(abs(k)):
-                right = np.linalg.solve(F, right) if k < 0 else F @ right
-    return right
-
-
 def _pivot_columns(L: np.ndarray) -> Optional[List[int]]:
     """n columns of L (n, N) by Gram-Schmidt with column pivoting: each step
     takes the column of largest norm once the chosen ones are projected
@@ -415,17 +400,45 @@ def _eigenbasis(tr: RankOneTriple) -> tuple:
     return tr._kept("eigenbasis", None, make)
 
 
-def _shift_weights(lam: np.ndarray, shifts: ShiftSet) -> np.ndarray:
-    """prod_j (c_j - lam)^k_j elementwise over the eigenvalues ``lam``: the
-    site factor of a shift set in the eigenbasis, a negative power as a
-    division. The caller checks the inverted c first
-    (:func:`_check_inverses`)."""
-    w = np.ones(len(lam), dtype=np.complex128)
-    for c, k in shifts:
-        if k:
-            f = (c - lam) ** abs(k)
+def _shifted_right(tr: RankOneTriple, factors: Sequence[Factor], degree: int = 0) -> np.ndarray:
+    """prod_j (a_j I - s_j B)^k_j [C.T, B C.T, ..., B^degree C.T] for the
+    factors ((a_j, s_j, k_j), ...), in the coordinates of the triple's left
+    factors (:func:`_left_factor`), shape (N, (degree + 1) n), or
+    (S, N, (degree + 1) n) where an a_j or s_j is an (S, 1) array over a
+    stack of S shift sets; k = 0 entries are skipped.
+
+    The one right factor of every shifted value: a lattice or Miwa site
+    (c, 1, k), the wave function's shift (a, s, +-1) and a polynomiality
+    node (zeta, 1 / r, -1). Each factor commutes with B, so it acts on the
+    triple's kept right blocks (:func:`_right_blocks`), which are returned
+    as they are where every k_j is zero. In the eigenbasis
+    (:func:`_eigenbasis`) the product is one weight vector
+    w = prod_j (a_j - s_j lam)^k_j on the rows of [W, lam W, ...], a
+    negative power a division: no product of matrices and no solve. A
+    triple without an eigenbasis applies the factors as matrices in the
+    given order, a positive power as k products and a negative one as |k|
+    solves, stacked where the factor is. The caller checks the inverted
+    factors first (:func:`_check_inverses`)."""
+    blocks = _right_blocks(tr, degree)
+    factors = [f for f in factors if f[2]]
+    if not factors:
+        return blocks
+    basis = _eigenbasis(tr)
+    if basis:
+        w = 1.0
+        for a, s, k in factors:
+            f = (a - s * basis[0]) ** abs(k)
             w = w * f if k > 0 else w / f
-    return w
+        return w[..., None] * blocks
+    for a, s, k in factors:
+        F = np.asarray(a)[..., None] * _identity(tr.N) - np.asarray(s)[..., None] * tr.B
+        if k < 0 and blocks.ndim < F.ndim:
+            # numpy 1.x reads a b of one dimension less than a as a stack
+            # of vectors
+            blocks = blocks[None]
+        for _ in range(abs(k)):
+            blocks = np.linalg.solve(F, blocks) if k < 0 else F @ blocks
+    return blocks
 
 
 def _left_factor(tr: RankOneTriple, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -438,7 +451,7 @@ def _left_factor(tr: RankOneTriple, times: np.ndarray) -> Tuple[np.ndarray, np.n
     T o e^(r - mu) with the weights on the columns of T, scale =
     n mu + log det L_S and R' = V^-1 R: no exponential of a matrix, and
     no product with V^-1 either, since every right factor is diag(w) W in
-    eigen coordinates (:meth:`TauEvaluator.moment_blocks`). Else left =
+    eigen coordinates (:func:`_shifted_right`). Else left =
     A exp(g(B) - mu I) from one centred ``expm`` call, scale = n mu,
     mu = tr g(B) / N, and R' = R.
 
@@ -482,7 +495,7 @@ class TauEvaluator:
     out (:func:`_left_factor`): from the eigenbasis of B where the triple
     has one, else from one centred ``expm`` call of the Horner stack g(B).
     Right factors are taken in the same coordinates
-    (:func:`_right_blocks`). Huge tau magnitudes never leave the log scale.
+    (:func:`_shifted_right`). Huge tau magnitudes never leave the log scale.
     :meth:`moment_blocks`, :meth:`jets` and :meth:`_shifted_taus` serve
     the whole stack; :meth:`tau`, :meth:`tau_miwa` and
     :meth:`tau_discrete` give the value at the first base time.
@@ -517,29 +530,17 @@ class TauEvaluator:
 
         Every shifted tau whose set is ``base`` plus nonnegative powers is
         an n x n combination of these blocks: the factors commute with B,
-        so p(B) R with p(B) = sum_j p_j B^j gives sum_j p_j K_j. For the
-        same reason [R, B R, ..., B^degree R] is the site factor of ``base``
-        applied to the triple's kept right blocks (:func:`_right_blocks`),
-        which are the product's right factor where every k_j is zero. In
-        the eigenbasis the site factor is the weight vector
-        w = prod_j (c_j - lam)^k_j on the rows of [W, lam W, ...]
-        (:func:`_shift_weights`): no product and no solve. Only a triple
-        without an eigenbasis applies it as matrices (:func:`_site_factor`),
-        a negative power as solves. Raises ValueError if a shift parameter
+        so p(B) R with p(B) = sum_j p_j B^j gives sum_j p_j K_j. The right
+        factor [R, B R, ..., B^degree R] is :func:`_shifted_right` of the
+        site factors (c_j, 1, k_j). Raises ValueError if a shift parameter
         is not finite, SingularShiftError if an inverted c fails
-        :func:`_check_inverses`, on both paths.
+        :func:`_check_inverses`.
         """
         if not all(cmath.isfinite(c) for c, _ in base):
             raise ValueError("shift parameter c must be finite")
         tr = self.triple
         _check_inverses(tr, list(dict.fromkeys(c for c, k in base if k < 0)))
-        blocks = _right_blocks(tr, degree)
-        basis = _eigenbasis(tr)
-        if not basis:
-            return self._left @ _site_factor(tr, base, blocks)
-        if any(k for _, k in base):
-            blocks = _shift_weights(basis[0], base)[:, None] * blocks
-        return self._left @ blocks
+        return self._left @ _shifted_right(tr, [(c, 1, k) for c, k in base], degree)
 
     def jets(self, wanted: Sequence[Tuple[int, int, int]]) -> Tuple[np.ndarray, np.ndarray]:
         """log|tau| (P,) and derivatives of log tau (P, len(wanted)), one per
@@ -663,31 +664,28 @@ def _factorial(a: Tuple[int, int, int]) -> int:
     return math.factorial(a[0]) * math.factorial(a[1]) * math.factorial(a[2])
 
 
-def _right_blocks(tr: RankOneTriple, weight: int, scale: float = 1.0) -> np.ndarray:
-    """[C.T, b C.T, ..., b^weight C.T] with b = B / scale, side by side, in
-    the coordinates of the triple's left factors (:func:`_left_factor`),
-    shape (N, (weight + 1) n), read-only and kept on the triple (one array
-    per weight and scale asked for). With an eigenbasis
-    (:func:`_eigenbasis`) that is [W, d W, ..., d^weight W] with
-    d = diag(lam) / scale, elementwise on the rows of W = V^-1 C.T; else
-    the products with b. A scale of ||B||_2 keeps every block within
-    ||C||_2, whatever the weight; scale 1 gives the blocks of B."""
+def _right_blocks(tr: RankOneTriple, weight: int) -> np.ndarray:
+    """[C.T, B C.T, ..., B^weight C.T], side by side, in the coordinates of
+    the triple's left factors (:func:`_left_factor`), shape
+    (N, (weight + 1) n), read-only and kept on the triple (one array per
+    weight asked for). With an eigenbasis (:func:`_eigenbasis`) that is
+    [W, lam W, ..., lam^weight W], elementwise on the rows of
+    W = V^-1 C.T; else the products with B."""
 
     def make():
         basis = _eigenbasis(tr)
         if basis:
-            d = (basis[0] / scale)[:, None]
+            d = basis[0][:, None]
             blocks = [basis[2]]
             for _ in range(weight):
                 blocks.append(d * blocks[-1])
         else:
-            b = tr.B / scale
             blocks = [tr.C.T]
             for _ in range(weight):
-                blocks.append(b @ blocks[-1])
+                blocks.append(tr.B @ blocks[-1])
         return np.hstack(blocks)
 
-    return tr._kept(("right_blocks", weight, scale), None, make)
+    return tr._kept(("right_blocks", weight), None, make)
 
 
 def _compositions(c: Tuple[int, int, int]) -> Iterator[Tuple[Tuple[int, int, int], ...]]:

@@ -58,9 +58,9 @@ class RankOneTriple:
     left factors come from, with W = V^-1 C.T, in which every shift factor
     is a weight vector, or () where B falls back to the exponential; the
     left factor of A exp(g(B)) of the last single base time; the right
-    blocks [C.T, b C.T, ..., b^w C.T] of b = B / s per weight w and scale
-    s, in eigen coordinates ([W, d W, ...], d = diag(lam) / s) where there
-    is an eigenbasis; and, for a triple without one, the offsets
+    blocks [C.T, B C.T, ..., B^w C.T] per weight w, in eigen coordinates
+    ([W, lam W, ...]) where there is an eigenbasis; and, for a triple
+    without one, the offsets
     exp((t1_k - t1_m) B) of the last u line stepped from its middle point
     t1_m. Copies and pickles are rebuilt through the constructor and start
     empty.

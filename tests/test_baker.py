@@ -519,12 +519,25 @@ def test_polynomiality_default_radius():
     assert rel_difference(rep.context["leading_coefficient"], tau(tr, t)) < 1e-13
 
 
-@pytest.mark.parametrize("n,N,norm", [(2, 24, 4e6), (4, 100, 40.0), (2, 24, 1e150)])
-def test_polynomiality_with_a_large_norm_of_B(n, N, norm):
-    # the moment blocks are those of B / ||B||_2, so no power of B is
-    # formed: ||B||_2^(2N-1) far past 1e308 does not overflow
+@pytest.mark.parametrize(
+    "n,N,norm,nilpotent",
+    [
+        pytest.param(2, 24, 4e6, False, id="2-24-4000000.0"),
+        pytest.param(4, 100, 40.0, False, id="4-100-40.0"),
+        pytest.param(2, 24, 1e150, False, id="2-24-1e+150"),
+        pytest.param(2, 24, 4e6, True, id="nilpotent-2-24-4000000.0"),
+        pytest.param(2, 24, 1e150, True, id="nilpotent-2-24-1e+150"),
+    ],
+)
+def test_polynomiality_with_a_large_norm_of_B(n, N, norm, nilpotent):
+    # every node factor is zeta I - B / r with ||B / r||_2 <= 1/2, so no
+    # power of B is formed: ||B||_2^N far past 1e308 does not overflow. A
+    # nilpotent B (one Jordan block) has no eigenbasis and takes the
+    # stacked solve over the nodes
     tr = random_admissible(n, N, seed=1)
-    tr = RankOneTriple(tr.A, tr.B * (norm / tr.norm_B), tr.C)
+    B = norm * np.diag(np.ones(N - 1), k=1) if nilpotent else tr.B * (norm / tr.norm_B)
+    tr = RankOneTriple(tr.A, B, tr.C)
+    assert bool(_eigenbasis(tr)) != nilpotent
     t = TimeVector([0.0])
     rep = polynomiality_check(tr, t)
     assert rep.context["radius"] == pytest.approx(2.0 * norm, rel=1e-12)
@@ -534,8 +547,8 @@ def test_polynomiality_with_a_large_norm_of_B(n, N, norm):
 
 @pytest.mark.parametrize("radius", [1e-10, 1e-3, 3.0])
 def test_polynomiality_b_zero_at_any_radius(radius):
-    # B = 0 allows any positive radius; a tiny one must not overflow the
-    # weights of the (zero) blocks past the first, 2N - 1 = 47 of them
+    # B = 0 allows any positive radius. Its eigenbasis is that of the
+    # identity, lam = 0, so each node's weight is 1 / zeta, whatever r
     rng = np.random.default_rng(5)
     A, C = (rng.standard_normal((2, 24)) + 1j * rng.standard_normal((2, 24)) for _ in range(2))
     tr = RankOneTriple(A, np.zeros((24, 24)), C)
@@ -558,9 +571,8 @@ def test_polynomiality_radius_below_twice_norm_raises():
 @pytest.mark.parametrize("n,N", [(2, 6), (8, 24)])
 def test_polynomiality_takes_no_solve_per_node(monkeypatch, n, N):
     # in the eigenbasis a node's resolvent is a weight vector: no solve. A
-    # triple without one (Calogero-Moser, N = 2n) shares two site factors
-    # over the 3N + 1 nodes, one stacked solve of two slices; a solve per
-    # node, or a stacked one over the nodes, fails here
+    # triple without one (Calogero-Moser, N = 2n) takes one stacked solve
+    # over the 3N + 1 nodes; a solve per node fails here
     shapes = []
     solve = np.linalg.solve
 
@@ -579,4 +591,36 @@ def test_polynomiality_takes_no_solve_per_node(monkeypatch, n, N):
     assert shapes == []
     cm = from_calogero_moser(random_calogero_moser(n, seed=4))
     assert polynomiality_check(cm, t).passed
-    assert shapes == [(2, cm.N, cm.N)]
+    assert shapes == [(3 * cm.N + 1, cm.N, cm.N)]
+
+
+def test_every_solve_of_a_defective_triple_has_b_of_a_rank(monkeypatch):
+    # numpy 1.x reads a right-hand side b of one dimension less than a as a
+    # stack of vectors, numpy 2 as a matrix: every shifted public function
+    # of a triple without an eigenbasis solves with b of a's rank
+    shapes = []
+    solve = np.linalg.solve
+
+    def checked(a, b):
+        assert np.ndim(b) == np.ndim(a)
+        shapes.append(np.shape(a))
+        return solve(a, b)
+
+    cm = from_calogero_moser(random_calogero_moser(3, seed=2))
+    assert not _eigenbasis(cm)
+    N, t = cm.N, TimeVector([0.3, -0.15, 0.1])
+    monkeypatch.setattr(np.linalg, "solve", checked)
+    for k in (2, -2):
+        shifts = ((2.5, k), (-1.5 + 1j, -k), (3.0j, 1))
+        gauge = ScaledComplex.from_complex(np.prod([c ** (j * cm.n) for c, j in shifts]))
+        got = tau_discrete(cm, k, -k, 1, 2.5, -1.5 + 1j, 3.0j, t=t)
+        assert rel_difference(tau_miwa(cm, shifts, t) * gauge, got) < 1e-13
+    assert hbde_residual(cm, t, 1.8, 2.2 + 0.7j, -2.4, l=-1, m=2, n_index=-2).passed
+    psi_dual(cm, t, 2.5 - 0.5j)
+    assert len(psi_grid(cm, [-0.5, 0.4], [2.5, -1.2 + 3.0j])) == 4
+    assert polynomiality_check(cm, t).passed
+    # a solve per negative power: two for each discrete tau and its Miwa
+    # tau, three for the site (-1, 2, -2), one stacked over z for psi_dual
+    # and one over the 3N + 1 polynomiality nodes
+    assert len(shapes) == 2 * 2 * 2 + 3 + 2
+    assert shapes[-2:] == [(1, N, N), (3 * N + 1, N, N)]

@@ -192,7 +192,7 @@ def test_hbde_at_the_origin_site_solves_nothing(monkeypatch):
         monkeypatch.setattr(np.linalg, "solve", lambda *a, **k: solves.append(1) or solve(*a, **k))
         rep = hbde_residual(tr, t, 1.8, 2.2 + 0.7j, -2.4)
         assert rep.passed and rep.residual < 1e-12
-        assert solves == [] and ("right_blocks", 2, 1.0) in tr._memo
+        assert solves == [] and ("right_blocks", 2) in tr._memo
         rep = hbde_residual(tr, t, 1.8, 2.2 + 0.7j, -2.4, l=-1, n_index=2)
         assert rep.passed and solves == negative
         monkeypatch.undo()
