@@ -257,16 +257,24 @@ def residual_of_sum(terms: Iterable[ScaledComplex]) -> float:
     return residual_of_log_sum([t.log_magnitude for t in terms], [t.phase for t in terms])
 
 
-def residual_of_log_sum(log_magnitudes: List[float], phases: List[float]) -> float:
-    """:func:`residual_of_sum` of the terms exp(log_magnitude + i phase),
-    given as two lists of floats (-inf for an exact zero)."""
-    if not log_magnitudes:
-        raise ValueError("need at least one term")
+def _log_peak(log_magnitudes) -> float:
+    """The largest of the terms' log magnitudes, the scale of a relative
+    residual; IndeterminateScaleError where every term lies below ~1e-300,
+    in which case a relative residual carries no information."""
     peak = max(log_magnitudes)
     if peak < _LOG_TINY:
         raise IndeterminateScaleError(
             "all terms are below 1e-300 in magnitude; relative residual undefined"
         )
+    return peak
+
+
+def residual_of_log_sum(log_magnitudes: List[float], phases: List[float]) -> float:
+    """:func:`residual_of_sum` of the terms exp(log_magnitude + i phase),
+    given as two lists of floats (-inf for an exact zero)."""
+    if not log_magnitudes:
+        raise ValueError("need at least one term")
+    peak = _log_peak(log_magnitudes)
     acc = 0j
     for lm, ph in zip(log_magnitudes, phases):
         if lm == -math.inf:

@@ -414,7 +414,10 @@ def _shifted_right(tr: RankOneTriple, factors: Sequence[Factor], degree: int = 0
     as they are where every k_j is zero. In the eigenbasis
     (:func:`_eigenbasis`) the product is one weight vector
     w = prod_j (a_j - s_j lam)^k_j on the rows of [W, lam W, ...], a
-    negative power a division: no product of matrices and no solve. A
+    negative power a division: no product of matrices and no solve. The
+    arithmetic that would not change a bit is left out: w starts from the
+    first factor (from 1.0 / f where that is inverted), s_j = 1 (the int)
+    takes lam itself, and a power of 1 is not raised. A
     triple without an eigenbasis applies the factors as matrices in the
     given order, a positive power as k products and a negative one as |k|
     solves, stacked where the factor is. The caller checks the inverted
@@ -425,10 +428,15 @@ def _shifted_right(tr: RankOneTriple, factors: Sequence[Factor], degree: int = 0
         return blocks
     basis = _eigenbasis(tr)
     if basis:
-        w = 1.0
+        lam, w = basis[0], None
         for a, s, k in factors:
-            f = (a - s * basis[0]) ** abs(k)
-            w = w * f if k > 0 else w / f
+            f = a - (lam if type(s) is int and s == 1 else s * lam)
+            if abs(k) != 1:
+                f = f ** abs(k)
+            if k < 0:
+                w = (1.0 if w is None else w) / f
+            else:
+                w = f if w is None else w * f
         return w[..., None] * blocks
     for a, s, k in factors:
         F = np.asarray(a)[..., None] * _identity(tr.N) - np.asarray(s)[..., None] * tr.B

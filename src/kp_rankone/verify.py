@@ -3,7 +3,9 @@ satisfy, each packaged as a :class:`VerificationReport`.
 
 All residuals are relative: the defect is divided by the magnitude of
 the largest contributing term, so "small" means small compared to the
-quantities that were combined, not on some absolute scale.
+quantities that were combined, not on some absolute scale. The bilinear
+lattice residual is formed as arrays from the signs and log magnitudes of
+its six determinants, with no tau folded on its own.
 """
 
 from __future__ import annotations
@@ -29,19 +31,16 @@ from .errors import (
     InadmissibleTripleError,
 )
 from .matkernel import (
-    DEFAULT_RANK_TOL,
     _integral,
-    _log_polar,
+    _log_peak,
     as_cmatrix,
     det_scaled,
     matexp,
     numerical_rank,
     rel_difference,
-    residual_of_log_sum,
-    wrap_phase,
     ScaledComplex,
 )
-from .tau import TauEvaluator, TimeVector, TimesLike, _fold, _slogdet, tau
+from .tau import TauEvaluator, TimeVector, TimesLike, _slogdet, tau
 from .triple import RankOneTriple
 
 __all__ = [
@@ -122,11 +121,13 @@ def draw_lattice_parameters(rng: np.random.Generator, B) -> List[complex]:
 _HBDE_STEPS = ((0,), (1, 2), (1,), (0, 2), (2,), (0, 1))
 
 
-def _hbde_taus(
+def _hbde_dets(
     tr: RankOneTriple, t: TimesLike, c: Tuple[complex, complex, complex], site: Tuple[int, int, int]
-) -> List[Tuple[float, float]]:
-    """The six Miwa taus of the bilinear identity at ``site``, in
-    ``_HBDE_STEPS`` order, as (log|tau|, phase) pairs of Python floats.
+) -> Tuple[np.ndarray, np.ndarray, complex, List[complex]]:
+    """The six Miwa determinants of the bilinear identity at ``site``, in
+    ``_HBDE_STEPS`` order: (sign, log|det|) arrays (6,) of one ``slogdet``,
+    the evaluator's scale and the six gauges, with tau = det e^scale /
+    e^gauge.
 
     A step in c_a, or in c_a and c_b, multiplies the site factor
     R = prod_j (c_j I - B)^site_j C.T by c_a I - B, or by
@@ -134,8 +135,8 @@ def _hbde_taus(
     combination of the three moment blocks K_j = L B^j R of the left factor
     L (:meth:`TauEvaluator.moment_blocks`): c_a K0 - K1, or
     c_a c_b K0 - (c_a + c_b) K1 + K2. The six combinations are one stacked
-    product and take one ``slogdet``. The evaluator's scale and the gauge
-    (prod_j c_j^k_j)^n are then folded in (:func:`~kp_rankone.tau._fold`).
+    product and take one ``slogdet``. The gauge (prod_j c_j^k_j)^n of each
+    is n sum_j k_j log c_j, summed in Python complex arithmetic.
     """
     ev = TauEvaluator(tr, t)
     n = tr.n
@@ -155,12 +156,7 @@ def _hbde_taus(
             gauges.append(site_gauge + n_logs[a] + n_logs[b])
     M = np.array(weights, dtype=np.complex128).reshape(6, 3) @ K
     signs, logdets = _slogdet(M.swapaxes(0, 1))
-    scale = complex(ev.scale[0])
-    # each determinant's phase in (-pi, pi], then det e^scale / e^gauge
-    return [
-        _fold(logdet, wrap_phase(math.atan2(sign.imag, sign.real)), scale, g)
-        for sign, logdet, g in zip(signs.tolist(), logdets.tolist(), gauges)
-    ]
+    return signs, logdets, complex(ev.scale[0]), gauges
 
 
 def hbde_residual(
@@ -186,11 +182,18 @@ def hbde_residual(
     vanishes identically for admissible triples. The report carries
     |sum| / max term magnitude, evaluated on the log scale. The six
     shifted taus are n x n combinations of three moment blocks of one
-    site factor (:func:`_hbde_taus`), so the check takes one shifted right
+    site factor (:func:`_hbde_dets`), so the check takes one shifted right
     factor (none at site (0, 0, 0)), one product with the left factor and
     one n x n ``slogdet``; checks at one base time share its left factor.
-    The pair products and the terms are formed in Python floats, as
-    ScaledComplex forms them.
+
+    Each pair of taus carries the scale twice and the gauges of both steps,
+    2 site gauge + n sum_j log c_j in every term, so that common factor
+    drops out of |sum| / max and the terms are formed from the
+    determinants as arrays: the term log magnitudes (reported as
+    ``term_log_magnitudes``) from the folded log|tau|, (log|det| + Re scale)
+    - Re gauge, the term phases as the unit signs sign_a sign_b w / |w|.
+    An exact zero determinant drops out of the sum; where every term lies
+    below ~1e-300, IndeterminateScaleError.
     """
     c1, c2, c3 = complex(c1), complex(c2), complex(c3)
     l, m, n_index = _integral(l, "l"), _integral(m, "m"), _integral(n_index, "n_index")
@@ -200,20 +203,20 @@ def hbde_residual(
         raise ValueError("lattice parameters must be nonzero")
     if not all(map(cmath.isfinite, (c1, c2, c3))):
         raise ValueError("shift parameter c must be finite")
-    T = _hbde_taus(tr, t, (c1, c2, c3), (l, m, n_index))
+    signs, logdets, scale, gauges = _hbde_dets(tr, t, (c1, c2, c3), (l, m, n_index))
+    lm = (logdets + scale.real) - np.array([g.real for g in gauges])
     # T0 T1 (c2 - c3), T2 T3 (-(c1 - c3)), T4 T5 (c1 - c2)
-    term_lm, term_ph = [], []
-    for (a_lm, a_ph), (b_lm, b_ph), w in zip(T[0::2], T[1::2], (c2 - c3, -(c1 - c3), c1 - c2)):
-        w_lm, w_ph = _log_polar(w)
-        term_lm.append(a_lm + b_lm + w_lm)
-        term_ph.append(wrap_phase(wrap_phase(a_ph + b_ph) + w_ph))
+    w = (c2 - c3, -(c1 - c3), c1 - c2)
+    term_lm = (lm[0::2] + lm[1::2]) + np.array([math.log(abs(x)) for x in w])
+    peak = _log_peak(term_lm)
+    units = signs[0::2] * signs[1::2] * np.array([x / abs(x) for x in w])
     return VerificationReport.make(
         "hbde",
-        residual_of_log_sum(term_lm, term_ph),
+        abs(np.exp(term_lm - peak) @ units),
         tol,
         c=[c1, c2, c3],
         site=[l, m, n_index],
-        term_log_magnitudes=term_lm,
+        term_log_magnitudes=term_lm.tolist(),
     )
 
 

@@ -6,6 +6,7 @@ them to near machine precision.
 """
 
 import importlib
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -35,6 +36,7 @@ from kp_rankone.tau import (
     TauEvaluator,
     TimeVector,
     _eigenbasis,
+    _shifted_right,
     log_tau_derivative,
     tau,
     tau_discrete,
@@ -452,6 +454,31 @@ def _kept_arrays(tr, name: str) -> tuple:
     name (one value per name here)."""
     (value,) = [v for k, (_, v) in tr._memo.items() if (k[0] if isinstance(k, tuple) else k) == name]
     return value if isinstance(value, tuple) else (value,)
+
+
+@pytest.mark.parametrize("stack", [False, True])
+def test_eigenbasis_weights_keep_the_bits_of_the_plain_product(stack):
+    # the weight vector leaves out only arithmetic that changes no bit (it
+    # starts from the first factor, takes lam itself for s = 1 and raises no
+    # power of 1): the plain product from w = 1.0 gives the same bytes, for
+    # every pair of powers in -2..2, s in {1, 0.5} or an (S, 1) stack
+    tr = random_admissible(3, 9, seed=21)
+    lam = _eigenbasis(tr)[0]
+    blocks = _shifted_right(tr, (), 1)
+    rng = np.random.default_rng(21)
+    shape = (4, 1) if stack else ()
+    a1, a2 = (rng.random(shape) + 1j * rng.random(shape) + 2.0 for _ in range(2))
+    scales = (rng.random((4, 1)) + 0.5,) if stack else (1, 0.5)
+    for s, k1, k2 in itertools.product(scales, range(-2, 3), range(-2, 3)):
+        factors = [f for f in ((a1, s, k1), (a2, 1, k2)) if f[2]]
+        if not factors:
+            continue
+        w = 1.0
+        for a, s_j, k in factors:
+            f = (a - s_j * lam) ** abs(k)
+            w = w * f if k > 0 else w / f
+        got = _shifted_right(tr, factors, 1)
+        assert got.tobytes() == (w[..., None] * blocks).tobytes(), (s, k1, k2)
 
 
 @pytest.mark.parametrize("name", ["base_factor", "right_blocks", "step_offsets", "eigenbasis"])

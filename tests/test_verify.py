@@ -17,14 +17,18 @@ from kp_rankone.cases import (
     random_intertwining,
     random_kdv_pair,
 )
-from kp_rankone.errors import DegenerateSpectrumError, InadmissibleTripleError
-from kp_rankone.matkernel import ScaledComplex, rel_difference, residual_of_sum
-from kp_rankone.tau import TimeVector, tau, tau_miwa
+from kp_rankone.errors import (
+    DegenerateSpectrumError,
+    InadmissibleTripleError,
+    IndeterminateScaleError,
+)
+from kp_rankone.matkernel import ScaledComplex, rel_difference, residual_of_sum, sign_phase
+from kp_rankone.tau import TimeVector, _fold, tau, tau_miwa
 from kp_rankone.triple import RankOneTriple, make_triple, random_admissible
 from kp_rankone.verify import (
     DEFAULT_KP_TOL,
     VerificationReport,
-    _hbde_taus,
+    _hbde_dets,
     bethe_check,
     draw_lattice_parameters,
     crosscheck_intertwining,
@@ -77,19 +81,36 @@ def test_hbde_random_triples(seed):
     assert rep.residual < 1e-10
 
 
+def _hbde_taus(tr, t, c, site):
+    """The six taus of :func:`_hbde_dets`, each folded as ScaledComplex
+    folds det e^scale / e^gauge (:func:`_fold`)."""
+    signs, logdets, scale, gauges = _hbde_dets(tr, t, c, site)
+    return [
+        ScaledComplex(*_fold(lm, ph, scale, g))
+        for lm, ph, g in zip(logdets.tolist(), sign_phase(signs).tolist(), gauges)
+    ]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_hbde_log_scale_arrays_match_scaled_complex_reference(seed):
-    # the residual and the terms, formed in Python floats, are bit for bit
-    # what ScaledComplex arithmetic gives from the six taus the check forms
+    # the term log magnitudes are bit for bit what ScaledComplex arithmetic
+    # gives from the six folded taus; the residual is |sum_j e^(lm_j - peak)
+    # u_j| with the unit phases u_j = sign_a sign_b w_j / |w_j| of the six
+    # determinants' signs, and within rounding of the folded terms' residual
     tr = random_admissible(1 + seed, 4 + 2 * seed, seed=40 + seed)
     t = TimeVector([0.3 - 0.1j, 0.2, -0.05])
     c1, c2, c3 = draw_lattice_parameters(np.random.default_rng(seed), tr)
     l, m, n = [(1, -1, 0), (0, 1, 1), (-1, 0, -1), (1, 1, 1)][seed]
     rep = hbde_residual(tr, t, c1, c2, c3, l=l, m=m, n_index=n)
-    T = [ScaledComplex(lm, ph) for lm, ph in _hbde_taus(tr, t, (c1, c2, c3), (l, m, n))]
-    terms = [T[0] * T[1] * (c2 - c3), T[2] * T[3] * (-(c1 - c3)), T[4] * T[5] * (c1 - c2)]
-    assert rep.residual == residual_of_sum(terms)
-    assert rep.context["term_log_magnitudes"] == [x.log_magnitude for x in terms]
+    T = _hbde_taus(tr, t, (c1, c2, c3), (l, m, n))
+    w = (c2 - c3, -(c1 - c3), c1 - c2)
+    terms = [T[0] * T[1] * w[0], T[2] * T[3] * w[1], T[4] * T[5] * w[2]]
+    lms = [x.log_magnitude for x in terms]
+    assert rep.context["term_log_magnitudes"] == lms
+    signs = _hbde_dets(tr, t, (c1, c2, c3), (l, m, n))[0]
+    units = signs[0::2] * signs[1::2] * np.array([x / abs(x) for x in w])
+    assert rep.residual == abs(np.exp(np.array(lms) - max(lms)) @ units)
+    assert abs(rep.residual - residual_of_sum(terms)) <= 2e-15
 
 
 # the sites of the identity's six taus, as offsets from (l, m, n)
@@ -131,9 +152,9 @@ def _mpmath_hbde_taus(tr, t, c, site, dps=30):
 
 
 def test_hbde_taus_match_tau_miwa_and_mpmath():
-    # the six taus from the n x n moment blocks stay within 1e-11 of the
-    # N x N shifted determinants of tau_miwa, and of a 30-digit mpmath
-    # determinant on one draw per size
+    # the six taus from the n x n moment blocks, folded test-side, stay
+    # within 1e-11 of the N x N shifted determinants of tau_miwa, and of a
+    # 30-digit mpmath determinant on one draw per size
     rng = np.random.default_rng(77)
     t = TimeVector([0.25 - 0.1j, -0.15 + 0.05j, 0.1])
     sizes = ((1, 4), (2, 6), (4, 12), (8, 24))
@@ -142,7 +163,7 @@ def test_hbde_taus_match_tau_miwa_and_mpmath():
         tr = random_admissible(n, N, seed=100 + draw)
         c = tuple(draw_lattice_parameters(rng, tr))
         site = tuple(int(k) for k in rng.integers(-1, 2, size=3))
-        got = [ScaledComplex(lm, ph) for lm, ph in _hbde_taus(tr, t, c, site)]
+        got = _hbde_taus(tr, t, c, site)
         for offset, value in zip(_HBDE_OFFSETS, got):
             shifts = tuple((cj, s + a) for cj, s, a in zip(c, site, offset))
             assert rel_difference(value, tau_miwa(tr, shifts, t)) <= 1e-11, (draw, offset)
@@ -244,6 +265,54 @@ def test_hbde_negative_control_rank_two():
     bad = RankOneTriple(tr.A, tr.B + bump, tr.C)
     rep = hbde_residual(bad, TimeVector([0.2]), 1.8, 2.3, -2.6)
     assert rep.residual > 1e-3
+
+
+def _mpmath_hbde_residual(tr, t, c, site):
+    """|sum| / max term magnitude of the identity's three terms, from the
+    30-digit taus of :func:`_mpmath_hbde_taus`."""
+    T = _mpmath_hbde_taus(tr, t, c, site)
+    with mpmath.workdps(30):
+        c1, c2, c3 = (mpmath.mpc(x) for x in c)
+        terms = [T[0] * T[1] * (c2 - c3), -T[2] * T[3] * (c1 - c3), T[4] * T[5] * (c1 - c2)]
+        return abs(mpmath.fsum(terms)) / max(abs(x) for x in terms)
+
+
+def test_hbde_residual_matches_mpmath_where_the_identity_fails():
+    # where the identity fails by far more than rounding, the residual is
+    # a number of its own: within 1e-12 relative of the 30-digit residual,
+    # on the rank-two negative control and on one perturbed triple
+    rng = np.random.default_rng(5)
+    tr = random_admissible(2, 6, seed=5)
+    P = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    u, s, vh = np.linalg.svd(P)
+    control = RankOneTriple(tr.A, tr.B + u[:, :2] @ np.diag([1.0, 0.5]) @ vh[:2, :], tr.C)
+    tr = random_admissible(2, 6, seed=5000)
+    rng = np.random.default_rng(9000)
+    t = TimeVector(2.0 * (rng.random(3) - 0.5) + 0.5j * (rng.random(3) - 0.5))
+    rng2 = np.random.default_rng(12000)
+    u, _, vh = np.linalg.svd(rng2.standard_normal((6, 6)) + 1j * rng2.standard_normal((6, 6)))
+    perturbed = RankOneTriple(tr.A, tr.B + u[:, :2] @ np.diag([1.0, 0.7]) @ vh[:2, :], tr.C)
+    cases = (
+        (control, TimeVector([0.2]), (1.8, 2.3, -2.6), (0, 0, 0)),
+        (perturbed, t, tuple(draw_lattice_parameters(rng, tr.B)), (1, 0, -1)),
+    )
+    for bad, t, c, site in cases:
+        rep = hbde_residual(bad, t, *c, *site)
+        want = _mpmath_hbde_residual(bad, t, c, site)
+        assert rep.residual > 1e-3
+        assert abs(rep.residual - want) <= 1e-12 * want, (rep.residual, want)
+
+
+def test_hbde_of_an_identically_zero_tau_is_indeterminate():
+    # A of rank < n (a zero row): every tau is exactly zero, each of the six
+    # determinants drops out, and no term is left to scale the sum by
+    tr = random_admissible(3, 9, seed=4)
+    bad = RankOneTriple(np.vstack([tr.A[:2], np.zeros((1, 9))]), tr.B, tr.C)
+    for site in ((0, 0, 0), (1, -1, 0)):
+        signs = _hbde_dets(bad, TimeVector([0.2, -0.1]), (1.8, 2.2 + 0.7j, -2.4), site)[0]
+        assert not signs.any()
+        with pytest.raises(IndeterminateScaleError):
+            hbde_residual(bad, TimeVector([0.2, -0.1]), 1.8, 2.2 + 0.7j, -2.4, *site)
 
 
 def test_hbde_context_records_site():
