@@ -189,7 +189,7 @@ def psi_dual(tr: RankOneTriple, t: TimesLike, z: complex) -> BASample:
 
 def psi_grid(tr: RankOneTriple, x_values: Sequence[float], z_values) -> List[BASample]:
     """:func:`psi_stationary` over a grid, z outer and x inner, bit for bit:
-    one left factor (from the eigenbasis of B or one exponential), one
+    one left factor (:func:`~kp_rankone.tau._left_factor`), one
     product and one ``slogdet`` for the whole grid.
     Where tau(x) vanishes the sample is a pole, not a PoleError. An empty
     axis gives an empty list."""

@@ -22,7 +22,6 @@ SVD for ranks and kernels.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple, Union
 
@@ -298,7 +297,7 @@ def residual_of_log_sum(log_magnitudes: List[float], phases: List[float]) -> flo
 
 def _pade_coefficients(m: int) -> Tuple[float, ...]:
     """b_0..b_m of the [m/m] Pade approximant p(x)/p(-x) to e^x, scaled to
-    b_0 = 1 (then b_1 = 1/2 for every m, as _IDENTITY_TABLE uses)."""
+    b_0 = 1 (then b_1 = 1/2 for every m, as _IDENTITY_TERMS uses)."""
     f = math.factorial
     return tuple(
         f(2 * m - k) * f(m) / (f(2 * m) * f(k) * f(m - k)) for k in range(m + 1)
@@ -324,19 +323,6 @@ _LOG2_ELL_BOUND = {
 }
 # d_2j = ||A^2j||^(1/2j) from the norms of W = A^4, A^6, A^2, A^8
 _ROOTS = np.array([1 / 4, 1 / 6, 1 / 2, 1 / 8])[:, None]
-# scalings up to 2^-60 are folded into the Pade coefficients (b_13 2^-13s
-# stays a normal double); larger ones scale A itself
-_MAX_FOLDED_S = 60
-# a stack is evaluated in chunks of at most this many matrix entries
-# (slices times k^2); a chunk's powers and Pade combinations, four times
-# that each, live in two per-thread buffers (:func:`_buffer`) that stay
-# from call to call, so that the allocator does not return them to the
-# system and fault them in again at every call
-_CHUNK_ENTRIES = 16384
-# per thread, so threads never share them; their contents never outlive
-# a call, so one call cannot see another's
-_buffers = threading.local()
-
 # r_m = (V - U)^-1 (V + U) with U = A Y_u, V = Y_v for m <= 9 and
 # U = A (A^6 Z_u + Y_u), V = A^6 Z_v + Y_v for m = 13 (Higham 2005, eqs.
 # 2.3 and 2.5). Z_u, Y_u, Z_v, Y_v combine the powers W = A^4, A^6, A^2,
@@ -365,38 +351,15 @@ def _combination_table() -> np.ndarray:
 
 
 _COMBINATIONS = _combination_table()
-# the tables B of b_k 2^-ks at the places of _POWER, by degree and s, and
-# the identity terms b_1 2^-s, b_0 of Y_u, Y_v, by s
-_B_TABLE = np.ldexp(
-    _COMBINATIONS[:, None], -np.multiply.outer(np.arange(_MAX_FOLDED_S + 1), _POWER)
-)
-_IDENTITY_TABLE = np.stack(
-    [np.ldexp(0.5, -np.arange(_MAX_FOLDED_S + 1)), np.ones(_MAX_FOLDED_S + 1)], axis=-1
-)[..., None]
+# the identity terms b_1 I, b_0 I of Y_u, Y_v
+_IDENTITY_TERMS = np.array([[0.5], [1.0]])
 # bound once: the solve inside the exponential is part of the exponential
 _solve = np.linalg.solve
 
 
-def _buffer(slot: int, shape: Tuple[int, ...]) -> np.ndarray:
-    """A complex128 array of the given shape, contents undefined, over the
-    calling thread's buffer number ``slot`` (0 or 1), which grows to the
-    largest size asked for up to 4 _CHUNK_ENTRIES; a larger shape gets a
-    fresh array. The next call with the same slot reuses the memory."""
-    size = math.prod(shape)
-    if size > 4 * _CHUNK_ENTRIES:
-        return np.empty(shape, dtype=np.complex128)
-    held = getattr(_buffers, "arrays", None)
-    if held is None:
-        held = _buffers.arrays = [np.empty(0, dtype=np.complex128)] * 2
-    if held[slot].size < size:
-        held[slot] = np.empty(size, dtype=np.complex128)
-    return held[slot][:size].reshape(shape)
-
-
 def _powers(A: np.ndarray) -> np.ndarray:
-    """W = (A^4, A^6, A^2, A^8) of a stack A (P, k, k), as (4, P, k, k) in
-    buffer 0."""
-    W = _buffer(0, (4,) + A.shape)
+    """W = (A^4, A^6, A^2, A^8) of a stack A (P, k, k), as (4, P, k, k)."""
+    W = np.empty((4,) + A.shape, dtype=np.complex128)
     A4, A6, A2, A8 = W
     np.matmul(A, A, out=A2)
     np.matmul(A2, A2, out=A4)
@@ -490,15 +453,14 @@ def _degree_and_scaling(A: np.ndarray, W: np.ndarray):
     return np.array(level), np.array(s), np.array(overflow), norms[2] == 0
 
 
-def _pade(A: np.ndarray, W: np.ndarray, level: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """r_m(2^-s A) of each slice of A (P, k, k) from its powers W, with m
-    = _DEGREES[level] and s <= _MAX_FOLDED_S; the combinations Z_u, Y_u,
-    Z_v, Y_v are one real matrix product per slice."""
+def _pade(A: np.ndarray, W: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """r_m(A) of each slice of A (P, k, k) from its powers W, with m =
+    _DEGREES[level]; the combinations Z_u, Y_u, Z_v, Y_v are one real
+    matrix product per slice."""
     P, k = A.shape[0], A.shape[-1]
     rows = W.view(np.float64).reshape(4, P, 2 * k * k).swapaxes(0, 1)
-    out = _buffer(1, (P, 4, k * k)).view(np.float64)
-    combos = np.matmul(_B_TABLE[level, s], rows, out=out).view(np.complex128)
-    combos[:, 1::2, :: k + 1] += _IDENTITY_TABLE[s]
+    combos = (_COMBINATIONS[level] @ rows).view(np.complex128)
+    combos[:, 1::2, :: k + 1] += _IDENTITY_TERMS
     Zu, Yu, Zv, Yv = combos.reshape(P, 4, k, k).swapaxes(0, 1)
     big = np.nonzero(level == 4)[0]
     if len(big):
@@ -517,31 +479,26 @@ def _expm(A: np.ndarray) -> np.ndarray:
     """exp of a finite complex matrix (k, k) or stack (..., k, k).
 
     Each slice gets its own degree and scaling; one Pade evaluation serves
-    a chunk of slices and each slice is squared s_i times, so a slice of a
-    stack is bit-for-bit the matrix it gives alone. A^2 = 0 gives I + A
-    exactly. A slice whose powers overflow comes back as nan; callers
-    raise RangeError on non-finite output.
+    the stack and each slice is squared s_i times, so a slice of a stack is
+    bit-for-bit the matrix it gives alone. A^2 = 0 gives I + A exactly. A
+    slice whose powers overflow comes back as nan; callers raise
+    RangeError on non-finite output.
     """
     shape, k = A.shape, A.shape[-1]
     A = A.reshape((-1, k, k))
-    chunk = max(_CHUNK_ENTRIES // (k * k), 1)
-    if len(A) > chunk:
-        parts = [_expm(A[i : i + chunk]) for i in range(0, len(A), chunk)]
-        return np.concatenate(parts).reshape(shape)
     W = _powers(A)
     level, s, overflow, square_zero = _degree_and_scaling(A, W)
-    # W is not read past this point: _powers(A_s) below may overwrite it
     top = int(s.max())
-    # slices whose powers overflow are evaluated as zeros and set to nan;
-    # those that scale past the folding range scale A itself
-    if top > _MAX_FOLDED_S or overflow.any():
-        scaled = np.where(s > _MAX_FOLDED_S, s, 0)
-        scale = np.where(overflow, 0.0, np.ldexp(1.0, -scaled))
+    # slices with s > 0 scale A itself by 2^-s (exact), and their powers
+    # with it; slices whose powers overflow are evaluated as zeros and set
+    # to nan
+    if top or overflow.any():
+        scale = np.where(overflow, 0.0, np.ldexp(1.0, -s))
         A_s = A * scale[:, None, None]
-        E = _pade(A_s, _powers(A_s), np.where(overflow, 0, level), s - scaled)
+        E = _pade(A_s, _powers(A_s), np.where(overflow, 0, level))
         E[overflow] = np.nan
     else:
-        E = _pade(A, W, level, s)
+        E = _pade(A, W, level)
     for step in range(1, top + 1):
         squared = s >= step
         E[squared] = E[squared] @ E[squared]

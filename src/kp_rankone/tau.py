@@ -53,19 +53,32 @@ one product with its left factor
 One :class:`TauEvaluator` holds a stack of P base times and one left
 factor for them all (:func:`_left_factor`), which spans the rows of
 A exp(g(B)) and comes with the complex log ``scale`` of what its
-determinants leave out. Where B = V diag(lam) V^-1 has a well conditioned
-eigenvector matrix (:func:`_eigenbasis`), no matrix is exponentiated:
-with L = A V, n pivot columns S of L and T = L_S^-1 L kept on the triple,
-the left factor is T o e^(r - mu) in eigen coordinates, r = g(lam) by
-Horner and mu = max Re r per time, and scale = n mu + log det L_S; its
-right factors are weights on the rows of W, so V^-1 is never multiplied
-back.
-Normalising by L_S keeps tau accurate where the weights e^r span many
-orders of magnitude (large times). Every other triple, defective or
-ill-conditioned B, takes A exp(g(B) - mu I) from one centred ``expm``
-call of the Horner stack g(B) (the stack is built here, so the
-exponential skips the input check that
-:func:`~kp_rankone.matkernel.expm_centered` makes), with scale = n mu.
+determinants leave out. It comes one of three ways, and only the last
+exponentiates a matrix:
+
+* Wilson's formula, where the triple is exactly the Calogero-Moser
+  embedding A = [X I], B = [[Z, 0], [I, Z]], C = [I 0]
+  (:func:`_calogero_moser`). Any f gives f(B) = [[f(Z), 0], [f'(Z), f(Z)]]
+  (Higham, Functions of Matrices, Thm 3.6), so for every right factor
+  h(B) C.T, A exp(g(B)) h(B) C.T = ([X + g'(Z), I] h(B) C.T) exp(g(Z)):
+  the left factor is [X + g'(Z)  I], g'(Z) by Horner, and scale =
+  tr g(Z) (Wilson, Invent. Math. 133, 1998). The jets see the right
+  factor exp(g(Z)) as a similarity of every X_j, which leaves the traces
+  alone.
+* The eigenbasis, where B = V diag(lam) V^-1 has a well conditioned
+  eigenvector matrix (:func:`_eigenbasis`): with L = A V, n pivot columns
+  S of L and T = L_S^-1 L kept on the triple, the left factor is
+  T o e^(r - mu) in eigen coordinates, r = g(lam) by Horner and
+  mu = max Re r per time, and scale = n mu + log det L_S; its right
+  factors are weights on the rows of W, so V^-1 is never multiplied back.
+  Normalising by L_S keeps tau accurate where the weights e^r span many
+  orders of magnitude (large times).
+* Every other triple, defective or ill-conditioned B, takes
+  A exp(g(B) - mu I) from one centred ``expm`` call of the Horner stack
+  g(B) (the stack is built here, so the exponential skips the input check
+  that :func:`~kp_rankone.matkernel.expm_centered` makes), with
+  scale = n mu.
+
 Moment blocks and jets serve the whole stack, and a single point is a
 stack of one. The left factor of a single base time is kept on the
 triple, so checks made one after another at one base time share it; the
@@ -73,18 +86,8 @@ triple's arrays cannot be made writeable, so what it keeps cannot go
 stale. Everything kept goes through the triple's one memo,
 :meth:`~kp_rankone.triple.RankOneTriple._kept`.
 
-:func:`tau_grid`, :func:`~kp_rankone.baker.psi_grid` and, for a triple
-with an eigenbasis, :func:`u_field` take one direct stack per line of
-base times and one ``slogdet``. For the other triples :func:`u_field`
-steps, since t1 is the flow of B itself: exp(g(B)) at t1_k is exp(g(B))
-at t1_m times exp((t1_k - t1_m) B). Each line takes one exponential, at
-its middle point m, and the offsets exp((t1_k - t1_m) B) are shared by
-all lines of a grid and kept on the triple, so a later grid with the same
-t1 values and K exponentiates only its middle points
-(:func:`_u_line_evaluators`). Stepping would put an exact zero of tau
-(the Wilson point at t1 = -3) at a rounding-size number, which the tau
-and psi grids would not flag, while u flags any |tau| below
-``POLE_REL_THRESHOLD`` times the grid maximum.
+:func:`tau_grid`, :func:`u_field` and :func:`~kp_rankone.baker.psi_grid`
+take one stack per line of base times and one ``slogdet``, on every path.
 """
 
 from __future__ import annotations
@@ -139,8 +142,8 @@ POLE_REL_THRESHOLD = 1e-10
 #: mpmath: at desk scale the eigenbasis loses about eps cond_1(V) on tau
 #: and 5 eps cond_1(V) on u; at t1 = 10..20 it is the more accurate path
 #: on every triple swept below cond_1(V) ~ 1e3, on half of them above.
-#: Random triples up to (16, 48) stay below 7e2, Calogero-Moser triples
-#: (defective B) lie above 1e7
+#: Random triples up to (16, 48) stay below 7e2, conjugated Calogero-Moser
+#: triples (defective B) above 1e7
 _MAX_EIGENVECTOR_COND = 1e3
 
 TimesLike = Union["TimeVector", Sequence[complex]]
@@ -219,13 +222,7 @@ class TimeVector:
 
     def g_prime_matrix(self, Z: np.ndarray) -> np.ndarray:
         """g'(Z) = sum_i i t_i Z^(i-1) by Horner."""
-        Z = as_cmatrix(Z, "Z")
-        dim = Z.shape[0]
-        acc = np.zeros((dim, dim), dtype=np.complex128)
-        I = np.eye(dim, dtype=np.complex128)
-        for i in range(self.K, 0, -1):
-            acc = acc @ Z + (i * complex(self.values[i - 1])) * I
-        return acc
+        return _derivative_exponents(as_cmatrix(Z, "Z"), self.values[None])[0]
 
 
 @dataclass(frozen=True)
@@ -307,6 +304,17 @@ def _exponents(B: np.ndarray, times: np.ndarray) -> np.ndarray:
     return G
 
 
+def _derivative_exponents(Z: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """g'(Z) = sum_i i t_i Z^(i-1) for each row of a time array (P, K), by
+    Horner on a (P, n, n) stack; each slice is bit for bit what it gives in
+    any other stack."""
+    I = _identity(len(Z))
+    D = np.zeros((len(times),) + Z.shape, dtype=np.complex128)
+    for i in range(times.shape[1], 0, -1):
+        D = D @ Z + (i * times[:, i - 1])[:, None, None] * I
+    return D
+
+
 @lru_cache(maxsize=8)
 def _identity(N: int) -> np.ndarray:
     """The read-only N x N complex identity."""
@@ -358,8 +366,36 @@ def _pivot_columns(L: np.ndarray) -> Optional[List[int]]:
     return chosen
 
 
+def _calogero_moser(tr: RankOneTriple) -> tuple:
+    """(X, Z) where the triple is exactly the embedding that
+    :func:`~kp_rankone.cases.from_calogero_moser` builds, A = [X I],
+    B = [[Z, 0], [I, Z]] and C = [I 0], N = 2n, by exact equality of its
+    blocks; else (). Made on the first evaluation of a triple and kept as
+    ``"calogero_moser"``; X and Z are views of A and B."""
+
+    def make():
+        n = tr.n
+        if tr.N != 2 * n:
+            return ()
+        A, B, C, I = tr.A, tr.B, tr.C, _identity(n)
+        Z = B[:n, :n]
+        exact = (
+            np.array_equal(A[:, n:], I)
+            and np.array_equal(B[n:, :n], I)
+            and np.array_equal(B[n:, n:], Z)
+            and not B[:n, n:].any()
+            and np.array_equal(C[:, :n], I)
+            and not C[:, n:].any()
+        )
+        return (A[:, :n], Z) if exact else ()
+
+    return tr._kept("calogero_moser", None, make)
+
+
 def _eigenbasis(tr: RankOneTriple) -> tuple:
-    """(lam, T, W, log det L_S) of B = V diag(lam) V^-1, or () where V is
+    """(lam, T, W, log det L_S) of B = V diag(lam) V^-1, or () where the
+    triple is a Calogero-Moser embedding (:func:`_calogero_moser`: its
+    left factor is Wilson's, in the original coordinates), V is
     singular, cond_1(V) = ||V||_1 ||V^-1||_1 exceeds
     ``_MAX_EIGENVECTOR_COND`` or A V is numerically rank-deficient (then
     tau vanishes, and the exponential path finds its exact zero); made on
@@ -378,6 +414,8 @@ def _eigenbasis(tr: RankOneTriple) -> tuple:
     """
 
     def make():
+        if _calogero_moser(tr):
+            return ()
         try:
             lam, V = np.linalg.eig(tr.B)
             V_inv = np.linalg.inv(V)
@@ -454,6 +492,10 @@ def _left_factor(tr: RankOneTriple, times: np.ndarray) -> Tuple[np.ndarray, np.n
     read-only, with det(left R') e^scale = det(A exp(g(B)) R) for every
     R (N, n), R' its coordinates in the basis of the left factor.
 
+    Where the triple is a Calogero-Moser embedding
+    (:func:`_calogero_moser`), left = [X + g'(Z)  I] with g'(Z) by Horner
+    on a (P, n, n) stack, scale = tr g(Z) and R' = R, for every R = h(B) C.T
+    (the module docstring): no exponential and no eigendecomposition.
     Where the triple has an eigenbasis (:func:`_eigenbasis`), r = g(lam)
     by Horner on a (P, N) array, mu = max Re r per time, left = G =
     T o e^(r - mu) with the weights on the columns of T, scale =
@@ -467,10 +509,18 @@ def _left_factor(tr: RankOneTriple, times: np.ndarray) -> Tuple[np.ndarray, np.n
     keyed by the dtype, shape and bytes of ``times``, in place of the last
     one. A stack of P > 1 times (a grid line, a psi grid) is not kept and
     leaves the kept one be: it is rarely asked for twice, and would stay
-    alive with the triple. Raises RangeError where g(lam) or the left
-    factor is not finite."""
+    alive with the triple. Raises RangeError where g(lam), g(Z), g'(Z) or
+    the left factor is not finite."""
 
     def make():
+        wilson = _calogero_moser(tr)
+        if wilson:
+            X, Z = wilson
+            D = _derivative_exponents(Z, times) + X
+            scale = np.trace(_exponents(Z, times), axis1=-2, axis2=-1)
+            if not (np.isfinite(D).all() and np.isfinite(scale).all()):
+                raise RangeError("g(Z) or g'(Z) overflows double precision")
+            return scale, np.concatenate([D, np.broadcast_to(_identity(tr.n), D.shape)], axis=-1)
         basis = _eigenbasis(tr)
         if not basis:
             E0, mu = _expm_centered(_exponents(tr.B, times))
@@ -500,8 +550,9 @@ class TauEvaluator:
     The left factor (``_left``, shape (P, n, N)) spans the rows of
     A exp(g(B)), in eigen coordinates where the triple has an eigenbasis,
     and ``scale`` (P,) is the complex log of what its determinants leave
-    out (:func:`_left_factor`): from the eigenbasis of B where the triple
-    has one, else from one centred ``expm`` call of the Horner stack g(B).
+    out (:func:`_left_factor`): Wilson's [X + g'(Z)  I] for a Calogero-Moser
+    embedding, from the eigenbasis of B where the triple has one, else
+    from one centred ``expm`` call of the Horner stack g(B).
     Right factors are taken in the same coordinates
     (:func:`_shifted_right`). Huge tau magnitudes never leave the log scale.
     :meth:`moment_blocks`, :meth:`jets` and :meth:`_shifted_taus` serve
@@ -521,15 +572,6 @@ class TauEvaluator:
             raise ValueError("a time stack must be nonempty and finite")
         times = t if stack else TimeVector.coerce(t).values[None, :]
         self.scale, self._left = _left_factor(tr, times)
-
-    @classmethod
-    def _of_factor(cls, tr: RankOneTriple, scale: np.ndarray, left: np.ndarray) -> "TauEvaluator":
-        """An evaluator over a left factor (P, n, N) and its scale (P,)
-        formed elsewhere, in the original coordinates (a stepped u line of a
-        triple without an eigenbasis); the triple's memo is not touched."""
-        ev = cls.__new__(cls)
-        ev.triple, ev.scale, ev._left = tr, scale, left
-        return ev
 
     def moment_blocks(self, base: ShiftSet, degree: int) -> np.ndarray:
         """The blocks L B^j R, j = 0 .. degree, of the left factor L, side by
@@ -844,54 +886,13 @@ def tau_grid(
 ) -> List[Tuple[GridCoords, ScaledComplex]]:
     """tau over a grid, as ((t1, t2, t3), value) pairs in :func:`u_field` order.
 
-    Each t1 line is one :class:`TauEvaluator` stack: one left factor, from
-    the eigenbasis of B or one ``expm`` call, and one ``slogdet`` call. An
-    exact zero of tau is the scaled zero (log magnitude -inf).
+    Each t1 line is one :class:`TauEvaluator` stack: one left factor
+    (:func:`_left_factor`) and one ``slogdet`` call. An exact zero of tau
+    is the scaled zero (log magnitude -inf).
     """
     coords, lines = _grid_times(t1_values, t2_values, t3_values, base)
     values = [v for times in lines for v in TauEvaluator(tr, times)._shifted_taus(())]
     return list(zip(coords, values))
-
-
-def _u_line_evaluators(tr: RankOneTriple, lines: List[np.ndarray]) -> Iterator[TauEvaluator]:
-    """One evaluator per t1 line of a grid, whose lines share their t1
-    values, made as they are consumed: one direct stack per line where the
-    triple has an eigenbasis (:func:`_eigenbasis`), else stepped from the
-    line's middle point m = P // 2 (:func:`u_field`).
-
-    The middle points of all lines take one centred exponential call, and
-    each is bit for bit the direct stack's slice. Point k of a line is
-    (A E_m) S_k, with the offsets S_k = exp((t1_k - t1_m) B) the g(B) of the
-    times (t1_k - t1_m, 0, ...), k != m, each centred on its own nu_k, so
-    its scale is n (mu_m + nu_k). All lines share the offsets, and so do
-    later calls: the triple keeps them as ``"step_offsets"``, keyed by the
-    shape and bytes of the offset times, with S_m = I and nu_m = 0. A
-    one-point line is its middle point and takes no offsets. Raises
-    RangeError where a stepped left factor is not finite.
-    """
-    if _eigenbasis(tr):
-        yield from (TauEvaluator(tr, times) for times in lines)
-        return
-    P, m = len(lines[0]), len(lines[0]) // 2
-    steps = np.zeros((P - 1, lines[0].shape[1]), dtype=np.complex128)
-    steps[:, 0] = np.delete(lines[0][:, 0] - lines[0][m, 0], m)
-
-    def make():
-        S = np.repeat(_identity(tr.N)[None], P, axis=0)
-        nu = np.zeros(P, dtype=np.complex128)
-        if len(steps):  # a one-point line has none
-            rest = np.arange(P) != m
-            S[rest], nu[rest] = _expm_centered(_exponents(tr.B, steps))
-        return S, nu
-
-    S, nu = tr._kept("step_offsets", (steps.shape, steps.tobytes()), make)
-    E_m, mu = _expm_centered(_exponents(tr.B, np.stack([times[m] for times in lines])))
-    for AE_m, mu_m in zip(tr.A @ E_m, mu):
-        left = AE_m @ S
-        left[m] = AE_m
-        if not np.isfinite(left).all():
-            raise RangeError("a stepped left factor A exp(g(B) - mu I) overflows double precision")
-        yield TauEvaluator._of_factor(tr, tr.n * (mu_m + nu), left)
 
 
 def u_field(
@@ -905,17 +906,8 @@ def u_field(
 
     Grid coordinates overwrite t_1 (and t_2, t_3 when given) of ``base``.
     Each t1 line is one :class:`TauEvaluator` stack whose
-    :meth:`~TauEvaluator.jets` give |tau| and u = 2 (tr X_2 - tr X_1^2).
-    A triple with an eigenbasis takes one direct stack per line. For the
-    others, every line steps from its middle point m = P // 2, whatever
-    its t1 values: the middle points of all lines take one exponential
-    call, bit for bit the direct stack's slices, and every other point
-    multiplies its line's factor by an offset exp((t1_k - t1_m) B) that all
-    lines share (see the module docstring). The offsets take one call more
-    unless the triple keeps them from an earlier call with the same t1
-    values and K (another (t2, t3), say); the bits are those of a fresh
-    triple either way. A stepped point is evaluated at t1_m plus the
-    rounded difference t1_k - t1_m.
+    :meth:`~TauEvaluator.jets` give |tau| and u = 2 (tr X_2 - tr X_1^2),
+    so a sample has the bits of its single point.
     Samples where |tau| falls below ``POLE_REL_THRESHOLD`` times the grid
     maximum, M is exactly singular or u is not finite are poles with value
     nan. An empty grid gives an empty list. Raises RangeError where a left
@@ -924,7 +916,7 @@ def u_field(
     coords, lines = _grid_times(t1_values, t2_values, t3_values, base)
     if not coords:
         return []
-    jets = [ev.jets(((2, 0, 0),)) for ev in _u_line_evaluators(tr, lines)]
+    jets = [TauEvaluator(tr, times).jets(((2, 0, 0),)) for times in lines]
     log_mag = np.concatenate([m for m, _ in jets])
     u = 2.0 * np.concatenate([d[:, 0] for _, d in jets])
     threshold = log_mag.max() + math.log(POLE_REL_THRESHOLD)

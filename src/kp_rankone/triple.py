@@ -54,16 +54,15 @@ class RankOneTriple:
     anyone make writeable again, so whatever is derived from them once
     stays valid: ||B||_2 and the eigenvalues of B are computed on first
     use and kept, and so is what :mod:`kp_rankone.tau` reuses, each under
-    one name in one memo (:meth:`_kept`): the eigenbasis of B that its
-    left factors come from, with W = V^-1 C.T, in which every shift factor
-    is a weight vector, or () where B falls back to the exponential; the
-    left factor of A exp(g(B)) of the last single base time; the right
-    blocks [C.T, B C.T, ..., B^w C.T] per weight w, in eigen coordinates
-    ([W, lam W, ...]) where there is an eigenbasis; and, for a triple
-    without one, the offsets
-    exp((t1_k - t1_m) B) of the last u line stepped from its middle point
-    t1_m. Copies and pickles are rebuilt through the constructor and start
-    empty.
+    one name in one memo (:meth:`_kept`): the blocks X and Z where the
+    triple is the Calogero-Moser embedding, whose left factors are
+    Wilson's, or (); the eigenbasis of B that its left factors come from
+    otherwise, with W = V^-1 C.T, in which every shift factor is a weight
+    vector, or () where B has none; the left factor of A exp(g(B)) of the
+    last single base time; and the right blocks [C.T, B C.T, ..., B^w C.T]
+    per weight w, in eigen coordinates ([W, lam W, ...]) where there is an
+    eigenbasis. Copies and pickles are rebuilt through the constructor and
+    start empty.
 
     Use :func:`validate_triple` (or :func:`make_triple`) for the
     admissibility test itself.

@@ -428,9 +428,9 @@ def test_expm_centered_stack_slices_bitwise(seed, n, log_norms):
 
 
 def test_expm_in_threads_matches_serial_bitwise():
-    # the powers and Pade combinations live in per-thread buffers that stay
-    # from call to call: stacks exponentiated in four threads at once, with
-    # sizes that make the buffers grow, come out as one after another
+    # the exponential keeps no state between calls: stacks of several
+    # sizes exponentiated in four threads at once come out as one after
+    # another
     rng = np.random.default_rng(5)
     stacks = [
         0.3 * (rng.standard_normal((12, k, k)) + 1j * rng.standard_normal((12, k, k)))
@@ -466,9 +466,8 @@ def test_expm_overflow_raises_for_stacks_and_huge_norms():
 
 
 def test_expm_centered_stack_scales_past_folding_range():
-    # a rotation by 1e19 needs s = 62 squarings, past the 2^-60 that the
-    # Pade coefficients absorb, so A itself is scaled; its neighbours in
-    # the stack are not
+    # a rotation by 1e19 needs s = 62 squarings, so A itself is scaled by
+    # 2^-62; its neighbours in the stack keep their own scaling
     R = np.array([[0.0, 1e19], [-1e19, 0.0]])
     M = np.stack([0.3 * np.ones((2, 2)), R, np.diag([2.0, -2.0])])
     E0, mu = expm_centered(M)

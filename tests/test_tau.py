@@ -15,7 +15,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from conftest import mp_rel_error, mp_shifted_tau, mp_u
+from conftest import mp_psi, mp_rel_error, mp_shifted_tau, mp_u
 from kp_rankone import matkernel
 from kp_rankone.baker import polynomiality_check, psi_dual, psi_grid, psi_stationary, psi_time
 from kp_rankone.cases import (
@@ -35,6 +35,7 @@ from kp_rankone.tau import (
     MiwaShiftList,
     TauEvaluator,
     TimeVector,
+    _calogero_moser,
     _eigenbasis,
     _shifted_right,
     log_tau_derivative,
@@ -353,10 +354,12 @@ def test_zero_shift_parameter_is_the_factor_minus_b(k):
 
 
 def _expm_triple(seed: int, n: int = 3):
-    """A Calogero-Moser triple, N = 2n: B = [[Z, 0], [I, Z]] is defective,
-    so it has no eigenbasis; its left factors come from ``expm`` and its
-    u lines step from their middle points."""
-    return from_calogero_moser(random_calogero_moser(n, seed=seed))
+    """A Calogero-Moser triple, N = 2n, in another basis: B is defective,
+    so it has no eigenbasis, and the change of basis hides the block
+    structure that Wilson's left factor needs, so its left factors come
+    from ``expm``."""
+    tr = from_calogero_moser(random_calogero_moser(n, seed=seed))
+    return conjugate_triple(tr, np.eye(tr.N) + 0.1 * np.triu(np.ones((tr.N, tr.N)), 1))
 
 
 def _expm_calls(monkeypatch) -> list:
@@ -440,13 +443,12 @@ def test_grid_stacks_leave_the_single_point_memo_alone(monkeypatch):
     u_field(tr, np.linspace(-1.0, 1.0, 9), base=t)
     tau_grid(tr, [0.2, 0.3], base=t)
     psi_grid(tr, [0.2, 0.3], [2.5])
-    # the u grid's 8 offsets and its middle point, then one stack for each
-    # of the tau and psi grids
-    assert calls == [(8, tr.N, tr.N), (1, tr.N, tr.N), (2, tr.N, tr.N), (2, tr.N, tr.N)]
+    # one stack for each of the u, tau and psi grids
+    assert calls == [(9, tr.N, tr.N), (2, tr.N, tr.N), (2, tr.N, tr.N)]
     assert tr._memo["base_factor"] is memo
     assert kp_residual(tr, t).passed
     assert hbde_residual(tr, t, 2.0, -2.5j, 3.0 + 1j).passed
-    assert len(calls) == 4
+    assert len(calls) == 3
 
 
 def _kept_arrays(tr, name: str) -> tuple:
@@ -481,10 +483,13 @@ def test_eigenbasis_weights_keep_the_bits_of_the_plain_product(stack):
         assert got.tobytes() == (w[..., None] * blocks).tobytes(), (s, k1, k2)
 
 
-@pytest.mark.parametrize("name", ["base_factor", "right_blocks", "step_offsets", "eigenbasis"])
+@pytest.mark.parametrize("name", ["base_factor", "right_blocks", "calogero_moser", "eigenbasis"])
 def test_kept_arrays_are_read_only(name):
-    # only a triple without an eigenbasis steps its u lines
-    tr = _expm_triple(46) if name == "step_offsets" else random_admissible(2, 6, seed=46)
+    # only a Calogero-Moser embedding keeps its blocks X and Z
+    if name == "calogero_moser":
+        tr = from_calogero_moser(random_calogero_moser(2, seed=46))
+    else:
+        tr = random_admissible(2, 6, seed=46)
     ev = TauEvaluator(tr, TimeVector([0.1, 0.2]))
     ev.jets([(2, 0, 0)])
     u_field(tr, np.linspace(-1.0, 1.0, 9))
@@ -513,10 +518,9 @@ def test_kept_arrays_are_read_only(name):
         assert blocks.tobytes() == np.hstack([cm.C.T, BC, cm.B @ BC]).tobytes()
         assert not blocks.flags.writeable
     else:
-        # the offsets of the 9 points, the middle one the identity
-        S, nu = arrays
-        assert S.shape == (9, tr.N, tr.N) and nu.shape == (9,)
-        assert np.array_equal(S[4], np.eye(tr.N)) and nu[4] == 0.0
+        # A = [X I] and B = [[Z, 0], [I, Z]]
+        X, Z = arrays
+        assert X.tobytes() == tr.A[:, : tr.n].tobytes() and Z.tobytes() == tr.B[: tr.n, : tr.n].tobytes()
     for arr in arrays:
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
@@ -816,13 +820,15 @@ def test_jet_plan_matches_the_power_series(n, P, real):
     [
         lambda: random_admissible(1, 4, seed=51),
         lambda: random_admissible(8, 24, seed=52),
+        lambda: from_calogero_moser(random_calogero_moser(3, seed=53)),
         lambda: _expm_triple(53),
     ],
-    ids=["1x4", "8x24", "calogero-moser"],
+    ids=["1x4", "8x24", "calogero-moser", "conjugated-calogero-moser"],
 )
 def test_stack_slices_are_bit_identical_to_single_points(make, P):
     # slice k of a P-stack is what the single point t_k gives alone, from
-    # the eigenbasis (random triples) or the exponential (Calogero-Moser):
+    # the eigenbasis (random triples), Wilson's left factor (Calogero-Moser)
+    # or the exponential (the conjugated Calogero-Moser triple):
     # the scale, the left factor, and the jets of u, of the KP check and
     # of every order up to 4 (more than eight trace words)
     tr = make()
@@ -903,7 +909,7 @@ def _u_by_wilson_form(d):
 
 
 def _with_oracle(make):
-    # no closed form: judged by the 20-digit line of _mpmath_u_line alone
+    # no closed form: judged by the 30-digit line of _mpmath_u_line alone
     return lambda: (make(), None)
 
 
@@ -919,7 +925,8 @@ def _calogero_moser_case():
         _with_oracle(lambda: random_admissible(2, 6, seed=12)),
         _with_oracle(lambda: random_admissible(4, 12, seed=13)),
         _with_oracle(lambda: random_admissible(8, 24, seed=14)),
-        # B = [[Z, 0], [I, Z]] is defective: no eigenbasis, the closed form instead
+        # B = [[Z, 0], [I, Z]] is defective: Wilson's left factor, and the
+        # closed form as oracle
         _calogero_moser_case,
         _with_oracle(lambda: from_kdv_pair(random_kdv_pair(3, seed=2))),
     ],
@@ -936,18 +943,8 @@ def test_u_field_stack_matches_pointwise_derivative(make):
         assert not s.is_pole
         t = base.with_entry(1, s.t1)
         want = 2.0 * log_tau_derivative(tr, t, (2, 0, 0))
-        if _eigenbasis(tr):
-            # one direct stack, whose slices are the single points' bits
-            assert np.array([s.value]).tobytes() == np.array([want]).tobytes(), s.t1
-        elif k == 4:
-            # the middle point takes the single point's own exponential
-            assert np.array([s.value]).tobytes() == np.array([want]).tobytes(), s.t1
-        else:
-            # stepped from the middle point, another algorithm than the single
-            # point: judged against mpmath, no less accurate than the
-            # single point up to 1e-12 relative
-            err, err_point = abs(s.value - exact[k]), abs(want - exact[k])
-            assert err <= err_point + 1e-12 * abs(exact[k]), (s.t1, err, err_point)
+        # one direct stack, whose slices are the single points' bits
+        assert np.array([s.value]).tobytes() == np.array([want]).tobytes(), s.t1
         ref = exact[k] if oracle is None else oracle(tr, t)
         assert abs(s.value - ref) <= 3e-11 * abs(ref), (s.t1, s.value, ref)
 
@@ -981,14 +978,14 @@ def test_u_field_wilson_zero_mid_stack():
 
 
 def _mpmath_u_line(tr, base, t1s):
-    """20-digit u = 2 (tr X_2 - tr X_1^2) along a t1 line t1_k = t1_0 + k h,
+    """30-digit u = 2 (tr X_2 - tr X_1^2) along a t1 line t1_k = t1_0 + k h,
     the other times from ``base``: the left factor A exp(g(B)) of the first
     point, times exp(h B) once per step. The t1 values must be an exact
     arithmetic progression (dyadic steps make them one)."""
     mpmath = pytest.importorskip("mpmath")
     h = t1s[1] - t1s[0]
     assert all(v == t1s[0] + k * h for k, v in enumerate(t1s))
-    with mpmath.workdps(20):
+    with mpmath.workdps(30):
         B = mpmath.matrix(tr.B.tolist())
         CT = mpmath.matrix(tr.C.T.tolist())
         BCT = B * CT
@@ -1011,9 +1008,9 @@ def _mpmath_u_line(tr, base, t1s):
 
 @pytest.mark.parametrize("P", [41, 61, 201])
 def test_u_field_wilson_lines_flag_only_the_zero(P):
-    # tau = t1 + 3: t1 = -3 is the middle point of the 41- and 201-point
-    # lines, where tau is the exact zero, and a stepped point of the
-    # 61-point line, where it is a rounding-size number
+    # tau = t1 + 3: t1 = -3 is a point of each line (the middle one of the
+    # 41- and 201-point lines), where Wilson's left factor [3 + t1  1] makes
+    # tau the exact zero
     tr = from_calogero_moser(CalogeroMoserData([[3.0]], [[0.0]]))
     grid = {41: np.linspace(-5.0, -1.0, 41), 61: np.linspace(-4.0, 2.0, 61),
             201: np.linspace(-5.0, -1.0, 201)}[P]
@@ -1041,131 +1038,38 @@ def _direct_u(tr, times):
     ],
     ids=["uneven", "three-points", "off-by-1e-12", "one-point", "two-points"],
 )
-def test_u_field_uneven_and_short_lines_step_from_their_middle_point(monkeypatch, t1s):
-    # any t1 values step, with no rule on their spacing or number: the
-    # middle point keeps the direct stack's bits, and every point is
-    # judged against 40-digit u (the uneven line's last point, 1.1 from
-    # the middle, is off by 1.8e-13 where the direct stack is off by 1.3e-14)
+def test_u_field_uneven_and_short_lines_are_one_direct_stack(monkeypatch, t1s):
+    # any t1 values, with no rule on their spacing or number: on a triple
+    # that falls back to the exponential the line is one exponential call
+    # of all its points, every point has the bits of the direct stack, and
+    # each is judged against 40-digit u
     tr = _expm_triple(41)
     base = TimeVector([0.0, 0.1 - 0.2j, 0.05j])
-    P, m = len(t1s), len(t1s) // 2
+    P = len(t1s)
     calls = _expm_calls(monkeypatch)
     got = np.array([s.value for s in u_field(tr, t1s, base=base)])
-    # the offsets of the other points, if there are any, then the middle one
-    assert calls == [(P - 1, tr.N, tr.N)] * (P > 1) + [(1, tr.N, tr.N)]
+    assert calls == [(P, tr.N, tr.N)]
     times = np.tile(base.values, (P, 1))
     times[:, 0] = t1s
-    assert got[m : m + 1].tobytes() == _direct_u(tr, times)[m : m + 1].tobytes()
+    assert got.tobytes() == _direct_u(tr, times).tobytes()
     for v, value in zip(t1s, got):
         ref = mp_u(tr, base.with_entry(1, v))
         assert abs(value - ref) <= 1e-12 * abs(ref), (v, value, ref)
 
 
-@pytest.mark.parametrize("P", [41, 201])
-def test_u_field_anchors_are_bit_identical_to_the_direct_stack(P):
-    tr = _expm_triple(42)
-    base = TimeVector([0.0, 0.2 + 0.1j, -0.1j])
-    grid = np.linspace(-1.5, 2.5, P)
-    times = np.tile(base.values, (P, 1))
-    times[:, 0] = grid
-    # the middle point, 20 or 100, is the line's one anchor
-    m = P // 2
-    got = np.array([x.value for x in u_field(tr, grid, base=base)])
-    want = _direct_u(tr, times)
-    assert got[m : m + 1].tobytes() == want[m : m + 1].tobytes()
-    assert not np.array_equal(got, want)  # the other points are stepped
-
-
-def test_u_field_line_is_one_small_exponential(monkeypatch):
-    tr = _expm_triple(43)
-    t1s, base = np.linspace(-2.0, 2.0, 41), TimeVector([0.0, 0.1, 0.1j])
-    calls = _expm_calls(monkeypatch)
-    first = _u_bits(u_field(tr, t1s, base=base))
-    # a fresh triple makes the 40 offsets in one call, then the middle
-    # point in one more: 41 slices, as the direct stack takes
-    assert calls == [(40, tr.N, tr.N), (1, tr.N, tr.N)]
-    calls.clear()
-    # with the offsets kept, the line takes one slice, with the same bits
-    assert _u_bits(u_field(tr, t1s, base=base)).tobytes() == first.tobytes()
-    assert calls == [(1, tr.N, tr.N)]
-
-
-def test_u_field_3d_grid_is_one_exponential_call(monkeypatch):
-    tr = _expm_triple(44)
-    calls = _expm_calls(monkeypatch)
-    samples = u_field(tr, np.linspace(-1.0, 1.0, 21), [0.1, 0.2, 0.3], [-0.1, 0.0, 0.1])
-    assert len(samples) == 21 * 9 and not any(s.is_pole for s in samples)
-    # the middle points of the 9 lines in one call, after the 20 offsets
-    # that they all share, in one call on a fresh triple
-    assert calls == [(20, tr.N, tr.N), (9, tr.N, tr.N)]
-
-
-def _u_bits(samples) -> np.ndarray:
-    """The bits of the u values of a grid, as two uint64 per sample, so
-    signed zeros count."""
-    return np.array([x.value for x in samples], dtype=np.complex128).view(np.uint64)
-
-
-def test_u_field_calls_with_one_step_share_the_kept_offsets():
-    # one t1 axis at several (t2, t3), as when u is plotted line by line:
-    # every call after the first takes the offsets from the triple, and
-    # each matches the first call's bits and those of a fresh triple
-    tr = _expm_triple(45)
-    t1s = np.linspace(-2.0, 2.0, 41)
-    first = _u_bits(u_field(tr, t1s, [0.1], [0.2]))
-    kept = tr._memo["step_offsets"]
-    assert _u_bits(u_field(tr, t1s, [0.1], [0.2])).tobytes() == first.tobytes()
-    for t2, t3 in [(0.3, -0.1), (-0.2, 0.05)]:
-        got = _u_bits(u_field(tr, t1s, [t2], [t3]))
-        fresh = _u_bits(u_field(_expm_triple(45), t1s, [t2], [t3]))
-        assert got.tobytes() == fresh.tobytes()
-    assert tr._memo["step_offsets"] is kept
-
-
-def test_u_field_with_a_kept_step_exponentiates_only_the_anchors(monkeypatch):
-    tr = _expm_triple(44)
-    axes = (np.linspace(-1.0, 1.0, 21), [0.1, 0.2, 0.3], [-0.1, 0.0, 0.1])
-    whole = _u_bits(u_field(tr, *axes))
-    calls = _expm_calls(monkeypatch)
-    again = _u_bits(u_field(tr, *axes))
-    # the middle points of the 9 lines, and no offsets
-    assert calls == [(9, tr.N, tr.N)]
-    assert again.tobytes() == whole.tobytes()
-
-
-@pytest.mark.parametrize(
-    "t1s, base",
-    [
-        (np.linspace(-1.0, 1.5, 41), TimeVector([0.0, 0.1, 0.1j])),  # h
-        (np.linspace(-2.0, 2.0, 21), TimeVector([0.0, 0.1, 0.1j])),  # P
-        (np.linspace(-2.0, 2.0, 41), TimeVector([0.0, 0.1, 0.1j, 0.02])),  # K
-    ],
-    ids=["h", "P", "K"],
-)
-def test_u_field_with_another_step_replaces_the_kept_offsets(monkeypatch, t1s, base):
-    tr = _expm_triple(43)
-    u_field(tr, np.linspace(-2.0, 2.0, 41), base=TimeVector([0.0, 0.1, 0.1j]))
-    old_key = tr._memo["step_offsets"][0]
-    calls = _expm_calls(monkeypatch)
-    got = _u_bits(u_field(tr, t1s, base=base))
-    P = len(t1s)
-    # the P - 1 offsets in one call, then the middle point
-    assert calls == [(P - 1, tr.N, tr.N), (1, tr.N, tr.N)]
-    key, (S, nu) = tr._memo["step_offsets"]
-    assert key != old_key and S.shape == (P, tr.N, tr.N) and nu.shape == (P,)
-    fresh = _u_bits(u_field(_expm_triple(43), t1s, base=base))
-    assert got.tobytes() == fresh.tobytes()
-
-
 @pytest.mark.parametrize(
     "make",
-    [lambda: random_admissible(4, 12, seed=12), lambda: _expm_triple(12)],
-    ids=["4x12", "calogero-moser"],
+    [
+        lambda: random_admissible(4, 12, seed=12),
+        lambda: from_calogero_moser(random_calogero_moser(3, seed=12)),
+        lambda: _expm_triple(12),
+    ],
+    ids=["4x12", "calogero-moser", "conjugated-calogero-moser"],
 )
 def test_u_field_long_line_accuracy_against_mpmath(make):
     # 201 points in dyadic steps, so mpmath steps through exactly the same
-    # t1: one direct stack from the eigenbasis (4x12), or 200 points
-    # stepped from the middle one (Calogero-Moser)
+    # t1: one direct stack from the eigenbasis (4x12), Wilson's left factor
+    # (Calogero-Moser) or the exponential (conjugated)
     tr = make()
     base = TimeVector([0.0, 0.1 - 0.15j, 0.05 + 0.1j])
     t1s = np.linspace(-1.5625, 1.5625, 201)
@@ -1320,29 +1224,32 @@ def _fixture_triple(name: str):
 
 
 _PATHS = {
-    "1x4": (lambda: random_admissible(1, 4, seed=0), True),
-    "2x6": (lambda: random_admissible(2, 6, seed=1), True),
-    "4x12": (lambda: random_admissible(4, 12, seed=2), True),
-    "8x24": (lambda: random_admissible(8, 24, seed=3), True),
-    "kdv-pair": (lambda: from_kdv_pair(random_kdv_pair(3, seed=0)), True),
-    "one_soliton": (lambda: _fixture_triple("one_soliton"), True),
-    "two_soliton": (lambda: _fixture_triple("two_soliton"), True),
-    "intertwining_pair": (lambda: _fixture_triple("intertwining_pair"), True),
-    "general_block": (lambda: _fixture_triple("general_block"), True),
-    "wilson_point": (lambda: _fixture_triple("wilson_point"), False),
-    "calogero-moser": (lambda: _expm_triple(0), False),
+    "1x4": (lambda: random_admissible(1, 4, seed=0), "eigenbasis"),
+    "2x6": (lambda: random_admissible(2, 6, seed=1), "eigenbasis"),
+    "4x12": (lambda: random_admissible(4, 12, seed=2), "eigenbasis"),
+    "8x24": (lambda: random_admissible(8, 24, seed=3), "eigenbasis"),
+    "kdv-pair": (lambda: from_kdv_pair(random_kdv_pair(3, seed=0)), "eigenbasis"),
+    "one_soliton": (lambda: _fixture_triple("one_soliton"), "eigenbasis"),
+    "two_soliton": (lambda: _fixture_triple("two_soliton"), "eigenbasis"),
+    "intertwining_pair": (lambda: _fixture_triple("intertwining_pair"), "eigenbasis"),
+    "general_block": (lambda: _fixture_triple("general_block"), "eigenbasis"),
+    "wilson_point": (lambda: _fixture_triple("wilson_point"), "calogero_moser"),
+    "calogero-moser": (lambda: from_calogero_moser(random_calogero_moser(3, seed=0)), "calogero_moser"),
+    "conjugated-calogero-moser": (lambda: _expm_triple(0), "expm"),
 }
 
 
 @pytest.mark.parametrize("case", list(_PATHS))
 def test_left_factor_path(monkeypatch, case):
-    # a diagonalizable B with a well conditioned V takes no exponential on
-    # any path that uses the left factor; a defective B (Wilson,
-    # Calogero-Moser) takes the exponential. The eigenbasis is made on the
-    # first evaluation, not when the triple is built.
-    make, eigenbasis = _PATHS[case]
+    # three paths: a diagonalizable B with a well conditioned V, and the
+    # Calogero-Moser embedding (Wilson's left factor, defective B), take no
+    # exponential on any path that uses the left factor; any other
+    # defective B, here a Calogero-Moser triple in another basis, takes the
+    # exponential. The structure and the eigenbasis are found on the first
+    # evaluation, not when the triple is built.
+    make, path = _PATHS[case]
     tr = make()
-    assert "eigenbasis" not in tr._memo
+    assert "eigenbasis" not in tr._memo and "calogero_moser" not in tr._memo
     calls = _expm_calls(monkeypatch)
     t = TimeVector([0.3 - 0.1j, 0.2, -0.05])
     tau(tr, t)
@@ -1356,8 +1263,9 @@ def test_left_factor_path(monkeypatch, case):
     tau_grid(tr, [0.1, 0.2, 0.3], base=t)
     psi_grid(tr, [0.1, 0.2], [2.5, 3.5j])
     u_field(tr, np.linspace(-0.5, 0.5, 9), [0.1, 0.2], base=t)
-    assert bool(_eigenbasis(tr)) == eigenbasis
-    assert (calls == []) == eigenbasis, calls
+    assert bool(_calogero_moser(tr)) == (path == "calogero_moser")
+    assert bool(_eigenbasis(tr)) == (path == "eigenbasis")
+    assert (calls == []) == (path != "expm"), calls
 
 
 def test_checks_at_one_base_time_share_one_left_factor_without_an_exponential(monkeypatch):
@@ -1459,3 +1367,58 @@ def test_eigenvector_condition_threshold(delta, eigenbasis):
             assert abs(u - want) <= 1e-12 * abs(want), (seed, t)
         large = TimeVector([20.0])
         assert mp_rel_error(tau(tr, large), mp_shifted_tau(tr, large, (), dps=60)) <= 1e-11, seed
+
+
+# ---------------------------------------------------------------------------
+# Wilson's left factor for the Calogero-Moser embedding
+# ---------------------------------------------------------------------------
+
+
+_WILSON_C = (1.5, 2.0 + 0.5j, -1.8)
+
+
+@pytest.mark.parametrize("t1", [5.0, 15.0, 30.0])
+@pytest.mark.parametrize("n, seed", [(2, 0), (3, 1), (3, 0)], ids=["cm2-0", "cm3-1", "cm3-0"])
+def test_wilson_left_factor_against_mpmath(n, seed, t1):
+    # every quantity against mpmath on the triple itself at 60 + 4 t1
+    # digits, never against wilson_tau_closed_form, which shares the
+    # method; through the exponential these read up to 4e30 at t1 = 30.
+    # u = -2 tr((X + g'(Z))^-2) falls as 1 / t1^2 while the jets cancel
+    # tr Z^2 against it, so u is judged on its absolute error
+    # (relative up to 6.3e-13 at t1 = 30)
+    tr = from_calogero_moser(random_calogero_moser(n, seed=seed))
+    t = TimeVector([t1, 0.3, -0.1])
+    dps = int(60 + 4 * t1)
+    assert mp_rel_error(tau(tr, t), mp_shifted_tau(tr, t, (), dps=dps)) <= 1e-13
+    c1, c2, c3 = _WILSON_C
+    for k in range(-2, 3):
+        got = tau_discrete(tr, k, -k, 1, c1, c2, c3, t=t)
+        want = mp_shifted_tau(tr, t, ((c1, k), (c2, -k), (c3, 1)), dps=dps)
+        assert mp_rel_error(got, want) <= 1e-13, k
+        got = tau_miwa(tr, ((c2, k),), t) * ScaledComplex.from_complex(c2 ** (k * tr.n))
+        assert mp_rel_error(got, mp_shifted_tau(tr, t, ((c2, k),), dps=dps)) <= 1e-13, k
+    for z in (2.5 + 0.5j, -1.7 - 1.2j):
+        assert mp_rel_error(psi_time(tr, t, z).value, mp_psi(tr, t, z, dps=dps)) <= 1e-13, z
+        assert mp_rel_error(psi_dual(tr, t, z).value, mp_psi(tr, t, z, -1, dps=dps)) <= 1e-13, z
+    (u,) = u_field(tr, [t1], [0.3], base=t)
+    assert abs(u.value - mp_u(tr, t, dps=dps)) <= 1e-13, u
+    assert hbde_residual(tr, t, c1, c2, c3, l=1, m=1).residual <= 1e-13
+    assert polynomiality_check(tr, t).residual <= 1e-13
+
+
+@pytest.mark.parametrize("block", ["Z", "identity", "zero", "copy of Z"])
+def test_an_embedding_one_ulp_off_falls_back_to_the_exponential(monkeypatch, block):
+    # the structure is tested by exact equality: one entry of B moved by
+    # one ulp takes the exponential, and its tau stays next to Wilson's
+    cm = from_calogero_moser(random_calogero_moser(3, seed=7))
+    n = cm.n
+    row, col = {"Z": (0, 1), "identity": (n + 1, 1), "zero": (1, n + 2), "copy of Z": (n + 2, n)}[block]
+    B = np.array(cm.B)
+    B[row, col] = complex(np.nextafter(B[row, col].real, 2.0), B[row, col].imag)
+    tr = RankOneTriple(cm.A, B, cm.C)
+    t = TimeVector([0.4 - 0.1j, 0.2, -0.05])
+    calls = _expm_calls(monkeypatch)
+    got, want = tau(tr, t), tau(cm, t)
+    assert _calogero_moser(tr) == () and _eigenbasis(tr) == ()
+    assert len(_calogero_moser(cm)) == 2 and calls == [(1, tr.N, tr.N)]
+    assert rel_difference(got, want) <= 1e-12, block

@@ -126,16 +126,18 @@ def test_triple_copies_stay_immutable_and_drop_derived_state(clone):
     tr = random_admissible(2, 5, seed=3)
     tau(tr, TimeVector([0.2, 0.1]))
     u_field(tr, np.linspace(-1.0, 1.0, 9))
-    # the eigenbasis, the base factor and the right blocks of tau (weight 0)
-    # and of the jets (weight 2) are kept, and so is ||B||_2
-    kept = {"eigenbasis", "base_factor", ("right_blocks", 0), ("right_blocks", 2)}
-    assert set(tr._memo) == kept
-    # a triple without an eigenbasis keeps that it has none, and the step
-    # offsets of its u lines
+    # whether it is a Calogero-Moser embedding, the eigenbasis, the base
+    # factor and the right blocks of tau (weight 0) and of the jets (weight
+    # 2) are kept, and so is ||B||_2
+    kept = {"calogero_moser", "eigenbasis", "base_factor", ("right_blocks", 0), ("right_blocks", 2)}
+    assert set(tr._memo) == kept and tr._memo["calogero_moser"] == (None, ())
+    # a Calogero-Moser embedding keeps its blocks X and Z, and that it has
+    # no eigenbasis
     cm = from_calogero_moser(random_calogero_moser(2, seed=3))
     tau(cm, TimeVector([0.2, 0.1]))
     u_field(cm, np.linspace(-1.0, 1.0, 9))
-    assert set(cm._memo) == kept | {"step_offsets"} and cm._memo["eigenbasis"] == (None, ())
+    assert set(cm._memo) == kept and cm._memo["eigenbasis"] == (None, ())
+    assert len(cm._memo["calogero_moser"][1]) == 2
     assert tr.norm_B > 0.0
     other = clone(tr)
     assert other._memo == {} and "norm_B" not in vars(other)

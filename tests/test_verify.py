@@ -461,8 +461,10 @@ def test_crosscheck_wilson_random(n):
 
 @pytest.mark.parametrize("t1", [20.0, 30.0])
 def test_crosscheck_wilson_reference_side_matches_mpmath(t1):
-    # the reference side det exp(g(Z)) det(X + g'(Z)) must stay exact at large
-    # times, where the library's own tau is not (its residual reads that error)
+    # both sides stay exact at large times: the reference side
+    # det exp(g(Z)) det(X + g'(Z)), and the library's tau, whose left
+    # factor is Wilson's (through the exponential it was off by 4.07 in
+    # log|tau| at t1 = 30)
     import mpmath as mp
 
     d = random_calogero_moser(2, seed=0)
@@ -471,7 +473,19 @@ def test_crosscheck_wilson_reference_side_matches_mpmath(t1):
     with mp.workdps(60):
         A, B, C = (mp.matrix(M.tolist()) for M in (tr.A, tr.B, tr.C))
         want = float(mp.log(abs(mp.det(A * mp.expm(t1 * B) * C.T))))
-    assert abs(rep.context["rhs_log_magnitude"] - want) <= 1e-12, (t1, rep.context, want)
+    for side in ("lhs", "rhs"):
+        got = rep.context[f"{side}_log_magnitude"]
+        assert abs(got - want) <= 1e-12, (t1, side, rep.context, want)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("t1", [15.0, 20.0, 30.0])
+def test_crosscheck_wilson_at_large_times(n, t1):
+    # through the exponential the check read 2.2e-8 at t1 = 15 and 1.0 at
+    # t1 = 30 on random_calogero_moser(2, seed=0) (tolerance 1e-10)
+    for seed in range(3):
+        rep = crosscheck_wilson(random_calogero_moser(n, seed=seed), TimeVector([t1, 0.0, 0.0]))
+        assert rep.passed, (n, t1, seed, rep.residual)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
