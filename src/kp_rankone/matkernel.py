@@ -14,16 +14,16 @@ turned into a phase by :func:`sign_phase`.
 
 Numerical backends, all in ``numpy``: the matrix exponential by scaling
 and squaring with a Pade core (:func:`_expm`; defective matrices are
-fine, and a stack (..., k, k) costs a few batched products and one
-batched solve), LU via ``numpy.linalg.slogdet`` for determinants, and
-SVD for ranks and kernels.
+fine, and a stack (..., k, k) is exponentiated one slice at a time), LU
+via ``numpy.linalg.slogdet`` for determinants, and SVD for ranks and
+kernels (:func:`_kernel`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple, Union
+from typing import Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -322,7 +322,7 @@ _LOG2_ELL_BOUND = {
     for m in _DEGREES
 }
 # d_2j = ||A^2j||^(1/2j) from the norms of W = A^4, A^6, A^2, A^8
-_ROOTS = np.array([1 / 4, 1 / 6, 1 / 2, 1 / 8])[:, None]
+_ROOTS = np.array([1 / 4, 1 / 6, 1 / 2, 1 / 8])
 # r_m = (V - U)^-1 (V + U) with U = A Y_u, V = Y_v for m <= 9 and
 # U = A (A^6 Z_u + Y_u), V = A^6 Z_v + Y_v for m = 13 (Higham 2005, eqs.
 # 2.3 and 2.5). Z_u, Y_u, Z_v, Y_v combine the powers W = A^4, A^6, A^2,
@@ -358,14 +358,10 @@ _solve = np.linalg.solve
 
 
 def _powers(A: np.ndarray) -> np.ndarray:
-    """W = (A^4, A^6, A^2, A^8) of a stack A (P, k, k), as (4, P, k, k)."""
-    W = np.empty((4,) + A.shape, dtype=np.complex128)
-    A4, A6, A2, A8 = W
-    np.matmul(A, A, out=A2)
-    np.matmul(A2, A2, out=A4)
-    np.matmul(A4, A2, out=A6)
-    np.matmul(A4, A4, out=A8)
-    return W
+    """W = (A^4, A^6, A^2, A^8) of a matrix A (k, k), as (4, k, k)."""
+    A2 = A @ A
+    A4 = A2 @ A2
+    return np.array([A4, A4 @ A2, A2, A4 @ A4])
 
 
 def _norm1(X: np.ndarray) -> np.ndarray:
@@ -374,137 +370,111 @@ def _norm1(X: np.ndarray) -> np.ndarray:
 
 
 def _abs_power_norms(A: np.ndarray):
-    """A function m -> [log2 ||  |A_i|^(2m+1)  ||_1 for each slice A_i of
-    A (P, k, k)], each degree computed for the whole stack when first
-    asked for.
+    """A function m -> log2 ||  |A|^(2m+1)  ||_1 of A (k, k), each degree
+    computed when first asked for.
 
-    2m + 1 is 3 mod 4 for every degree, so the row vectors e^T |A|^3
-    are carried forward by |A|^4 as larger degrees ask for them.
+    2m + 1 is 3 mod 4 for every degree, so the row vector e^T |A|^3 is
+    carried forward by |A|^4 as larger degrees ask for it.
     """
-    absA = np.abs(A)
-    abs2 = absA @ absA
-    abs4 = abs2 @ abs2
-    rows = [absA.sum(axis=-2)[:, None, :] @ abs2]  # 2m + 1 = 3, 7, 11, ...
-    norms = {}
+    rows, abs4 = [], None
 
-    def log2_norms(m: int) -> list:
-        if m not in norms:
-            while len(rows) <= m // 2:
-                rows.append(rows[-1] @ abs4)
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                norms[m] = np.log2(rows[m // 2].max(axis=(-2, -1))).tolist()
-        return norms[m]
+    def log2_norm(m: int) -> float:
+        nonlocal abs4
+        if abs4 is None:
+            absA = np.abs(A)
+            abs2 = absA @ absA
+            abs4 = abs2 @ abs2
+            rows.append(absA.sum(axis=0)[None] @ abs2)  # 2m + 1 = 3, 7, 11, ...
+        while len(rows) <= m // 2:
+            rows.append(rows[-1] @ abs4)
+        return float(np.log2(rows[m // 2].max()))
 
-    return log2_norms
-
-
-def _degree_and_scaling(A: np.ndarray, W: np.ndarray):
-    """For each slice of A (P, k, k): the index into _DEGREES of its Pade
-    degree, its scaling s, whether its powers overflow, and whether
-    A^2 = 0. The norms are taken for the whole stack at once; the choice
-    is made slice by slice in Python floats."""
-    power = None
-
-    def log2_power(m: int) -> list:
-        nonlocal power
-        power = power or _abs_power_norms(A)
-        return power(m)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = _norm1(W)
-        d4, d6, _, d8 = (norms ** _ROOTS).tolist()
-    log2_n1 = [math.log2(n) if n > 0.0 else -math.inf for n in _norm1(A).tolist()]
-    P = len(A)
-    level, s, overflow, rest = [0] * P, [0] * P, [False] * P, []
-    for i in range(P):
-        eta1, eta3 = max(d4[i], d6[i]), max(d6[i], d8[i])
-        if not eta1 + eta3 < math.inf:
-            overflow[i] = True
-            continue
-        # the first of degrees 3..9 that eta and ell(A, m) = 0 allow; ell
-        # is zero where the norm bound ||A||^(2m+1) already gives zero,
-        # else where log2 ||  |A|^(2m+1)  || <= log2 ||A||_1 + bound
-        for j, m in enumerate(_DEGREES[:4]):
-            bound = _LOG2_ELL_BOUND[m]
-            if (eta1 if m < 7 else eta3) <= _THETA[m] and (
-                2 * m * log2_n1[i] <= bound or log2_power(m)[i] <= log2_n1[i] + bound
-            ):
-                level[i] = j
-                break
-        else:
-            level[i] = 4
-            rest.append(i)
-    if rest:
-        # degree 13: s from eta5, plus ell(2^-s A, 13) of Al-Mohy & Higham
-        # (2009), eq. (5.1), where a power norm that overflows counts as 2^1024
-        with np.errstate(over="ignore", invalid="ignore"):
-            d10 = (_norm1(W[0, rest] @ W[1, rest]) ** 0.1).tolist()
-        bound = _LOG2_ELL_BOUND[13]
-        for i, d10_i in zip(rest, d10):
-            eta5 = min(max(d6[i], d8[i]), max(d8[i], d10_i))
-            if not eta5 < math.inf:
-                overflow[i] = True
-                continue
-            s[i] = max(math.ceil(math.log2(eta5 / _THETA[13])), 0) if eta5 > 0.0 else 0
-            if 26 * (log2_n1[i] - s[i]) > bound:
-                excess = min(log2_power(13)[i], 1024.0) - 26 * s[i] - log2_n1[i] - bound
-                if excess > 0:
-                    s[i] += math.ceil(excess / 26)
-    return np.array(level), np.array(s), np.array(overflow), norms[2] == 0
+    return log2_norm
 
 
-def _pade(A: np.ndarray, W: np.ndarray, level: np.ndarray) -> np.ndarray:
-    """r_m(A) of each slice of A (P, k, k) from its powers W, with m =
-    _DEGREES[level]; the combinations Z_u, Y_u, Z_v, Y_v are one real
-    matrix product per slice."""
-    P, k = A.shape[0], A.shape[-1]
-    rows = W.view(np.float64).reshape(4, P, 2 * k * k).swapaxes(0, 1)
-    combos = (_COMBINATIONS[level] @ rows).view(np.complex128)
-    combos[:, 1::2, :: k + 1] += _IDENTITY_TERMS
-    Zu, Yu, Zv, Yv = combos.reshape(P, 4, k, k).swapaxes(0, 1)
-    big = np.nonzero(level == 4)[0]
-    if len(big):
-        Yu[big] += W[1, big] @ Zu[big]
-        Yv[big] += W[1, big] @ Zv[big]
+def _degree_and_scaling(A: np.ndarray, W: np.ndarray) -> Optional[Tuple[int, int]]:
+    """The index into _DEGREES of the Pade degree of A (k, k) and its
+    scaling s, from its powers W; None where the powers overflow."""
+    d4, d6, _, d8 = (_norm1(W) ** _ROOTS).tolist()
+    eta1, eta3 = max(d4, d6), max(d6, d8)
+    if not eta1 + eta3 < math.inf:
+        return None
+    n1 = float(_norm1(A))
+    log2_n1 = math.log2(n1) if n1 > 0.0 else -math.inf
+    log2_power = _abs_power_norms(A)
+    # the first of degrees 3..9 that eta and ell(A, m) = 0 allow; ell is
+    # zero where the norm bound ||A||^(2m+1) already gives zero, else where
+    # log2 ||  |A|^(2m+1)  || <= log2 ||A||_1 + bound
+    for j, m in enumerate(_DEGREES[:4]):
+        bound = _LOG2_ELL_BOUND[m]
+        if (eta1 if m < 7 else eta3) <= _THETA[m] and (
+            2 * m * log2_n1 <= bound or log2_power(m) <= log2_n1 + bound
+        ):
+            return j, 0
+    # degree 13: s from eta5, plus ell(2^-s A, 13) of Al-Mohy & Higham
+    # (2009), eq. (5.1), where a power norm that overflows counts as 2^1024
+    d10 = float(_norm1(W[0] @ W[1]) ** 0.1)
+    eta5 = min(max(d6, d8), max(d8, d10))
+    if not eta5 < math.inf:
+        return None
+    s = max(math.ceil(math.log2(eta5 / _THETA[13])), 0) if eta5 > 0.0 else 0
+    bound = _LOG2_ELL_BOUND[13]
+    if 26 * (log2_n1 - s) > bound:
+        excess = min(log2_power(13), 1024.0) - 26 * s - log2_n1 - bound
+        if excess > 0:
+            s += math.ceil(excess / 26)
+    return 4, s
+
+
+def _pade(A: np.ndarray, W: np.ndarray, level: int) -> np.ndarray:
+    """r_m(A) of A (k, k) from its powers W, with m = _DEGREES[level]; the
+    combinations Z_u, Y_u, Z_v, Y_v are one real matrix product."""
+    k = len(A)
+    combos = (_COMBINATIONS[level] @ W.view(np.float64).reshape(4, 2 * k * k)).view(np.complex128)
+    combos[1::2, :: k + 1] += _IDENTITY_TERMS
+    Zu, Yu, Zv, Yv = combos.reshape(4, k, k)
+    if level == 4:
+        Yu += W[1] @ Zu
+        Yv += W[1] @ Zv
     U = A @ Yu
     # r_m = I + 2 (V - U)^-1 U: the identity is added after the solve,
     # so the solve's rounding scales with U, not with V + U
     E = _solve(Yv - U, U)
     E *= 2.0
-    E.reshape(P, k * k)[:, :: k + 1] += 1.0
+    E.reshape(k * k)[:: k + 1] += 1.0
+    return E
+
+
+def _expm_one(A: np.ndarray) -> np.ndarray:
+    """exp of a finite complex matrix (k, k): A^2 = 0 gives I + A exactly,
+    powers that overflow give nan, else r_m(2^-s A) squared s times."""
+    W = _powers(A)
+    if not W[2].any():
+        return A + np.eye(len(A))
+    choice = _degree_and_scaling(A, W)
+    if choice is None:
+        return np.full_like(A, np.nan)
+    level, s = choice
+    if s:
+        # 2^-s scales A exactly, and its powers with it
+        A = A * math.ldexp(1.0, -s)
+        W = _powers(A)
+    E = _pade(A, W, level)
+    for _ in range(s):
+        E = E @ E
     return E
 
 
 def _expm(A: np.ndarray) -> np.ndarray:
-    """exp of a finite complex matrix (k, k) or stack (..., k, k).
-
-    Each slice gets its own degree and scaling; one Pade evaluation serves
-    the stack and each slice is squared s_i times, so a slice of a stack is
-    bit-for-bit the matrix it gives alone. A^2 = 0 gives I + A exactly. A
-    slice whose powers overflow comes back as nan; callers raise
-    RangeError on non-finite output.
+    """exp of a finite complex matrix (k, k) or stack (..., k, k), one
+    slice at a time (:func:`_expm_one`), so a slice of a stack is the
+    matrix alone. Overflow is not warned about: a slice whose powers
+    overflow comes back as nan, and callers raise RangeError on
+    non-finite output.
     """
-    shape, k = A.shape, A.shape[-1]
-    A = A.reshape((-1, k, k))
-    W = _powers(A)
-    level, s, overflow, square_zero = _degree_and_scaling(A, W)
-    top = int(s.max())
-    # slices with s > 0 scale A itself by 2^-s (exact), and their powers
-    # with it; slices whose powers overflow are evaluated as zeros and set
-    # to nan
-    if top or overflow.any():
-        scale = np.where(overflow, 0.0, np.ldexp(1.0, -s))
-        A_s = A * scale[:, None, None]
-        E = _pade(A_s, _powers(A_s), np.where(overflow, 0, level))
-        E[overflow] = np.nan
-    else:
-        E = _pade(A, W, level)
-    for step in range(1, top + 1):
-        squared = s >= step
-        E[squared] = E[squared] @ E[squared]
-    if square_zero.any():
-        E[square_zero] = A[square_zero] + np.eye(k)
-    return E.reshape(shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        E = [_expm_one(a) for a in A.reshape((-1,) + A.shape[-2:])]
+    return np.array(E).reshape(A.shape)
 
 
 # the benchmark's tracer counts exponentials by wrapping this name, which
@@ -536,17 +506,10 @@ def expm_centered(M) -> Tuple[np.ndarray, Union[complex, np.ndarray]]:
     zero, which keeps E0 inside double range in many cases where exp(M)
     itself overflows. Callers fold ``e^mu`` back in on the log scale.
     A stack (..., dim, dim) gives a stack E0 and an array mu of shape
-    (...), one per slice, from one ``expm`` call.
+    (...), one per slice, from one ``expm`` call. Raises RangeError where
+    E0 is not finite.
     """
-    E0, mu = _expm_centered(_as_square_stack(M, "exponent"))
-    return E0, (complex(mu) if mu.ndim == 0 else mu)
-
-
-def _expm_centered(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`expm_centered` of a complex128 stack (..., dim, dim) that the
-    caller built itself and gives up: M is not copied or scanned, and it is
-    overwritten by M - mu I. mu is an array, of shape (...). Raises
-    RangeError where E0 is not finite."""
+    M = _as_square_stack(M, "exponent")
     dim = M.shape[-1]
     trace = np.asarray(np.trace(M, axis1=-2, axis2=-1))
     # parts divided separately, as Python's complex / int does (numpy
@@ -557,7 +520,7 @@ def _expm_centered(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     E0 = _scipy_expm(M)
     if not np.isfinite(E0).all():
         raise RangeError("exp(M - mu I) still overflows double precision")
-    return E0, mu
+    return E0, (complex(mu) if mu.ndim == 0 else mu)
 
 
 def det_scaled(M) -> Union[ScaledComplex, List[ScaledComplex]]:
@@ -612,12 +575,20 @@ def nullspace_rows(A, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
     n, N = A.shape
     if N <= n:
         raise DimensionError(f"need more columns than rows, got {A.shape}")
-    _, s, vh = np.linalg.svd(A)
-    if singular_value_rank(s, tol) < n:
+    rank, U = _kernel(A, tol)
+    if rank < n:
         raise DegenerateInputError("A is numerically rank-deficient; kernel basis not well-defined")
-    # right singular vectors for zero singular values, transposed without
-    # conjugation: rows u satisfy A @ u == 0
-    return vh[n:].conj()
+    return U
+
+
+def _kernel(A: np.ndarray, tol: float) -> Tuple[int, np.ndarray]:
+    """rank(A) and rows U spanning the kernel of A (A @ U.T = 0), from one
+    SVD of A: the right singular vectors past the rank, conjugated (the
+    transpose without conjugation pairs them to zero against A). If A is
+    rank-deficient the kernel is larger than N - n."""
+    _, s, vh = np.linalg.svd(A)
+    rank = singular_value_rank(s, tol)
+    return rank, vh[rank:].conj()
 
 
 def eig(M, cluster_tol: float = EIG_CLUSTER_TOL) -> List[Tuple[complex, int]]:

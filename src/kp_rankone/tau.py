@@ -74,10 +74,9 @@ exponentiates a matrix:
   Normalising by L_S keeps tau accurate where the weights e^r span many
   orders of magnitude (large times).
 * Every other triple, defective or ill-conditioned B, takes
-  A exp(g(B) - mu I) from one centred ``expm`` call of the Horner stack
-  g(B) (the stack is built here, so the exponential skips the input check
-  that :func:`~kp_rankone.matkernel.expm_centered` makes), with
-  scale = n mu.
+  A exp(g(B) - mu I) from one
+  :func:`~kp_rankone.matkernel.expm_centered` call of the Horner stack
+  g(B), with scale = n mu.
 
 Moment blocks and jets serve the whole stack, and a single point is a
 stack of one. The left factor of a single base time is kept on the
@@ -106,10 +105,10 @@ from .matkernel import (
     DEFAULT_RANK_TOL,
     ScaledComplex,
     as_cmatrix,
-    _expm_centered,
     _exp_polar,
     _integral,
     det_scaled,  # noqa: F401  (the benchmark's tracer wraps tau.det_scaled)
+    expm_centered,
     sign_phase,
     wrap_phase,
 )
@@ -509,8 +508,8 @@ def _left_factor(tr: RankOneTriple, times: np.ndarray) -> Tuple[np.ndarray, np.n
     keyed by the dtype, shape and bytes of ``times``, in place of the last
     one. A stack of P > 1 times (a grid line, a psi grid) is not kept and
     leaves the kept one be: it is rarely asked for twice, and would stay
-    alive with the triple. Raises RangeError where g(lam), g(Z), g'(Z) or
-    the left factor is not finite."""
+    alive with the triple. Raises RangeError where g(B), g(lam), g(Z),
+    g'(Z) or the left factor is not finite."""
 
     def make():
         wilson = _calogero_moser(tr)
@@ -523,7 +522,10 @@ def _left_factor(tr: RankOneTriple, times: np.ndarray) -> Tuple[np.ndarray, np.n
             return scale, np.concatenate([D, np.broadcast_to(_identity(tr.n), D.shape)], axis=-1)
         basis = _eigenbasis(tr)
         if not basis:
-            E0, mu = _expm_centered(_exponents(tr.B, times))
+            G = _exponents(tr.B, times)
+            if not np.isfinite(G).all():
+                raise RangeError("g(B) overflows double precision")
+            E0, mu = expm_centered(G)
             return tr.n * mu, tr.A @ E0
         lam, T, _, log_det = basis
         r = np.zeros((len(times), len(lam)), dtype=np.complex128)
@@ -596,13 +598,14 @@ class TauEvaluator:
         """log|tau| (P,) and derivatives of log tau (P, len(wanted)), one per
         multi-index (a1, a2, a3), read by :func:`_jet_series` off the blocks
         X_1 .. X_w of one ``solve``; -inf and nan where M = A exp(g(B)) C.T
-        is exactly singular, as one ``slogdet`` tells.
+        is exactly singular, as one ``slogdet`` tells. Raises RangeError
+        where M is not finite (:func:`_slogdet`).
         """
         n = self.triple.n
         plan = _jet_plan(tuple(map(tuple, wanted)))
         W = self.moment_blocks((), plan[0])
-        sign, logdet = np.linalg.slogdet(W[..., :n])
-        regular = (sign != 0) & np.isfinite(logdet)
+        sign, logdet = _slogdet(W[..., :n])
+        regular = sign != 0  # M is finite, so log|det| is -inf only where sign is 0
         Wr = W[regular]
         derivs = np.full((len(W), len(wanted)), complex(math.nan, math.nan))
         derivs[regular] = _jet_series(np.linalg.solve(Wr[..., :n], Wr[..., n:]), plan)
@@ -720,20 +723,25 @@ def _right_blocks(tr: RankOneTriple, weight: int) -> np.ndarray:
     (N, (weight + 1) n), read-only and kept on the triple (one array per
     weight asked for). With an eigenbasis (:func:`_eigenbasis`) that is
     [W, lam W, ..., lam^weight W], elementwise on the rows of
-    W = V^-1 C.T; else the products with B."""
+    W = V^-1 C.T; else the products with B. Raises RangeError where a
+    block is not finite, once, when the blocks are made."""
 
     def make():
         basis = _eigenbasis(tr)
-        if basis:
-            d = basis[0][:, None]
-            blocks = [basis[2]]
-            for _ in range(weight):
-                blocks.append(d * blocks[-1])
-        else:
-            blocks = [tr.C.T]
-            for _ in range(weight):
-                blocks.append(tr.B @ blocks[-1])
-        return np.hstack(blocks)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if basis:
+                d = basis[0][:, None]
+                blocks = [basis[2]]
+                for _ in range(weight):
+                    blocks.append(d * blocks[-1])
+            else:
+                blocks = [tr.C.T]
+                for _ in range(weight):
+                    blocks.append(tr.B @ blocks[-1])
+            blocks = np.hstack(blocks)
+        if not np.isfinite(blocks).all():
+            raise RangeError(f"B^{weight} C.T overflows double precision")
+        return blocks
 
     return tr._kept(("right_blocks", weight), None, make)
 
@@ -911,7 +919,7 @@ def u_field(
     Samples where |tau| falls below ``POLE_REL_THRESHOLD`` times the grid
     maximum, M is exactly singular or u is not finite are poles with value
     nan. An empty grid gives an empty list. Raises RangeError where a left
-    factor overflows.
+    factor, a right block B^j C.T or M overflows.
     """
     coords, lines = _grid_times(t1_values, t2_values, t3_values, base)
     if not coords:

@@ -28,7 +28,14 @@ from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 import numpy as np
 
 from .errors import DimensionError, GenerationError, InadmissibleTripleError
-from .matkernel import DEFAULT_RANK_TOL, _integral, as_cmatrix, singular_value_rank, spectral_norm
+from .matkernel import (
+    DEFAULT_RANK_TOL,
+    _integral,
+    _kernel,
+    as_cmatrix,
+    singular_value_rank,
+    spectral_norm,
+)
 
 __all__ = [
     "RankOneTriple",
@@ -162,15 +169,6 @@ def make_triple(A, B, C, tol: float = DEFAULT_RANK_TOL) -> RankOneTriple:
             f"triple failed the admissibility test: {report}", report=report
         )
     return tr
-
-
-def _kernel(A: np.ndarray, tol: float) -> Tuple[int, np.ndarray]:
-    """rank(A) and rows U spanning the kernel of A (A @ U.T = 0), from one
-    SVD of A: the right singular vectors past the rank, conjugated. If A
-    is rank-deficient the kernel is larger than N - n."""
-    _, s, vh = np.linalg.svd(A)
-    rank = singular_value_rank(s, tol)
-    return rank, vh[rank:].conj()
 
 
 def _report(tr: RankOneTriple, tol: float, kernel: Optional[Tuple[int, np.ndarray]] = None) -> TripleReport:

@@ -392,8 +392,15 @@ def bethe_check(
 def crosscheck_wilson(
     d: CalogeroMoserData, t: TimesLike, tol: float = DEFAULT_WILSON_TOL
 ) -> VerificationReport:
-    """General determinant route against det(exp(g(Z))) det(X + g'(Z)),
-    with the gauge det(exp(g(Z))) = exp(tr g(Z)) in exact form."""
+    """``tau`` of :func:`~kp_rankone.cases.from_calogero_moser`'s triple
+    against exp(tr g(Z)) det(X + g'(Z)), the gauge in exact form.
+
+    ``tau`` takes Wilson's left factor [X + g'(Z)  I] for this triple, by
+    the Horner that :func:`~kp_rankone.cases.wilson_tau_closed_form` uses,
+    so this checks that the embedding is recognised and the factor built
+    from the data; the residual is 0.0. The general route on a defective B
+    is checked against ``mpmath`` by the conjugated-embedding tests of
+    ``tests/test_tau.py`` (``_expm_triple``)."""
     t = TimeVector.coerce(t)
     tr = from_calogero_moser(d)
     lhs = tau(tr, t)

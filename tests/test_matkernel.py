@@ -344,10 +344,21 @@ def test_expm_centered_rejects_nonsquare_stack():
         expm_centered(np.zeros((2, 3, 4)))
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_matexp_overflow_raises():
     with pytest.raises(RangeError):
         matexp(np.array([[1000.0]]))
+
+
+@pytest.mark.parametrize(
+    "M",
+    [[[800.0]], [[0.0, 1.0], [0.0, 800.0]], [[1e300]], 1e200 * np.ones((3, 3))],
+    ids=["800", "triangular-800", "1e300", "ones-1e200"],
+)
+def test_matexp_overflow_raises_without_a_warning(M):
+    # the overflow reaches the caller as RangeError, with no RuntimeWarning
+    # on the way (the test configuration turns warnings into errors)
+    with pytest.raises(RangeError):
+        matexp(np.array(M))
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 12])
@@ -456,11 +467,12 @@ def test_expm_centered_leaves_its_input_alone():
     assert M.tobytes() == copy.tobytes()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_expm_overflow_raises_for_stacks_and_huge_norms():
     spread = np.diag([800.0, -800.0])
     with pytest.raises(RangeError):
         expm_centered(np.stack([np.zeros((2, 2)), spread]))
+    with pytest.raises(RangeError):
+        expm_centered(np.array([[1e5, 1.0], [0.0, -1e5]]))
     with pytest.raises(RangeError):
         matexp(np.array([[0.0, 1e200], [1e200, 0.0]]))
 

@@ -29,7 +29,7 @@ from kp_rankone.cases import (
     random_kdv_pair,
 )
 from kp_rankone.cli import load_scenario
-from kp_rankone.errors import DimensionError, PoleError, SingularShiftError
+from kp_rankone.errors import DimensionError, PoleError, RangeError, SingularShiftError
 from kp_rankone.matkernel import ScaledComplex, det_scaled, rel_difference, wrap_phase
 from kp_rankone.tau import (
     MiwaShiftList,
@@ -346,6 +346,26 @@ def test_zero_shift_parameter_is_the_factor_minus_b(k):
     t = TimeVector([0.2, -0.1])
     got = tau_discrete(tr, k, 0, 0, 0.0, 2.0, 3.0, t=t)
     assert mp_rel_error(got, mp_shifted_tau(tr, t, ((0.0, k),))) <= 1e-12
+
+
+def test_jets_raise_range_error_where_right_blocks_overflow():
+    # ||B|| = 1e80: tau at t1 = 1e-83 is regular, but B^4 C.T overflows, so
+    # a KP check and a fourth derivative raise RangeError, not PoleError
+    # (tau is not zero); u needs B^2 C.T only and stays a regular sample.
+    # At ||B|| = 1e160 B^2 C.T overflows too, and u raises RangeError
+    # rather than flagging a pole
+    t = TimeVector([1e-83, 0.0, 0.0])
+    tr = random_admissible(2, 6, 1, b_norm=1e80)
+    assert abs(tau(tr, t).log_magnitude - 0.478) < 1e-3
+    with pytest.raises(RangeError):
+        kp_residual(tr, t)
+    with pytest.raises(RangeError):
+        log_tau_derivative(tr, t, (4, 0, 0))
+    [sample] = u_field(tr, [1e-83])
+    assert not sample.is_pole
+    assert abs(sample.value / mp_u(tr, t, dps=60) - 1) < 1e-13
+    with pytest.raises(RangeError):
+        u_field(random_admissible(2, 6, 1, b_norm=1e160), [1e-83])
 
 
 # ---------------------------------------------------------------------------
